@@ -15,11 +15,9 @@ import json
 import sys
 from pathlib import Path
 
-from .config import default_config, parse_config
+from .config import COMMANDS, default_config, parse_config
 from .errors import ConfigError, GeoLqrError, ValidationError
 from .scenarios import run
-
-_COMMANDS = ("gains", "regulate", "track", "avoid", "check")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -27,7 +25,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="geo-lqr",
         description="Geometric LQR attitude control scenarios")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=(name != "check"),
                        help="path to the scenario JSON file")
@@ -59,6 +57,7 @@ def main(argv=None) -> int:
                     "command",
                     f"config says {cfg.command!r} but the CLI invoked {args.command!r}")
         summary, ok, lines = run(cfg, args.out)
+        summary_line = summary.to_json()
     except ConfigError as exc:
         print(_error_line(exc), file=sys.stderr)
         return 2
@@ -75,7 +74,7 @@ def main(argv=None) -> int:
                           "detail": "one or more invariant checks failed"}),
               file=sys.stderr)
         return 1
-    print(summary.to_json())
+    print(summary_line)
     return 0
 
 

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .riccati import DRIFT_MODES, CostParams
 
 COMMANDS = ("gains", "regulate", "track", "avoid", "check")
 GAIN_SOURCES = ("are", "dre")
-A_MATRIX_MODES = ("published-regulation", "published-tracking", "reconciled")
 
 ROTATION_TOL = 1e-6
 
@@ -93,13 +93,6 @@ def _rotation(obj, key, path, default_identity=True):
 
 
 @dataclass
-class CostConfig:
-    alpha: float
-    gamma: float
-    q_weights: np.ndarray
-
-
-@dataclass
 class SimConfig:
     h: float
     t_end: float
@@ -165,7 +158,7 @@ class OutputConfig:
 @dataclass
 class ScenarioConfig:
     command: str
-    cost: CostConfig
+    cost: CostParams
     sim: SimConfig
     inertia: np.ndarray
     initial: InitialConfig
@@ -176,7 +169,7 @@ class ScenarioConfig:
     output: OutputConfig
 
 
-def _parse_cost(obj, command) -> CostConfig:
+def _parse_cost(obj, command) -> CostParams:
     section = _require_object(obj.get("cost", {}), "cost")
     _reject_unknown(section, ("alpha", "gamma", "q_weights"), "cost")
     d_alpha, d_gamma = _COMMAND_COST_DEFAULTS[command]
@@ -184,6 +177,7 @@ def _parse_cost(obj, command) -> CostConfig:
     if alpha <= 0.0:
         raise ValidationError("cost.alpha", "must be positive")
     gamma = _number(section, "gamma", "cost", default=d_gamma)
+    q = np.eye(2)
     if "q_weights" in section:
         rows = section["q_weights"]
         if not (isinstance(rows, list) and len(rows) == 2
@@ -192,11 +186,11 @@ def _parse_cost(obj, command) -> CostConfig:
         q = np.asarray(rows, dtype=float)
         if not np.isfinite(q).all():
             raise ValidationError("cost.q_weights", "entries must be finite")
-        if abs(q[0, 1] - q[1, 0]) > 1e-12 or np.linalg.eigvalsh(q).min() < -1e-12:
-            raise ValidationError("cost.q_weights", "must be symmetric PSD")
-    else:
-        q = np.eye(2)
-    return CostConfig(alpha, gamma, q)
+    try:
+        return CostParams(alpha, gamma, q)
+    except ValueError as exc:
+        # alpha is already positive, so CostParams can only refuse q_weights.
+        raise ValidationError("cost.q_weights", str(exc)) from None
 
 
 def _parse_sim(obj, command) -> SimConfig:
@@ -275,9 +269,9 @@ def _parse_controller(obj, command) -> ControllerSettings:
         raise ValidationError("controller.feedforward_accel_term", "expected a boolean")
     mode = section.get("a_matrix_mode",
                        _COMMAND_MODE.get(command, "published-regulation"))
-    if mode not in A_MATRIX_MODES:
+    if mode not in DRIFT_MODES:
         raise ValidationError("controller.a_matrix_mode",
-                              f"expected one of {A_MATRIX_MODES}")
+                              f"expected one of {DRIFT_MODES}")
     return ControllerSettings(source, accel, mode)
 
 

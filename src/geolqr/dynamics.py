@@ -1,5 +1,6 @@
 """Rigid-body attitude dynamics with a fixed point, the group-preserving
-Euler integrator, and a flat-space double integrator.
+Euler integrator, a flat-space double integrator, and the one classical
+Runge-Kutta sweep that the Riccati and optimality solvers share.
 
 The body angular velocity satisfies w' = J^-1 (J w x w) + tau and the
 kinematics R' = R hat(w), both in body coordinates. One explicit step is
@@ -130,7 +131,8 @@ def simulate(controller, init: RigidBodyState, p: SimParams,
         calls with identical inputs produce bit-identical logs.
 
     Raises:
-        NumericalDivergence: |w| exceeded 1e6 rad/s.
+        NumericalDivergence: |w| exceeded 1e6 rad/s, or the state or a
+            logged torque is not finite.
     """
     n = int(math.ceil(p.t_end / p.h - 1e-9))
     times = np.arange(n + 1) * p.h
@@ -156,9 +158,15 @@ def simulate(controller, init: RigidBodyState, p: SimParams,
         if i < n:
             state = lie_euler_step(state, tau, p.h, p.inertia)
             wm = state.w
-            if wm[0] * wm[0] + wm[1] * wm[1] + wm[2] * wm[2] > OMEGA_DIVERGENCE_LIMIT ** 2:
+            # Written as "not <=" so that a NaN velocity fails the guard too.
+            if not wm[0] * wm[0] + wm[1] * wm[1] + wm[2] * wm[2] <= OMEGA_DIVERGENCE_LIMIT ** 2:
                 raise NumericalDivergence(
-                    f"|omega| exceeded {OMEGA_DIVERGENCE_LIMIT:g} rad/s at t = {t + p.h:.6g}")
+                    f"|omega| exceeded {OMEGA_DIVERGENCE_LIMIT:g} rad/s or is not finite "
+                    f"at t = {t + p.h:.6g}")
+    # A non-finite torque before the last sample already fails the velocity
+    # guard; this catches the final sample's.
+    if not np.isfinite(torques).all():
+        raise NumericalDivergence("controller returned a non-finite torque")
     return TrajectoryLog(times, rotations, omegas, torques, channels)
 
 
@@ -172,3 +180,27 @@ def flat_step(s: FlatState, u, h: float, grad_w=None) -> FlatState:
         force = force - grad_w(s.q)
     v_next = s.v + h * force
     return FlatState(q=s.q + h * v_next, v=v_next)
+
+
+def rk4(rate, y0, times) -> np.ndarray:
+    """Classical 4th-order Runge-Kutta sweep along a time grid.
+
+    rate(k, theta, y) is the derivative at times[k] + theta (times[k+1] -
+    times[k]) with theta in {0, 1/2, 1}, so a rate defined by samples stored
+    on the grid can take sample k, the midpoint, or sample k + 1. A
+    decreasing grid integrates backward. Returns the states at every grid
+    time, stacked along a new leading axis.
+    """
+    grid = np.asarray(times, dtype=float).tolist()
+    y = np.asarray(y0, dtype=float)
+    ys = np.empty((len(grid),) + y.shape)
+    ys[0] = y
+    for k in range(len(grid) - 1):
+        h = grid[k + 1] - grid[k]
+        f1 = rate(k, 0.0, y)
+        f2 = rate(k, 0.5, y + 0.5 * h * f1)
+        f3 = rate(k, 0.5, y + 0.5 * h * f2)
+        f4 = rate(k, 1.0, y + h * f3)
+        y = y + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        ys[k + 1] = y
+    return ys

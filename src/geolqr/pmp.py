@@ -22,6 +22,11 @@ Both follow from the costate equations Dp1/Dt = -R(v, p2) v - grad_q L and
 Dp2/Dt = -p1 - grad_v L with u = -p2/alpha; costate_integrate verifies that
 relation and the constancy of H on converged solutions.
 
+The extremal, costate and variational sweeps are all dynamics.rk4, and
+every cost evaluator (trajectory_cost, the oracle's batched costs,
+control_cost, AvoidanceLagrangian.value) reads the one array running cost
+running_cost under one trapezoid rule.
+
 On the rotation group all tangent quantities live in body coordinates and
 rates written with a dot are covariant: for a field xi along the trajectory,
 D xi / Dt = xi' + (w x xi) / 2.
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import rk4
 from .errors import NoConvergence, NoDescent, ObstacleContact
 from .so3 import hat, log_so3
 
@@ -116,26 +122,67 @@ def _grad_goal_potential(scenario: AvoidanceScenario, q) -> np.ndarray:
     return log_so3(scenario.target.T @ q)
 
 
-def _goal_potential(scenario: AvoidanceScenario, q) -> float:
-    g = _grad_goal_potential(scenario, q)
-    return 0.5 * float(g @ g)
+def _sqnorm(x) -> np.ndarray:
+    """Squared Euclidean norm along the last axis."""
+    return np.einsum("...n,...n->...", x, x)
 
 
-def _barrier_terms(scenario: AvoidanceScenario, q):
-    """Avoidance value sum 1/O_i and its gradient -sum grad O_i / O_i^2.
+def _clearances(scenario: AvoidanceScenario, q) -> np.ndarray:
+    """O_i at every row of a (..., n) array, one obstacle per leading index."""
+    return np.array([_sqnorm(q - obs.center) - obs.radius ** 2
+                     for obs in scenario.obstacles])
+
+
+def running_cost(scenario: AvoidanceScenario, q, v, u) -> np.ndarray:
+    """Running cost L(q, v, u) at every point of (..., N, n) arrays.
+
+    Avoidance mode: U(q*, q) + |v|^2/2 + (alpha/2)|u|^2 + sum_i 1/O_i(q),
+    and +inf where the path touches an obstacle (O_i <= 0). Terminal mode:
+    (alpha/2)|u|^2. On the rotation group q holds rotation matrices,
+    (..., N, 3, 3), and U takes log_so3 point by point.
+    """
+    u2 = _sqnorm(u)
+    if scenario.mode == "terminal":
+        return 0.5 * scenario.alpha * u2
+    if scenario.manifold == "flat":
+        g2 = _sqnorm(q - scenario.target)
+    else:
+        rs = np.asarray(q, dtype=float)
+        g = np.array([log_so3(scenario.target.T @ r) for r in rs.reshape(-1, 3, 3)])
+        g2 = _sqnorm(g).reshape(rs.shape[:-2])
+    cost = 0.5 * (g2 + _sqnorm(v) + scenario.alpha * u2)
+    if scenario.obstacles:
+        o = _clearances(scenario, q)
+        with np.errstate(divide="ignore"):
+            cost = cost + np.where(o <= 0.0, np.inf, 1.0 / o).sum(axis=0)
+    return cost
+
+
+def _trapezoid_weights(times) -> np.ndarray:
+    """Weights w such that w @ f is the trapezoid rule for samples f."""
+    half = 0.5 * np.diff(np.asarray(times, dtype=float))
+    w = np.zeros(half.size + 1)
+    w[:-1] += half
+    w[1:] += half
+    return w
+
+
+def _barrier_grad(scenario: AvoidanceScenario, q) -> np.ndarray:
+    """Gradient -sum grad O_i / O_i^2 of the avoidance barrier at one point.
+
+    A plain loop over the obstacles: this runs at every stage of every
+    rollout, where array calls cost more than they save.
 
     Raises:
         ObstacleContact: any O_i(q) <= 0.
     """
-    value = 0.0
     grad = np.zeros(scenario.dimension)
     for i, obs in enumerate(scenario.obstacles):
         o = obs.value(q)
         if o <= 0.0:
             raise ObstacleContact(f"obstacle {i} contacted (O = {o:.6g})")
-        value += 1.0 / o
         grad -= obs.grad(q) / (o * o)
-    return value, grad
+    return grad
 
 
 def avoidance_rhs(u, udot, q, v, scenario: AvoidanceScenario) -> np.ndarray:
@@ -148,8 +195,7 @@ def avoidance_rhs(u, udot, q, v, scenario: AvoidanceScenario) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     grad = _grad_goal_potential(scenario, q)
     if scenario.obstacles:
-        _, gv = _barrier_terms(scenario, q)
-        grad = grad + gv
+        grad = grad + _barrier_grad(scenario, q)
     return curvature(scenario.manifold, v, u, v) + (u - grad) / scenario.alpha
 
 
@@ -217,32 +263,21 @@ def control_cost(scenario: AvoidanceScenario, times_u, u, h_eval: float) -> floa
     tt = np.linspace(0.0, scenario.horizon, steps + 1)
     uu = np.stack([np.interp(tt, times_u, u[:, a])
                    for a in range(scenario.dimension)], axis=1)
-    weights = np.full(steps + 1, tt[1] - tt[0])
-    weights[0] = weights[-1] = 0.5 * (tt[1] - tt[0])
-    return float(_batched_costs(scenario, uu[None], tt[1] - tt[0], weights)[0])
-
-
-def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
-    return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(times)))
+    return float(_batched_costs(scenario, uu[None], tt[1] - tt[0],
+                                _trapezoid_weights(tt))[0])
 
 
 def trajectory_cost(scenario: AvoidanceScenario, times, q, v, u) -> float:
-    """Cost functional evaluated on a stored grid by the trapezoid rule."""
-    n_pts = len(times)
-    lvals = np.empty(n_pts)
-    for k in range(n_pts):
-        uu = u[k]
-        if scenario.mode == "terminal":
-            lvals[k] = 0.5 * scenario.alpha * float(uu @ uu)
-            continue
-        vv = v[k]
-        lk = (_goal_potential(scenario, q[k]) + 0.5 * float(vv @ vv)
-              + 0.5 * scenario.alpha * float(uu @ uu))
-        if scenario.obstacles:
-            bar, _ = _barrier_terms(scenario, q[k])
-            lk += bar
-        lvals[k] = lk
-    cost = _trapezoid(lvals, np.asarray(times, dtype=float))
+    """Cost functional evaluated on a stored grid by the trapezoid rule.
+
+    Raises:
+        ObstacleContact: the running cost is infinite because the path
+            touches an obstacle.
+    """
+    lvals = running_cost(scenario, q, v, u)
+    if np.isposinf(lvals).any():
+        raise ObstacleContact("the path touches an obstacle")
+    cost = float(lvals @ _trapezoid_weights(times))
     if scenario.mode == "terminal":
         gT = _grad_goal_potential(scenario, q[-1])
         vT = v[-1]
@@ -254,30 +289,23 @@ def _integrate_extremal(scenario: AvoidanceScenario, u0, w0, h: float):
     """RK4 rollout of the coupled (q, v, u, w) system on a uniform grid."""
     n = scenario.tangent_dim
     steps = max(1, int(round(scenario.horizon / h)))
-    hs = scenario.horizon / steps
-    z = _pack_initial(scenario, np.asarray(u0, dtype=float),
-                      np.asarray(w0, dtype=float))
-    zs = np.empty((steps + 1, z.shape[0]))
-    zs[0] = z
+    times = np.linspace(0.0, scenario.horizon, steps + 1)
+    z0 = _pack_initial(scenario, np.asarray(u0, dtype=float),
+                       np.asarray(w0, dtype=float))
     # Overflow in a rejected trial is expected; non-finite states are
     # detected by the caller instead of warning here.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
-            f1 = _coupled_rhs(scenario, z)
-            f2 = _coupled_rhs(scenario, z + 0.5 * hs * f1)
-            f3 = _coupled_rhs(scenario, z + 0.5 * hs * f2)
-            f4 = _coupled_rhs(scenario, z + hs * f3)
-            z = z + (hs / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-            zs[i + 1] = z
-    times = np.linspace(0.0, scenario.horizon, steps + 1)
+        zs = rk4(lambda k, theta, z: _coupled_rhs(scenario, z), z0, times)
+        if scenario.manifold == "flat" and scenario.obstacles:
+            o = _clearances(scenario, zs[:, :n])
+            touched = o[o <= 0.0]
+            if touched.size:
+                raise ObstacleContact(f"path contacts an obstacle (O = {touched.min():.6g})")
     if scenario.manifold == "flat":
         q = zs[:, :n]
         v = zs[:, n:2 * n]
         u = zs[:, 2 * n:3 * n]
         w = zs[:, 3 * n:]
-        if scenario.obstacles:
-            for k in range(steps + 1):
-                _barrier_terms(scenario, q[k])
     else:
         q = zs[:, :9].reshape(-1, 3, 3)
         v = zs[:, 9:12]
@@ -386,27 +414,16 @@ def _batched_rollout(scenario: AvoidanceScenario, controls: np.ndarray,
 
 def _batched_costs(scenario: AvoidanceScenario, controls: np.ndarray,
                    ht: float, weights: np.ndarray) -> np.ndarray:
-    """Trapezoid costs of a (B, N, n) batch of control grids.
+    """Costs of a (B, N, n) batch of control grids under the quadrature
+    weights of _trapezoid_weights.
 
-    Rows whose trajectory contacts an obstacle get +inf so the line search
-    rejects them.
+    Rows whose trajectory contacts an obstacle or overflows get +inf so the
+    line search rejects them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         q, v = _batched_rollout(scenario, controls, ht)
-        d = q - scenario.target
-        lk = np.einsum("bkn,bkn->bk", d, d)
-        lk += np.einsum("bkn,bkn->bk", v, v)
-        lk += scenario.alpha * np.einsum("bkn,bkn->bk", controls, controls)
-        lk *= 0.5
-        alive = np.ones(controls.shape[0], dtype=bool)
-        for obs in scenario.obstacles:
-            dq = q - obs.center
-            o = np.einsum("bkn,bkn->bk", dq, dq)
-            o -= obs.radius ** 2
-            alive &= (o > 0.0).all(axis=1)
-            lk += 1.0 / np.where(o > 0.0, o, 1.0)
-        cost = lk @ weights
-    cost[~alive | ~np.isfinite(cost)] = np.inf
+        cost = running_cost(scenario, q, v, controls) @ weights
+    cost[~np.isfinite(cost)] = np.inf
     return cost
 
 
@@ -434,8 +451,8 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
         raise ValueError(f"need at least 50 grid points, got {n_grid}")
     n = scenario.dimension
     ht = scenario.horizon / (n_grid - 1)
-    weights = np.full(n_grid, ht)
-    weights[0] = weights[-1] = 0.5 * ht
+    times = np.linspace(0.0, scenario.horizon, n_grid)
+    weights = _trapezoid_weights(times)
 
     u = np.zeros((n_grid, n))
     cost = float(_batched_costs(scenario, u[None, :, :], ht, weights)[0])
@@ -488,15 +505,8 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
                 and history[-plateau_window] - cost <= plateau_rtol * abs(cost)):
             break
 
-    # Final single rollout for the state history.
-    q = np.empty((n_grid, n))
-    v = np.empty((n_grid, n))
-    q[0], v[0] = scenario.q0, scenario.v0
-    for k in range(n_grid - 1):
-        v[k + 1] = v[k] + ht * u[k]
-        q[k + 1] = q[k] + ht * v[k + 1]
-    times = np.linspace(0.0, scenario.horizon, n_grid)
-    return BVPSolution(times=times, q=q, v=v, u=u, udot=None,
+    q, v = _batched_rollout(scenario, u[None], ht)
+    return BVPSolution(times=times, q=q[0], v=v[0], u=u, udot=None,
                        residual_norm=grad_inf, iterations=iterations,
                        cost=cost)
 
@@ -508,20 +518,12 @@ class AvoidanceLagrangian:
         self.scenario = scenario
 
     def value(self, q, v, u) -> float:
-        v = np.asarray(v, dtype=float)
-        u = np.asarray(u, dtype=float)
-        out = (_goal_potential(self.scenario, q) + 0.5 * float(v @ v)
-               + 0.5 * self.scenario.alpha * float(u @ u))
-        if self.scenario.obstacles:
-            bar, _ = _barrier_terms(self.scenario, q)
-            out += bar
-        return out
+        return float(running_cost(self.scenario, q, v, u))
 
     def grad_q(self, q, v, u) -> np.ndarray:
         g = _grad_goal_potential(self.scenario, q)
         if self.scenario.obstacles:
-            _, gv = _barrier_terms(self.scenario, q)
-            g = g + gv
+            g = g + _barrier_grad(self.scenario, q)
         return g
 
     def grad_v(self, q, v, u) -> np.ndarray:
@@ -543,6 +545,15 @@ class ControlEffortLagrangian:
 
     def grad_v(self, q, v, u) -> np.ndarray:
         return np.zeros_like(np.asarray(v, dtype=float))
+
+
+def _at(x, k: int, theta: float):
+    """Stored grid samples at theta in {0, 1/2, 1} of grid interval k."""
+    if theta == 0.0:
+        return x[k]
+    if theta == 1.0:
+        return x[k + 1]
+    return 0.5 * (x[k] + x[k + 1])
 
 
 @dataclass
@@ -567,39 +578,23 @@ def costate_integrate(times, q, v, u, lagrangian, terminal,
     the sweep is globally second order on the stored grid.
     """
     times = np.asarray(times, dtype=float)
-    n_pts = times.shape[0]
-    n = v.shape[1]
-    p1 = np.empty((n_pts, n))
-    p2 = np.empty((n_pts, n))
-    p1[-1], p2[-1] = terminal
+    # The sweep runs over the reversed grid, so interval k joins samples k
+    # and k + 1 of the reversed arrays.
+    qr, vr, ur = q[::-1], v[::-1], u[::-1]
 
-    def rate(pa, pb, qk, vk, uk, omk):
-        d1 = -curvature(manifold, vk, pb, vk) - lagrangian.grad_q(qk, vk, uk)
-        d2 = -pa - lagrangian.grad_v(qk, vk, uk)
+    def rate(k, theta, p):
+        qk, vk, uk = _at(qr, k, theta), _at(vr, k, theta), _at(ur, k, theta)
+        d1 = -curvature(manifold, vk, p[1], vk) - lagrangian.grad_q(qk, vk, uk)
+        d2 = -p[0] - lagrangian.grad_v(qk, vk, uk)
         if manifold == "so3-biinvariant":
-            d1 = d1 - 0.5 * np.cross(omk, pa)
-            d2 = d2 - 0.5 * np.cross(omk, pb)
-        return d1, d2
+            d1 = d1 - 0.5 * np.cross(vk, p[0])
+            d2 = d2 - 0.5 * np.cross(vk, p[1])
+        return np.array([d1, d2])
 
-    for k in range(n_pts - 1, 0, -1):
-        hstep = times[k] - times[k - 1]
-        q_mid = 0.5 * (q[k] + q[k - 1])
-        v_mid = 0.5 * (v[k] + v[k - 1])
-        u_mid = 0.5 * (u[k] + u[k - 1])
-        pa, pb = p1[k], p2[k]
-        # RK4 backward: negate the step.
-        a1, b1 = rate(pa, pb, q[k], v[k], u[k], v[k])
-        a2, b2 = rate(pa - 0.5 * hstep * a1, pb - 0.5 * hstep * b1,
-                      q_mid, v_mid, u_mid, v_mid)
-        a3, b3 = rate(pa - 0.5 * hstep * a2, pb - 0.5 * hstep * b2,
-                      q_mid, v_mid, u_mid, v_mid)
-        a4, b4 = rate(pa - hstep * a3, pb - hstep * b3,
-                      q[k - 1], v[k - 1], u[k - 1], v[k - 1])
-        p1[k - 1] = pa - (hstep / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        p2[k - 1] = pb - (hstep / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-
-    ham = np.empty(n_pts)
-    for k in range(n_pts):
+    ps = rk4(rate, np.array(terminal, dtype=float), times[::-1])[::-1]
+    p1, p2 = ps[:, 0], ps[:, 1]
+    ham = np.empty(times.shape[0])
+    for k in range(times.shape[0]):
         ham[k] = (float(p1[k] @ v[k]) + float(p2[k] @ u[k])
                   + lagrangian.value(q[k], v[k], u[k]))
     return CostateTrajectory(times, p1, p2, ham)
@@ -634,34 +629,17 @@ def variational_propagate(times, q, v, y0, ydot0, manifold: str = "flat",
         hess_w: optional callable(q) -> (n, n) Hessian of the flat potential.
     """
     times = np.asarray(times, dtype=float)
-    n_pts = times.shape[0]
-    n = v.shape[1]
-    ys = np.empty((n_pts, n))
-    zs = np.empty((n_pts, n))
-    y = np.asarray(y0, dtype=float).copy()
-    z = np.asarray(ydot0, dtype=float).copy()
-    ys[0], zs[0] = y, z
-
     if manifold == "flat":
-        def rate(yk, zk, qk, vk):
-            dz = -hess_w(qk) @ yk if hess_w is not None else np.zeros(n)
-            return zk, dz
+        def rate(k, theta, yz):
+            y, z = yz
+            dz = -hess_w(_at(q, k, theta)) @ y if hess_w is not None else np.zeros_like(y)
+            return np.array([z, dz])
     else:
-        def rate(yk, zk, qk, vk):
-            dy = zk - 0.5 * np.cross(vk, yk)
-            dz = curvature("so3-biinvariant", vk, yk, vk) - 0.5 * np.cross(vk, zk)
-            return dy, dz
+        def rate(k, theta, yz):
+            y, z = yz
+            vk = _at(v, k, theta)
+            return np.array([z - 0.5 * np.cross(vk, y),
+                             curvature("so3-biinvariant", vk, y, vk) - 0.5 * np.cross(vk, z)])
 
-    for k in range(n_pts - 1):
-        hstep = times[k + 1] - times[k]
-        q_mid = 0.5 * (q[k] + q[k + 1]) if q is not None else None
-        v_mid = 0.5 * (v[k] + v[k + 1])
-        a1, b1 = rate(y, z, q[k] if q is not None else None, v[k])
-        a2, b2 = rate(y + 0.5 * hstep * a1, z + 0.5 * hstep * b1, q_mid, v_mid)
-        a3, b3 = rate(y + 0.5 * hstep * a2, z + 0.5 * hstep * b2, q_mid, v_mid)
-        a4, b4 = rate(y + hstep * a3, z + hstep * b3,
-                      q[k + 1] if q is not None else None, v[k + 1])
-        y = y + (hstep / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        z = z + (hstep / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        ys[k + 1], zs[k + 1] = y, z
-    return VariationTrajectory(times, ys, zs)
+    yz = rk4(rate, np.array([y0, ydot0], dtype=float), times)
+    return VariationTrajectory(times, yz[:, 0], yz[:, 1])

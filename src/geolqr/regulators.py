@@ -53,8 +53,10 @@ class TrackingReference:
         self.rotations = rots
 
     def sample(self, t: float) -> ReferenceSample:
+        """Grid rotation nearest t; raises ValueError when t is off the grid."""
         i = int(round(t / self.h))
-        i = min(max(i, 0), self.rotations.shape[0] - 1)
+        if not 0 <= i < self.rotations.shape[0]:
+            raise ValueError(f"t = {t:.6g} lies outside the reference grid")
         return ReferenceSample(
             r=self.rotations[i],
             w=np.asarray(self.omega_ref(t), dtype=float),

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import rk4
 from .errors import NoStabilizingSolution, NotControllable, StepTooLarge
 
 # Published gain tables are reproduced by these drift matrices, which do not
@@ -26,7 +27,8 @@ from .errors import NoStabilizingSolution, NotControllable, StepTooLarge
 # mode is always explicit in configs, never inferred from gamma.
 DRIFT_MODES = ("published-regulation", "published-tracking", "reconciled")
 
-_B_CANONICAL = np.array([[0.0], [1.0]])
+# Input matrix B = [0, 1].T of the 2x2 gain problem.
+B_CANONICAL = np.array([[0.0], [1.0]])
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,10 @@ class RiccatiSolution:
         return (self.k1 > 0.0 and self.k2 > 0.0
                 and self.k1 * self.k2 - self.k3 * self.k3 > 0.0)
 
+    def gains(self, alpha: float) -> "GainPair":
+        """Feedback gains Rw^-1 B.T K = (k3/alpha, k2/alpha)."""
+        return GainPair(self.k3 / alpha, self.k2 / alpha)
+
 
 @dataclass(frozen=True)
 class GainPair:
@@ -91,8 +97,7 @@ class GainSchedule:
         )
 
     def gains_at(self, t: float) -> GainPair:
-        sol = self.solution_at(t)
-        return GainPair(sol.k3 / self.alpha, sol.k2 / self.alpha)
+        return self.solution_at(t).gains(self.alpha)
 
 
 def drift_matrix(mode: str, gamma: float = 0.0) -> np.ndarray:
@@ -130,10 +135,6 @@ def are_residual(a, b, q, rw, sol: RiccatiSolution) -> float:
     k = sol.as_matrix()
     s = (b @ b.T) / float(rw)
     return float(np.linalg.norm(a.T @ k + k @ a - k @ s @ k + q))
-
-
-def _gain_matrix(a, b, rw, k: np.ndarray) -> np.ndarray:
-    return (b.T @ k) / float(rw)
 
 
 def are_solve(a, b, q, rw: float) -> RiccatiSolution:
@@ -208,14 +209,7 @@ def are_solve(a, b, q, rw: float) -> RiccatiSolution:
 
 def gains_from_K(sol: RiccatiSolution, p: CostParams) -> GainPair:
     """Feedback gains Rw^-1 B.T K = (k3/alpha, k2/alpha)."""
-    return GainPair(sol.k3 / p.alpha, sol.k2 / p.alpha)
-
-
-def _dre_rate(y: np.ndarray, a: np.ndarray, s: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """dK/ds in reversed time s = T - t, propagating only (k1, k2, k3)."""
-    k = np.array([[y[0], y[2]], [y[2], y[1]]])
-    m = a.T @ k + k @ a - k @ s @ k + q
-    return np.array([m[0, 0], m[1, 1], 0.5 * (m[0, 1] + m[1, 0])])
+    return sol.gains(p.alpha)
 
 
 def dre_integrate(a, b, q, rw: float, t_end: float, h: float = 1e-3) -> GainSchedule:
@@ -230,7 +224,8 @@ def dre_integrate(a, b, q, rw: float, t_end: float, h: float = 1e-3) -> GainSche
         h: step size, 0 < h <= T. Adjusted to the nearest uniform divisor.
 
     Raises:
-        StepTooLarge: an entry of K exceeded 1e9 (finite escape).
+        StepTooLarge: an entry of K exceeded 1e9 or stopped being finite
+            (finite escape).
     """
     if not t_end > 0.0:
         raise ValueError(f"horizon must be positive, got {t_end}")
@@ -241,23 +236,24 @@ def dre_integrate(a, b, q, rw: float, t_end: float, h: float = 1e-3) -> GainSche
     q = np.asarray(q, dtype=float).reshape(2, 2)
     s = (b @ b.T) / float(rw)
 
-    n = max(1, int(round(t_end / h)))
-    hs = t_end / n
-    ys = np.empty((n + 1, 3))
-    ys[0] = 0.0
-    y = np.zeros(3)
-    for i in range(n):
-        f1 = _dre_rate(y, a, s, q)
-        f2 = _dre_rate(y + 0.5 * hs * f1, a, s, q)
-        f3 = _dre_rate(y + 0.5 * hs * f2, a, s, q)
-        f4 = _dre_rate(y + hs * f3, a, s, q)
-        y = y + (hs / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        if np.abs(y).max() > 1e9:
-            raise StepTooLarge(f"K entry exceeded 1e9 at s = {(i + 1) * hs:.6g}")
-        ys[i + 1] = y
+    def rate(k, theta, y):
+        """dK/ds in reversed time s = T - t, propagating only (k1, k2, k3)."""
+        kk = np.array([[y[0], y[2]], [y[2], y[1]]])
+        m = a.T @ kk + kk @ a - kk @ s @ kk + q
+        return np.array([m[0, 0], m[1, 1], 0.5 * (m[0, 1] + m[1, 0])])
 
-    # Stored in reversed time; flip so times run 0..T with K(T) = 0 exact.
-    ys = ys[::-1]
+    n = max(1, int(round(t_end / h)))
     times = np.linspace(0.0, t_end, n + 1)
+    # Past a finite escape the sweep overflows; the first step beyond 1e9
+    # is reported below instead.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys = rk4(rate, np.zeros(3), times)
+    escaped = np.flatnonzero(~(np.abs(ys).max(axis=1) <= 1e9))
+    if escaped.size:
+        raise StepTooLarge(f"K entry exceeded 1e9 at s = {times[escaped[0]]:.6g}")
+
+    # Swept in reversed time s = T - t on the same grid; flip so times run
+    # 0..T with K(T) = 0 exact.
+    ys = ys[::-1]
     return GainSchedule(times, ys[:, 0].copy(), ys[:, 1].copy(), ys[:, 2].copy(),
                         alpha=float(rw))

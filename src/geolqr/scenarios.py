@@ -25,7 +25,7 @@ import numpy as np
 from . import pmp, regulators, riccati, so3
 from .config import ScenarioConfig
 from .dynamics import InertiaTensor, RigidBodyState, SimParams, simulate
-from .errors import AngleNearPi
+from .errors import AngleNearPi, NumericalDivergence
 
 CSV_HEADER = ("t,r11,r12,r13,r21,r22,r23,r31,r32,r33,wx,wy,wz,"
               "tau_x,tau_y,tau_z,dist,lyap,value,hamiltonian")
@@ -33,8 +33,6 @@ CSV_HEADER = ("t,r11,r12,r13,r21,r22,r23,r31,r32,r33,wx,wy,wz,"
 # Scenarios refuse initial attitudes this close to the cut locus instead of
 # attempting control across it.
 INITIAL_DISTANCE_GUARD = math.pi - 0.1
-
-_FLUSH_EVERY = 1000
 
 
 @dataclass
@@ -50,7 +48,11 @@ class RunSummary:
     wall_clock_seconds: float
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        """One strict JSON line; a NaN or infinite field raises NumericalDivergence."""
+        try:
+            return json.dumps(asdict(self), allow_nan=False)
+        except ValueError as exc:
+            raise NumericalDivergence(f"run summary is not finite: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "RunSummary":
@@ -62,14 +64,9 @@ def _fmt(x) -> str:
 
 
 def _write_rows(path: Path, rows) -> None:
+    # Streamed row by row: the largest CSV is several megabytes.
     with open(path, "w", encoding="utf-8") as f:
-        pending = 0
-        for row in rows:
-            f.write(row + "\n")
-            pending += 1
-            if pending >= _FLUSH_EVERY:
-                f.flush()
-                pending = 0
+        f.writelines(row + "\n" for row in rows)
 
 
 def _decimated(n_samples: int, decimation: int):
@@ -111,12 +108,10 @@ def write_trajectory_csv(path: Path, times, rotations, omegas, torques,
 def _resolve_gain_setup(cfg: ScenarioConfig):
     """ARE or DRE gains for the configured drift-matrix bookkeeping."""
     a = riccati.drift_matrix(cfg.controller.a_matrix_mode, cfg.cost.gamma)
-    b = np.array([[0.0], [1.0]])
-    params = riccati.CostParams(alpha=cfg.cost.alpha, gamma=cfg.cost.gamma,
-                                q_weights=cfg.cost.q_weights)
+    b = riccati.B_CANONICAL
     if cfg.controller.gain_source == "are":
         sol = riccati.are_solve(a, b, cfg.cost.q_weights, cfg.cost.alpha)
-        gains = riccati.gains_from_K(sol, params)
+        gains = riccati.gains_from_K(sol, cfg.cost)
         controller_cfg = regulators.ControllerConfig(
             gains, cfg.controller.feedforward_accel_term)
         summary = {"source": "are", "kP": gains.kP, "kD": gains.kD}
@@ -128,6 +123,15 @@ def _resolve_gain_setup(cfg: ScenarioConfig):
     g0 = schedule.gains_at(0.0)
     summary = {"source": "dre", "kP": g0.kP, "kD": g0.kD}
     return controller_cfg, schedule.solution_at(0.0), summary
+
+
+def _guard_initial_distance(r_from, r0, what: str) -> None:
+    """Refuse an initial attitude within the guard of r_from's cut locus."""
+    d0 = so3.geodesic_distance(r_from, r0)
+    if d0 >= INITIAL_DISTANCE_GUARD:
+        raise AngleNearPi(
+            f"initial attitude {d0:.4f} rad from the {what} exceeds the guard "
+            f"{INITIAL_DISTANCE_GUARD:.4f}")
 
 
 def run_gains(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
@@ -142,11 +146,7 @@ def run_gains(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
 def run_regulate(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     start = time.perf_counter()
     goal = regulators.RegulationGoal(cfg.goal.rotation)
-    d0 = so3.geodesic_distance(goal.r_d, cfg.initial.rotation)
-    if d0 >= INITIAL_DISTANCE_GUARD:
-        raise AngleNearPi(
-            f"initial attitude {d0:.4f} rad from the goal exceeds the guard "
-            f"{INITIAL_DISTANCE_GUARD:.4f}")
+    _guard_initial_distance(goal.r_d, cfg.initial.rotation, "goal")
     controller_cfg, sol, gain_summary = _resolve_gain_setup(cfg)
     inertia = InertiaTensor(cfg.inertia)
 
@@ -186,11 +186,7 @@ def run_track(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     ref = regulators.TrackingReference(cfg.reference.omega, cfg.reference.omega_dot,
                                        t_end=cfg.sim.t_end, h=cfg.sim.h,
                                        r0=cfg.reference.r0)
-    d0 = so3.geodesic_distance(ref.rotations[0], cfg.initial.rotation)
-    if d0 >= INITIAL_DISTANCE_GUARD:
-        raise AngleNearPi(
-            f"initial attitude {d0:.4f} rad from the reference exceeds the guard "
-            f"{INITIAL_DISTANCE_GUARD:.4f}")
+    _guard_initial_distance(ref.rotations[0], cfg.initial.rotation, "reference")
 
     def controller(t, s):
         sample = ref.sample(t)
@@ -309,7 +305,7 @@ def run_check(cfg: ScenarioConfig, out_dir: Path):
     check("distance gradient (1e-6)", abs(fd - inner) <= 1e-6, f"err {abs(fd - inner):.2e}")
 
     # Published gain tables.
-    b = np.array([[0.0], [1.0]])
+    b = riccati.B_CANONICAL
     q2 = np.eye(2)
     sol_r = riccati.are_solve(riccati.drift_matrix("published-regulation"), b, q2, 0.5)
     g_r = riccati.gains_from_K(sol_r, riccati.CostParams(alpha=0.5))

@@ -8,7 +8,7 @@ import pytest
 
 from geolqr.cli import main
 from geolqr.config import parse_config
-from geolqr.errors import ParseError, ValidationError
+from geolqr.errors import GeoLqrError, ParseError, ValidationError
 from geolqr.scenarios import CSV_HEADER, RunSummary, run
 from geolqr.so3 import exp_so3, orthogonality_defect
 
@@ -99,6 +99,24 @@ class TestRunSummary:
                              iterations={"newton": 3},
                              wall_clock_seconds=0.125)
         assert RunSummary.from_json(summary.to_json()) == summary
+
+    def test_non_finite_field_raises(self):
+        summary = RunSummary(command="regulate", gains=None,
+                             final_distance=float("nan"), final_velocity_norm=0.0,
+                             min_obstacle_clearance=None, iterations={},
+                             wall_clock_seconds=0.1)
+        with pytest.raises(GeoLqrError):
+            summary.to_json()
+
+    def test_non_finite_summary_exits_three(self, monkeypatch, capsys):
+        summary = RunSummary(command="check", gains=None, final_distance=float("inf"),
+                             final_velocity_norm=None, min_obstacle_clearance=None,
+                             iterations={}, wall_clock_seconds=0.1)
+        monkeypatch.setattr("geolqr.cli.run", lambda cfg, out: (summary, True, []))
+        assert main(["check"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == "NumericalDivergence"
 
 
 class TestRegulateCommand:

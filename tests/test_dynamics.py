@@ -13,6 +13,7 @@ from geolqr.dynamics import (
     euler_rhs,
     flat_step,
     lie_euler_step,
+    rk4,
     simulate,
 )
 from geolqr.errors import NumericalDivergence
@@ -135,11 +136,48 @@ class TestSimulate:
             simulate(runaway, RigidBodyState(np.eye(3), np.array([1.0, 0.0, 0.0])),
                      SimParams(1e-3, 10.0, J123))
 
+    def test_nan_torque_raises(self):
+        with pytest.raises(NumericalDivergence):
+            simulate(lambda t, s: np.full(3, np.nan),
+                     RigidBodyState(np.eye(3), np.zeros(3)), SimParams(1e-3, 1.0, J123))
+
+    def test_nan_torque_at_final_sample_raises(self):
+        # No step follows the last sample, so only the torque check sees it.
+        last = lambda t, s: np.full(3, np.nan) if t > 0.0095 else np.zeros(3)
+        with pytest.raises(NumericalDivergence):
+            simulate(last, RigidBodyState(np.eye(3), np.zeros(3)),
+                     SimParams(1e-3, 0.01, J123))
+
     def test_torque_channel_records_controller_output(self):
         ctrl = lambda t, s: np.array([math.sin(t), 0.0, 0.0])
         log = simulate(ctrl, RigidBodyState(np.eye(3), np.zeros(3)),
                        SimParams(1e-3, 0.01, J123))
         assert np.allclose(log.torques[:, 0], np.sin(log.times), atol=1e-15)
+
+
+class TestRk4:
+    def test_fourth_order_and_backward_sweep(self):
+        # y' = y: forward from 1 reaches e; the reversed grid brings e back to 1.
+        times = np.linspace(0.0, 1.0, 11)
+        rate = lambda k, theta, y: y
+        fwd = rk4(rate, np.array([1.0]), times)
+        assert fwd.shape == (11, 1)
+        assert abs(fwd[-1, 0] - math.e) <= 1e-5
+        back = rk4(rate, fwd[-1], times[::-1])
+        assert abs(back[-1, 0] - 1.0) <= 1e-5
+        err_coarse = abs(rk4(rate, np.array([1.0]), np.linspace(0.0, 1.0, 6))[-1, 0] - math.e)
+        assert 12.0 <= err_coarse / abs(fwd[-1, 0] - math.e) <= 20.0
+
+    def test_rate_sees_grid_interval_and_stage(self):
+        calls = []
+
+        def rate(k, theta, y):
+            calls.append((k, theta))
+            return np.zeros_like(y)
+
+        rk4(rate, np.zeros(2), [0.0, 0.5, 1.0])
+        assert calls == [(0, 0.0), (0, 0.5), (0, 0.5), (0, 1.0),
+                         (1, 0.0), (1, 0.5), (1, 0.5), (1, 1.0)]
 
 
 class TestSimParams:

@@ -450,3 +450,58 @@ def test_trajectory_cost_matches_manual_trapezoid():
     lvals = 0.5 * q[:, 0] ** 2 + 0.5 * 0.25 + 0.0
     expected = float(np.sum(0.5 * (lvals[1:] + lvals[:-1]) * np.diff(times)))
     assert abs(trajectory_cost(sc, times, q, v, u) - expected) <= 1e-12
+
+
+class TestOneCostFunctional:
+    """Every cost evaluator reads the one running cost."""
+
+    def test_evaluators_agree_on_batched_rollouts(self):
+        from geolqr.pmp import (_batched_costs, _batched_rollout, _trapezoid_weights,
+                                running_cost)
+
+        sc = AvoidanceScenario(dimension=2, alpha=0.5, target=[1.0, 0.2],
+                               horizon=1.0, q0=[-1.0, 0.0], v0=[0.0, 0.0],
+                               obstacles=(SphereObstacle(np.array([0.0, 0.1]), 0.3),))
+        n_grid = 80
+        times = np.linspace(0.0, sc.horizon, n_grid)
+        ht = sc.horizon / (n_grid - 1)
+        weights = _trapezoid_weights(times)
+        rng = np.random.default_rng(11)
+        controls = 0.2 * rng.standard_normal((5, n_grid, 2))
+        q, v = _batched_rollout(sc, controls, ht)
+        costs = _batched_costs(sc, controls, ht, weights)
+        assert np.isfinite(costs).all()
+        lagrangian = AvoidanceLagrangian(sc)
+        for b in range(controls.shape[0]):
+            j = trajectory_cost(sc, times, q[b], v[b], controls[b])
+            assert abs(j - costs[b]) <= 1e-12 * abs(costs[b])
+            lvals = running_cost(sc, q[b], v[b], controls[b])
+            for k in range(n_grid):
+                assert lagrangian.value(q[b, k], v[b, k], controls[b, k]) == \
+                    pytest.approx(lvals[k], rel=1e-14)
+
+        # Constant thrust along x drives the path straight through the obstacle.
+        through = np.zeros((1, n_grid, 2))
+        through[..., 0] = 4.0
+        assert _batched_costs(sc, through, ht, weights)[0] == np.inf
+        qt, vt = _batched_rollout(sc, through, ht)
+        with pytest.raises(ObstacleContact):
+            trajectory_cost(sc, times, qt[0], vt[0], through[0])
+
+    def test_group_running_cost_matches_lagrangian(self):
+        from geolqr.pmp import running_cost
+
+        sc = AvoidanceScenario(dimension=3, alpha=2.0, target=exp_so3([0.2, -0.1, 0.3]),
+                               horizon=1.0, q0=np.eye(3), v0=np.zeros(3),
+                               manifold="so3-biinvariant")
+        rng = np.random.default_rng(12)
+        q = np.array([exp_so3(0.5 * rng.standard_normal(3)) for _ in range(20)])
+        v = rng.standard_normal((20, 3))
+        u = rng.standard_normal((20, 3))
+        lvals = running_cost(sc, q, v, u)
+        lagrangian = AvoidanceLagrangian(sc)
+        for k in range(20):
+            g = log_so3(sc.target.T @ q[k])
+            expected = 0.5 * (g @ g + v[k] @ v[k] + 2.0 * u[k] @ u[k])
+            assert lvals[k] == pytest.approx(expected, rel=1e-13)
+            assert lagrangian.value(q[k], v[k], u[k]) == pytest.approx(lvals[k], rel=1e-14)

@@ -290,3 +290,12 @@ class TestTrackingReference:
         sample = ref.sample(0.5)
         assert np.array_equal(sample.r, ref.rotations[500])
         assert np.array_equal(sample.w, [1.0, 0.0, 0.0])
+
+    def test_sample_off_grid_raises(self):
+        ref = TrackingReference(lambda t: np.array([1.0, 0.0, 0.0]),
+                                lambda t: np.zeros(3), t_end=1.0, h=1e-3)
+        assert np.array_equal(ref.sample(1.0).r, ref.rotations[-1])
+        with pytest.raises(ValueError):
+            ref.sample(5.0)
+        with pytest.raises(ValueError):
+            ref.sample(-0.01)
