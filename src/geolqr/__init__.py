@@ -52,7 +52,6 @@ from .dynamics import (
     simulate,
 )
 from .regulators import (
-    ControllerConfig,
     ReferenceSample,
     RegulationGoal,
     TrackingReference,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import InertiaTensor
 from .errors import ParseError, ValidationError
 from .riccati import DRIFT_MODES, CostParams
 
@@ -48,13 +49,17 @@ def _reject_unknown(obj: dict, allowed, path):
             raise ValidationError(f"{path}.{key}" if path else key, "unknown key")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _number(obj, key, path, default=None):
     if key not in obj:
         if default is None:
             raise ValidationError(f"{path}.{key}", "missing required value")
         return default
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ValidationError(f"{path}.{key}", "expected a number")
     if not math.isfinite(value):
         raise ValidationError(f"{path}.{key}", "must be finite")
@@ -68,13 +73,24 @@ def _vector(obj, key, path, length, default=None):
         return np.asarray(default, dtype=float)
     value = obj[key]
     if (not isinstance(value, list) or len(value) != length
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       for x in value)):
+            or not all(_is_number(x) for x in value)):
         raise ValidationError(f"{path}.{key}", f"expected a list of {length} numbers")
     arr = np.asarray(value, dtype=float)
     if not np.isfinite(arr).all():
         raise ValidationError(f"{path}.{key}", "entries must be finite")
     return arr
+
+
+def _matrix(value, path, n) -> np.ndarray:
+    """An n x n nested list of finite numbers."""
+    if not (isinstance(value, list) and len(value) == n
+            and all(isinstance(row, list) and len(row) == n
+                    and all(_is_number(x) for x in row) for row in value)):
+        raise ValidationError(path, f"expected a {n}x{n} nested list of numbers")
+    m = np.asarray(value, dtype=float)
+    if not np.isfinite(m).all():
+        raise ValidationError(path, "entries must be finite")
+    return m
 
 
 def _rotation(obj, key, path, default_identity=True):
@@ -160,7 +176,7 @@ class ScenarioConfig:
     command: str
     cost: CostParams
     sim: SimConfig
-    inertia: np.ndarray
+    inertia: InertiaTensor
     initial: InitialConfig
     goal: GoalConfig
     reference: ReferenceConfig
@@ -179,13 +195,7 @@ def _parse_cost(obj, command) -> CostParams:
     gamma = _number(section, "gamma", "cost", default=d_gamma)
     q = np.eye(2)
     if "q_weights" in section:
-        rows = section["q_weights"]
-        if not (isinstance(rows, list) and len(rows) == 2
-                and all(isinstance(r, list) and len(r) == 2 for r in rows)):
-            raise ValidationError("cost.q_weights", "expected a 2x2 nested list")
-        q = np.asarray(rows, dtype=float)
-        if not np.isfinite(q).all():
-            raise ValidationError("cost.q_weights", "entries must be finite")
+        q = _matrix(section["q_weights"], "cost.q_weights", 2)
     try:
         return CostParams(alpha, gamma, q)
     except ValueError as exc:
@@ -205,21 +215,14 @@ def _parse_sim(obj, command) -> SimConfig:
     return SimConfig(h, t_end)
 
 
-def _parse_inertia(obj) -> np.ndarray:
+def _parse_inertia(obj) -> InertiaTensor:
     if "inertia" not in obj:
-        return np.eye(3)
-    rows = obj["inertia"]
-    if not (isinstance(rows, list) and len(rows) == 3
-            and all(isinstance(r, list) and len(r) == 3 for r in rows)):
-        raise ValidationError("inertia", "expected a 3x3 nested list")
-    j = np.asarray(rows, dtype=float)
-    if not np.isfinite(j).all():
-        raise ValidationError("inertia", "entries must be finite")
-    if np.abs(j - j.T).max() > 1e-12:
-        raise ValidationError("inertia", "must be symmetric")
-    if np.linalg.eigvalsh(j).min() <= 0.0:
-        raise ValidationError("inertia", "must be positive definite")
-    return j
+        return InertiaTensor(np.eye(3))
+    j = _matrix(obj["inertia"], "inertia", 3)
+    try:
+        return InertiaTensor(j)
+    except ValueError as exc:
+        raise ValidationError("inertia", str(exc)) from None
 
 
 def _parse_initial(obj) -> InitialConfig:
@@ -244,8 +247,7 @@ def _parse_reference(obj) -> ReferenceConfig:
         coeffs = section["omega_coeffs"]
         if not (isinstance(coeffs, list) and len(coeffs) == 3
                 and all(isinstance(axis, list) and axis
-                        and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                                and math.isfinite(c) for c in axis)
+                        and all(_is_number(c) and math.isfinite(c) for c in axis)
                         for axis in coeffs)):
             raise ValidationError("reference.omega_coeffs",
                                   "expected 3 lists of finite coefficients")

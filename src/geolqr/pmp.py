@@ -44,6 +44,13 @@ from .so3 import hat, log_so3
 
 MANIFOLDS = ("flat", "so3-biinvariant")
 
+# Stopping rule of transcription_oracle: the sup-norm gradient reaches
+# ORACLE_GRAD_TOL, or the last ORACLE_PLATEAU_WINDOW iterations improved the
+# cost by less than ORACLE_PLATEAU_RTOL relatively.
+ORACLE_GRAD_TOL = 1e-8
+ORACLE_PLATEAU_WINDOW = 60
+ORACLE_PLATEAU_RTOL = 1e-8
+
 
 def curvature(manifold: str, x, y, z) -> np.ndarray:
     """Curvature tensor R(X, Y)Z evaluated in closed form.
@@ -428,19 +435,17 @@ def _batched_costs(scenario: AvoidanceScenario, controls: np.ndarray,
 
 
 def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
-                         max_iter: int = 5000, grad_tol: float = 1e-8,
-                         plateau_window: int = 60,
-                         plateau_rtol: float = 1e-8) -> BVPSolution:
+                         max_iter: int = 5000) -> BVPSolution:
     """Independent direct minimization of the avoidance cost on flat space.
 
     The control is discretized on n_grid uniform points, the cost evaluated
     by the trapezoid rule on symplectic-Euler states, and minimized by
     gradient descent with central finite-difference gradients (computed as
     one batched rollout) and a backtracking line search seeded with a
-    Barzilai-Borwein step guess. Descent stops at grad_tol, at max_iter, or
-    once a plateau_window of iterations improves the cost by less than
-    plateau_rtol relatively. The cost sequence is non-increasing by
-    construction.
+    Barzilai-Borwein step guess. Descent stops at ORACLE_GRAD_TOL, at
+    max_iter, or once ORACLE_PLATEAU_WINDOW iterations improve the cost by
+    less than ORACLE_PLATEAU_RTOL relatively. The cost sequence is
+    non-increasing by construction.
 
     Raises:
         NoDescent: the line search failed 50 consecutive iterations.
@@ -472,7 +477,7 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
         costs = _batched_costs(scenario, batch, ht, weights)
         grad = ((costs[:n_vars] - costs[n_vars:]) / (2.0 * fd_step)).reshape(n_grid, n)
         grad_inf = float(np.abs(grad).max())
-        if grad_inf <= grad_tol:
+        if grad_inf <= ORACLE_GRAD_TOL:
             break
         if prev_grad is not None:
             du = (u - prev_u).ravel()
@@ -501,8 +506,9 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
             if stalls >= 50:
                 raise NoDescent(f"line search stalled 50 times at cost {cost:.6g}")
         history.append(cost)
-        if (len(history) > plateau_window
-                and history[-plateau_window] - cost <= plateau_rtol * abs(cost)):
+        if (len(history) > ORACLE_PLATEAU_WINDOW
+                and history[-ORACLE_PLATEAU_WINDOW] - cost
+                <= ORACLE_PLATEAU_RTOL * abs(cost)):
             break
 
     q, v = _batched_rollout(scenario, u[None], ht)

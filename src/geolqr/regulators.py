@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import InertiaTensor, RigidBodyState, _cross
-from .riccati import GainPair, GainSchedule, RiccatiSolution
+from .riccati import GainPair, RiccatiSolution
 from .so3 import exp_so3, log_so3
 
 
@@ -34,48 +34,35 @@ class ReferenceSample:
 class TrackingReference:
     """Reference trajectory generated by integrating r' = r hat(w_ref(t)).
 
-    The rotation is built once on a uniform grid with the same explicit
-    group-preserving update as the simulator; velocities come from the
-    exact callables.
+    The rotation, velocity and acceleration are tabulated once on a uniform
+    grid, the rotation with the same explicit group-preserving update as the
+    simulator; sample(t) reads all three at the grid time nearest t.
     """
 
     def __init__(self, omega_ref, omega_ref_dot, t_end: float, h: float,
                  r0=None):
-        self.omega_ref = omega_ref
-        self.omega_ref_dot = omega_ref_dot
         self.h = float(h)
         n = int(math.ceil(t_end / h - 1e-9))
         rots = np.empty((n + 1, 3, 3))
+        ws = np.empty((n + 1, 3))
+        wdots = np.empty((n + 1, 3))
         rots[0] = np.eye(3) if r0 is None else np.asarray(r0, dtype=float)
-        for i in range(n):
-            w = np.asarray(omega_ref(i * h), dtype=float)
-            rots[i + 1] = rots[i] @ exp_so3(w * h)
+        for i in range(n + 1):
+            ws[i] = omega_ref(i * h)
+            wdots[i] = omega_ref_dot(i * h)
+            if i < n:
+                rots[i + 1] = rots[i] @ exp_so3(ws[i] * h)
         self.rotations = rots
+        self.omegas = ws
+        self.omega_dots = wdots
 
     def sample(self, t: float) -> ReferenceSample:
-        """Grid rotation nearest t; raises ValueError when t is off the grid."""
+        """Grid sample nearest t; raises ValueError when t is off the grid."""
         i = int(round(t / self.h))
         if not 0 <= i < self.rotations.shape[0]:
             raise ValueError(f"t = {t:.6g} lies outside the reference grid")
-        return ReferenceSample(
-            r=self.rotations[i],
-            w=np.asarray(self.omega_ref(t), dtype=float),
-            wdot=np.asarray(self.omega_ref_dot(t), dtype=float),
-        )
-
-
-@dataclass
-class ControllerConfig:
-    """Gain source (static pair or schedule) plus the optional feedforward
-    acceleration term, which is off by default."""
-
-    gains: GainPair | GainSchedule
-    feedforward_accel_term: bool = False
-
-    def gains_at(self, t: float) -> GainPair:
-        if isinstance(self.gains, GainSchedule):
-            return self.gains.gains_at(t)
-        return self.gains
+        return ReferenceSample(r=self.rotations[i], w=self.omegas[i],
+                               wdot=self.omega_dots[i])
 
 
 def regulation_torque(s: RigidBodyState, goal: RegulationGoal, g: GainPair) -> np.ndarray:

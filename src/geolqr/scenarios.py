@@ -106,23 +106,22 @@ def write_trajectory_csv(path: Path, times, rotations, omegas, torques,
 
 
 def _resolve_gain_setup(cfg: ScenarioConfig):
-    """ARE or DRE gains for the configured drift-matrix bookkeeping."""
+    """Riccati solution lookup t -> RiccatiSolution (ARE: constant; DRE: the
+    backward sweep on the simulation grid) and the gain summary at t = 0."""
     a = riccati.drift_matrix(cfg.controller.a_matrix_mode, cfg.cost.gamma)
     b = riccati.B_CANONICAL
     if cfg.controller.gain_source == "are":
         sol = riccati.are_solve(a, b, cfg.cost.q_weights, cfg.cost.alpha)
-        gains = riccati.gains_from_K(sol, cfg.cost)
-        controller_cfg = regulators.ControllerConfig(
-            gains, cfg.controller.feedforward_accel_term)
-        summary = {"source": "are", "kP": gains.kP, "kD": gains.kD}
-        return controller_cfg, sol, summary
-    schedule = riccati.dre_integrate(a, b, cfg.cost.q_weights, cfg.cost.alpha,
-                                     t_end=cfg.sim.t_end, h=cfg.sim.h)
-    controller_cfg = regulators.ControllerConfig(
-        schedule, cfg.controller.feedforward_accel_term)
-    g0 = schedule.gains_at(0.0)
-    summary = {"source": "dre", "kP": g0.kP, "kD": g0.kD}
-    return controller_cfg, schedule.solution_at(0.0), summary
+
+        def solution_at(t):
+            return sol
+    else:
+        schedule = riccati.dre_integrate(a, b, cfg.cost.q_weights, cfg.cost.alpha,
+                                         t_end=cfg.sim.t_end, h=cfg.sim.h)
+        solution_at = schedule.solution_at
+    g0 = solution_at(0.0).gains(cfg.cost.alpha)
+    summary = {"source": cfg.controller.gain_source, "kP": g0.kP, "kD": g0.kD}
+    return solution_at, summary
 
 
 def _guard_initial_distance(r_from, r0, what: str) -> None:
@@ -136,53 +135,61 @@ def _guard_initial_distance(r_from, r0, what: str) -> None:
 
 def run_gains(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     start = time.perf_counter()
-    _, _, gains = _resolve_gain_setup(cfg)
+    _, gains = _resolve_gain_setup(cfg)
     return RunSummary(
         command="gains", gains=gains, final_distance=None,
         final_velocity_norm=None, min_obstacle_clearance=None,
         iterations={}, wall_clock_seconds=time.perf_counter() - start)
 
 
-def run_regulate(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
-    start = time.perf_counter()
-    goal = regulators.RegulationGoal(cfg.goal.rotation)
-    _guard_initial_distance(goal.r_d, cfg.initial.rotation, "goal")
-    controller_cfg, sol, gain_summary = _resolve_gain_setup(cfg)
-    inertia = InertiaTensor(cfg.inertia)
-
-    def controller(t, s):
-        return regulators.regulation_torque(s, goal, controller_cfg.gains_at(t))
-
-    def diagnostics(t, s, tau):
-        g = controller_cfg.gains_at(t)
-        e = so3.log_so3(goal.r_d.T @ s.r)
-        d2 = float(e @ e)
-        w2 = float(s.w @ s.w)
-        k = sol if not isinstance(controller_cfg.gains, riccati.GainSchedule) \
-            else controller_cfg.gains.solution_at(t)
-        return {
-            "dist": math.sqrt(d2),
-            "lyap": g.kP * 0.5 * d2 + 0.5 * w2,
-            "value": k.k1 * 0.5 * d2 + 0.5 * k.k2 * w2 + k.k3 * float(e @ s.w),
-        }
-
+def _run_closed_loop(cfg: ScenarioConfig, out_dir: Path, start: float,
+                     gain_summary: dict, controller, diagnostics) -> RunSummary:
+    """Simulate from the configured initial state, write the trajectory CSV
+    and summarise; diagnostics must provide the "dist" channel."""
     log = simulate(controller, RigidBodyState(cfg.initial.rotation, cfg.initial.omega),
-                   SimParams(cfg.sim.h, cfg.sim.t_end, inertia), diagnostics)
+                   SimParams(cfg.sim.h, cfg.sim.t_end, cfg.inertia), diagnostics)
     write_trajectory_csv(out_dir / "trajectory.csv", log.times, log.rotations,
                          log.omegas, log.torques, log.diagnostics,
                          cfg.output.decimation)
     return RunSummary(
-        command="regulate", gains=gain_summary,
+        command=cfg.command, gains=gain_summary,
         final_distance=float(log.diagnostics["dist"][-1]),
         final_velocity_norm=float(np.linalg.norm(log.omegas[-1])),
         min_obstacle_clearance=None, iterations={},
         wall_clock_seconds=time.perf_counter() - start)
 
 
+def run_regulate(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
+    start = time.perf_counter()
+    goal = regulators.RegulationGoal(cfg.goal.rotation)
+    _guard_initial_distance(goal.r_d, cfg.initial.rotation, "goal")
+    solution_at, gain_summary = _resolve_gain_setup(cfg)
+    alpha = cfg.cost.alpha
+
+    def controller(t, s):
+        return regulators.regulation_torque(s, goal, solution_at(t).gains(alpha))
+
+    def diagnostics(t, s, tau):
+        # The Lyapunov and value formulas are written out so that one log_so3
+        # serves all three channels.
+        k = solution_at(t)
+        e = so3.log_so3(goal.r_d.T @ s.r)
+        d2 = float(e @ e)
+        w2 = float(s.w @ s.w)
+        return {
+            "dist": math.sqrt(d2),
+            "lyap": k.gains(alpha).kP * 0.5 * d2 + 0.5 * w2,
+            "value": k.k1 * 0.5 * d2 + 0.5 * k.k2 * w2 + k.k3 * float(e @ s.w),
+        }
+
+    return _run_closed_loop(cfg, out_dir, start, gain_summary, controller, diagnostics)
+
+
 def run_track(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     start = time.perf_counter()
-    controller_cfg, _, gain_summary = _resolve_gain_setup(cfg)
-    inertia = InertiaTensor(cfg.inertia)
+    solution_at, gain_summary = _resolve_gain_setup(cfg)
+    alpha = cfg.cost.alpha
+    accel_term = cfg.controller.feedforward_accel_term
     ref = regulators.TrackingReference(cfg.reference.omega, cfg.reference.omega_dot,
                                        t_end=cfg.sim.t_end, h=cfg.sim.h,
                                        r0=cfg.reference.r0)
@@ -190,25 +197,13 @@ def run_track(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
 
     def controller(t, s):
         sample = ref.sample(t)
-        return (regulators.tracking_pd_torque(s, sample, controller_cfg.gains_at(t))
-                + regulators.feedforward_torque(
-                    s, sample, inertia, controller_cfg.feedforward_accel_term))
+        return (regulators.tracking_pd_torque(s, sample, solution_at(t).gains(alpha))
+                + regulators.feedforward_torque(s, sample, cfg.inertia, accel_term))
 
     def diagnostics(t, s, tau):
-        sample = ref.sample(t)
-        return {"dist": so3.geodesic_distance(sample.r, s.r)}
+        return {"dist": so3.geodesic_distance(ref.sample(t).r, s.r)}
 
-    log = simulate(controller, RigidBodyState(cfg.initial.rotation, cfg.initial.omega),
-                   SimParams(cfg.sim.h, cfg.sim.t_end, inertia), diagnostics)
-    write_trajectory_csv(out_dir / "trajectory.csv", log.times, log.rotations,
-                         log.omegas, log.torques, log.diagnostics,
-                         cfg.output.decimation)
-    return RunSummary(
-        command="track", gains=gain_summary,
-        final_distance=float(log.diagnostics["dist"][-1]),
-        final_velocity_norm=float(np.linalg.norm(log.omegas[-1])),
-        min_obstacle_clearance=None, iterations={},
-        wall_clock_seconds=time.perf_counter() - start)
+    return _run_closed_loop(cfg, out_dir, start, gain_summary, controller, diagnostics)
 
 
 def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
@@ -229,8 +224,7 @@ def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     dist = np.linalg.norm(solution.q - scenario.target, axis=1)
     clearance = None
     if scenario.obstacles:
-        clearance = float(min(
-            min(obs.value(qq) for qq in solution.q) for obs in scenario.obstacles))
+        clearance = float(pmp._clearances(scenario, solution.q).min())
 
     write_trajectory_csv(out_dir / "trajectory.csv", solution.times, None,
                          solution.v, solution.u,

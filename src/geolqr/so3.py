@@ -82,12 +82,13 @@ def exp_so3(v) -> np.ndarray:
     else:
         a = math.sin(phi) / phi
         b = (1.0 - math.cos(phi)) / phi2
-    # R = I + a hat(v) + b hat(v)^2 with hat(v)^2 = v v^T - |v|^2 I.
-    return np.array([
-        [1.0 - b * (y * y + z * z), b * x * y - a * z, b * x * z + a * y],
-        [b * x * y + a * z, 1.0 - b * (x * x + z * z), b * y * z - a * x],
-        [b * x * z - a * y, b * y * z + a * x, 1.0 - b * (x * x + y * y)],
-    ])
+    # R = I + a hat(v) + b hat(v)^2 with hat(v)^2 = v v^T - |v|^2 I. A flat
+    # tuple reshaped builds the matrix in half the time of nested lists.
+    return np.array((
+        1.0 - b * (y * y + z * z), b * x * y - a * z, b * x * z + a * y,
+        b * x * y + a * z, 1.0 - b * (x * x + z * z), b * y * z - a * x,
+        b * x * z - a * y, b * y * z + a * x, 1.0 - b * (x * x + y * y),
+    )).reshape(3, 3)
 
 
 def log_so3(r) -> np.ndarray:
@@ -103,14 +104,17 @@ def log_so3(r) -> np.ndarray:
         AngleNearPi: when tr(r) + 1 <= TRACE_GUARD, i.e. the rotation is
             at or within about 1e-3 rad of the cut locus.
     """
-    r = np.asarray(r, dtype=float)
-    tr = r[0, 0] + r[1, 1] + r[2, 2]
+    # Python floats: the same IEEE arithmetic as numpy scalars, several
+    # times cheaper per operation.
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = \
+        np.asarray(r, dtype=float).tolist()
+    tr = r00 + r11 + r22
     if tr + 1.0 <= TRACE_GUARD:
         raise AngleNearPi(
             f"rotation angle within cut-locus guard (tr = {tr:.12g})")
-    sx = 0.5 * (r[2, 1] - r[1, 2])
-    sy = 0.5 * (r[0, 2] - r[2, 0])
-    sz = 0.5 * (r[1, 0] - r[0, 1])
+    sx = 0.5 * (r21 - r12)
+    sy = 0.5 * (r02 - r20)
+    sz = 0.5 * (r10 - r01)
     # atan2 of (|skew part|, (tr - 1)/2) stays well conditioned near the
     # guard, unlike arccos.
     sin_phi = math.sqrt(sx * sx + sy * sy + sz * sz)

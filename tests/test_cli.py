@@ -8,6 +8,7 @@ import pytest
 
 from geolqr.cli import main
 from geolqr.config import parse_config
+from geolqr.dynamics import InertiaTensor
 from geolqr.errors import GeoLqrError, ParseError, ValidationError
 from geolqr.scenarios import CSV_HEADER, RunSummary, run
 from geolqr.so3 import exp_so3, orthogonality_defect
@@ -74,6 +75,29 @@ class TestParseConfig:
     def test_rejects_bad_command(self):
         with pytest.raises(ValidationError):
             parse_config(json.dumps({"command": "fly"}))
+
+    @pytest.mark.parametrize("inertia", [
+        [[1, 0.1, 0], [0, 2, 0], [0, 0, 3]],
+        [[1, 0, 0], [0, -2, 0], [0, 0, 3]],
+        [["1", 0, 0], [0, 2, 0], [0, 0, 3]],
+        [[True, 0, 0], [0, 2, 0], [0, 0, 3]],
+    ])
+    def test_rejects_bad_inertia_with_path(self, inertia):
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps({"command": "regulate", "inertia": inertia}))
+        assert err.value.path == "inertia"
+
+    def test_rejects_non_numeric_q_weights_with_path(self):
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps({"command": "regulate",
+                                     "cost": {"q_weights": [["a", 0], [0, 1]]}}))
+        assert err.value.path == "cost.q_weights"
+
+    def test_inertia_parsed_once(self):
+        cfg = parse_config(json.dumps({"command": "regulate",
+                                       "inertia": [[1, 0, 0], [0, 2, 0], [0, 0, 4]]}))
+        assert isinstance(cfg.inertia, InertiaTensor)
+        assert np.array_equal(cfg.inertia.j_inv, np.diag([1.0, 0.5, 0.25]))
 
     def test_avoid_requires_spec(self):
         with pytest.raises(ValidationError) as err:

@@ -291,6 +291,23 @@ class TestTrackingReference:
         assert np.array_equal(sample.r, ref.rotations[500])
         assert np.array_equal(sample.w, [1.0, 0.0, 0.0])
 
+    def test_sample_reads_the_tables_at_the_nearest_grid_time(self):
+        c = np.array([0.5, -0.3, 0.4])
+        om = lambda t: c * t
+        omdot = lambda t: c
+        h = 1e-3
+        ref = TrackingReference(om, omdot, t_end=1.0, h=h)
+        for k in (0, 1, 137, 500, 1000):
+            sample = ref.sample(k * h)
+            assert np.array_equal(sample.r, ref.rotations[k])
+            assert np.array_equal(sample.w, om(k * h))
+            assert np.array_equal(sample.wdot, omdot(k * h))
+            if k < 1000:
+                near = ref.sample(k * h + 0.4 * h)
+                assert np.array_equal(near.r, ref.rotations[k])
+                assert np.array_equal(near.w, om(k * h))
+                assert np.array_equal(near.wdot, omdot(k * h))
+
     def test_sample_off_grid_raises(self):
         ref = TrackingReference(lambda t: np.array([1.0, 0.0, 0.0]),
                                 lambda t: np.zeros(3), t_end=1.0, h=1e-3)
