@@ -17,6 +17,7 @@ import numpy as np
 
 from .dynamics import InertiaTensor
 from .errors import ParseError, ValidationError
+from .pmp import AvoidanceScenario, SphereObstacle
 from .riccati import DRIFT_MODES, CostParams
 
 COMMANDS = ("gains", "regulate", "track", "avoid", "check")
@@ -150,22 +151,6 @@ class ControllerSettings:
 
 
 @dataclass
-class ObstacleSpec:
-    center: np.ndarray
-    radius: float
-
-
-@dataclass
-class AvoidanceSpec:
-    dimension: int
-    q0: np.ndarray
-    v0: np.ndarray
-    target: np.ndarray
-    horizon: float
-    obstacles: list
-
-
-@dataclass
 class OutputConfig:
     directory: str
     decimation: int
@@ -181,7 +166,7 @@ class ScenarioConfig:
     goal: GoalConfig
     reference: ReferenceConfig
     controller: ControllerSettings
-    avoidance: AvoidanceSpec | None
+    avoidance: AvoidanceScenario | None
     output: OutputConfig
 
 
@@ -277,7 +262,7 @@ def _parse_controller(obj, command) -> ControllerSettings:
     return ControllerSettings(source, accel, mode)
 
 
-def _parse_avoidance(obj, command) -> AvoidanceSpec | None:
+def _parse_avoidance(obj, command, alpha: float) -> AvoidanceScenario | None:
     if "avoidance" not in obj:
         if command == "avoid":
             raise ValidationError("avoidance", "required for the avoid command")
@@ -306,10 +291,12 @@ def _parse_avoidance(obj, command) -> AvoidanceSpec | None:
         radius = _number(entry, "radius", path)
         if radius <= 0.0:
             raise ValidationError(f"{path}.radius", "must be positive")
-        if float((q0 - center) @ (q0 - center)) <= radius ** 2:
+        obstacle = SphereObstacle(center, radius)
+        if obstacle.value(q0) <= 0.0:
             raise ValidationError(path, "initial configuration inside obstacle")
-        obstacles.append(ObstacleSpec(center, radius))
-    return AvoidanceSpec(dim, q0, v0, target, horizon, obstacles)
+        obstacles.append(obstacle)
+    return AvoidanceScenario(dimension=dim, alpha=alpha, target=target, horizon=horizon,
+                             q0=q0, v0=v0, obstacles=tuple(obstacles))
 
 
 def _parse_output(obj) -> OutputConfig:
@@ -347,18 +334,24 @@ def parse_config(text: str) -> ScenarioConfig:
     if command not in COMMANDS:
         raise ValidationError("command", f"expected one of {COMMANDS}")
 
-    return ScenarioConfig(
+    cost = _parse_cost(obj, command)
+    cfg = ScenarioConfig(
         command=command,
-        cost=_parse_cost(obj, command),
+        cost=cost,
         sim=_parse_sim(obj, command),
         inertia=_parse_inertia(obj),
         initial=_parse_initial(obj),
         goal=_parse_goal(obj),
         reference=_parse_reference(obj),
         controller=_parse_controller(obj, command),
-        avoidance=_parse_avoidance(obj, command),
+        avoidance=_parse_avoidance(obj, command, cost.alpha),
         output=_parse_output(obj),
     )
+    # The backward Riccati sweep needs at least one step of size h.
+    if (command in ("gains", "regulate", "track") and cfg.controller.gain_source == "dre"
+            and cfg.sim.t_end < cfg.sim.h):
+        raise ValidationError("sim.t_end", "must be at least sim.h for DRE gains")
+    return cfg
 
 
 def default_config(command: str = "check") -> ScenarioConfig:

@@ -16,7 +16,7 @@ precision for arbitrarily many steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,13 +87,12 @@ class SimParams:
 
 @dataclass
 class TrajectoryLog:
-    """Uniformly sampled closed-loop history with named diagnostic channels."""
+    """Uniformly sampled closed-loop history: time, state and applied torque."""
 
     times: np.ndarray
     rotations: np.ndarray
     omegas: np.ndarray
     torques: np.ndarray
-    diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __len__(self):
         return self.times.shape[0]
@@ -114,17 +113,18 @@ def lie_euler_step(s: RigidBodyState, tau, h: float, j: InertiaTensor) -> RigidB
     )
 
 
-def simulate(controller, init: RigidBodyState, p: SimParams,
-             diagnostics=None) -> TrajectoryLog:
+def simulate(controller, init: RigidBodyState, p: SimParams) -> TrajectoryLog:
     """Roll the closed loop forward and log every sample.
+
+    The controller is the only per-step callback. Quantities of the logged
+    state (errors, Lyapunov and value channels) are computed by the caller
+    from the returned arrays after the run.
 
     Args:
         controller: callable(t, RigidBodyState) -> torque (3,). Its output is
             recorded at each sample, including the final one.
         init: initial state.
         p: step size, horizon and inertia.
-        diagnostics: optional callable(t, state, tau) -> dict of scalar
-            channels; keys are fixed by the first sample.
 
     Returns:
         TrajectoryLog with ceil(t_end / h) + 1 samples. Deterministic: two
@@ -139,7 +139,6 @@ def simulate(controller, init: RigidBodyState, p: SimParams,
     rotations = np.empty((n + 1, 3, 3))
     omegas = np.empty((n + 1, 3))
     torques = np.empty((n + 1, 3))
-    channels: dict[str, np.ndarray] = {}
 
     state = RigidBodyState(np.asarray(init.r, dtype=float).copy(),
                            np.asarray(init.w, dtype=float).copy())
@@ -149,12 +148,6 @@ def simulate(controller, init: RigidBodyState, p: SimParams,
         rotations[i] = state.r
         omegas[i] = state.w
         torques[i] = tau
-        if diagnostics is not None:
-            values = diagnostics(t, state, tau)
-            if not channels:
-                channels = {name: np.empty(n + 1) for name in values}
-            for name, value in values.items():
-                channels[name][i] = value
         if i < n:
             state = lie_euler_step(state, tau, p.h, p.inertia)
             wm = state.w
@@ -167,7 +160,7 @@ def simulate(controller, init: RigidBodyState, p: SimParams,
     # guard; this catches the final sample's.
     if not np.isfinite(torques).all():
         raise NumericalDivergence("controller returned a non-finite torque")
-    return TrajectoryLog(times, rotations, omegas, torques, channels)
+    return TrajectoryLog(times, rotations, omegas, torques)
 
 
 def flat_step(s: FlatState, u, h: float, grad_w=None) -> FlatState:

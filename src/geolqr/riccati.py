@@ -89,12 +89,11 @@ class GainSchedule:
     k3: np.ndarray
     alpha: float
 
-    def solution_at(self, t: float) -> RiccatiSolution:
-        return RiccatiSolution(
-            float(np.interp(t, self.times, self.k1)),
-            float(np.interp(t, self.times, self.k2)),
-            float(np.interp(t, self.times, self.k3)),
-        )
+    def solution_at(self, t) -> RiccatiSolution:
+        """K interpolated at t; an array of times gives arrays of entries."""
+        return RiccatiSolution(np.interp(t, self.times, self.k1),
+                               np.interp(t, self.times, self.k2),
+                               np.interp(t, self.times, self.k3))
 
     def gains_at(self, t: float) -> GainPair:
         return self.solution_at(t).gains(self.alpha)
@@ -127,14 +126,23 @@ def scalar_residual(sol: RiccatiSolution, p: CostParams) -> np.ndarray:
     ])
 
 
+def _problem(a, b, q, rw):
+    """Problem data as float arrays (A, B, Q) plus S = B Rw^-1 B.T."""
+    a = np.asarray(a, dtype=float).reshape(2, 2)
+    b = np.asarray(b, dtype=float).reshape(2, 1)
+    q = np.asarray(q, dtype=float).reshape(2, 2)
+    return a, b, q, (b @ b.T) / float(rw)
+
+
+def _riccati_operator(a, s, q, k) -> np.ndarray:
+    """A.T K + K A - K S K + Q: zero at an ARE solution, dK/ds of the sweep."""
+    return a.T @ k + k @ a - k @ s @ k + q
+
+
 def are_residual(a, b, q, rw, sol: RiccatiSolution) -> float:
     """Frobenius norm of A.T K + K A - K B Rw^-1 B.T K + Q."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(2, 1)
-    q = np.asarray(q, dtype=float)
-    k = sol.as_matrix()
-    s = (b @ b.T) / float(rw)
-    return float(np.linalg.norm(a.T @ k + k @ a - k @ s @ k + q))
+    a, _, q, s = _problem(a, b, q, rw)
+    return float(np.linalg.norm(_riccati_operator(a, s, q, sol.as_matrix())))
 
 
 def are_solve(a, b, q, rw: float) -> RiccatiSolution:
@@ -158,18 +166,14 @@ def are_solve(a, b, q, rw: float) -> RiccatiSolution:
         NoStabilizingSolution: Hamiltonian eigenvalues on the imaginary axis
             or the stable subspace does not produce a positive definite K.
     """
-    a = np.asarray(a, dtype=float).reshape(2, 2)
-    b = np.asarray(b, dtype=float).reshape(2, 1)
-    q = np.asarray(q, dtype=float).reshape(2, 2)
-    rw = float(rw)
-    if not rw > 0.0:
+    if not float(rw) > 0.0:
         raise ValueError(f"control weight must be positive, got {rw}")
+    a, b, q, s = _problem(a, b, q, rw)
 
     ctrb = np.hstack([b, a @ b])
     if np.linalg.matrix_rank(ctrb) < 2:
         raise NotControllable(f"rank [B, AB] = {np.linalg.matrix_rank(ctrb)} < 2")
 
-    s = (b @ b.T) / rw
     ham = np.block([[a, -s], [-q, -a.T]])
     eigvals, eigvecs = np.linalg.eig(ham)
     tol = 1e-9 * max(1.0, float(np.abs(eigvals).max()))
@@ -189,7 +193,7 @@ def are_solve(a, b, q, rw: float) -> RiccatiSolution:
     # Newton polish: solve the Lyapunov equation for the correction.
     eye2 = np.eye(2)
     for _ in range(30):
-        res = a.T @ k + k @ a - k @ s @ k + q
+        res = _riccati_operator(a, s, q, k)
         if np.linalg.norm(res) <= 1e-13 * max(1.0, np.linalg.norm(k)):
             break
         acl = a - s @ k
@@ -231,15 +235,12 @@ def dre_integrate(a, b, q, rw: float, t_end: float, h: float = 1e-3) -> GainSche
         raise ValueError(f"horizon must be positive, got {t_end}")
     if not 0.0 < h <= t_end:
         raise ValueError(f"step must satisfy 0 < h <= {t_end}, got {h}")
-    a = np.asarray(a, dtype=float).reshape(2, 2)
-    b = np.asarray(b, dtype=float).reshape(2, 1)
-    q = np.asarray(q, dtype=float).reshape(2, 2)
-    s = (b @ b.T) / float(rw)
+    a, _, q, s = _problem(a, b, q, rw)
 
     def rate(k, theta, y):
         """dK/ds in reversed time s = T - t, propagating only (k1, k2, k3)."""
         kk = np.array([[y[0], y[2]], [y[2], y[1]]])
-        m = a.T @ kk + kk @ a - kk @ s @ kk + q
+        m = _riccati_operator(a, s, q, kk)
         return np.array([m[0, 0], m[1, 1], 0.5 * (m[0, 1] + m[1, 0])])
 
     n = max(1, int(round(t_end / h)))

@@ -1,6 +1,12 @@
 """Scenario execution: resolve gains, run the closed loop or the
 boundary-value solver, write the trajectory CSV, and build the run summary.
 
+The closed loop only logs (`dynamics.simulate`); the dist, lyap and value
+channels are then computed from the logged arrays in one pass: one log_so3
+per logged rotation, the reference rotations read from the reference table
+on the same grid, and K(t) from one Riccati-solution lookup over all logged
+times.
+
 Trajectory CSV column contract, in order:
 
     t, r11,r12,r13,r21,r22,r23,r31,r32,r33, wx,wy,wz,
@@ -9,7 +15,8 @@ Trajectory CSV column contract, in order:
 Numbers are printed with 17 significant digits; fields a command does not
 define stay empty. The avoid command additionally writes an
 avoidance_path.csv with dimension-appropriate columns, since the contract
-has no slots for a flat configuration.
+has no slots for a flat configuration. Both files are written by
+_write_rows from named columns.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .errors import AngleNearPi, NumericalDivergence
 
 CSV_HEADER = ("t,r11,r12,r13,r21,r22,r23,r31,r32,r33,wx,wy,wz,"
               "tau_x,tau_y,tau_z,dist,lyap,value,hamiltonian")
+_NAMES = CSV_HEADER.split(",")
 
 # Scenarios refuse initial attitudes this close to the cut locus instead of
 # attempting control across it.
@@ -59,50 +67,26 @@ class RunSummary:
         return cls(**json.loads(text))
 
 
-def _fmt(x) -> str:
-    return "" if x is None else f"{x:.17g}"
-
-
-def _write_rows(path: Path, rows) -> None:
-    # Streamed row by row: the largest CSV is several megabytes.
+def _write_rows(path: Path, header: str, columns: dict, decimation: int) -> None:
+    """Write a CSV of the comma-separated header and every decimation-th
+    sample plus the last. columns maps header names to equally long 1-D
+    arrays; a name without a column gets empty cells."""
+    names = header.split(",")
+    present = [columns[name] for name in names if name in columns]
+    row = ",".join("%.17g" if name in columns else "" for name in names) + "\n"
+    n = len(present[0])
+    # Streamed from column views, one row at a time: the largest CSV is
+    # several megabytes.
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(row + "\n" for row in rows)
+        f.write(header + "\n")
+        f.writelines(row % cells for cells in zip(*(c[::decimation] for c in present)))
+        if (n - 1) % decimation:
+            f.write(row % tuple(c[-1] for c in present))
 
 
-def _decimated(n_samples: int, decimation: int):
-    idx = list(range(0, n_samples, decimation))
-    if idx[-1] != n_samples - 1:
-        idx.append(n_samples - 1)
-    return idx
-
-
-def write_trajectory_csv(path: Path, times, rotations, omegas, torques,
-                         diagnostics: dict, decimation: int) -> None:
-    """Emit the 20-column trajectory contract; None channels stay empty."""
-    dist = diagnostics.get("dist")
-    lyap = diagnostics.get("lyap")
-    value = diagnostics.get("value")
-    ham = diagnostics.get("hamiltonian")
-
-    def rows():
-        yield CSV_HEADER
-        for i in _decimated(len(times), decimation):
-            cells = [_fmt(times[i])]
-            if rotations is None:
-                cells += [""] * 9
-            else:
-                cells += [_fmt(x) for x in rotations[i].reshape(9)]
-            for block in (omegas, torques):
-                if block is None:
-                    cells += [""] * 3
-                else:
-                    row = block[i]
-                    cells += [_fmt(row[j]) if j < len(row) else "" for j in range(3)]
-            for channel in (dist, lyap, value, ham):
-                cells.append(_fmt(channel[i]) if channel is not None else "")
-            yield ",".join(cells)
-
-    _write_rows(path, rows())
+def _block_columns(names, block) -> dict:
+    """Columns of a (samples, k) array under the first k of names."""
+    return dict(zip(names, block.reshape(len(block), -1).T))
 
 
 def _resolve_gain_setup(cfg: ScenarioConfig):
@@ -142,18 +126,34 @@ def run_gains(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
         iterations={}, wall_clock_seconds=time.perf_counter() - start)
 
 
+def _attitude_errors(r_from, rotations) -> np.ndarray:
+    """log(r_from[i].T rotations[i]) for every logged sample, as (N, 3)."""
+    e = np.empty((len(rotations), 3))
+    for i, (r0, r) in enumerate(zip(r_from, rotations)):
+        e[i] = so3.log_so3(r0.T @ r)
+    return e
+
+
+def _dots(a, b) -> np.ndarray:
+    """Row-wise a[i] @ b[i]. A batched matmul gives the same bits as the
+    per-row product, where an elementwise sum need not."""
+    return (a[:, None, :] @ b[:, :, None]).ravel()
+
+
 def _run_closed_loop(cfg: ScenarioConfig, out_dir: Path, start: float,
-                     gain_summary: dict, controller, diagnostics) -> RunSummary:
-    """Simulate from the configured initial state, write the trajectory CSV
-    and summarise; diagnostics must provide the "dist" channel."""
+                     gain_summary: dict, controller, channels) -> RunSummary:
+    """Simulate from the configured initial state, compute channels(log) (a
+    dict with at least "dist") from the log, write the trajectory CSV and
+    summarise."""
     log = simulate(controller, RigidBodyState(cfg.initial.rotation, cfg.initial.omega),
-                   SimParams(cfg.sim.h, cfg.sim.t_end, cfg.inertia), diagnostics)
-    write_trajectory_csv(out_dir / "trajectory.csv", log.times, log.rotations,
-                         log.omegas, log.torques, log.diagnostics,
-                         cfg.output.decimation)
+                   SimParams(cfg.sim.h, cfg.sim.t_end, cfg.inertia))
+    columns = {"t": log.times, **_block_columns(_NAMES[1:10], log.rotations),
+               **_block_columns(_NAMES[10:13], log.omegas),
+               **_block_columns(_NAMES[13:16], log.torques), **channels(log)}
+    _write_rows(out_dir / "trajectory.csv", CSV_HEADER, columns, cfg.output.decimation)
     return RunSummary(
         command=cfg.command, gains=gain_summary,
-        final_distance=float(log.diagnostics["dist"][-1]),
+        final_distance=float(columns["dist"][-1]),
         final_velocity_norm=float(np.linalg.norm(log.omegas[-1])),
         min_obstacle_clearance=None, iterations={},
         wall_clock_seconds=time.perf_counter() - start)
@@ -169,20 +169,20 @@ def run_regulate(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     def controller(t, s):
         return regulators.regulation_torque(s, goal, solution_at(t).gains(alpha))
 
-    def diagnostics(t, s, tau):
+    def channels(log):
         # The Lyapunov and value formulas are written out so that one log_so3
-        # serves all three channels.
-        k = solution_at(t)
-        e = so3.log_so3(goal.r_d.T @ s.r)
-        d2 = float(e @ e)
-        w2 = float(s.w @ s.w)
+        # per sample serves all three channels.
+        k = solution_at(log.times)
+        e = _attitude_errors(np.broadcast_to(goal.r_d, log.rotations.shape), log.rotations)
+        d2 = _dots(e, e)
+        w2 = _dots(log.omegas, log.omegas)
         return {
-            "dist": math.sqrt(d2),
+            "dist": np.sqrt(d2),
             "lyap": k.gains(alpha).kP * 0.5 * d2 + 0.5 * w2,
-            "value": k.k1 * 0.5 * d2 + 0.5 * k.k2 * w2 + k.k3 * float(e @ s.w),
+            "value": k.k1 * 0.5 * d2 + 0.5 * k.k2 * w2 + k.k3 * _dots(e, log.omegas),
         }
 
-    return _run_closed_loop(cfg, out_dir, start, gain_summary, controller, diagnostics)
+    return _run_closed_loop(cfg, out_dir, start, gain_summary, controller, channels)
 
 
 def run_track(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
@@ -200,24 +200,20 @@ def run_track(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
         return (regulators.tracking_pd_torque(s, sample, solution_at(t).gains(alpha))
                 + regulators.feedforward_torque(s, sample, cfg.inertia, accel_term))
 
-    def diagnostics(t, s, tau):
-        return {"dist": so3.geodesic_distance(ref.sample(t).r, s.r)}
+    def channels(log):
+        # so3.geodesic_distance's sum of squares, in its order.
+        e2 = _attitude_errors(ref.rotations, log.rotations) ** 2
+        return {"dist": np.sqrt(e2[:, 0] + e2[:, 1] + e2[:, 2])}
 
-    return _run_closed_loop(cfg, out_dir, start, gain_summary, controller, diagnostics)
+    return _run_closed_loop(cfg, out_dir, start, gain_summary, controller, channels)
 
 
 def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     start = time.perf_counter()
-    spec = cfg.avoidance
-    scenario = pmp.AvoidanceScenario(
-        dimension=spec.dimension, alpha=cfg.cost.alpha, target=spec.target,
-        horizon=spec.horizon, q0=spec.q0, v0=spec.v0,
-        obstacles=tuple(pmp.SphereObstacle(o.center, o.radius)
-                        for o in spec.obstacles),
-    )
+    scenario = cfg.avoidance
     solution = pmp.shooting_solve(scenario, h=cfg.sim.h)
     lagrangian = pmp.AvoidanceLagrangian(scenario)
-    n = spec.dimension
+    n = scenario.dimension
     costates = pmp.costate_integrate(solution.times, solution.q, solution.v,
                                      solution.u, lagrangian,
                                      (np.zeros(n), np.zeros(n)))
@@ -226,23 +222,16 @@ def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     if scenario.obstacles:
         clearance = float(pmp._clearances(scenario, solution.q).min())
 
-    write_trajectory_csv(out_dir / "trajectory.csv", solution.times, None,
-                         solution.v, solution.u,
-                         {"dist": dist, "hamiltonian": costates.hamiltonian},
-                         cfg.output.decimation)
-
-    def path_rows():
-        names = [f"q{i+1}" for i in range(n)] + [f"v{i+1}" for i in range(n)] \
-            + [f"u{i+1}" for i in range(n)]
-        yield "t," + ",".join(names)
-        for i in _decimated(len(solution.times), cfg.output.decimation):
-            cells = [_fmt(solution.times[i])]
-            cells += [_fmt(x) for x in solution.q[i]]
-            cells += [_fmt(x) for x in solution.v[i]]
-            cells += [_fmt(x) for x in solution.u[i]]
-            yield ",".join(cells)
-
-    _write_rows(out_dir / "avoidance_path.csv", path_rows())
+    _write_rows(out_dir / "trajectory.csv", CSV_HEADER,
+                {"t": solution.times, **_block_columns(_NAMES[10:13], solution.v),
+                 **_block_columns(_NAMES[13:16], solution.u),
+                 "dist": dist, "hamiltonian": costates.hamiltonian},
+                cfg.output.decimation)
+    path_names = [f"{x}{i + 1}" for x in "qvu" for i in range(n)]
+    _write_rows(out_dir / "avoidance_path.csv", ",".join(["t"] + path_names),
+                {"t": solution.times,
+                 **_block_columns(path_names, np.hstack([solution.q, solution.v, solution.u]))},
+                cfg.output.decimation)
     return RunSummary(
         command="avoid", gains=None,
         final_distance=float(dist[-1]),

@@ -93,12 +93,13 @@ def test_criterion_03_scalar_matrix_consistency():
 
 
 def _criterion4_run(h, t_end, gains, sol):
+    """The criterion-4 closed loop: its log and the channels computed from it."""
     goal = RegulationGoal(np.eye(3))
 
     def controller(t, s):
         return regulation_torque(s, goal, gains)
 
-    def diagnostics(t, s, tau):
+    def channels(s, tau):
         e = log_so3(s.r)  # goal is the identity
         d2 = float(e @ e)
         w2 = float(s.w @ s.w)
@@ -111,23 +112,26 @@ def _criterion4_run(h, t_end, gains, sol):
         }
 
     init = RigidBodyState(exp_so3([0.9, -0.4, 0.2]), np.zeros(3))
-    return simulate(controller, init, SimParams(h, t_end, J123), diagnostics)
+    log = simulate(controller, init, SimParams(h, t_end, J123))
+    rows = [channels(RigidBodyState(r, w), tau)
+            for r, w, tau in zip(log.rotations, log.omegas, log.torques)]
+    return log, {name: np.array([row[name] for row in rows]) for name in rows[0]}
 
 
 def test_criterion_04_regulation_convergence():
     sol = are_solve(drift_matrix("published-regulation"), B, Q2, 0.5)
     gains = gains_from_K(sol, CostParams(alpha=0.5))
     start = time.perf_counter()
-    log = _criterion4_run(1e-3, 20.0, gains, sol)
+    log, channels = _criterion4_run(1e-3, 20.0, gains, sol)
     elapsed = time.perf_counter() - start
-    dist = log.diagnostics["dist"]
+    dist = channels["dist"]
     final_w = float(np.linalg.norm(log.omegas[-1]))
     assert dist[-1] <= 1e-2
     assert final_w <= 1e-2
     # Non-increasing after the first step, up to the h^2 |tau|^2 kinetic
     # energy the explicit velocity update injects while omega ramps up.
-    ly = log.diagnostics["lyap"]
-    slack = (1e-3) ** 2 * log.diagnostics["tau2"][1:-1]
+    ly = channels["lyap"]
+    slack = (1e-3) ** 2 * channels["tau2"][1:-1]
     assert np.all(np.diff(ly[1:]) <= slack + 1e-15)
     assert elapsed < 2.0
     print(f"criterion 04 PASS: dist(T)={dist[-1]:.2e} |w(T)|={final_w:.2e} "
@@ -149,12 +153,10 @@ def test_criterion_05_tracking_convergence():
         return (tracking_pd_torque(s, sample, gains)
                 + feedforward_torque(s, sample, J123, accel_term=True))
 
-    def diagnostics(t, s, tau):
-        return {"err": geodesic_distance(ref.sample(t).r, s.r)}
-
-    log = simulate(controller, init, SimParams(1e-3, 50.0, J123), diagnostics)
+    log = simulate(controller, init, SimParams(1e-3, 50.0, J123))
+    err = np.array([geodesic_distance(ref.sample(t).r, r)
+                    for t, r in zip(log.times, log.rotations)])
     elapsed = time.perf_counter() - start
-    err = log.diagnostics["err"]
     assert err[0] == pytest.approx(0.5, abs=1e-12)
     assert err[-1] <= 0.05
     assert elapsed < 5.0
@@ -175,12 +177,10 @@ def test_criterion_06_integrator_fidelity():
     assert worst <= 1e-10
 
     def worst_drift(h):
-        def diag(t, s, tau):
-            return {"ke": 0.5 * float(s.w @ (J123.j @ s.w))}
         log = simulate(lambda t, s: np.zeros(3),
                        RigidBodyState(np.eye(3), np.array([0.3, 1.1, -0.2])),
-                       SimParams(h, 10.0, J123), diag)
-        ke = log.diagnostics["ke"]
+                       SimParams(h, 10.0, J123))
+        ke = np.array([0.5 * float(w @ (J123.j @ w)) for w in log.omegas])
         return float(np.abs(ke - ke[0]).max() / ke[0])
 
     d1 = worst_drift(1e-3)
@@ -281,9 +281,9 @@ def test_criterion_10_hjb_identity():
     assert np.abs(res).max() <= 1e-9
     gains = gains_from_K(sol, CostParams(alpha=alpha))
     h = 1e-4
-    log = _criterion4_run(h, 20.0, gains, sol)
-    value = log.diagnostics["value"]
-    rate = log.diagnostics["cost_rate"]
+    _, channels = _criterion4_run(h, 20.0, gains, sol)
+    value = channels["value"]
+    rate = channels["cost_rate"]
     dv = (value[2:] - value[:-2]) / (2.0 * h)
     residual = dv + rate[1:-1]
     relative = float(np.abs(residual).max() / np.abs(rate).max())

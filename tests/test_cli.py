@@ -2,16 +2,21 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geolqr.cli import main
 from geolqr.config import parse_config
 from geolqr.dynamics import InertiaTensor
 from geolqr.errors import GeoLqrError, ParseError, ValidationError
-from geolqr.scenarios import CSV_HEADER, RunSummary, run
-from geolqr.so3 import exp_so3, orthogonality_defect
+from geolqr.riccati import B_CANONICAL, dre_integrate, drift_matrix
+from geolqr.scenarios import CSV_HEADER, RunSummary, _write_rows, run
+from geolqr.so3 import exp_so3, log_so3, orthogonality_defect
 
 IDENTITY9 = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
 
@@ -236,6 +241,86 @@ class TestDreGainSource:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["gains"]["source"] == "dre"
         assert summary["gains"]["kP"] > 0.0
+
+    @pytest.mark.parametrize("command", ["gains", "regulate", "track"])
+    @pytest.mark.parametrize("source, code", [("dre", 2), ("are", 0)])
+    def test_horizon_shorter_than_step(self, tmp_path, capsys, command, source, code):
+        # The backward sweep needs one step; ARE gains need no sweep.
+        cfg = write_config(tmp_path, {
+            "command": command,
+            "sim": {"h": 0.001, "t_end": 0.0004},
+            "controller": {"gain_source": source},
+        })
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == code
+        if code == 2:
+            assert json.loads(capsys.readouterr().err.strip())["path"] == "sim.t_end"
+
+    def test_csv_channels_recomputed_from_rows(self, tmp_path):
+        # Every row's dist, lyap and value follow from that row's R, w and
+        # the schedule's K(t) alone.
+        r_d = exp_so3([0.1, 0.2, -0.1])
+        cfg = write_config(tmp_path, {
+            "command": "regulate",
+            "sim": {"t_end": 0.3},
+            "initial": {"rotation": exp_so3([0.4, 0.1, -0.2]).reshape(9).tolist(),
+                        "omega": [0.2, -0.1, 0.3]},
+            "goal": {"rotation": r_d.reshape(9).tolist()},
+            "controller": {"gain_source": "dre"},
+            "output": {"decimation": 7},
+        })
+        assert main(["regulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        parsed = parse_config(cfg.read_text())
+        sched = dre_integrate(
+            drift_matrix(parsed.controller.a_matrix_mode, parsed.cost.gamma), B_CANONICAL,
+            parsed.cost.q_weights, parsed.cost.alpha, t_end=parsed.sim.t_end, h=parsed.sim.h)
+        names = CSV_HEADER.split(",")
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 1 + 43 + 1   # header + ceil(301/7) + final row
+        for line in lines[1:]:
+            row = dict(zip(names, line.split(",")))
+            r = np.array([float(row[n]) for n in names[1:10]]).reshape(3, 3)
+            w = np.array([float(row[n]) for n in ("wx", "wy", "wz")])
+            k = sched.solution_at(float(row["t"]))
+            e = log_so3(r_d.T @ r)
+            d2 = float(e @ e)
+            w2 = float(w @ w)
+            lyap = k.gains(parsed.cost.alpha).kP * 0.5 * d2 + 0.5 * w2
+            value = k.k1 * 0.5 * d2 + 0.5 * k.k2 * w2 + k.k3 * float(e @ w)
+            assert float(row["dist"]) == pytest.approx(math.sqrt(d2), rel=1e-12, abs=1e-15)
+            assert float(row["lyap"]) == pytest.approx(lyap, rel=1e-12, abs=1e-15)
+            assert float(row["value"]) == pytest.approx(value, rel=1e-12, abs=1e-15)
+            assert row["hamiltonian"] == ""
+
+
+# Finite doubles, with -0.0 and subnormals drawn often.
+_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308]))
+
+
+class TestWriteRows:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_samples=st.integers(1, 30), decimation=st.integers(1, 40),
+           present=st.lists(st.booleans(), min_size=1, max_size=6).filter(any))
+    def test_cells_rows_and_absent_names(self, data, n_samples, decimation, present):
+        names = [f"c{j}" for j in range(len(present))]
+        columns = {name: np.array(data.draw(st.lists(_CELLS, min_size=n_samples,
+                                                     max_size=n_samples)))
+                   for name, keep in zip(names, present) if keep}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.csv"
+            _write_rows(path, ",".join(names), columns, decimation)
+            lines = path.read_text(encoding="utf-8").splitlines()
+        expected = list(range(0, n_samples, decimation))
+        if expected[-1] != n_samples - 1:
+            expected.append(n_samples - 1)
+        assert lines[0] == ",".join(names)
+        assert len(lines) == 1 + len(expected)
+        for i, line in zip(expected, lines[1:]):
+            cells = line.split(",")
+            assert len(cells) == len(names)
+            for name, cell in zip(names, cells):
+                want = f"{float(columns[name][i]):.17g}" if name in columns else ""
+                assert cell == want
 
 
 class TestGainsCommand:

@@ -159,12 +159,10 @@ class TestFeedforwardTorque:
             return (tracking_pd_torque(s, sample, g)
                     + feedforward_torque(s, sample, J123, accel_term=True))
 
-        def diag(t, s, tau):
-            return {"err": geodesic_distance(ref.sample(t).r, s.r)}
-
         log = simulate(ctrl, RigidBodyState(ref.rotations[0].copy(), om(0.0)),
-                       SimParams(1e-3, 5.0, J123), diag)
-        assert log.diagnostics["err"].max() <= 1e-3
+                       SimParams(1e-3, 5.0, J123))
+        err = [geodesic_distance(ref.sample(t).r, r) for t, r in zip(log.times, log.rotations)]
+        assert max(err) <= 1e-3
 
     def test_bare_law_lags_by_reference_acceleration_over_kp(self):
         # Without the acceleration term the loop settles at the structural
@@ -180,13 +178,10 @@ class TestFeedforwardTorque:
             return (tracking_pd_torque(s, sample, g)
                     + feedforward_torque(s, sample, J123, accel_term=False))
 
-        def diag(t, s, tau):
-            return {"err": geodesic_distance(ref.sample(t).r, s.r)}
-
         log = simulate(ctrl, RigidBodyState(ref.rotations[0].copy(), om(0.0)),
-                       SimParams(1e-3, 12.0, J123), diag)
+                       SimParams(1e-3, 12.0, J123))
         lag = np.linalg.norm(omdot(0.0)) / g.kP
-        final = log.diagnostics["err"][-1]
+        final = geodesic_distance(ref.sample(log.times[-1]).r, log.rotations[-1])
         assert abs(final - lag) <= 0.15 * lag
 
 
@@ -208,14 +203,11 @@ class TestLyapunovValue:
         def ctrl(t, s):
             return regulation_torque(s, goal, g)
 
-        def diag(t, s, tau):
-            return {"lyap": lyapunov_value(s, goal, g),
-                    "tau2": float(tau @ tau)}
-
         log = simulate(ctrl, RigidBodyState(exp_so3([0.9, -0.4, 0.2]), np.zeros(3)),
-                       SimParams(1e-3, 5.0, J123), diag)
-        ly = log.diagnostics["lyap"]
-        tau2 = log.diagnostics["tau2"]
+                       SimParams(1e-3, 5.0, J123))
+        ly = np.array([lyapunov_value(RigidBodyState(r, w), goal, g)
+                       for r, w in zip(log.rotations, log.omegas)])
+        tau2 = np.array([float(tau @ tau) for tau in log.torques])
         # The explicit scheme injects at most h^2 |tau|^2 of kinetic energy
         # per step while omega ramps up from zero; beyond that the channel
         # must decrease.
