@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import InertiaTensor
 from .errors import ParseError, ValidationError
-from .pmp import AvoidanceScenario, SphereObstacle
+from .pmp import AvoidanceScenario, SphereObstacle, StartInsideObstacle
 from .riccati import DRIFT_MODES, CostParams
 
 COMMANDS = ("gains", "regulate", "track", "avoid", "check")
@@ -291,12 +291,13 @@ def _parse_avoidance(obj, command, alpha: float) -> AvoidanceScenario | None:
         radius = _number(entry, "radius", path)
         if radius <= 0.0:
             raise ValidationError(f"{path}.radius", "must be positive")
-        obstacle = SphereObstacle(center, radius)
-        if obstacle.value(q0) <= 0.0:
-            raise ValidationError(path, "initial configuration inside obstacle")
-        obstacles.append(obstacle)
-    return AvoidanceScenario(dimension=dim, alpha=alpha, target=target, horizon=horizon,
-                             q0=q0, v0=v0, obstacles=tuple(obstacles))
+        obstacles.append(SphereObstacle(center, radius))
+    try:
+        return AvoidanceScenario(dimension=dim, alpha=alpha, target=target, horizon=horizon,
+                                 q0=q0, v0=v0, obstacles=tuple(obstacles))
+    except StartInsideObstacle as exc:
+        raise ValidationError(f"avoidance.obstacles[{exc.index}]",
+                              "initial configuration inside obstacle") from None
 
 
 def _parse_output(obj) -> OutputConfig:

@@ -22,10 +22,11 @@ Both follow from the costate equations Dp1/Dt = -R(v, p2) v - grad_q L and
 Dp2/Dt = -p1 - grad_v L with u = -p2/alpha; costate_integrate verifies that
 relation and the constancy of H on converged solutions.
 
-The extremal, costate and variational sweeps are all dynamics.rk4, and
-every cost evaluator (trajectory_cost, the oracle's batched costs,
-control_cost, AvoidanceLagrangian.value) reads the one array running cost
-running_cost under one trapezoid rule.
+The extremal, costate and variational sweeps are all dynamics.rk4 (the
+extremal one over a batch of initial unknowns), and every cost evaluator
+(trajectory_cost, the oracle's batched costs, control_cost,
+AvoidanceLagrangian.value) reads the one array running cost running_cost
+under one trapezoid rule.
 
 On the rotation group all tangent quantities live in body coordinates and
 rates written with a dot are covariant: for a field xi along the trajectory,
@@ -34,13 +35,13 @@ D xi / Dt = xi' + (w x xi) / 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import rk4
 from .errors import NoConvergence, NoDescent, ObstacleContact
-from .so3 import hat, log_so3
+from .so3 import log_so3
 
 MANIFOLDS = ("flat", "so3-biinvariant")
 
@@ -67,6 +68,14 @@ def curvature(manifold: str, x, y, z) -> np.ndarray:
     raise ValueError(f"unknown manifold {manifold!r}; expected one of {MANIFOLDS}")
 
 
+class StartInsideObstacle(ValueError):
+    """The initial configuration lies inside obstacle `index`."""
+
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(f"initial configuration inside obstacle {index}")
+
+
 @dataclass(frozen=True)
 class SphereObstacle:
     """Smooth obstacle indicator O(q) = |q - center|^2 - radius^2."""
@@ -77,9 +86,6 @@ class SphereObstacle:
     def value(self, q) -> float:
         d = np.asarray(q, dtype=float) - self.center
         return float(d @ d) - self.radius ** 2
-
-    def grad(self, q) -> np.ndarray:
-        return 2.0 * (np.asarray(q, dtype=float) - self.center)
 
 
 @dataclass
@@ -115,7 +121,7 @@ class AvoidanceScenario:
         self.v0 = np.asarray(self.v0, dtype=float)
         for i, obs in enumerate(self.obstacles):
             if obs.value(self.q0) <= 0.0:
-                raise ValueError(f"initial configuration inside obstacle {i}")
+                raise StartInsideObstacle(i)
 
     @property
     def tangent_dim(self) -> int:
@@ -123,15 +129,20 @@ class AvoidanceScenario:
 
 
 def _grad_goal_potential(scenario: AvoidanceScenario, q) -> np.ndarray:
-    """Gradient of U(q*, .) at q: q - q* on flat space, log(q*.T q) on the group."""
+    """Gradient of U(q*, .) at every point of q: q - q* on flat space, and
+    log(q*.T q) on the group, where q holds (..., 3, 3) rotations."""
+    q = np.asarray(q, dtype=float)
     if scenario.manifold == "flat":
-        return np.asarray(q, dtype=float) - scenario.target
-    return log_so3(scenario.target.T @ q)
+        return q - scenario.target
+    g = np.array([log_so3(scenario.target.T @ r) for r in q.reshape(-1, 3, 3)])
+    return g.reshape(q.shape[:-2] + (3,))
 
 
 def _sqnorm(x) -> np.ndarray:
-    """Squared Euclidean norm along the last axis."""
-    return np.einsum("...n,...n->...", x, x)
+    """Squared Euclidean norm along the last axis, rounded as the dot
+    product x @ x of one row (as in SphereObstacle.value)."""
+    x = np.asarray(x, dtype=float)
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
 def _clearances(scenario: AvoidanceScenario, q) -> np.ndarray:
@@ -151,12 +162,7 @@ def running_cost(scenario: AvoidanceScenario, q, v, u) -> np.ndarray:
     u2 = _sqnorm(u)
     if scenario.mode == "terminal":
         return 0.5 * scenario.alpha * u2
-    if scenario.manifold == "flat":
-        g2 = _sqnorm(q - scenario.target)
-    else:
-        rs = np.asarray(q, dtype=float)
-        g = np.array([log_so3(scenario.target.T @ r) for r in rs.reshape(-1, 3, 3)])
-        g2 = _sqnorm(g).reshape(rs.shape[:-2])
+    g2 = _sqnorm(_grad_goal_potential(scenario, q))
     cost = 0.5 * (g2 + _sqnorm(v) + scenario.alpha * u2)
     if scenario.obstacles:
         o = _clearances(scenario, q)
@@ -174,22 +180,25 @@ def _trapezoid_weights(times) -> np.ndarray:
     return w
 
 
-def _barrier_grad(scenario: AvoidanceScenario, q) -> np.ndarray:
-    """Gradient -sum grad O_i / O_i^2 of the avoidance barrier at one point.
+def _barrier_grad(scenario: AvoidanceScenario, q):
+    """Gradient -sum_i grad O_i / O_i^2 of the barrier V at every point of a
+    (..., n) array (0.0 without obstacles), and the points that touch an
+    obstacle (some O_i <= 0): avoidance_rhs and AvoidanceLagrangian.grad_q
+    raise there, a batched rollout flags the row."""
+    grad, o = 0.0, _clearances(scenario, q)
+    for obs, o_i in zip(scenario.obstacles, o):
+        grad = grad - 2.0 * (q - obs.center) / (o_i * o_i)[..., None]
+    return grad, (o <= 0.0).any(axis=0)
 
-    A plain loop over the obstacles: this runs at every stage of every
-    rollout, where array calls cost more than they save.
 
-    Raises:
-        ObstacleContact: any O_i(q) <= 0.
-    """
-    grad = np.zeros(scenario.dimension)
-    for i, obs in enumerate(scenario.obstacles):
-        o = obs.value(q)
-        if o <= 0.0:
-            raise ObstacleContact(f"obstacle {i} contacted (O = {o:.6g})")
-        grad -= obs.grad(q) / (o * o)
-    return grad
+def _avoidance_accel(scenario: AvoidanceScenario, q, v, u):
+    """R(v, u) v + u/alpha - grad(U + V)(q)/alpha at every point, and the
+    points that touch an obstacle."""
+    barrier, contact = _barrier_grad(scenario, q)
+    accel = (u - (_grad_goal_potential(scenario, q) + barrier)) / scenario.alpha
+    if scenario.manifold == "flat":
+        return accel, contact
+    return curvature(scenario.manifold, v, u, v) + accel, contact
 
 
 def avoidance_rhs(u, udot, q, v, scenario: AvoidanceScenario) -> np.ndarray:
@@ -198,43 +207,42 @@ def avoidance_rhs(u, udot, q, v, scenario: AvoidanceScenario) -> np.ndarray:
     R(v, u) v + u/alpha - grad(U + V)(q)/alpha. The gradient sign follows
     from differentiating the costate relation u = -p2/alpha twice; the
     transcription oracle confirms it numerically.
+
+    Raises:
+        ObstacleContact: q touches an obstacle.
     """
-    u = np.asarray(u, dtype=float)
-    grad = _grad_goal_potential(scenario, q)
-    if scenario.obstacles:
-        grad = grad + _barrier_grad(scenario, q)
-    return curvature(scenario.manifold, v, u, v) + (u - grad) / scenario.alpha
+    accel, contact = _avoidance_accel(scenario, q, v, np.asarray(u, dtype=float))
+    if np.any(contact):
+        raise ObstacleContact("obstacle contacted")
+    return accel
 
 
-def _coupled_rhs(scenario: AvoidanceScenario, z: np.ndarray) -> np.ndarray:
-    """Time derivative of the packed state (q, v, u, w)."""
-    n = scenario.tangent_dim
-    if scenario.manifold == "flat":
-        q, v, u, w = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
-        if scenario.mode == "avoidance":
-            dw = avoidance_rhs(u, w, q, v, scenario)
-        else:
-            dw = np.zeros(n)
-        return np.concatenate([v, u, w, dw])
-    r = z[:9].reshape(3, 3)
-    omega, u, w = z[9:12], z[12:15], z[15:18]
-    half_om = 0.5 * omega
+def _unpack(scenario: AvoidanceScenario, z):
+    """Views (q, v, u, w) of packed states along the last axis of z; q takes
+    the shape of q0, so it holds rotation matrices on the group."""
+    d, n = scenario.q0.size, scenario.tangent_dim
+    q = z[..., :d].reshape(z.shape[:-1] + scenario.q0.shape)
+    return q, z[..., d:d + n], z[..., d + n:d + 2 * n], z[..., d + 2 * n:]
+
+
+def _coupled_rhs(scenario: AvoidanceScenario, z: np.ndarray):
+    """Time derivative of a (B, .) batch of packed states (q, v, u, w), and
+    the rows whose q touches an obstacle.
+
+    On the group the rows of R hat(w) are the rows of R crossed with w.
+    """
+    q, v, u, w = _unpack(scenario, z)
     if scenario.mode == "avoidance":
-        rhs_cov = avoidance_rhs(u, w, r, omega, scenario)
+        dw, contact = _avoidance_accel(scenario, q, v, u)
     else:
-        rhs_cov = curvature("so3-biinvariant", omega, u, omega)
-    return np.concatenate([
-        (r @ hat(omega)).reshape(9),
-        u,
-        w - np.cross(half_om, u),
-        rhs_cov - np.cross(half_om, w),
-    ])
-
-
-def _pack_initial(scenario: AvoidanceScenario, u0: np.ndarray, w0: np.ndarray) -> np.ndarray:
+        dw, contact = curvature(scenario.manifold, v, u, v), False
     if scenario.manifold == "flat":
-        return np.concatenate([scenario.q0, scenario.v0, u0, w0])
-    return np.concatenate([scenario.q0.reshape(9), scenario.v0, u0, w0])
+        return np.concatenate([v, u, w, dw], axis=1), contact
+    half_om = 0.5 * v
+    return np.concatenate([np.cross(q, v[:, None, :]).reshape(len(z), 9),
+                           u,
+                           w - np.cross(half_om, u),
+                           dw - np.cross(half_om, w)], axis=1), contact
 
 
 @dataclass
@@ -243,7 +251,8 @@ class BVPSolution:
 
     udot holds the covariant control rate for shooting solutions and None
     for the transcription oracle, whose residual_norm is its final gradient
-    infinity norm rather than a terminal residual.
+    infinity norm rather than a terminal residual. trace records how the
+    solver converged; see shooting_solve and transcription_oracle.
     """
 
     times: np.ndarray
@@ -254,6 +263,7 @@ class BVPSolution:
     residual_norm: float
     iterations: int
     cost: float
+    trace: dict = field(default_factory=dict)
 
 
 def control_cost(scenario: AvoidanceScenario, times_u, u, h_eval: float) -> float:
@@ -292,114 +302,114 @@ def trajectory_cost(scenario: AvoidanceScenario, times, q, v, u) -> float:
     return cost
 
 
-def _integrate_extremal(scenario: AvoidanceScenario, u0, w0, h: float):
-    """RK4 rollout of the coupled (q, v, u, w) system on a uniform grid."""
-    n = scenario.tangent_dim
+def _integrate_extremal(scenario: AvoidanceScenario, x0, h: float):
+    """One RK4 sweep of the coupled (q, v, u, w) system on a uniform grid for
+    a (B, 2n) batch of initial unknowns (u(0), Du/Dt(0)).
+
+    Returns the times, q, v, u and w with the batch on the leading axis, and
+    the rows whose path touched an obstacle at an RK4 stage or a grid point.
+    A row that overflows turns non-finite, silently.
+    """
     steps = max(1, int(round(scenario.horizon / h)))
     times = np.linspace(0.0, scenario.horizon, steps + 1)
-    z0 = _pack_initial(scenario, np.asarray(u0, dtype=float),
-                       np.asarray(w0, dtype=float))
-    # Overflow in a rejected trial is expected; non-finite states are
-    # detected by the caller instead of warning here.
-    with np.errstate(over="ignore", invalid="ignore"):
-        zs = rk4(lambda k, theta, z: _coupled_rhs(scenario, z), z0, times)
+    z0 = np.hstack([np.tile(np.append(scenario.q0, scenario.v0), (len(x0), 1)), x0])
+    contact = np.zeros(len(x0), dtype=bool)
+
+    def rate(k, theta, z):
+        dz, touched = _coupled_rhs(scenario, z)
+        np.logical_or(contact, touched, out=contact)
+        return dz
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        zs = rk4(rate, z0, times).swapaxes(0, 1)
+        q, v, u, w = _unpack(scenario, zs)
         if scenario.manifold == "flat" and scenario.obstacles:
-            o = _clearances(scenario, zs[:, :n])
-            touched = o[o <= 0.0]
-            if touched.size:
-                raise ObstacleContact(f"path contacts an obstacle (O = {touched.min():.6g})")
-    if scenario.manifold == "flat":
-        q = zs[:, :n]
-        v = zs[:, n:2 * n]
-        u = zs[:, 2 * n:3 * n]
-        w = zs[:, 3 * n:]
-    else:
-        q = zs[:, :9].reshape(-1, 3, 3)
-        v = zs[:, 9:12]
-        u = zs[:, 12:15]
-        w = zs[:, 15:18]
-    return times, q, v, u, w
+            # Terminal mode's rhs has no barrier, and no stage evaluates the
+            # final sample.
+            contact |= (_clearances(scenario, q) <= 0.0).any(axis=(0, 2))
+    return times, q, v, u, w, contact
 
 
 def _terminal_residual(scenario: AvoidanceScenario, q, v, u, w) -> np.ndarray:
+    """Terminal conditions of every row of a batched rollout, (B, 2n)."""
     a = scenario.alpha
     if scenario.mode == "avoidance":
-        return np.concatenate([u[-1], w[-1] - v[-1] / a])
-    gT = _grad_goal_potential(scenario, q[-1])
-    return np.concatenate([u[-1] + v[-1] / a, w[-1] - gT / a])
+        return np.hstack([u[:, -1], w[:, -1] - v[:, -1] / a])
+    gT = _grad_goal_potential(scenario, q[:, -1])
+    return np.hstack([u[:, -1] + v[:, -1] / a, w[:, -1] - gT / a])
 
 
 def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3,
                    tol: float = 1e-6, max_iter: int = 100) -> BVPSolution:
     """Damped-Newton shooting on the unknown initial (u(0), Du/Dt(0)).
 
-    The residual map is the terminal condition of the scenario mode; its
-    Jacobian comes from forward finite differences. The coupled system is
-    integrated by a classical 4th-order one-step method.
+    The residual map is the terminal condition of the scenario mode. Each
+    trial point is swept together with its 2n forward-difference
+    perturbations, so an accepted trial brings the Jacobian at the new
+    iterate along. A trial whose own row touches an obstacle or overflows
+    halves the step. trace holds "residuals" (sup norm, zero guess first),
+    "steps" (the accepted step lengths) and "sweeps".
 
     Raises:
-        NoConvergence: residual above tol after max_iter iterations.
-        ObstacleContact: the current iterate's trajectory touched an obstacle.
+        NoConvergence: residual above tol after max_iter iterations, a
+            non-finite zero-guess trajectory or Jacobian, or a stalled step.
+        ObstacleContact: the zero guess's trajectory, or a perturbed one
+            whose Jacobian column is needed, touched an obstacle.
     """
-    n = scenario.tangent_dim
+    def sweep(x):
+        deltas = 1e-6 * np.maximum(1.0, np.abs(x))
+        times, q, v, u, w, contact = _integrate_extremal(
+            scenario, np.vstack([x, x + np.diag(deltas)]), h)
+        res = _terminal_residual(scenario, q, v, u, w)
+        return res, deltas, contact, (times, q[0], v[0], u[0], w[0])
 
-    def residual(x):
-        times, q, v, u, w = _integrate_extremal(scenario, x[:n], x[n:], h)
-        return _terminal_residual(scenario, q, v, u, w), (times, q, v, u, w)
-
-    x = np.zeros(2 * n)
-    res, traj = residual(x)
-    if not np.isfinite(res).all():
+    x = np.zeros(2 * scenario.tangent_dim)
+    res, deltas, contact, traj = sweep(x)
+    sweeps = 1
+    if contact[0]:
+        raise ObstacleContact("the path from the zero initial guess touches an obstacle")
+    if not np.isfinite(res[0]).all():
         raise NoConvergence("trajectory from the zero initial guess is not finite")
-    iterations = 0
-    while np.abs(res).max() > tol:
+    residuals = [float(np.abs(res[0]).max())]
+    steps = []
+    while residuals[-1] > tol:
+        iterations = len(steps)
         if iterations >= max_iter:
             raise NoConvergence(
-                f"residual {np.abs(res).max():.3e} > {tol:g} after {max_iter} iterations")
-        iterations += 1
-        jac = np.empty((2 * n, 2 * n))
-        for jcol in range(2 * n):
-            step = 1e-6 * max(1.0, abs(x[jcol]))
-            xp = x.copy()
-            xp[jcol] += step
-            rp, _ = residual(xp)
-            jac[:, jcol] = (rp - res) / step
+                f"residual {residuals[-1]:.3e} > {tol:g} after {max_iter} iterations")
+        if contact[1:].any():
+            raise ObstacleContact(
+                f"a perturbed path at iterate {iterations} touches an obstacle")
+        jac = (res[1:] - res[0]).T / deltas
         if not np.isfinite(jac).all():
             raise NoConvergence(
-                f"residual map not differentiable at iterate {iterations} "
+                f"residual map not differentiable at iterate {iterations + 1} "
                 "(perturbed trajectory diverged)")
         try:
-            direction = np.linalg.solve(jac, -res)
+            direction = np.linalg.solve(jac, -res[0])
         except np.linalg.LinAlgError:
-            direction = np.linalg.lstsq(jac, -res, rcond=None)[0]
-        norm0 = np.linalg.norm(res)
+            direction = np.linalg.lstsq(jac, -res[0], rcond=None)[0]
+        norm0 = np.linalg.norm(res[0])
         lam = 1.0
-        accepted = False
-        while lam >= 2.0 ** -24:
-            try:
-                res_new, traj_new = residual(x + lam * direction)
-            except ObstacleContact:
-                lam *= 0.5
-                continue
-            if not np.isfinite(res_new).all():
-                lam *= 0.5
-                continue
-            if np.linalg.norm(res_new) < (1.0 - 1e-4 * lam) * norm0:
-                x = x + lam * direction
-                res, traj = res_new, traj_new
-                accepted = True
+        while True:
+            if lam < 2.0 ** -24:
+                raise NoConvergence(
+                    f"damped step stalled at residual {norm0:.3e} (iteration {iterations + 1})")
+            trial = sweep(x + lam * direction)
+            sweeps += 1
+            res_trial, _, contact_trial, _ = trial
+            if (not contact_trial[0] and np.isfinite(res_trial[0]).all()
+                    and np.linalg.norm(res_trial[0]) < (1.0 - 1e-4 * lam) * norm0):
                 break
             lam *= 0.5
-        if not accepted:
-            raise NoConvergence(
-                f"damped step stalled at residual {norm0:.3e} (iteration {iterations})")
+        x = x + lam * direction
+        res, deltas, contact, traj = trial
+        residuals.append(float(np.abs(res[0]).max()))
+        steps.append(lam)
     times, q, v, u, w = traj
-    return BVPSolution(
-        times=times, q=q, v=v, u=u, udot=w,
-        residual_norm=float(np.abs(res).max()),
-        iterations=iterations,
-        cost=trajectory_cost(scenario, times, q, v, u),
-    )
+    return BVPSolution(times=times, q=q, v=v, u=u, udot=w, residual_norm=residuals[-1],
+                       iterations=len(steps), cost=trajectory_cost(scenario, times, q, v, u),
+                       trace={"residuals": residuals, "steps": steps, "sweeps": sweeps})
 
 
 def _batched_rollout(scenario: AvoidanceScenario, controls: np.ndarray,
@@ -434,18 +444,39 @@ def _batched_costs(scenario: AvoidanceScenario, controls: np.ndarray,
     return cost
 
 
+def _cost_gradient(scenario: AvoidanceScenario, u: np.ndarray, ht: float,
+                   weights: np.ndarray) -> np.ndarray:
+    """Exact gradient of _batched_costs' discrete cost at one (N, n) control
+    grid.
+
+    The symplectic-Euler states are affine in the controls: q_k sums ht v_j
+    over 1 <= j <= k and v_j sums ht u_i over i < j. So the running cost's
+    partials w_k (q_k - q* + grad V(q_k)), w_k v_k and alpha w_k u_k pull
+    back to the controls through two reverse cumulative sums.
+    """
+    q, v = _batched_rollout(scenario, u[None], ht)
+    q, v, w = q[0], v[0], weights[:, None]
+    dq = w * (_grad_goal_potential(scenario, q) + _barrier_grad(scenario, q)[0])
+    dv = w * v + ht * np.cumsum(dq[::-1], axis=0)[::-1]
+    grad = scenario.alpha * w * u
+    grad[:-1] += ht * np.cumsum(dv[:0:-1], axis=0)[::-1]
+    return grad
+
+
 def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
                          max_iter: int = 5000) -> BVPSolution:
     """Independent direct minimization of the avoidance cost on flat space.
 
     The control is discretized on n_grid uniform points, the cost evaluated
     by the trapezoid rule on symplectic-Euler states, and minimized by
-    gradient descent with central finite-difference gradients (computed as
-    one batched rollout) and a backtracking line search seeded with a
-    Barzilai-Borwein step guess. Descent stops at ORACLE_GRAD_TOL, at
-    max_iter, or once ORACLE_PLATEAU_WINDOW iterations improve the cost by
-    less than ORACLE_PLATEAU_RTOL relatively. The cost sequence is
-    non-increasing by construction.
+    gradient descent along that discrete cost's exact gradient (the
+    oracle differentiates its own discretization, never the PMP equations)
+    with a backtracking line search seeded with a Barzilai-Borwein step
+    guess. Descent stops at ORACLE_GRAD_TOL, at max_iter, or once
+    ORACLE_PLATEAU_WINDOW iterations improve the cost by less than
+    ORACLE_PLATEAU_RTOL relatively; trace names the "stop_reason"
+    ("grad_tol", "max_iter" or "plateau") and the final "grad_norm". The
+    cost sequence is non-increasing by construction.
 
     Raises:
         NoDescent: the line search failed 50 consecutive iterations.
@@ -461,23 +492,18 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
 
     u = np.zeros((n_grid, n))
     cost = float(_batched_costs(scenario, u[None, :, :], ht, weights)[0])
-    fd_step = 1e-6
     step_size = 1.0
-    stalls = 0
-    iterations = 0
+    stalls = iterations = 0
     grad_inf = np.inf
-    n_vars = n_grid * n
-    eye = np.eye(n_vars).reshape(n_vars, n_grid, n)
-    prev_grad = None
-    prev_u = None
+    stop_reason = "max_iter"
+    prev_grad = prev_u = None
     history = [cost]
     while iterations < max_iter:
         iterations += 1
-        batch = np.concatenate([u[None] + fd_step * eye, u[None] - fd_step * eye])
-        costs = _batched_costs(scenario, batch, ht, weights)
-        grad = ((costs[:n_vars] - costs[n_vars:]) / (2.0 * fd_step)).reshape(n_grid, n)
+        grad = _cost_gradient(scenario, u, ht, weights)
         grad_inf = float(np.abs(grad).max())
         if grad_inf <= ORACLE_GRAD_TOL:
+            stop_reason = "grad_tol"
             break
         if prev_grad is not None:
             du = (u - prev_u).ravel()
@@ -489,18 +515,15 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
                     step_size = bb
         prev_grad, prev_u = grad, u
         gnorm2 = float(np.sum(grad * grad))
-        accepted = False
         s = step_size * 2.0
         for _ in range(60):
             trial = u - s * grad
             trial_cost = float(_batched_costs(scenario, trial[None], ht, weights)[0])
             if trial_cost <= cost - 1e-4 * s * gnorm2:
                 u, cost, step_size = trial, trial_cost, s
-                accepted = True
+                stalls = 0
                 break
             s *= 0.5
-        if accepted:
-            stalls = 0
         else:
             stalls += 1
             if stalls >= 50:
@@ -509,12 +532,14 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
         if (len(history) > ORACLE_PLATEAU_WINDOW
                 and history[-ORACLE_PLATEAU_WINDOW] - cost
                 <= ORACLE_PLATEAU_RTOL * abs(cost)):
+            stop_reason = "plateau"
             break
 
     q, v = _batched_rollout(scenario, u[None], ht)
     return BVPSolution(times=times, q=q[0], v=v[0], u=u, udot=None,
                        residual_norm=grad_inf, iterations=iterations,
-                       cost=cost)
+                       cost=cost,
+                       trace={"stop_reason": stop_reason, "grad_norm": grad_inf})
 
 
 class AvoidanceLagrangian:
@@ -527,10 +552,10 @@ class AvoidanceLagrangian:
         return float(running_cost(self.scenario, q, v, u))
 
     def grad_q(self, q, v, u) -> np.ndarray:
-        g = _grad_goal_potential(self.scenario, q)
-        if self.scenario.obstacles:
-            g = g + _barrier_grad(self.scenario, q)
-        return g
+        barrier, contact = _barrier_grad(self.scenario, q)
+        if np.any(contact):
+            raise ObstacleContact("obstacle contacted")
+        return _grad_goal_potential(self.scenario, q) + barrier
 
     def grad_v(self, q, v, u) -> np.ndarray:
         return np.asarray(v, dtype=float)

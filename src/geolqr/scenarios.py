@@ -237,7 +237,8 @@ def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
         final_distance=float(dist[-1]),
         final_velocity_norm=float(np.linalg.norm(solution.v[-1])),
         min_obstacle_clearance=clearance,
-        iterations={"newton": solution.iterations},
+        iterations={"newton": solution.iterations,
+                    "residuals": solution.trace["residuals"]},
         wall_clock_seconds=time.perf_counter() - start)
 
 

@@ -117,6 +117,16 @@ class TestParseConfig:
                               "obstacles": [{"center": [0.1], "radius": 0.5}]}}))
         assert err.value.path == "avoidance.obstacles[0]"
 
+    def test_avoid_obstacle_validation_names_the_containing_obstacle(self):
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps({
+                "command": "avoid",
+                "avoidance": {"dimension": 1, "q0": [0.0], "target": [2.0],
+                              "obstacles": [{"center": [3.0], "radius": 0.5},
+                                            {"center": [0.1], "radius": 0.5}]}}))
+        assert err.value.path == "avoidance.obstacles[1]"
+        assert "inside obstacle" in str(err.value)
+
 
 class TestRunSummary:
     def test_round_trip(self):
@@ -421,6 +431,19 @@ class TestShippedConfigs:
         for path in paths:
             cfg = parse_config(path.read_text(encoding="utf-8"))
             assert cfg.command in ("gains", "regulate", "track", "avoid")
+
+    def test_shipped_avoid_reports_newton_residuals(self, tmp_path, capsys):
+        config = self._config_dir() / "avoid.json"
+        assert main(["avoid", "--config", str(config), "--out", str(tmp_path)]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        iterations = json.loads(line)["iterations"]
+        assert iterations["newton"] == 6
+        # The zero guess and one residual per Newton iteration.
+        assert len(iterations["residuals"]) == 7
+        assert iterations["residuals"][-1] <= 1e-6
+        summary = RunSummary.from_json(line)
+        assert summary.iterations == iterations
+        assert summary.to_json() == line
 
     def test_shipped_gain_tables_reproduce(self, capsys):
         directory = self._config_dir()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from geolqr import pmp
 from geolqr.dynamics import FlatState, flat_step
 from geolqr.errors import NoConvergence, ObstacleContact
 from geolqr.pmp import (
@@ -325,6 +326,107 @@ class TestShooting:
             shooting_solve(sc, h=1e-3)
 
 
+# Criterion 09's 2D scenario and its converged (u(0), Du/Dt(0)) as computed
+# by the serial shooting solver, which rolled each finite-difference column
+# out on its own before the batched sweep replaced it.
+CRITERION_09_U0 = (2.6873640915012302, -3.189653281774773)
+CRITERION_09_W0 = (-6.870488311601248, 8.713171530445594)
+
+
+def criterion_09_scenario():
+    return AvoidanceScenario(
+        dimension=2, alpha=0.2, target=[1.2, 0.15], horizon=2.0,
+        q0=[-1.2, 0.0], v0=[0.0, 0.0],
+        obstacles=(SphereObstacle(np.array([-0.1, 0.28]), 0.4),))
+
+
+def spy_sweeps(monkeypatch, edit=None):
+    """Record the contact flags of every _integrate_extremal sweep; edit(i,
+    contact) may change sweep i's flags before shooting_solve sees them."""
+    original = pmp._integrate_extremal
+    flags = []
+
+    def spy(scenario, x0, h):
+        *out, contact = original(scenario, x0, h)
+        if edit is not None:
+            edit(len(flags), contact)
+        flags.append(contact.copy())
+        return (*out, contact)
+
+    monkeypatch.setattr(pmp, "_integrate_extremal", spy)
+    return flags
+
+
+class TestBatchedShooting:
+    @pytest.mark.parametrize("case", ["flat", "group"])
+    def test_each_row_equals_its_own_rollout(self, case):
+        if case == "flat":
+            sc, h = criterion_09_scenario(), 1e-3
+        else:
+            sc, h = AvoidanceScenario(
+                dimension=3, alpha=0.5, target=exp_so3([0.1, 0.2, -0.1]), horizon=1.0,
+                q0=exp_so3([0.7, -0.2, 0.4]), v0=np.array([0.05, -0.1, 0.02]),
+                manifold="so3-biinvariant"), 5e-3
+        m = 2 * sc.tangent_dim
+        rng = np.random.default_rng(65)
+        x = 0.5 * rng.standard_normal(m)
+        batch = np.vstack([x, x + np.diag(np.full(m, 1e-3))])
+        times, *rows, contact = pmp._integrate_extremal(sc, batch, h)
+        assert not contact.any()
+        for b in range(m + 1):
+            _, *alone, contact_b = pmp._integrate_extremal(sc, batch[b:b + 1], h)
+            assert not contact_b.any()
+            for together, single in zip(rows, alone):
+                assert np.abs(together[b] - single[0]).max() <= 1e-15
+
+    def test_criterion_09_iterate_unchanged(self):
+        sol = shooting_solve(criterion_09_scenario())
+        assert sol.iterations == 6
+        assert np.abs(sol.u[0] - CRITERION_09_U0).max() <= 1e-12
+        assert np.abs(sol.udot[0] - CRITERION_09_W0).max() <= 1e-12
+        trace = sol.trace
+        assert len(trace["residuals"]) == 7 and trace["residuals"][-1] == sol.residual_norm
+        # One rejected and one accepted trial in the first iteration, one
+        # trial in each of the other five, after the zero guess.
+        assert trace["steps"] == [0.5, 1.0, 1.0, 1.0, 1.0, 1.0]
+        assert trace["sweeps"] == 8
+
+    def test_contact_on_trial_row_halves_step(self, monkeypatch):
+        # The full step of the second iteration runs through the obstacle.
+        sc = AvoidanceScenario(dimension=2, alpha=0.05, target=[1.2, 0.0], horizon=2.0,
+                               q0=[-1.2, 0.0], v0=[0.0, 0.0],
+                               obstacles=(SphereObstacle(np.array([0.246, 0.366]), 0.463),))
+        flags = spy_sweeps(monkeypatch)
+        sol = shooting_solve(sc, h=1e-2)
+        assert sol.residual_norm <= 1e-6
+        assert sol.trace["steps"][:2] == [1.0, 0.5]
+        assert flags[2][0] and not flags[3][0]
+        assert len(flags) == sol.trace["sweeps"]
+
+    def test_contact_on_perturbation_row_raises_when_jacobian_is_needed(self, monkeypatch):
+        def flag_row_1(i, contact):
+            if i == 2:  # the accepted trial of the first iteration
+                contact[1] = True
+
+        spy_sweeps(monkeypatch, flag_row_1)
+        with pytest.raises(ObstacleContact):
+            shooting_solve(criterion_09_scenario(), h=5e-3)
+
+    def test_perturbation_contact_at_converged_iterate_is_unused(self, monkeypatch):
+        # 1D linear problem: the first Newton step converges, so the
+        # perturbations of the accepted trial never enter a Jacobian.
+        sc = AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
+                               q0=[1.0], v0=[0.0])
+
+        def flag_perturbations(i, contact):
+            if i == 1:
+                contact[1:] = True
+
+        spy_sweeps(monkeypatch, flag_perturbations)
+        sol = shooting_solve(sc, h=1e-2)
+        assert sol.iterations == 1 and sol.residual_norm <= 1e-6
+
+
 class TestTranscriptionOracle:
     def test_trivial_minimum_has_zero_gradient(self):
         sc = AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
@@ -403,6 +505,43 @@ class TestTranscriptionOracle:
             assert abs(grad_batched[flat_index] - (cp - cm) / (2.0 * eps)) <= 1e-6
 
 
+    @pytest.mark.parametrize("with_obstacle", [False, True])
+    def test_adjoint_gradient_matches_central_differences(self, with_obstacle):
+        from geolqr.pmp import _batched_costs, _cost_gradient, _trapezoid_weights
+
+        obstacles = (SphereObstacle(np.array([0.0, 0.1]), 0.3),) if with_obstacle else ()
+        sc = AvoidanceScenario(dimension=2, alpha=0.5, target=[1.0, 0.2],
+                               horizon=1.0, q0=[-1.0, 0.0], v0=[0.3, -0.1],
+                               obstacles=obstacles)
+        n_grid, n = 60, 2
+        ht = sc.horizon / (n_grid - 1)
+        weights = _trapezoid_weights(np.linspace(0.0, sc.horizon, n_grid))
+        rng = np.random.default_rng(66)
+        eps = 1e-6
+        n_vars = n_grid * n
+        eye = np.eye(n_vars).reshape(n_vars, n_grid, n)
+        for _ in range(3):
+            u = 0.3 * rng.standard_normal((n_grid, n))
+            costs = _batched_costs(sc, np.concatenate([u[None] + eps * eye,
+                                                       u[None] - eps * eye]), ht, weights)
+            assert np.isfinite(costs).all()
+            central = ((costs[:n_vars] - costs[n_vars:]) / (2.0 * eps)).reshape(n_grid, n)
+            adjoint = _cost_gradient(sc, u, ht, weights)
+            assert np.abs(adjoint - central).max() <= 1e-7
+
+    def test_trace_names_the_stop_reason(self):
+        sc = AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
+                               q0=[1.0], v0=[0.0])
+        out = transcription_oracle(sc, 101, max_iter=3)
+        assert out.trace == {"stop_reason": "max_iter", "grad_norm": out.residual_norm}
+        trivial = AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
+                                    q0=[0.0], v0=[0.0])
+        assert transcription_oracle(trivial, 101).trace["stop_reason"] == "grad_tol"
+        out = transcription_oracle(sc, 101)
+        assert out.trace["stop_reason"] in ("grad_tol", "plateau")
+        assert out.iterations < 5000
+
+
 class TestCostates:
     def test_zero_cost_gives_zero_costates(self):
         times = np.linspace(0.0, 1.0, 101)
@@ -433,6 +572,13 @@ class TestScenarioValidation:
             AvoidanceScenario(dimension=1, alpha=1.0, target=[2.0], horizon=1.0,
                               q0=[0.1], v0=[0.0],
                               obstacles=(SphereObstacle(np.array([0.0]), 0.5),))
+
+    def test_start_inside_obstacle_names_the_index(self):
+        obstacles = (SphereObstacle(np.array([3.0]), 0.5), SphereObstacle(np.array([0.0]), 0.5))
+        with pytest.raises(pmp.StartInsideObstacle) as err:
+            AvoidanceScenario(dimension=1, alpha=1.0, target=[2.0], horizon=1.0,
+                              q0=[0.1], v0=[0.0], obstacles=obstacles)
+        assert err.value.index == 1
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
