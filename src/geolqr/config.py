@@ -134,13 +134,27 @@ class ReferenceConfig:
     omega_coeffs: list
     r0: np.ndarray
 
-    def omega(self, t: float) -> np.ndarray:
-        return np.array([sum(c * t ** k for k, c in enumerate(axis))
-                         for axis in self.omega_coeffs])
+    def omega(self, t) -> np.ndarray:
+        """w_ref at a time, (3,), or at an array of times, (..., 3)."""
+        return _horner(self.omega_coeffs, t)
 
-    def omega_dot(self, t: float) -> np.ndarray:
-        return np.array([sum(k * c * t ** (k - 1) for k, c in enumerate(axis) if k >= 1)
-                         for axis in self.omega_coeffs])
+    def omega_dot(self, t) -> np.ndarray:
+        """Derivative of w_ref, shaped as omega(t)."""
+        return _horner([[k * c for k, c in enumerate(axis)][1:]
+                        for axis in self.omega_coeffs], t)
+
+
+def _horner(coeffs, t) -> np.ndarray:
+    """Per-axis polynomials with ascending coefficients at t (a time or an
+    array of times, evaluated all at once), stacked along a new last axis."""
+    t = np.asarray(t, dtype=float)
+    axes = []
+    for axis in coeffs:
+        acc = np.zeros_like(t)
+        for c in reversed(axis):
+            acc = acc * t + c
+        axes.append(acc)
+    return np.stack(axes, axis=-1)
 
 
 @dataclass
@@ -348,10 +362,15 @@ def parse_config(text: str) -> ScenarioConfig:
         avoidance=_parse_avoidance(obj, command, cost.alpha),
         output=_parse_output(obj),
     )
-    # The backward Riccati sweep needs at least one step of size h.
-    if (command in ("gains", "regulate", "track") and cfg.controller.gain_source == "dre"
-            and cfg.sim.t_end < cfg.sim.h):
-        raise ValidationError("sim.t_end", "must be at least sim.h for DRE gains")
+    # The backward Riccati sweep needs at least one step of size h, and a
+    # closed loop reads its samples on the simulation grid.
+    if command in ("gains", "regulate", "track") and cfg.controller.gain_source == "dre":
+        steps = cfg.sim.t_end / cfg.sim.h
+        if cfg.sim.t_end < cfg.sim.h:
+            raise ValidationError("sim.t_end", "must be at least sim.h for DRE gains")
+        if command != "gains" and abs(steps - round(steps)) > 1e-9:
+            raise ValidationError("sim.t_end",
+                                  "must be a whole number of sim.h steps for DRE gains")
     return cfg
 
 

@@ -20,22 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._float3 import cross, flat, mv
 from .errors import NumericalDivergence
 from .so3 import exp_so3
 
 OMEGA_DIVERGENCE_LIMIT = 1e6
 
 
-def _cross(a, b) -> np.ndarray:
-    return np.array([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
-
-
 class InertiaTensor:
-    """Symmetric positive definite inertia matrix with a cached inverse."""
+    """Symmetric positive definite inertia matrix with a cached inverse.
+
+    j_rows and j_inv_rows hold both matrices' entries row by row as Python
+    floats, for the per-step float kernels.
+    """
 
     def __init__(self, j):
         j = np.asarray(j, dtype=float)
@@ -47,6 +44,8 @@ class InertiaTensor:
             raise ValueError("inertia must be positive definite")
         self.j = j
         self.j_inv = np.linalg.inv(j)
+        self.j_rows = tuple(flat(j))
+        self.j_inv_rows = tuple(flat(self.j_inv))
 
     @classmethod
     def diagonal(cls, values) -> "InertiaTensor":
@@ -98,18 +97,31 @@ class TrajectoryLog:
         return self.times.shape[0]
 
 
-def euler_rhs(w, tau, j: InertiaTensor) -> np.ndarray:
-    """Angular acceleration J^-1 (J w x w) + tau."""
-    jw = j.j @ np.asarray(w, dtype=float)
-    return j.j_inv @ _cross(jw, w) + np.asarray(tau, dtype=float)
+def time_grid(h: float, t_end: float) -> np.ndarray:
+    """Sample times k h, k = 0..ceil(t_end / h), of a run of step h."""
+    return np.arange(int(math.ceil(t_end / h - 1e-9)) + 1) * h
+
+
+def euler_rhs(w, tau, j: InertiaTensor) -> tuple:
+    """Angular acceleration J^-1 (J w x w) + tau as three floats, from the
+    inertia's float rows; w and tau are 3-sequences."""
+    a0, a1, a2 = mv(j.j_inv_rows, cross(mv(j.j_rows, w), w))
+    return (a0 + tau[0], a1 + tau[1], a2 + tau[2])
 
 
 def lie_euler_step(s: RigidBodyState, tau, h: float, j: InertiaTensor) -> RigidBodyState:
-    """One explicit group-preserving step of size h > 0."""
-    w = s.w
+    """One explicit group-preserving step of size h > 0.
+
+    The velocity update is Python float arithmetic: at one 3-vector per
+    step numpy's call overhead outweighs the work. The rotation update
+    stays the numpy product of s.r and exp_so3(h w), since both factors
+    and the result are arrays.
+    """
+    w0, w1, w2 = w = flat(s.w)
+    a0, a1, a2 = euler_rhs(w, flat(tau), j)
     return RigidBodyState(
-        r=s.r @ exp_so3(np.asarray(w, dtype=float) * h),
-        w=w + h * euler_rhs(w, tau, j),
+        r=s.r @ exp_so3((w0 * h, w1 * h, w2 * h)),
+        w=np.array((w0 + h * a0, w1 + h * a1, w2 + h * a2)),
     )
 
 
@@ -134,25 +146,27 @@ def simulate(controller, init: RigidBodyState, p: SimParams) -> TrajectoryLog:
         NumericalDivergence: |w| exceeded 1e6 rad/s, or the state or a
             logged torque is not finite.
     """
-    n = int(math.ceil(p.t_end / p.h - 1e-9))
-    times = np.arange(n + 1) * p.h
+    times = time_grid(p.h, p.t_end)
+    n = len(times) - 1
     rotations = np.empty((n + 1, 3, 3))
     omegas = np.empty((n + 1, 3))
     torques = np.empty((n + 1, 3))
 
     state = RigidBodyState(np.asarray(init.r, dtype=float).copy(),
                            np.asarray(init.w, dtype=float).copy())
+    # Times and the guard are Python floats, like the step and the laws; the
+    # times are read one at a time, since a list of all would cost memory.
     for i in range(n + 1):
-        t = times[i]
+        t = times.item(i)
         tau = np.asarray(controller(t, state), dtype=float)
         rotations[i] = state.r
         omegas[i] = state.w
         torques[i] = tau
         if i < n:
             state = lie_euler_step(state, tau, p.h, p.inertia)
-            wm = state.w
+            w0, w1, w2 = state.w.tolist()
             # Written as "not <=" so that a NaN velocity fails the guard too.
-            if not wm[0] * wm[0] + wm[1] * wm[1] + wm[2] * wm[2] <= OMEGA_DIVERGENCE_LIMIT ** 2:
+            if not w0 * w0 + w1 * w1 + w2 * w2 <= OMEGA_DIVERGENCE_LIMIT ** 2:
                 raise NumericalDivergence(
                     f"|omega| exceeded {OMEGA_DIVERGENCE_LIMIT:g} rad/s or is not finite "
                     f"at t = {t + p.h:.6g}")

@@ -122,6 +122,10 @@ class AvoidanceScenario:
         for i, obs in enumerate(self.obstacles):
             if obs.value(self.q0) <= 0.0:
                 raise StartInsideObstacle(i)
+        # (center, radius^2) of each obstacle, prepared once for the array
+        # clearances and the barrier gradient that every RK4 stage calls.
+        self._spheres = tuple((np.asarray(o.center, dtype=float), o.radius ** 2)
+                              for o in self.obstacles)
 
     @property
     def tangent_dim(self) -> int:
@@ -147,8 +151,7 @@ def _sqnorm(x) -> np.ndarray:
 
 def _clearances(scenario: AvoidanceScenario, q) -> np.ndarray:
     """O_i at every row of a (..., n) array, one obstacle per leading index."""
-    return np.array([_sqnorm(q - obs.center) - obs.radius ** 2
-                     for obs in scenario.obstacles])
+    return np.array([_sqnorm(q - c) - r2 for c, r2 in scenario._spheres])
 
 
 def running_cost(scenario: AvoidanceScenario, q, v, u) -> np.ndarray:
@@ -185,10 +188,13 @@ def _barrier_grad(scenario: AvoidanceScenario, q):
     (..., n) array (0.0 without obstacles), and the points that touch an
     obstacle (some O_i <= 0): avoidance_rhs and AvoidanceLagrangian.grad_q
     raise there, a batched rollout flags the row."""
-    grad, o = 0.0, _clearances(scenario, q)
-    for obs, o_i in zip(scenario.obstacles, o):
-        grad = grad - 2.0 * (q - obs.center) / (o_i * o_i)[..., None]
-    return grad, (o <= 0.0).any(axis=0)
+    grad, contact = 0.0, False
+    for c, r2 in scenario._spheres:
+        d = q - c
+        o = _sqnorm(d) - r2
+        grad = grad - 2.0 * d / (o * o)[..., None]
+        contact = contact | (o <= 0.0)
+    return grad, contact
 
 
 def _avoidance_accel(scenario: AvoidanceScenario, q, v, u):

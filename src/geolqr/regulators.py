@@ -1,16 +1,20 @@
 """Optimal feedback laws for attitude: LQR regulation to a fixed rotation and
 PD-plus-feedforward tracking of a moving reference, with the Lyapunov and
 candidate-value diagnostics that certify them.
+
+The three torque laws run once per closed-loop step, so they read the
+state and reference arrays into Python floats, compute with _float3, and
+return one (3,) array each.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import InertiaTensor, RigidBodyState, _cross
+from ._float3 import cross, mm, mtm, mtv, mv
+from .dynamics import InertiaTensor, RigidBodyState
 from .riccati import GainPair, RiccatiSolution
 from .so3 import exp_so3, log_so3
 
@@ -34,27 +38,29 @@ class ReferenceSample:
 class TrackingReference:
     """Reference trajectory generated by integrating r' = r hat(w_ref(t)).
 
-    The rotation, velocity and acceleration are tabulated once on a uniform
-    grid, the rotation with the same explicit group-preserving update as the
-    simulator; sample(t) reads all three at the grid time nearest t.
+    omegas and omega_dots are w_ref and its derivative tabulated at the grid
+    times k h, k = 0..N, as (N + 1, 3) arrays; config.ReferenceConfig
+    evaluates its polynomial over the whole grid at once. The rotations are
+    integrated here with the simulator's explicit group-preserving update,
+    the only per-step loop, in Python floats written into the preallocated
+    table. sample(t) reads all three tables at the grid time nearest t.
     """
 
-    def __init__(self, omega_ref, omega_ref_dot, t_end: float, h: float,
-                 r0=None):
+    def __init__(self, omegas, omega_dots, h: float, r0=None):
         self.h = float(h)
-        n = int(math.ceil(t_end / h - 1e-9))
-        rots = np.empty((n + 1, 3, 3))
-        ws = np.empty((n + 1, 3))
-        wdots = np.empty((n + 1, 3))
+        self.omegas = np.asarray(omegas, dtype=float)
+        self.omega_dots = np.asarray(omega_dots, dtype=float)
+        if self.omegas.shape != self.omega_dots.shape or self.omegas.shape[1:] != (3,):
+            raise ValueError("omegas and omega_dots must be (N + 1, 3) tables")
+        rots = np.empty(self.omegas.shape[:1] + (3, 3))
         rots[0] = np.eye(3) if r0 is None else np.asarray(r0, dtype=float)
-        for i in range(n + 1):
-            ws[i] = omega_ref(i * h)
-            wdots[i] = omega_ref_dot(i * h)
-            if i < n:
-                rots[i + 1] = rots[i] @ exp_so3(ws[i] * h)
+        rows = rots.reshape(-1, 9)
+        r = rows[0].tolist()
+        # Row by row: a list of every row would cost more memory than the tables.
+        for i, w in enumerate(self.omegas[:-1], start=1):
+            x, y, z = w.tolist()
+            r = rows[i] = mm(r, exp_so3((x * h, y * h, z * h)).ravel().tolist())
         self.rotations = rots
-        self.omegas = ws
-        self.omega_dots = wdots
 
     def sample(self, t: float) -> ReferenceSample:
         """Grid sample nearest t; raises ValueError when t is off the grid."""
@@ -67,15 +73,21 @@ class TrackingReference:
 
 def regulation_torque(s: RigidBodyState, goal: RegulationGoal, g: GainPair) -> np.ndarray:
     """-kP log(r_d.T r) - kD w. Raises AngleNearPi at the cut locus."""
-    e = log_so3(goal.r_d.T @ s.r)
-    return -g.kP * e - g.kD * s.w
+    e0, e1, e2 = log_so3(mtm(goal.r_d.ravel().tolist(), s.r.ravel().tolist())).tolist()
+    w0, w1, w2 = s.w.tolist()
+    kp, kd = g.kP, g.kD
+    return np.array((-kp * e0 - kd * w0, -kp * e1 - kd * w1, -kp * e2 - kd * w2))
 
 
 def tracking_pd_torque(s: RigidBodyState, ref: ReferenceSample, g: GainPair) -> np.ndarray:
     """-kP log(r_ref.T r) - kD (w - r.T r_ref w_ref)."""
-    e = log_so3(ref.r.T @ s.r)
-    w_t = s.r.T @ (ref.r @ ref.w)
-    return -g.kP * e - g.kD * (s.w - w_t)
+    r, r_ref = s.r.ravel().tolist(), ref.r.ravel().tolist()
+    e0, e1, e2 = log_so3(mtm(r_ref, r)).tolist()
+    t0, t1, t2 = mtv(r, mv(r_ref, ref.w.tolist()))
+    w0, w1, w2 = s.w.tolist()
+    kp, kd = g.kP, g.kD
+    return np.array((-kp * e0 - kd * (w0 - t0), -kp * e1 - kd * (w1 - t1),
+                     -kp * e2 - kd * (w2 - t2)))
 
 
 def feedforward_torque(s: RigidBodyState, ref: ReferenceSample, j: InertiaTensor,
@@ -89,14 +101,18 @@ def feedforward_torque(s: RigidBodyState, ref: ReferenceSample, j: InertiaTensor
     plus, when accel_term is set, the transported reference acceleration
     r.T r_ref wdot_ref.
     """
-    rel = s.r.T @ ref.r
-    w_t = rel @ ref.w
-    w = s.w
-    tau = 0.5 * (_cross(w, w_t)
-                 - j.j_inv @ (_cross(j.j @ w_t, w) + _cross(j.j @ w, w_t)))
+    rel = mtm(s.r.ravel().tolist(), ref.r.ravel().tolist())
+    w_t = mv(rel, ref.w.tolist())
+    w = s.w.tolist()
+    c0, c1, c2 = cross(mv(j.j_rows, w_t), w)
+    d0, d1, d2 = cross(mv(j.j_rows, w), w_t)
+    m0, m1, m2 = mv(j.j_inv_rows, (c0 + d0, c1 + d1, c2 + d2))
+    x0, x1, x2 = cross(w, w_t)
+    tau = (0.5 * (x0 - m0), 0.5 * (x1 - m1), 0.5 * (x2 - m2))
     if accel_term:
-        tau = tau + rel @ ref.wdot
-    return tau
+        a0, a1, a2 = mv(rel, ref.wdot.tolist())
+        tau = (tau[0] + a0, tau[1] + a1, tau[2] + a2)
+    return np.array(tau)
 
 
 def lyapunov_value(s: RigidBodyState, goal: RegulationGoal, g: GainPair) -> float:

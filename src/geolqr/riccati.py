@@ -81,7 +81,13 @@ class GainPair:
 
 @dataclass(frozen=True)
 class GainSchedule:
-    """Riccati solution sampled on a uniform time grid, zero at the horizon."""
+    """Riccati solution sampled on a uniform time grid, zero at the horizon.
+
+    The grid is the simulation's (config requires a whole number of steps
+    for DRE runs), so solution_at reads the sample at the nearest grid index
+    instead of interpolating; a scalar lookup returns Python floats, which
+    keeps the per-step feedback laws in float arithmetic.
+    """
 
     times: np.ndarray
     k1: np.ndarray
@@ -90,10 +96,19 @@ class GainSchedule:
     alpha: float
 
     def solution_at(self, t) -> RiccatiSolution:
-        """K interpolated at t; an array of times gives arrays of entries."""
-        return RiccatiSolution(np.interp(t, self.times, self.k1),
-                               np.interp(t, self.times, self.k2),
-                               np.interp(t, self.times, self.k3))
+        """K at the grid time nearest t; an array of times gives arrays of
+        entries. Raises ValueError when t lies off the grid."""
+        n = len(self.times) - 1
+        per_step = n / self.times.item(-1)
+        if isinstance(t, np.ndarray):
+            i = np.rint(t * per_step).astype(np.intp)
+            if i.size and not (0 <= i.min() and i.max() <= n):
+                raise ValueError("a time lies outside the gain schedule's grid")
+            return RiccatiSolution(self.k1[i], self.k2[i], self.k3[i])
+        i = round(t * per_step)
+        if not 0 <= i <= n:
+            raise ValueError(f"t = {t:.6g} lies outside the gain schedule's grid")
+        return RiccatiSolution(self.k1.item(i), self.k2.item(i), self.k3.item(i))
 
     def gains_at(self, t: float) -> GainPair:
         return self.solution_at(t).gains(self.alpha)
@@ -236,12 +251,31 @@ def dre_integrate(a, b, q, rw: float, t_end: float, h: float = 1e-3) -> GainSche
     if not 0.0 < h <= t_end:
         raise ValueError(f"step must satisfy 0 < h <= {t_end}, got {h}")
     a, _, q, s = _problem(a, b, q, rw)
+    (a00, a01), (a10, a11) = a.tolist()
+    (s00, s01), (s10, s11) = s.tolist()
+    (q00, q01), (q10, q11) = q.tolist()
 
     def rate(k, theta, y):
-        """dK/ds in reversed time s = T - t, propagating only (k1, k2, k3)."""
-        kk = np.array([[y[0], y[2]], [y[2], y[1]]])
-        m = _riccati_operator(a, s, q, kk)
-        return np.array([m[0, 0], m[1, 1], 0.5 * (m[0, 1] + m[1, 0])])
+        """dK/ds in reversed time s = T - t, propagating only (k1, k2, k3).
+
+        _riccati_operator in Python floats, in numpy's summation order with
+        K S K taken as (K S) K, at a third of the time of 2x2 array
+        products. Where numpy's BLAS fuses a multiply-add the two can differ
+        in the last bit; with drift entries 0 and +-2 (the shipped configs)
+        every product is exact and the schedule is bit-identical.
+        """
+        k1, k2, k3 = y.tolist()
+        ks00, ks01 = k1 * s00 + k3 * s10, k1 * s01 + k3 * s11
+        ks10, ks11 = k3 * s00 + k2 * s10, k3 * s01 + k2 * s11
+        m00 = ((a00 * k1 + a10 * k3) + (k1 * a00 + k3 * a10)
+               - (ks00 * k1 + ks01 * k3) + q00)
+        m11 = ((a01 * k3 + a11 * k2) + (k3 * a01 + k2 * a11)
+               - (ks10 * k3 + ks11 * k2) + q11)
+        m01 = ((a00 * k3 + a10 * k2) + (k1 * a01 + k3 * a11)
+               - (ks00 * k3 + ks01 * k2) + q01)
+        m10 = ((a01 * k1 + a11 * k3) + (k3 * a00 + k2 * a10)
+               - (ks10 * k1 + ks11 * k3) + q10)
+        return np.array((m00, m11, 0.5 * (m01 + m10)))
 
     n = max(1, int(round(t_end / h)))
     times = np.linspace(0.0, t_end, n + 1)

@@ -24,14 +24,14 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import pmp, regulators, riccati, so3
 from .config import ScenarioConfig
-from .dynamics import InertiaTensor, RigidBodyState, SimParams, simulate
+from .dynamics import InertiaTensor, RigidBodyState, SimParams, simulate, time_grid
 from .errors import AngleNearPi, NumericalDivergence
 
 CSV_HEADER = ("t,r11,r12,r13,r21,r22,r23,r31,r32,r33,wx,wy,wz,"
@@ -45,7 +45,8 @@ INITIAL_DISTANCE_GUARD = math.pi - 0.1
 
 @dataclass
 class RunSummary:
-    """What a command resolved and how the run ended."""
+    """What a command resolved, how the run ended, and where its time went:
+    phases maps each phase of the run, in order, to its wall seconds."""
 
     command: str
     gains: dict | None
@@ -54,6 +55,7 @@ class RunSummary:
     min_obstacle_clearance: float | None
     iterations: dict
     wall_clock_seconds: float
+    phases: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         """One strict JSON line; a NaN or infinite field raises NumericalDivergence."""
@@ -65,6 +67,27 @@ class RunSummary:
     @classmethod
     def from_json(cls, text: str) -> "RunSummary":
         return cls(**json.loads(text))
+
+
+class _Clock:
+    """Wall time of one run: consecutive laps named by the phase that just
+    ended, so the phases add up to the run's time."""
+
+    def __init__(self):
+        self.start = self._last = time.perf_counter()
+        self.phases = {}
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.phases[phase] = now - self._last
+        self._last = now
+
+    def summary(self, command: str, **fields) -> "RunSummary":
+        """The run's summary, timed up to now."""
+        fields = {"gains": None, "final_distance": None, "final_velocity_norm": None,
+                  "min_obstacle_clearance": None, "iterations": {}, **fields}
+        return RunSummary(command=command, wall_clock_seconds=time.perf_counter() - self.start,
+                          phases=self.phases, **fields)
 
 
 def _write_rows(path: Path, header: str, columns: dict, decimation: int) -> None:
@@ -118,12 +141,10 @@ def _guard_initial_distance(r_from, r0, what: str) -> None:
 
 
 def run_gains(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
-    start = time.perf_counter()
+    clock = _Clock()
     _, gains = _resolve_gain_setup(cfg)
-    return RunSummary(
-        command="gains", gains=gains, final_distance=None,
-        final_velocity_norm=None, min_obstacle_clearance=None,
-        iterations={}, wall_clock_seconds=time.perf_counter() - start)
+    clock.lap("gain_solve")
+    return clock.summary("gains", gains=gains)
 
 
 def _attitude_errors(r_from, rotations) -> np.ndarray:
@@ -140,30 +161,32 @@ def _dots(a, b) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None]).ravel()
 
 
-def _run_closed_loop(cfg: ScenarioConfig, out_dir: Path, start: float,
+def _run_closed_loop(cfg: ScenarioConfig, out_dir: Path, clock: _Clock,
                      gain_summary: dict, controller, channels) -> RunSummary:
     """Simulate from the configured initial state, compute channels(log) (a
     dict with at least "dist") from the log, write the trajectory CSV and
     summarise."""
     log = simulate(controller, RigidBodyState(cfg.initial.rotation, cfg.initial.omega),
                    SimParams(cfg.sim.h, cfg.sim.t_end, cfg.inertia))
+    clock.lap("simulate")
+    derived = channels(log)
+    clock.lap("channels")
     columns = {"t": log.times, **_block_columns(_NAMES[1:10], log.rotations),
                **_block_columns(_NAMES[10:13], log.omegas),
-               **_block_columns(_NAMES[13:16], log.torques), **channels(log)}
+               **_block_columns(_NAMES[13:16], log.torques), **derived}
     _write_rows(out_dir / "trajectory.csv", CSV_HEADER, columns, cfg.output.decimation)
-    return RunSummary(
-        command=cfg.command, gains=gain_summary,
-        final_distance=float(columns["dist"][-1]),
-        final_velocity_norm=float(np.linalg.norm(log.omegas[-1])),
-        min_obstacle_clearance=None, iterations={},
-        wall_clock_seconds=time.perf_counter() - start)
+    clock.lap("csv_write")
+    return clock.summary(cfg.command, gains=gain_summary,
+                         final_distance=float(derived["dist"][-1]),
+                         final_velocity_norm=float(np.linalg.norm(log.omegas[-1])))
 
 
 def run_regulate(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
-    start = time.perf_counter()
+    clock = _Clock()
     goal = regulators.RegulationGoal(cfg.goal.rotation)
     _guard_initial_distance(goal.r_d, cfg.initial.rotation, "goal")
     solution_at, gain_summary = _resolve_gain_setup(cfg)
+    clock.lap("gain_solve")
     alpha = cfg.cost.alpha
 
     def controller(t, s):
@@ -182,18 +205,21 @@ def run_regulate(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
             "value": k.k1 * 0.5 * d2 + 0.5 * k.k2 * w2 + k.k3 * _dots(e, log.omegas),
         }
 
-    return _run_closed_loop(cfg, out_dir, start, gain_summary, controller, channels)
+    return _run_closed_loop(cfg, out_dir, clock, gain_summary, controller, channels)
 
 
 def run_track(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
-    start = time.perf_counter()
+    clock = _Clock()
     solution_at, gain_summary = _resolve_gain_setup(cfg)
+    clock.lap("gain_solve")
     alpha = cfg.cost.alpha
     accel_term = cfg.controller.feedforward_accel_term
-    ref = regulators.TrackingReference(cfg.reference.omega, cfg.reference.omega_dot,
-                                       t_end=cfg.sim.t_end, h=cfg.sim.h,
+    times = time_grid(cfg.sim.h, cfg.sim.t_end)
+    ref = regulators.TrackingReference(cfg.reference.omega(times),
+                                       cfg.reference.omega_dot(times), cfg.sim.h,
                                        r0=cfg.reference.r0)
     _guard_initial_distance(ref.rotations[0], cfg.initial.rotation, "reference")
+    clock.lap("reference_build")
 
     def controller(t, s):
         sample = ref.sample(t)
@@ -205,13 +231,14 @@ def run_track(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
         e2 = _attitude_errors(ref.rotations, log.rotations) ** 2
         return {"dist": np.sqrt(e2[:, 0] + e2[:, 1] + e2[:, 2])}
 
-    return _run_closed_loop(cfg, out_dir, start, gain_summary, controller, channels)
+    return _run_closed_loop(cfg, out_dir, clock, gain_summary, controller, channels)
 
 
 def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
-    start = time.perf_counter()
+    clock = _Clock()
     scenario = cfg.avoidance
     solution = pmp.shooting_solve(scenario, h=cfg.sim.h)
+    clock.lap("shoot")
     lagrangian = pmp.AvoidanceLagrangian(scenario)
     n = scenario.dimension
     costates = pmp.costate_integrate(solution.times, solution.q, solution.v,
@@ -221,6 +248,7 @@ def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     clearance = None
     if scenario.obstacles:
         clearance = float(pmp._clearances(scenario, solution.q).min())
+    clock.lap("costates")
 
     _write_rows(out_dir / "trajectory.csv", CSV_HEADER,
                 {"t": solution.times, **_block_columns(_NAMES[10:13], solution.v),
@@ -232,19 +260,17 @@ def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
                 {"t": solution.times,
                  **_block_columns(path_names, np.hstack([solution.q, solution.v, solution.u]))},
                 cfg.output.decimation)
-    return RunSummary(
-        command="avoid", gains=None,
-        final_distance=float(dist[-1]),
-        final_velocity_norm=float(np.linalg.norm(solution.v[-1])),
-        min_obstacle_clearance=clearance,
-        iterations={"newton": solution.iterations,
-                    "residuals": solution.trace["residuals"]},
-        wall_clock_seconds=time.perf_counter() - start)
+    clock.lap("csv_write")
+    return clock.summary("avoid", final_distance=float(dist[-1]),
+                         final_velocity_norm=float(np.linalg.norm(solution.v[-1])),
+                         min_obstacle_clearance=clearance,
+                         iterations={"newton": solution.iterations,
+                                     "residuals": solution.trace["residuals"]})
 
 
 def run_check(cfg: ScenarioConfig, out_dir: Path):
     """Built-in invariant suite. Returns (summary, ok, lines)."""
-    start = time.perf_counter()
+    clock = _Clock()
     rng = np.random.default_rng(2024)
     lines = []
     failures = 0
@@ -362,11 +388,8 @@ def run_check(cfg: ScenarioConfig, out_dir: Path):
                                - np.linalg.norm(wv)))
     check("velocity transport isometry (1e-12)", worst <= 1e-12, f"worst {worst:.2e}")
 
-    summary = RunSummary(
-        command="check", gains=None, final_distance=None,
-        final_velocity_norm=None, min_obstacle_clearance=None,
-        iterations={"checks": len(lines), "failures": failures},
-        wall_clock_seconds=time.perf_counter() - start)
+    clock.lap("checks")
+    summary = clock.summary("check", iterations={"checks": len(lines), "failures": failures})
     return summary, failures == 0, lines
 
 

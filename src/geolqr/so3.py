@@ -95,7 +95,9 @@ def log_so3(r) -> np.ndarray:
     """Axis-angle logarithm of a rotation matrix.
 
     Args:
-        r: (3, 3) rotation matrix with tr(r) > -1 + TRACE_GUARD.
+        r: (3, 3) rotation matrix with tr(r) > -1 + TRACE_GUARD, or its nine
+            entries row by row as a flat sequence of floats (the form the
+            float kernels of the closed loop produce).
 
     Returns:
         (3,) vector whose norm is the rotation angle, in [0, pi).
@@ -106,8 +108,8 @@ def log_so3(r) -> np.ndarray:
     """
     # Python floats: the same IEEE arithmetic as numpy scalars, several
     # times cheaper per operation.
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = \
-        np.asarray(r, dtype=float).tolist()
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = (
+        r if len(r) == 9 else np.asarray(r, dtype=float).ravel().tolist())
     tr = r00 + r11 + r22
     if tr + 1.0 <= TRACE_GUARD:
         raise AngleNearPi(

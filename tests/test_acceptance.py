@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from geolqr.dynamics import InertiaTensor, RigidBodyState, SimParams, simulate
+from geolqr.dynamics import InertiaTensor, RigidBodyState, SimParams, simulate, time_grid
 from geolqr.pmp import (
     AvoidanceLagrangian,
     AvoidanceScenario,
@@ -141,10 +141,11 @@ def test_criterion_04_regulation_convergence():
 def test_criterion_05_tracking_convergence():
     sol = are_solve(drift_matrix("published-tracking", -2.0), B, Q2, 1.0)
     gains = gains_from_K(sol, CostParams(alpha=1.0))
-    omega_ref = lambda t: np.array([0.5 * t, 0.3 * t, 0.4 * t])
-    omega_ref_dot = lambda t: np.array([0.5, 0.3, 0.4])
+    # w_ref(t) = c t tabulated on the simulation grid.
+    c = np.array([0.5, 0.3, 0.4])
     start = time.perf_counter()
-    ref = TrackingReference(omega_ref, omega_ref_dot, t_end=50.0, h=1e-3)
+    times = time_grid(1e-3, 50.0)
+    ref = TrackingReference(np.outer(times, c), np.tile(c, (len(times), 1)), h=1e-3)
     axis = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
     init = RigidBodyState(ref.rotations[0] @ exp_so3(0.5 * axis), np.zeros(3))
 

@@ -265,6 +265,19 @@ class TestDreGainSource:
         if code == 2:
             assert json.loads(capsys.readouterr().err.strip())["path"] == "sim.t_end"
 
+    @pytest.mark.parametrize("command, code", [("gains", 0), ("regulate", 2), ("track", 2)])
+    def test_horizon_off_the_step_grid(self, tmp_path, capsys, command, code):
+        # A closed loop reads K on the simulation grid, so the horizon must
+        # be a whole number of steps; the gains command reads only K(0).
+        cfg = write_config(tmp_path, {
+            "command": command,
+            "sim": {"h": 0.001, "t_end": 0.0503},
+            "controller": {"gain_source": "dre"},
+        })
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == code
+        if code == 2:
+            assert json.loads(capsys.readouterr().err.strip())["path"] == "sim.t_end"
+
     def test_csv_channels_recomputed_from_rows(self, tmp_path):
         # Every row's dist, lyap and value follow from that row's R, w and
         # the schedule's K(t) alone.
@@ -443,6 +456,21 @@ class TestShippedConfigs:
         assert iterations["residuals"][-1] <= 1e-6
         summary = RunSummary.from_json(line)
         assert summary.iterations == iterations
+        assert summary.to_json() == line
+
+    @pytest.mark.parametrize("command, phases", [
+        ("track", ["gain_solve", "reference_build", "simulate", "channels", "csv_write"]),
+        ("avoid", ["shoot", "costates", "csv_write"]),
+    ])
+    def test_phases_add_up_to_the_wall_clock(self, tmp_path, capsys, command, phases):
+        config = self._config_dir() / f"{command}.json"
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        summary = RunSummary.from_json(line)
+        assert list(summary.phases) == phases
+        assert all(seconds >= 0.0 for seconds in summary.phases.values())
+        total = sum(summary.phases.values())
+        assert abs(total - summary.wall_clock_seconds) <= 0.05 * summary.wall_clock_seconds
         assert summary.to_json() == line
 
     def test_shipped_gain_tables_reproduce(self, capsys):

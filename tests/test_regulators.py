@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from geolqr.dynamics import InertiaTensor, RigidBodyState, SimParams, simulate
+from geolqr.dynamics import InertiaTensor, RigidBodyState, SimParams, simulate, time_grid
 from geolqr.errors import AngleNearPi
 from geolqr.regulators import (
     ReferenceSample,
@@ -32,6 +32,13 @@ J123 = InertiaTensor.diagonal([1.0, 2.0, 3.0])
 JSPH = InertiaTensor.diagonal([1.0, 1.0, 1.0])
 B = np.array([[0.0], [1.0]])
 Q2 = np.eye(2)
+
+
+def tabulated_reference(omega, omega_dot, t_end, h):
+    """TrackingReference of callables tabulated on the simulation grid."""
+    times = time_grid(h, t_end)
+    return TrackingReference(np.array([omega(t) for t in times]),
+                             np.array([omega_dot(t) for t in times]), h)
 
 
 def published_regulation_gains():
@@ -152,7 +159,7 @@ class TestFeedforwardTorque:
         g, _ = published_tracking_gains()
         om = lambda t: np.array([0.5 * t, 0.3 * t, 0.4 * t])
         omdot = lambda t: np.array([0.5, 0.3, 0.4])
-        ref = TrackingReference(om, omdot, t_end=5.0, h=1e-3)
+        ref = tabulated_reference(om, omdot, t_end=5.0, h=1e-3)
 
         def ctrl(t, s):
             sample = ref.sample(t)
@@ -171,7 +178,7 @@ class TestFeedforwardTorque:
         g, _ = published_tracking_gains()
         om = lambda t: np.array([0.5 * t, 0.3 * t, 0.4 * t])
         omdot = lambda t: np.array([0.5, 0.3, 0.4])
-        ref = TrackingReference(om, omdot, t_end=12.0, h=1e-3)
+        ref = tabulated_reference(om, omdot, t_end=12.0, h=1e-3)
 
         def ctrl(t, s):
             sample = ref.sample(t)
@@ -270,7 +277,7 @@ class TestTrackingReference:
     def test_rotations_stay_on_group(self):
         om = lambda t: np.array([0.5 * t, 0.3 * t, 0.4 * t])
         omdot = lambda t: np.array([0.5, 0.3, 0.4])
-        ref = TrackingReference(om, omdot, t_end=2.0, h=1e-3)
+        ref = tabulated_reference(om, omdot, t_end=2.0, h=1e-3)
         from geolqr.so3 import orthogonality_defect
         for i in range(0, len(ref.rotations), 250):
             assert orthogonality_defect(ref.rotations[i]) <= 1e-11
@@ -278,7 +285,7 @@ class TestTrackingReference:
     def test_sample_returns_grid_rotation(self):
         om = lambda t: np.array([1.0, 0.0, 0.0])
         omdot = lambda t: np.zeros(3)
-        ref = TrackingReference(om, omdot, t_end=1.0, h=1e-3)
+        ref = tabulated_reference(om, omdot, t_end=1.0, h=1e-3)
         sample = ref.sample(0.5)
         assert np.array_equal(sample.r, ref.rotations[500])
         assert np.array_equal(sample.w, [1.0, 0.0, 0.0])
@@ -288,7 +295,7 @@ class TestTrackingReference:
         om = lambda t: c * t
         omdot = lambda t: c
         h = 1e-3
-        ref = TrackingReference(om, omdot, t_end=1.0, h=h)
+        ref = tabulated_reference(om, omdot, t_end=1.0, h=h)
         for k in (0, 1, 137, 500, 1000):
             sample = ref.sample(k * h)
             assert np.array_equal(sample.r, ref.rotations[k])
@@ -301,8 +308,8 @@ class TestTrackingReference:
                 assert np.array_equal(near.wdot, omdot(k * h))
 
     def test_sample_off_grid_raises(self):
-        ref = TrackingReference(lambda t: np.array([1.0, 0.0, 0.0]),
-                                lambda t: np.zeros(3), t_end=1.0, h=1e-3)
+        ref = tabulated_reference(lambda t: np.array([1.0, 0.0, 0.0]),
+                                  lambda t: np.zeros(3), t_end=1.0, h=1e-3)
         assert np.array_equal(ref.sample(1.0).r, ref.rotations[-1])
         with pytest.raises(ValueError):
             ref.sample(5.0)

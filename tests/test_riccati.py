@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from geolqr.dynamics import time_grid
 from geolqr.errors import NoStabilizingSolution, NotControllable, StepTooLarge
 from geolqr.riccati import (
     CostParams,
@@ -220,3 +221,49 @@ def test_cost_params_validation():
         CostParams(alpha=0.0)
     with pytest.raises(ValueError):
         CostParams(alpha=1.0, q_weights=np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+class TestIndexedSchedule:
+    """solution_at reads the sample at the nearest grid index; on the
+    simulation grid that is what np.interp returned."""
+
+    @staticmethod
+    def schedule(t_end, h):
+        return dre_integrate(drift_matrix("published-tracking", -2.0), B, Q2, 1.0,
+                             t_end=t_end, h=h)
+
+    @pytest.mark.parametrize("t_end, h, same_grid", [
+        (20.0, 1e-3, True), (0.7, 1e-3, False), (2.3, 1e-3, False)])
+    def test_same_bits_as_interpolation_at_simulation_times(self, t_end, h, same_grid):
+        sched = self.schedule(t_end, h)
+        times = time_grid(h, t_end)
+        # False: linspace and arange * h differ in the last bit at t_end.
+        assert np.array_equal(times, sched.times) == same_grid
+        k = sched.solution_at(times)
+        for got, samples in ((k.k1, sched.k1), (k.k2, sched.k2), (k.k3, sched.k3)):
+            assert np.array_equal(got, np.interp(times, sched.times, samples))
+        for i in (0, 1, len(times) // 2, len(times) - 1):
+            sol = sched.solution_at(times.item(i))
+            assert type(sol.k2) is float
+            assert (sol.k1, sol.k2, sol.k3) == (k.k1[i], k.k2[i], k.k3[i])
+
+    def test_reads_samples_where_interpolation_drifts(self):
+        # With h = 3e-3, arange * h and linspace differ in the last bit at
+        # most interior times, so np.interp leaned on a neighbour there.
+        sched = self.schedule(3.3, 3e-3)
+        times = time_grid(3e-3, 3.3)
+        assert (times != sched.times).sum() > 900
+        assert np.array_equal(sched.solution_at(times).k2, sched.k2)
+        interp = np.interp(times, sched.times, sched.k2)
+        assert not np.array_equal(interp, sched.k2)
+        assert np.abs(interp - sched.k2).max() <= 1e-14 * np.abs(sched.k2).max()
+
+    def test_rejects_times_off_the_grid(self):
+        sched = self.schedule(1.0, 1e-3)
+        assert sched.solution_at(1.0).k1 == 0.0
+        assert sched.solution_at(1.0004).k1 == 0.0
+        for t in (-0.01, 1.01, 5.0):
+            with pytest.raises(ValueError):
+                sched.solution_at(t)
+        with pytest.raises(ValueError):
+            sched.solution_at(np.array([0.0, 0.5, 1.01]))
