@@ -50,14 +50,6 @@ def mv(a, v) -> tuple:
             a6 * x + a7 * y + a8 * z)
 
 
-def mtv(a, v) -> tuple:
-    """a.T @ v."""
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    x, y, z = v
-    return (a0 * x + a3 * y + a6 * z, a1 * x + a4 * y + a7 * z,
-            a2 * x + a5 * y + a8 * z)
-
-
 def cross(a, b) -> tuple:
     """a x b."""
     a0, a1, a2 = a

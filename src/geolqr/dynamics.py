@@ -112,13 +112,13 @@ def euler_rhs(w, tau, j: InertiaTensor) -> tuple:
 def lie_euler_step(s: RigidBodyState, tau, h: float, j: InertiaTensor) -> RigidBodyState:
     """One explicit group-preserving step of size h > 0.
 
-    The velocity update is Python float arithmetic: at one 3-vector per
-    step numpy's call overhead outweighs the work. The rotation update
-    stays the numpy product of s.r and exp_so3(h w), since both factors
-    and the result are arrays.
+    s.w and tau are (3,) float arrays. The velocity update is Python float
+    arithmetic: at one 3-vector per step numpy's call overhead outweighs the
+    work. The rotation update stays the numpy product of s.r and
+    exp_so3(h w), since both factors and the result are arrays.
     """
-    w0, w1, w2 = w = flat(s.w)
-    a0, a1, a2 = euler_rhs(w, flat(tau), j)
+    w0, w1, w2 = w = s.w.tolist()
+    a0, a1, a2 = euler_rhs(w, tau.tolist(), j)
     return RigidBodyState(
         r=s.r @ exp_so3((w0 * h, w1 * h, w2 * h)),
         w=np.array((w0 + h * a0, w1 + h * a1, w2 + h * a2)),

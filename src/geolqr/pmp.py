@@ -142,11 +142,17 @@ def _grad_goal_potential(scenario: AvoidanceScenario, q) -> np.ndarray:
     return g.reshape(q.shape[:-2] + (3,))
 
 
+def _dots(a, b) -> np.ndarray:
+    """Row-wise dot products along the last axis, rounded as the dot product
+    a @ b of one row: a batched matmul gives the per-row bits."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _sqnorm(x) -> np.ndarray:
     """Squared Euclidean norm along the last axis, rounded as the dot
     product x @ x of one row (as in SphereObstacle.value)."""
     x = np.asarray(x, dtype=float)
-    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+    return _dots(x, x)
 
 
 def _clearances(scenario: AvoidanceScenario, q) -> np.ndarray:
@@ -549,13 +555,15 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
 
 
 class AvoidanceLagrangian:
-    """Running cost U + |v|^2/2 + (alpha/2)|u|^2 + V and its gradients."""
+    """Running cost U + |v|^2/2 + (alpha/2)|u|^2 + V and its gradients, at
+    one point or at every row of (N, n) arrays (q as rotations on the
+    group)."""
 
     def __init__(self, scenario: AvoidanceScenario):
         self.scenario = scenario
 
-    def value(self, q, v, u) -> float:
-        return float(running_cost(self.scenario, q, v, u))
+    def value(self, q, v, u) -> np.ndarray:
+        return running_cost(self.scenario, q, v, u)
 
     def grad_q(self, q, v, u) -> np.ndarray:
         barrier, contact = _barrier_grad(self.scenario, q)
@@ -568,14 +576,14 @@ class AvoidanceLagrangian:
 
 
 class ControlEffortLagrangian:
-    """Running cost (alpha/2)|u|^2 of the terminal-cost regulation mode."""
+    """Running cost (alpha/2)|u|^2 of the terminal-cost regulation mode, at
+    one point or at every row of (N, n) arrays."""
 
     def __init__(self, alpha: float):
         self.alpha = alpha
 
-    def value(self, q, v, u) -> float:
-        u = np.asarray(u, dtype=float)
-        return 0.5 * self.alpha * float(u @ u)
+    def value(self, q, v, u) -> np.ndarray:
+        return 0.5 * self.alpha * _sqnorm(u)
 
     def grad_q(self, q, v, u) -> np.ndarray:
         return np.zeros_like(np.asarray(v, dtype=float))
@@ -613,16 +621,35 @@ def costate_integrate(times, q, v, u, lagrangian, terminal,
     from p(T) = terminal, recording H = <p1, v> + <p2, u> + L at each grid
     point. Half-step values of (q, v, u) come from linear interpolation, so
     the sweep is globally second order on the stored grid.
+
+    The lagrangian's value, grad_q and grad_v take (N, n) arrays (q as
+    (N, 3, 3) rotations on the group); results broadcast against the rows.
+    Both gradients are evaluated before the sweep, once at the grid samples
+    and once at the interval midpoints, so an RK4 stage reads one row and
+    only the curvature terms, which need the stage's costate, stay per
+    stage.
     """
     times = np.asarray(times, dtype=float)
     # The sweep runs over the reversed grid, so interval k joins samples k
     # and k + 1 of the reversed arrays.
     qr, vr, ur = q[::-1], v[::-1], u[::-1]
 
+    def forcing(qs, vs, us):
+        shape = vs.shape
+        return (vs, np.broadcast_to(lagrangian.grad_q(qs, vs, us), shape),
+                np.broadcast_to(lagrangian.grad_v(qs, vs, us), shape))
+
+    at_samples = forcing(qr, vr, ur)
+    at_mids = forcing(*(0.5 * (x[:-1] + x[1:]) for x in (qr, vr, ur)))
+
     def rate(k, theta, p):
-        qk, vk, uk = _at(qr, k, theta), _at(vr, k, theta), _at(ur, k, theta)
-        d1 = -curvature(manifold, vk, p[1], vk) - lagrangian.grad_q(qk, vk, uk)
-        d2 = -p[0] - lagrangian.grad_v(qk, vk, uk)
+        if theta == 0.5:
+            vk, gq, gv = (x[k] for x in at_mids)
+        else:
+            i = k + int(theta)
+            vk, gq, gv = (x[i] for x in at_samples)
+        d1 = -curvature(manifold, vk, p[1], vk) - gq
+        d2 = -p[0] - gv
         if manifold == "so3-biinvariant":
             d1 = d1 - 0.5 * np.cross(vk, p[0])
             d2 = d2 - 0.5 * np.cross(vk, p[1])
@@ -630,10 +657,7 @@ def costate_integrate(times, q, v, u, lagrangian, terminal,
 
     ps = rk4(rate, np.array(terminal, dtype=float), times[::-1])[::-1]
     p1, p2 = ps[:, 0], ps[:, 1]
-    ham = np.empty(times.shape[0])
-    for k in range(times.shape[0]):
-        ham[k] = (float(p1[k] @ v[k]) + float(p2[k] @ u[k])
-                  + lagrangian.value(q[k], v[k], u[k]))
+    ham = _dots(p1, v) + _dots(p2, u) + lagrangian.value(q, v, u)
     return CostateTrajectory(times, p1, p2, ham)
 
 

@@ -2,9 +2,11 @@
 PD-plus-feedforward tracking of a moving reference, with the Lyapunov and
 candidate-value diagnostics that certify them.
 
-The three torque laws run once per closed-loop step, so they read the
-state and reference arrays into Python floats, compute with _float3, and
-return one (3,) array each.
+The feedback laws run once per closed-loop step, so they read the state
+and reference arrays into Python floats, compute with _float3, and return
+one (3,) array. Regulation makes one regulation_torque call per step and
+tracking one tracking_torque call, whose PD and feedforward terms come from
+the same float kernel as tracking_pd_torque and feedforward_torque.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._float3 import cross, mm, mtm, mtv, mv
+from ._float3 import cross, mm, mtm, mv
 from .dynamics import InertiaTensor, RigidBodyState
 from .riccati import GainPair, RiccatiSolution
 from .so3 import exp_so3, log_so3
@@ -79,15 +81,50 @@ def regulation_torque(s: RigidBodyState, goal: RegulationGoal, g: GainPair) -> n
     return np.array((-kp * e0 - kd * w0, -kp * e1 - kd * w1, -kp * e2 - kd * w2))
 
 
+def _tracking_terms(s: RigidBodyState, ref: ReferenceSample, g: GainPair | None,
+                    j: InertiaTensor | None, accel_term: bool) -> tuple:
+    """The tracking law's PD and feedforward terms as float triples, from one
+    reading of the state and the sample; a term whose gains g or inertia j
+    is None comes back as None.
+
+    Both terms share rel = r.T r_ref and the transported reference velocity
+    w_t = rel w_ref. The attitude error log(r_ref.T r) is -log(rel) exactly,
+    since transposing negates the skew part and keeps the trace, so the PD
+    term is kP log(rel) - kD (w - w_t).
+    """
+    rel = mtm(s.r.ravel().tolist(), ref.r.ravel().tolist())
+    t0, t1, t2 = w_t = mv(rel, ref.w.tolist())
+    w0, w1, w2 = w = s.w.tolist()
+    pd = ff = None
+    if g is not None:
+        e0, e1, e2 = log_so3(rel).tolist()
+        kp, kd = g.kP, g.kD
+        pd = (kp * e0 - kd * (w0 - t0), kp * e1 - kd * (w1 - t1),
+              kp * e2 - kd * (w2 - t2))
+    if j is not None:
+        c0, c1, c2 = cross(mv(j.j_rows, w_t), w)
+        d0, d1, d2 = cross(mv(j.j_rows, w), w_t)
+        m0, m1, m2 = mv(j.j_inv_rows, (c0 + d0, c1 + d1, c2 + d2))
+        x0, x1, x2 = cross(w, w_t)
+        ff = (0.5 * (x0 - m0), 0.5 * (x1 - m1), 0.5 * (x2 - m2))
+        if accel_term:
+            a0, a1, a2 = mv(rel, ref.wdot.tolist())
+            ff = (ff[0] + a0, ff[1] + a1, ff[2] + a2)
+    return pd, ff
+
+
+def tracking_torque(s: RigidBodyState, sample: ReferenceSample, g: GainPair,
+                    j: InertiaTensor, accel_term: bool = False) -> np.ndarray:
+    """The whole tracking law, tracking_pd_torque + feedforward_torque, in one
+    float pass: the closed loop's one call per step. Raises AngleNearPi at
+    the cut locus."""
+    (p0, p1, p2), (f0, f1, f2) = _tracking_terms(s, sample, g, j, accel_term)
+    return np.array((p0 + f0, p1 + f1, p2 + f2))
+
+
 def tracking_pd_torque(s: RigidBodyState, ref: ReferenceSample, g: GainPair) -> np.ndarray:
     """-kP log(r_ref.T r) - kD (w - r.T r_ref w_ref)."""
-    r, r_ref = s.r.ravel().tolist(), ref.r.ravel().tolist()
-    e0, e1, e2 = log_so3(mtm(r_ref, r)).tolist()
-    t0, t1, t2 = mtv(r, mv(r_ref, ref.w.tolist()))
-    w0, w1, w2 = s.w.tolist()
-    kp, kd = g.kP, g.kD
-    return np.array((-kp * e0 - kd * (w0 - t0), -kp * e1 - kd * (w1 - t1),
-                     -kp * e2 - kd * (w2 - t2)))
+    return np.array(_tracking_terms(s, ref, g, None, False)[0])
 
 
 def feedforward_torque(s: RigidBodyState, ref: ReferenceSample, j: InertiaTensor,
@@ -101,18 +138,7 @@ def feedforward_torque(s: RigidBodyState, ref: ReferenceSample, j: InertiaTensor
     plus, when accel_term is set, the transported reference acceleration
     r.T r_ref wdot_ref.
     """
-    rel = mtm(s.r.ravel().tolist(), ref.r.ravel().tolist())
-    w_t = mv(rel, ref.w.tolist())
-    w = s.w.tolist()
-    c0, c1, c2 = cross(mv(j.j_rows, w_t), w)
-    d0, d1, d2 = cross(mv(j.j_rows, w), w_t)
-    m0, m1, m2 = mv(j.j_inv_rows, (c0 + d0, c1 + d1, c2 + d2))
-    x0, x1, x2 = cross(w, w_t)
-    tau = (0.5 * (x0 - m0), 0.5 * (x1 - m1), 0.5 * (x2 - m2))
-    if accel_term:
-        a0, a1, a2 = mv(rel, ref.wdot.tolist())
-        tau = (tau[0] + a0, tau[1] + a1, tau[2] + a2)
-    return np.array(tau)
+    return np.array(_tracking_terms(s, ref, None, j, accel_term)[1])
 
 
 def lyapunov_value(s: RigidBodyState, goal: RegulationGoal, g: GainPair) -> float:

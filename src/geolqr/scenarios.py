@@ -1,11 +1,12 @@
 """Scenario execution: resolve gains, run the closed loop or the
 boundary-value solver, write the trajectory CSV, and build the run summary.
 
-The closed loop only logs (`dynamics.simulate`); the dist, lyap and value
-channels are then computed from the logged arrays in one pass: one log_so3
-per logged rotation, the reference rotations read from the reference table
-on the same grid, and K(t) from one Riccati-solution lookup over all logged
-times.
+The closed loop only logs (`dynamics.simulate`) and makes one feedback-law
+call per step, with ARE gains built once before the loop. The dist, lyap
+and value channels are then computed from the logged arrays: the attitude
+errors in one chunked array pass (`so3.attitude_errors`) against the goal
+or the reference table on the same grid, and K(t) from one
+Riccati-solution lookup over all logged times.
 
 Trajectory CSV column contract, in order:
 
@@ -114,21 +115,31 @@ def _block_columns(names, block) -> dict:
 
 def _resolve_gain_setup(cfg: ScenarioConfig):
     """Riccati solution lookup t -> RiccatiSolution (ARE: constant; DRE: the
-    backward sweep on the simulation grid) and the gain summary at t = 0."""
+    backward sweep on the simulation grid), feedback gains lookup t ->
+    GainPair (ARE: one pair built here; DRE: one schedule lookup per call)
+    and the gain summary at t = 0."""
     a = riccati.drift_matrix(cfg.controller.a_matrix_mode, cfg.cost.gamma)
     b = riccati.B_CANONICAL
+    alpha = cfg.cost.alpha
     if cfg.controller.gain_source == "are":
-        sol = riccati.are_solve(a, b, cfg.cost.q_weights, cfg.cost.alpha)
+        sol = riccati.are_solve(a, b, cfg.cost.q_weights, alpha)
+        g = sol.gains(alpha)
 
         def solution_at(t):
             return sol
+
+        def gains_at(t):
+            return g
     else:
-        schedule = riccati.dre_integrate(a, b, cfg.cost.q_weights, cfg.cost.alpha,
+        schedule = riccati.dre_integrate(a, b, cfg.cost.q_weights, alpha,
                                          t_end=cfg.sim.t_end, h=cfg.sim.h)
         solution_at = schedule.solution_at
-    g0 = solution_at(0.0).gains(cfg.cost.alpha)
+
+        def gains_at(t):
+            return solution_at(t).gains(alpha)
+    g0 = gains_at(0.0)
     summary = {"source": cfg.controller.gain_source, "kP": g0.kP, "kD": g0.kD}
-    return solution_at, summary
+    return solution_at, gains_at, summary
 
 
 def _guard_initial_distance(r_from, r0, what: str) -> None:
@@ -142,23 +153,9 @@ def _guard_initial_distance(r_from, r0, what: str) -> None:
 
 def run_gains(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     clock = _Clock()
-    _, gains = _resolve_gain_setup(cfg)
+    _, _, gains = _resolve_gain_setup(cfg)
     clock.lap("gain_solve")
     return clock.summary("gains", gains=gains)
-
-
-def _attitude_errors(r_from, rotations) -> np.ndarray:
-    """log(r_from[i].T rotations[i]) for every logged sample, as (N, 3)."""
-    e = np.empty((len(rotations), 3))
-    for i, (r0, r) in enumerate(zip(r_from, rotations)):
-        e[i] = so3.log_so3(r0.T @ r)
-    return e
-
-
-def _dots(a, b) -> np.ndarray:
-    """Row-wise a[i] @ b[i]. A batched matmul gives the same bits as the
-    per-row product, where an elementwise sum need not."""
-    return (a[:, None, :] @ b[:, :, None]).ravel()
 
 
 def _run_closed_loop(cfg: ScenarioConfig, out_dir: Path, clock: _Clock,
@@ -185,24 +182,25 @@ def run_regulate(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     clock = _Clock()
     goal = regulators.RegulationGoal(cfg.goal.rotation)
     _guard_initial_distance(goal.r_d, cfg.initial.rotation, "goal")
-    solution_at, gain_summary = _resolve_gain_setup(cfg)
+    solution_at, gains_at, gain_summary = _resolve_gain_setup(cfg)
     clock.lap("gain_solve")
     alpha = cfg.cost.alpha
 
     def controller(t, s):
-        return regulators.regulation_torque(s, goal, solution_at(t).gains(alpha))
+        return regulators.regulation_torque(s, goal, gains_at(t))
 
     def channels(log):
-        # The Lyapunov and value formulas are written out so that one log_so3
-        # per sample serves all three channels.
+        # The Lyapunov and value formulas are written out so that one attitude
+        # error per sample serves all three channels.
         k = solution_at(log.times)
-        e = _attitude_errors(np.broadcast_to(goal.r_d, log.rotations.shape), log.rotations)
-        d2 = _dots(e, e)
-        w2 = _dots(log.omegas, log.omegas)
+        e = so3.attitude_errors(np.broadcast_to(goal.r_d, log.rotations.shape),
+                                log.rotations)
+        d2 = pmp._dots(e, e)
+        w2 = pmp._dots(log.omegas, log.omegas)
         return {
             "dist": np.sqrt(d2),
             "lyap": k.gains(alpha).kP * 0.5 * d2 + 0.5 * w2,
-            "value": k.k1 * 0.5 * d2 + 0.5 * k.k2 * w2 + k.k3 * _dots(e, log.omegas),
+            "value": k.k1 * 0.5 * d2 + 0.5 * k.k2 * w2 + k.k3 * pmp._dots(e, log.omegas),
         }
 
     return _run_closed_loop(cfg, out_dir, clock, gain_summary, controller, channels)
@@ -210,9 +208,8 @@ def run_regulate(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
 
 def run_track(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     clock = _Clock()
-    solution_at, gain_summary = _resolve_gain_setup(cfg)
+    _, gains_at, gain_summary = _resolve_gain_setup(cfg)
     clock.lap("gain_solve")
-    alpha = cfg.cost.alpha
     accel_term = cfg.controller.feedforward_accel_term
     times = time_grid(cfg.sim.h, cfg.sim.t_end)
     ref = regulators.TrackingReference(cfg.reference.omega(times),
@@ -222,13 +219,12 @@ def run_track(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     clock.lap("reference_build")
 
     def controller(t, s):
-        sample = ref.sample(t)
-        return (regulators.tracking_pd_torque(s, sample, solution_at(t).gains(alpha))
-                + regulators.feedforward_torque(s, sample, cfg.inertia, accel_term))
+        return regulators.tracking_torque(s, ref.sample(t), gains_at(t), cfg.inertia,
+                                          accel_term)
 
     def channels(log):
         # so3.geodesic_distance's sum of squares, in its order.
-        e2 = _attitude_errors(ref.rotations, log.rotations) ** 2
+        e2 = so3.attitude_errors(ref.rotations, log.rotations) ** 2
         return {"dist": np.sqrt(e2[:, 0] + e2[:, 1] + e2[:, 2])}
 
     return _run_closed_loop(cfg, out_dir, clock, gain_summary, controller, channels)

@@ -128,6 +128,57 @@ def log_so3(r) -> np.ndarray:
     return np.array([s * sx, s * sy, s * sz])
 
 
+# Rows per chunk of attitude_errors: each of its temporaries stays near 300 kB.
+_CHUNK = 4096
+
+
+def attitude_errors(r_from, rotations) -> np.ndarray:
+    """log_so3(r_from[i].T @ rotations[i]) for every i, bit for bit, as array
+    passes over chunks of rows.
+
+    Each chunk takes one batched product, then log_so3's trace, skew part
+    and small-angle series in numpy. The angle is math.atan2 mapped over the
+    chunk, and the series' fourth power is Python's: numpy's arctan2 and
+    power differ from libm's in the last bit on some rows.
+
+    Args:
+        r_from, rotations: (N, 3, 3) arrays; r_from may be a broadcast view
+            of one rotation.
+
+    Returns:
+        (N, 3) array of axis-angle vectors.
+
+    Raises:
+        AngleNearPi: where log_so3 would, at the first such row.
+    """
+    e = np.empty((len(rotations), 3))
+    for lo in range(0, len(e), _CHUNK):
+        hi = lo + _CHUNK
+        m = (np.swapaxes(r_from[lo:hi], 1, 2) @ rotations[lo:hi]).reshape(-1, 9)
+        tr = m[:, 0] + m[:, 4] + m[:, 8]
+        near_pi = tr + 1.0 <= TRACE_GUARD
+        if near_pi.any():
+            raise AngleNearPi("rotation angle within cut-locus guard "
+                              f"(tr = {tr[near_pi.argmax()].item():.12g})")
+        sx = 0.5 * (m[:, 7] - m[:, 5])
+        sy = 0.5 * (m[:, 2] - m[:, 6])
+        sz = 0.5 * (m[:, 3] - m[:, 1])
+        sin_phi = np.sqrt(sx * sx + sy * sy + sz * sz)
+        phi = np.array(list(map(math.atan2, sin_phi.tolist(), (0.5 * (tr - 1.0)).tolist())))
+        # The quotient is 0/0 on identical pairs; the series replaces it there.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = phi / sin_phi
+        small = phi < SMALL_ANGLE
+        if small.any():
+            p = phi[small]
+            p4 = np.array([x ** 4 for x in p.tolist()])
+            s[small] = 1.0 + p * p / 6.0 + 7.0 * p4 / 360.0
+        e[lo:hi, 0] = s * sx
+        e[lo:hi, 1] = s * sy
+        e[lo:hi, 2] = s * sz
+    return e
+
+
 def geodesic_distance(r1, r2) -> float:
     """Rotation angle of r1.T r2: length of the shortest path between them.
 

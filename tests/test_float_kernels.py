@@ -1,7 +1,7 @@
 """Property tests of the closed loop's Python-float kernels against the numpy
 formulas they replace, written out here as the oracles: the integrator step,
-the three torque laws, the backward Riccati sweep and the reference
-polynomial tables."""
+the torque laws, the backward Riccati sweep and the reference polynomial
+tables; and of the array attitude-error pass against log_so3 row by row."""
 
 import json
 import math
@@ -23,12 +23,14 @@ from geolqr.dynamics import (
     simulate,
     time_grid,
 )
+from geolqr.errors import AngleNearPi
 from geolqr.regulators import (
     ReferenceSample,
     RegulationGoal,
     feedforward_torque,
     regulation_torque,
     tracking_pd_torque,
+    tracking_torque,
 )
 from geolqr.riccati import (
     B_CANONICAL,
@@ -39,7 +41,14 @@ from geolqr.riccati import (
     dre_integrate,
     drift_matrix,
 )
-from geolqr.so3 import exp_so3, log_so3, orthogonality_defect
+from geolqr.so3 import (
+    _CHUNK,
+    SMALL_ANGLE,
+    attitude_errors,
+    exp_so3,
+    log_so3,
+    orthogonality_defect,
+)
 
 EPS = np.finfo(float).eps
 REL = 1e-14
@@ -109,6 +118,15 @@ class TestStepAndLaws:
         got = feedforward_torque(s, ref, j, accel_term)
         # |J^-1| |J| <= 10 for moments in [0.5, 5]; |w|, |w_t| <= 2 sqrt(3).
         assert_close(got, want, 10.0 * 12.0 + 2.0 * np.abs(wdot).max())
+
+    @given(r_ref=rotations, rel=rotations, w=vectors, w_ref=vectors, wdot=vectors,
+           g=gains, j=inertias(), accel_term=st.booleans())
+    def test_tracking_torque_is_the_sum_of_both_terms(self, r_ref, rel, w, w_ref, wdot,
+                                                      g, j, accel_term):
+        s = RigidBodyState(r_ref @ rel, w)
+        ref = ReferenceSample(r_ref, w_ref, wdot)
+        want = tracking_pd_torque(s, ref, g) + feedforward_torque(s, ref, j, accel_term)
+        assert tracking_torque(s, ref, g, j, accel_term).tobytes() == want.tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -213,3 +231,68 @@ class TestReferenceTables:
         for i, t in enumerate(times.tolist()):
             w_gen, wdot_gen = generator_sums(cfg.reference.omega_coeffs, t)
             assert np.array_equal(w[i], w_gen) and np.array_equal(wdot[i], wdot_gen)
+
+
+unit_axes = vectors.filter(lambda v: np.linalg.norm(v) > 0.1).map(
+    lambda v: v / np.linalg.norm(v))
+# tr + 1 = 2 (1 - cos d) is about d^2 at the angle pi - d, so TRACE_GUARD =
+# 1e-6 puts the cut-locus guard at d = 1e-3.
+relative_angles = st.one_of(st.just(0.0), st.floats(0.0, SMALL_ANGLE),
+                            st.floats(0.0, math.pi - 2e-3),
+                            st.floats(math.pi - 1.2e-3, math.pi - 1.01e-3))
+near_pi_angles = st.one_of(st.floats(math.pi - 1.2e-3, math.pi),
+                           st.floats(math.pi - 1.02e-3, math.pi - 0.98e-3))
+pairs = st.tuples(rotations, unit_axes, relative_angles)
+
+
+def rotation_pairs(drawn, broadcast):
+    """(r_from, rotations) with rotations[i] = r_from[i] exp(angle_i axis_i);
+    broadcast makes r_from one rotation seen through np.broadcast_to."""
+    r_from = np.array([r for r, _, _ in drawn])
+    if broadcast:
+        r_from = np.broadcast_to(r_from[0], r_from.shape)
+    rots = np.array([r @ exp_so3(angle * axis)
+                     for r, (_, axis, angle) in zip(r_from, drawn)])
+    return r_from, rots
+
+
+def row_by_row(r_from, rots):
+    return np.array([log_so3(r0.T @ r) for r0, r in zip(r_from, rots)]).reshape(-1, 3)
+
+
+class TestAttitudeErrors:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=st.lists(pairs, min_size=1, max_size=40), broadcast=st.booleans())
+    def test_bit_identical_with_log_so3(self, drawn, broadcast):
+        r_from, rots = rotation_pairs(drawn, broadcast)
+        assert attitude_errors(r_from, rots).tobytes() == row_by_row(r_from, rots).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=st.lists(pairs, max_size=10), near=st.tuples(rotations, unit_axes,
+                                                              near_pi_angles),
+           at=st.integers(0, 10))
+    def test_raises_where_log_so3_does(self, drawn, near, at):
+        drawn.insert(min(at, len(drawn)), near)
+        r_from, rots = rotation_pairs(drawn, False)
+        try:
+            want = row_by_row(r_from, rots)
+        except AngleNearPi:
+            with pytest.raises(AngleNearPi):
+                attitude_errors(r_from, rots)
+        else:
+            assert attitude_errors(r_from, rots).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 5])
+    def test_lengths_across_chunks(self, n):
+        rng = np.random.default_rng(n)
+        r_from = np.array([exp_so3(v) for v in rng.uniform(-1.2, 1.2, (n, 3))])
+        rel = rng.standard_normal((n, 3))
+        rel *= (rng.uniform(0.0, 3.0, n) / np.linalg.norm(rel, axis=1))[:, None]
+        rel[: n // 4] *= 1e-5 / 3.0
+        rots = np.array([r @ exp_so3(v) for r, v in zip(r_from, rel)])
+        rots[n // 2] = r_from[n // 2]
+        assert attitude_errors(r_from, rots).tobytes() == row_by_row(r_from, rots).tobytes()
+        # A cut-locus pair in the last chunk still raises.
+        rots[-1] = r_from[-1] @ exp_so3([0.0, 0.0, math.pi])
+        with pytest.raises(AngleNearPi):
+            attitude_errors(r_from, rots)

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from geolqr import pmp
-from geolqr.dynamics import FlatState, flat_step
+from geolqr.dynamics import FlatState, flat_step, rk4
 from geolqr.errors import NoConvergence, ObstacleContact
 from geolqr.pmp import (
     AvoidanceLagrangian,
@@ -564,6 +564,62 @@ class TestCostates:
         assert np.abs(ct.p1).max() == 0.0
         assert np.abs(ct.p2).max() == 0.0
         assert np.abs(ct.hamiltonian).max() == 0.0
+
+    @staticmethod
+    def per_point_sweep(times, q, v, u, lagrangian, terminal, manifold):
+        """The sweep as it was written before the forcing became array passes:
+        the lagrangian evaluated at each RK4 stage's point, and H row by row."""
+        qr, vr, ur = q[::-1], v[::-1], u[::-1]
+
+        def at(x, k, theta):
+            if theta == 0.0:
+                return x[k]
+            if theta == 1.0:
+                return x[k + 1]
+            return 0.5 * (x[k] + x[k + 1])
+
+        def rate(k, theta, p):
+            qk, vk, uk = at(qr, k, theta), at(vr, k, theta), at(ur, k, theta)
+            d1 = -curvature(manifold, vk, p[1], vk) - lagrangian.grad_q(qk, vk, uk)
+            d2 = -p[0] - lagrangian.grad_v(qk, vk, uk)
+            if manifold == "so3-biinvariant":
+                d1 = d1 - 0.5 * np.cross(vk, p[0])
+                d2 = d2 - 0.5 * np.cross(vk, p[1])
+            return np.array([d1, d2])
+
+        ps = rk4(rate, np.array(terminal, dtype=float), np.asarray(times)[::-1])[::-1]
+        p1, p2 = ps[:, 0], ps[:, 1]
+        ham = np.array([float(p1[k] @ v[k]) + float(p2[k] @ u[k])
+                        + float(lagrangian.value(q[k], v[k], u[k]))
+                        for k in range(len(times))])
+        return p1, p2, ham
+
+    @pytest.mark.parametrize("case", ["criterion_09", "group_avoidance", "group_terminal"])
+    def test_array_forcing_is_bit_identical_to_per_point_sweep(self, case):
+        if case == "criterion_09":
+            sc = criterion_09_scenario()
+            sol = shooting_solve(sc)
+            lag, terminal, manifold = AvoidanceLagrangian(sc), (np.zeros(2), np.zeros(2)), "flat"
+        else:
+            mode = case.split("_")[1]
+            sc = AvoidanceScenario(
+                dimension=3, alpha=1.0, target=exp_so3([0.0, 0.0, 0.0]), horizon=1.0,
+                q0=exp_so3([0.7, -0.2, 0.4]), v0=np.array([0.05, -0.1, 0.02]),
+                manifold="so3-biinvariant", mode=mode)
+            sol = shooting_solve(sc, h=5e-3)
+            manifold = sc.manifold
+            if mode == "avoidance":
+                lag, terminal = AvoidanceLagrangian(sc), (np.zeros(3), np.zeros(3))
+            else:
+                lag = ControlEffortLagrangian(sc.alpha)
+                terminal = (log_so3(sc.target.T @ sol.q[-1]), sol.v[-1].copy())
+        ct = costate_integrate(sol.times, sol.q, sol.v, sol.u, lag, terminal,
+                               manifold=manifold)
+        p1, p2, ham = self.per_point_sweep(sol.times, sol.q, sol.v, sol.u, lag,
+                                           terminal, manifold)
+        assert ct.p1.tobytes() == p1.tobytes()
+        assert ct.p2.tobytes() == p2.tobytes()
+        assert ct.hamiltonian.tobytes() == ham.tobytes()
 
 
 class TestScenarioValidation:
