@@ -41,9 +41,13 @@ import numpy as np
 
 from .dynamics import rk4
 from .errors import NoConvergence, NoDescent, ObstacleContact
-from .so3 import log_so3
+from .so3 import attitude_errors, exp_so3
 
 MANIFOLDS = ("flat", "so3-biinvariant")
+
+# Multiple shooting splits the grid into the largest number of equal
+# segments that keeps at least SEGMENT_STEPS steps in each.
+SEGMENT_STEPS = 50
 
 # Stopping rule of transcription_oracle: the sup-norm gradient reaches
 # ORACLE_GRAD_TOL, or the last ORACLE_PLATEAU_WINDOW iterations improved the
@@ -51,6 +55,16 @@ MANIFOLDS = ("flat", "so3-biinvariant")
 ORACLE_GRAD_TOL = 1e-8
 ORACLE_PLATEAU_WINDOW = 60
 ORACLE_PLATEAU_RTOL = 1e-8
+
+
+def _cross(a, b) -> np.ndarray:
+    """Cross products along the last axis, broadcast like np.cross and with
+    its products and differences, but without its axis bookkeeping."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def curvature(manifold: str, x, y, z) -> np.ndarray:
@@ -64,7 +78,7 @@ def curvature(manifold: str, x, y, z) -> np.ndarray:
     if manifold == "flat":
         return np.zeros_like(x)
     if manifold == "so3-biinvariant":
-        return -0.25 * np.cross(np.cross(x, y), z)
+        return -0.25 * _cross(_cross(x, y), z)
     raise ValueError(f"unknown manifold {manifold!r}; expected one of {MANIFOLDS}")
 
 
@@ -138,7 +152,8 @@ def _grad_goal_potential(scenario: AvoidanceScenario, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if scenario.manifold == "flat":
         return q - scenario.target
-    g = np.array([log_so3(scenario.target.T @ r) for r in q.reshape(-1, 3, 3)])
+    rs = q.reshape(-1, 3, 3)
+    g = attitude_errors(np.broadcast_to(scenario.target, rs.shape), rs)
     return g.reshape(q.shape[:-2] + (3,))
 
 
@@ -251,10 +266,10 @@ def _coupled_rhs(scenario: AvoidanceScenario, z: np.ndarray):
     if scenario.manifold == "flat":
         return np.concatenate([v, u, w, dw], axis=1), contact
     half_om = 0.5 * v
-    return np.concatenate([np.cross(q, v[:, None, :]).reshape(len(z), 9),
+    return np.concatenate([_cross(q, v[:, None, :]).reshape(len(z), 9),
                            u,
-                           w - np.cross(half_om, u),
-                           dw - np.cross(half_om, w)], axis=1), contact
+                           w - _cross(half_om, u),
+                           dw - _cross(half_om, w)], axis=1), contact
 
 
 @dataclass
@@ -314,18 +329,15 @@ def trajectory_cost(scenario: AvoidanceScenario, times, q, v, u) -> float:
     return cost
 
 
-def _integrate_extremal(scenario: AvoidanceScenario, x0, h: float):
-    """One RK4 sweep of the coupled (q, v, u, w) system on a uniform grid for
-    a (B, 2n) batch of initial unknowns (u(0), Du/Dt(0)).
+def _integrate_extremal(scenario: AvoidanceScenario, z0, times):
+    """One RK4 sweep of the coupled (q, v, u, w) system along the grid times
+    for a (B, .) batch of packed start states.
 
-    Returns the times, q, v, u and w with the batch on the leading axis, and
-    the rows whose path touched an obstacle at an RK4 stage or a grid point.
-    A row that overflows turns non-finite, silently.
+    Returns the packed states, (B, len(times), .), and the rows whose path
+    touched an obstacle at an RK4 stage or a grid point. A row that
+    overflows turns non-finite, silently.
     """
-    steps = max(1, int(round(scenario.horizon / h)))
-    times = np.linspace(0.0, scenario.horizon, steps + 1)
-    z0 = np.hstack([np.tile(np.append(scenario.q0, scenario.v0), (len(x0), 1)), x0])
-    contact = np.zeros(len(x0), dtype=bool)
+    contact = np.zeros(len(z0), dtype=bool)
 
     def rate(k, theta, z):
         dz, touched = _coupled_rhs(scenario, z)
@@ -334,33 +346,101 @@ def _integrate_extremal(scenario: AvoidanceScenario, x0, h: float):
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         zs = rk4(rate, z0, times).swapaxes(0, 1)
-        q, v, u, w = _unpack(scenario, zs)
         if scenario.manifold == "flat" and scenario.obstacles:
             # Terminal mode's rhs has no barrier, and no stage evaluates the
             # final sample.
-            contact |= (_clearances(scenario, q) <= 0.0).any(axis=(0, 2))
-    return times, q, v, u, w, contact
+            contact |= (_clearances(scenario, _unpack(scenario, zs)[0]) <= 0.0).any(axis=(0, 2))
+    return zs, contact
 
 
-def _terminal_residual(scenario: AvoidanceScenario, q, v, u, w) -> np.ndarray:
-    """Terminal conditions of every row of a batched rollout, (B, 2n)."""
+def _terminal_residual(scenario: AvoidanceScenario, z) -> np.ndarray:
+    """Terminal conditions at a (B, .) batch of packed end states, (B, 2n)."""
+    q, v, u, w = _unpack(scenario, z)
     a = scenario.alpha
     if scenario.mode == "avoidance":
-        return np.hstack([u[:, -1], w[:, -1] - v[:, -1] / a])
-    gT = _grad_goal_potential(scenario, q[:, -1])
-    return np.hstack([u[:, -1] + v[:, -1] / a, w[:, -1] - gT / a])
+        return np.hstack([u, w - v / a])
+    gT = _grad_goal_potential(scenario, q)
+    return np.hstack([u + v / a, w - gT / a])
+
+
+def _continuity(scenario: AvoidanceScenario, start, end) -> np.ndarray:
+    """Mismatch between (B, .) batches of packed segment starts and the ends
+    they continue, (B, 4n): start - end in q (log(end.T start) on the
+    group), v, u and w."""
+    d = scenario.q0.size
+    qs, qe = _unpack(scenario, start)[0], _unpack(scenario, end)[0]
+    dq = qs - qe if scenario.manifold == "flat" else attitude_errors(qe, qs)
+    return np.hstack([dq, start[:, d:] - end[:, d:]])
+
+
+def _segment_count(steps: int) -> int:
+    """Largest divisor of steps that leaves at least SEGMENT_STEPS steps per
+    segment, or 1."""
+    return max([m for m in range(1, steps // SEGMENT_STEPS + 1) if steps % m == 0],
+               default=1)
+
+
+def _segment_starts(scenario: AvoidanceScenario, y, seg) -> np.ndarray:
+    """Packed start states of rows y = (xi, v, u, w) of segments seg: q is
+    q0 + xi on flat space and q0 exp(xi) on the group, and q0 in segment 0."""
+    n = scenario.tangent_dim
+    q = np.tile(scenario.q0.ravel(), (len(y), 1))
+    later = seg > 0
+    xi = y[later, :n]
+    if scenario.manifold == "flat":
+        q[later] = scenario.q0 + xi
+    else:
+        rotations = np.array([exp_so3(e) for e in xi]).reshape(-1, 3, 3)
+        q[later] = (scenario.q0 @ rotations).reshape(-1, 9)
+    return np.hstack([q, y[:, n:]])
+
+
+def _segment_jacobian(scenario: AvoidanceScenario, starts, ends, deltas, seg) -> np.ndarray:
+    """Forward-difference Jacobian of the residual (continuity at each later
+    segment's start, then the terminal condition) from one sweep's rows:
+    the M base segments first, then one row per unknown, perturbed by
+    deltas in segment seg. A column differs from the base residual only in
+    the junction its segment starts at and the one (or the terminal
+    condition) its segment ends at."""
+    m, p, k = len(starts) - len(seg), len(seg), 4 * scenario.tangent_dim
+    rows, cols = m + np.arange(p), np.arange(k)
+    diff = np.zeros((p, p))
+    at = np.flatnonzero(seg > 0)
+    s = seg[at]
+    diff[at[:, None], (s - 1)[:, None] * k + cols] = (
+        _continuity(scenario, starts[rows[at]], ends[s - 1])
+        - _continuity(scenario, starts[s], ends[s - 1]))
+    at = np.flatnonzero(seg < m - 1)
+    s = seg[at]
+    diff[at[:, None], s[:, None] * k + cols] = (
+        _continuity(scenario, starts[s + 1], ends[rows[at]])
+        - _continuity(scenario, starts[s + 1], ends[s]))
+    at = np.flatnonzero(seg == m - 1)
+    diff[at[:, None], (m - 1) * k + cols[:k // 2]] = (
+        _terminal_residual(scenario, ends[rows[at]])
+        - _terminal_residual(scenario, ends[m - 1:m]))
+    diff /= deltas[:, None]
+    return diff.T
 
 
 def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3,
                    tol: float = 1e-6, max_iter: int = 100) -> BVPSolution:
-    """Damped-Newton shooting on the unknown initial (u(0), Du/Dt(0)).
+    """Damped-Newton multiple shooting.
 
-    The residual map is the terminal condition of the scenario mode. Each
-    trial point is swept together with its 2n forward-difference
-    perturbations, so an accepted trial brings the Jacobian at the new
-    iterate along. A trial whose own row touches an obstacle or overflows
-    halves the step. trace holds "residuals" (sup norm, zero guess first),
-    "steps" (the accepted step lengths) and "sweeps".
+    The grid splits into M equal segments of at least SEGMENT_STEPS steps
+    (M = 1 on short grids is single shooting). The unknowns are (u(0),
+    Du/Dt(0)) and each later segment's start (xi, v, u, w), where q is
+    q0 + xi on flat space and q0 exp(xi) on the group; segment starts begin
+    at (q0, v0, 0, 0). The residual is the continuity of q (by log_so3 on
+    the group), v, u and w at each later segment's start, then the terminal
+    condition of the scenario mode. The rhs is autonomous, so every segment
+    sweeps the first segment's grid, and each trial point goes through one
+    sweep together with one forward-difference perturbation per unknown: an
+    accepted trial brings the Jacobian at the new iterate along. A trial
+    whose base rows touch an obstacle or overflow halves the step. The path
+    joins the segments' base rows on the global grid. trace holds
+    "residuals" (sup norm, zero guess first), "steps" (the accepted step
+    lengths), "sweeps" and "segments" (M).
 
     Raises:
         NoConvergence: residual above tol after max_iter iterations, a
@@ -368,60 +448,82 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3,
         ObstacleContact: the zero guess's trajectory, or a perturbed one
             whose Jacobian column is needed, touched an obstacle.
     """
+    n = scenario.tangent_dim
+    steps = max(1, int(round(scenario.horizon / h)))
+    times = np.linspace(0.0, scenario.horizon, steps + 1)
+    m = _segment_count(steps)
+    seg_steps = steps // m
+    # Unknown i sits at entry 2n + i of the segments' (xi, v, u, w) rows,
+    # whose first 2n entries, (0, v0) in segment 0, are fixed.
+    place = 2 * n + np.arange((4 * m - 2) * n)
+    seg, comp = place // (4 * n), place % (4 * n)
+    row_seg = np.concatenate([np.arange(m), seg])
+
     def sweep(x):
         deltas = 1e-6 * np.maximum(1.0, np.abs(x))
-        times, q, v, u, w, contact = _integrate_extremal(
-            scenario, np.vstack([x, x + np.diag(deltas)]), h)
-        res = _terminal_residual(scenario, q, v, u, w)
-        return res, deltas, contact, (times, q[0], v[0], u[0], w[0])
+        y = np.concatenate([np.zeros(n), scenario.v0, x]).reshape(m, 4 * n)
+        ys = np.vstack([y, y[seg]])
+        ys[m + np.arange(x.size), comp] += deltas
+        starts = _segment_starts(scenario, ys, row_seg)
+        zs, contact = _integrate_extremal(scenario, starts, times[:seg_steps + 1])
+        ends = zs[:, -1].copy()
+        res = np.concatenate([_continuity(scenario, starts[1:m], ends[:m - 1]).ravel(),
+                              _terminal_residual(scenario, ends[m - 1:m])[0]])
+        return res, (starts, ends, deltas), contact, zs[:m].copy()
 
-    x = np.zeros(2 * scenario.tangent_dim)
-    res, deltas, contact, traj = sweep(x)
-    sweeps = 1
-    if contact[0]:
-        raise ObstacleContact("the path from the zero initial guess touches an obstacle")
-    if not np.isfinite(res[0]).all():
-        raise NoConvergence("trajectory from the zero initial guess is not finite")
-    residuals = [float(np.abs(res[0]).max())]
-    steps = []
-    while residuals[-1] > tol:
-        iterations = len(steps)
-        if iterations >= max_iter:
-            raise NoConvergence(
-                f"residual {residuals[-1]:.3e} > {tol:g} after {max_iter} iterations")
-        if contact[1:].any():
-            raise ObstacleContact(
-                f"a perturbed path at iterate {iterations} touches an obstacle")
-        jac = (res[1:] - res[0]).T / deltas
-        if not np.isfinite(jac).all():
-            raise NoConvergence(
-                f"residual map not differentiable at iterate {iterations + 1} "
-                "(perturbed trajectory diverged)")
-        try:
-            direction = np.linalg.solve(jac, -res[0])
-        except np.linalg.LinAlgError:
-            direction = np.linalg.lstsq(jac, -res[0], rcond=None)[0]
-        norm0 = np.linalg.norm(res[0])
-        lam = 1.0
-        while True:
-            if lam < 2.0 ** -24:
+    x = np.tile(np.concatenate([np.zeros(n), scenario.v0, np.zeros(2 * n)]), m)[2 * n:]
+    # Overflow is expected on stiff problems: it shows as a non-finite
+    # residual, Jacobian or norm, which the checks below act on.
+    with np.errstate(over="ignore", invalid="ignore"):
+        res, swept, contact, base = sweep(x)
+        sweeps = 1
+        if contact[:m].any():
+            raise ObstacleContact("the path from the zero initial guess touches an obstacle")
+        if not np.isfinite(res).all():
+            raise NoConvergence("trajectory from the zero initial guess is not finite")
+        residuals = [float(np.abs(res).max())]
+        steps = []
+        while residuals[-1] > tol:
+            iterations = len(steps)
+            if iterations >= max_iter:
                 raise NoConvergence(
-                    f"damped step stalled at residual {norm0:.3e} (iteration {iterations + 1})")
-            trial = sweep(x + lam * direction)
-            sweeps += 1
-            res_trial, _, contact_trial, _ = trial
-            if (not contact_trial[0] and np.isfinite(res_trial[0]).all()
-                    and np.linalg.norm(res_trial[0]) < (1.0 - 1e-4 * lam) * norm0):
-                break
-            lam *= 0.5
-        x = x + lam * direction
-        res, deltas, contact, traj = trial
-        residuals.append(float(np.abs(res[0]).max()))
-        steps.append(lam)
-    times, q, v, u, w = traj
+                    f"residual {residuals[-1]:.3e} > {tol:g} after {max_iter} iterations")
+            if contact[m:].any():
+                raise ObstacleContact(
+                    f"a perturbed path at iterate {iterations} touches an obstacle")
+            jac = _segment_jacobian(scenario, *swept, seg)
+            if not np.isfinite(jac).all():
+                raise NoConvergence(
+                    f"residual map not differentiable at iterate {iterations + 1} "
+                    "(perturbed trajectory diverged)")
+            try:
+                direction = np.linalg.solve(jac, -res)
+            except np.linalg.LinAlgError:
+                direction = np.linalg.lstsq(jac, -res, rcond=None)[0]
+            del jac
+            norm0 = np.linalg.norm(res)
+            lam = 1.0
+            while True:
+                if lam < 2.0 ** -24:
+                    raise NoConvergence(f"damped step stalled at residual {norm0:.3e} "
+                                        f"(iteration {iterations + 1})")
+                trial = sweep(x + lam * direction)
+                sweeps += 1
+                res_trial, _, contact_trial, _ = trial
+                if (not contact_trial[:m].any() and np.isfinite(res_trial).all()
+                        and np.linalg.norm(res_trial) < (1.0 - 1e-4 * lam) * norm0):
+                    break
+                lam *= 0.5
+            x = x + lam * direction
+            res, swept, contact, base = trial
+            residuals.append(float(np.abs(res).max()))
+            steps.append(lam)
+    path = np.concatenate([base[:, :-1].reshape(m * seg_steps, -1), base[-1, -1:]])
+    q, v, u, w = _unpack(scenario, path)
     return BVPSolution(times=times, q=q, v=v, u=u, udot=w, residual_norm=residuals[-1],
                        iterations=len(steps), cost=trajectory_cost(scenario, times, q, v, u),
-                       trace={"residuals": residuals, "steps": steps, "sweeps": sweeps})
+                       trace={"residuals": residuals, "steps": steps, "sweeps": sweeps,
+                              "segments": m})
 
 
 def _batched_rollout(scenario: AvoidanceScenario, controls: np.ndarray,
@@ -651,8 +753,8 @@ def costate_integrate(times, q, v, u, lagrangian, terminal,
         d1 = -curvature(manifold, vk, p[1], vk) - gq
         d2 = -p[0] - gv
         if manifold == "so3-biinvariant":
-            d1 = d1 - 0.5 * np.cross(vk, p[0])
-            d2 = d2 - 0.5 * np.cross(vk, p[1])
+            d1 = d1 - 0.5 * _cross(vk, p[0])
+            d2 = d2 - 0.5 * _cross(vk, p[1])
         return np.array([d1, d2])
 
     ps = rk4(rate, np.array(terminal, dtype=float), times[::-1])[::-1]
@@ -699,8 +801,8 @@ def variational_propagate(times, q, v, y0, ydot0, manifold: str = "flat",
         def rate(k, theta, yz):
             y, z = yz
             vk = _at(v, k, theta)
-            return np.array([z - 0.5 * np.cross(vk, y),
-                             curvature("so3-biinvariant", vk, y, vk) - 0.5 * np.cross(vk, z)])
+            return np.array([z - 0.5 * _cross(vk, y),
+                             curvature("so3-biinvariant", vk, y, vk) - 0.5 * _cross(vk, z)])
 
     yz = rk4(rate, np.array([y0, ydot0], dtype=float), times)
     return VariationTrajectory(times, yz[:, 0], yz[:, 1])

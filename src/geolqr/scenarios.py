@@ -261,7 +261,8 @@ def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
                          final_velocity_norm=float(np.linalg.norm(solution.v[-1])),
                          min_obstacle_clearance=clearance,
                          iterations={"newton": solution.iterations,
-                                     "residuals": solution.trace["residuals"]})
+                                     "residuals": solution.trace["residuals"],
+                                     "segments": solution.trace["segments"]})
 
 
 def run_check(cfg: ScenarioConfig, out_dir: Path):

@@ -422,7 +422,7 @@ class TestAvoidErrorAndClearance:
     def test_stiff_scenario_exits_three(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "command": "avoid",
-            "cost": {"alpha": 1e-4},
+            "cost": {"alpha": 1e-6},
             "avoidance": {"dimension": 1, "q0": [1.0], "target": [0.0],
                           "horizon": 2.0},
         })
@@ -450,13 +450,24 @@ class TestShippedConfigs:
         assert main(["avoid", "--config", str(config), "--out", str(tmp_path)]) == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
         iterations = json.loads(line)["iterations"]
-        assert iterations["newton"] == 6
+        assert iterations["newton"] == 7
         # The zero guess and one residual per Newton iteration.
-        assert len(iterations["residuals"]) == 7
+        assert len(iterations["residuals"]) == 8
         assert iterations["residuals"][-1] <= 1e-6
+        # 2,000 grid steps in 40 segments of 50.
+        assert iterations["segments"] == 40
         summary = RunSummary.from_json(line)
         assert summary.iterations == iterations
         assert summary.to_json() == line
+
+    def test_shipped_stiff_avoid_converges(self, tmp_path, capsys):
+        config = self._config_dir() / "avoid_stiff.json"
+        assert main(["avoid", "--config", str(config), "--out", str(tmp_path)]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        iterations = json.loads(line)["iterations"]
+        assert iterations["segments"] == 80
+        assert iterations["residuals"][-1] <= 1e-6
+        assert RunSummary.from_json(line).to_json() == line
 
     @pytest.mark.parametrize("command, phases", [
         ("track", ["gain_solve", "reference_build", "simulate", "channels", "csv_write"]),

@@ -6,6 +6,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from geolqr import pmp
 from geolqr.dynamics import FlatState, flat_step, rk4
@@ -60,6 +63,14 @@ class TestCurvature:
     def test_unknown_manifold(self):
         with pytest.raises(ValueError):
             curvature("hyperbolic", np.zeros(3), np.zeros(3), np.zeros(3))
+
+    @given(st.data())
+    def test_cross_equals_numpy_cross_byte_for_byte(self, data):
+        shapes = data.draw(mutually_broadcastable_shapes(signature="(3),(3)->(3)"))
+        a, b = (data.draw(arrays(np.float64, shape,
+                                 elements=st.floats(-1e150, 1e150, allow_subnormal=True)))
+                for shape in shapes.input_shapes)
+        assert pmp._cross(a, b).tobytes() == np.cross(a, b).tobytes()
 
 
 class TestVariationalPropagate:
@@ -317,13 +328,70 @@ class TestShooting:
             shooting_solve(sc, max_iter=0, tol=1e-12)
 
     def test_stiff_blowup_reported_not_silently_converged(self):
-        # alpha = 1e-4 makes the coupled system grow like exp(100 t); the
-        # zero-guess trajectory overflows and that must surface as an error,
-        # never as a converged NaN residual.
-        sc = AvoidanceScenario(dimension=1, alpha=1e-4, target=[0.0], horizon=2.0,
+        # alpha = 1e-6 makes the coupled system grow like exp(1000 t), by
+        # about e^50 over each 50-step segment; Newton stalls, and that must
+        # surface as an error, never as a converged NaN residual.
+        sc = AvoidanceScenario(dimension=1, alpha=1e-6, target=[0.0], horizon=2.0,
                                q0=[1.0], v0=[0.0])
         with pytest.raises(NoConvergence):
             shooting_solve(sc, h=1e-3)
+
+    def test_stiff_avoidance_matches_matrix_exponential_oracle(self):
+        # alpha = 1e-4 grows like exp(100 t): single shooting overflows over
+        # T = 2, each 50-step segment grows by about e^2.5. The whole-horizon
+        # matrix exponential is ill-conditioned here too, so the oracle is
+        # multiple shooting in exact arithmetic: expm over each of S
+        # segments, one linear solve for the segment starts, then the grid
+        # step's expm within each segment.
+        alpha = 1e-4
+        sc = AvoidanceScenario(dimension=1, alpha=alpha, target=[0.0], horizon=2.0,
+                               q0=[1.0], v0=[0.0])
+        sol = shooting_solve(sc, h=5e-4)
+        assert sol.residual_norm <= 1e-6 and sol.trace["segments"] == 80
+        m = np.array([[0.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0],
+                      [-1.0 / alpha, 0.0, 1.0 / alpha, 0.0]])
+        segments, steps = 40, len(sol.times) - 1
+        e_seg = scipy.linalg.expm(m * sc.horizon / segments)
+        # Unknowns: (u0, w0), then the start of each later segment. Rows:
+        # x_j - e_seg x_{j-1} = 0, then u(T) = 0 and w(T) - v(T)/alpha = 0.
+        size = 4 * segments - 2
+        lhs, rhs = np.zeros((size, size)), np.zeros(size)
+        lhs[:4, :2] = -e_seg[:, 2:]
+        rhs[:4] = e_seg[:, :2] @ [1.0, 0.0]
+        for j in range(1, segments):
+            lhs[4 * j - 4:4 * j, 4 * j - 2:4 * j + 2] = np.eye(4)
+            if j > 1:
+                lhs[4 * j - 4:4 * j, 4 * j - 6:4 * j - 2] = -e_seg
+        lhs[-2:, -4:] = [e_seg[2], e_seg[3] - e_seg[1] / alpha]
+        xs = np.linalg.solve(lhs, rhs)
+        starts = np.concatenate([[1.0, 0.0], xs]).reshape(segments, 4)
+        e_step = scipy.linalg.expm(m * sc.horizon / steps)
+        u_ref = []
+        for x in starts:
+            for _ in range(steps // segments):
+                u_ref.append(x[2])
+                x = e_step @ x
+        u_ref.append(x[2])
+        assert np.abs(np.array(u_ref) - sol.u[:, 0]).max() <= 1e-5
+
+    def test_non_finite_jacobian_is_no_convergence(self, monkeypatch):
+        sc = AvoidanceScenario(dimension=1, alpha=1e-7, target=[0.0], horizon=2.0,
+                               q0=[1.0], v0=[0.0])
+        with pytest.raises(NoConvergence):
+            shooting_solve(sc, h=1e-3)
+        # A perturbed row that overflows while the base rows stay finite.
+        original = pmp._integrate_extremal
+
+        def overflow_last_row(*args):
+            zs, contact = original(*args)
+            zs[-1, -1] = np.inf
+            return zs, contact
+
+        monkeypatch.setattr(pmp, "_integrate_extremal", overflow_last_row)
+        with pytest.raises(NoConvergence, match="not differentiable"):
+            shooting_solve(criterion_09_scenario())
 
 
 # Criterion 09's 2D scenario and its converged (u(0), Du/Dt(0)) as computed
@@ -346,8 +414,8 @@ def spy_sweeps(monkeypatch, edit=None):
     original = pmp._integrate_extremal
     flags = []
 
-    def spy(scenario, x0, h):
-        *out, contact = original(scenario, x0, h)
+    def spy(*args):
+        *out, contact = original(*args)
         if edit is not None:
             edit(len(flags), contact)
         flags.append(contact.copy())
@@ -359,7 +427,8 @@ def spy_sweeps(monkeypatch, edit=None):
 
 class TestBatchedShooting:
     @pytest.mark.parametrize("case", ["flat", "group"])
-    def test_each_row_equals_its_own_rollout(self, case):
+    def test_each_row_equals_its_own_rollout(self, case, monkeypatch):
+        monkeypatch.setattr(pmp, "SEGMENT_STEPS", 10**9)
         if case == "flat":
             sc, h = criterion_09_scenario(), 1e-3
         else:
@@ -371,15 +440,18 @@ class TestBatchedShooting:
         rng = np.random.default_rng(65)
         x = 0.5 * rng.standard_normal(m)
         batch = np.vstack([x, x + np.diag(np.full(m, 1e-3))])
-        times, *rows, contact = pmp._integrate_extremal(sc, batch, h)
+        batch = np.hstack([np.tile(np.append(sc.q0, sc.v0), (m + 1, 1)), batch])
+        times = np.linspace(0.0, sc.horizon, int(round(sc.horizon / h)) + 1)
+        rows, contact = pmp._integrate_extremal(sc, batch, times)
         assert not contact.any()
         for b in range(m + 1):
-            _, *alone, contact_b = pmp._integrate_extremal(sc, batch[b:b + 1], h)
+            alone, contact_b = pmp._integrate_extremal(sc, batch[b:b + 1], times)
             assert not contact_b.any()
-            for together, single in zip(rows, alone):
+            for together, single in zip(pmp._unpack(sc, rows), pmp._unpack(sc, alone)):
                 assert np.abs(together[b] - single[0]).max() <= 1e-15
 
-    def test_criterion_09_iterate_unchanged(self):
+    def test_criterion_09_iterate_unchanged(self, monkeypatch):
+        monkeypatch.setattr(pmp, "SEGMENT_STEPS", 10**9)
         sol = shooting_solve(criterion_09_scenario())
         assert sol.iterations == 6
         assert np.abs(sol.u[0] - CRITERION_09_U0).max() <= 1e-12
@@ -396,6 +468,7 @@ class TestBatchedShooting:
         sc = AvoidanceScenario(dimension=2, alpha=0.05, target=[1.2, 0.0], horizon=2.0,
                                q0=[-1.2, 0.0], v0=[0.0, 0.0],
                                obstacles=(SphereObstacle(np.array([0.246, 0.366]), 0.463),))
+        monkeypatch.setattr(pmp, "SEGMENT_STEPS", 10**9)
         flags = spy_sweeps(monkeypatch)
         sol = shooting_solve(sc, h=1e-2)
         assert sol.residual_norm <= 1e-6
@@ -408,6 +481,7 @@ class TestBatchedShooting:
             if i == 2:  # the accepted trial of the first iteration
                 contact[1] = True
 
+        monkeypatch.setattr(pmp, "SEGMENT_STEPS", 10**9)
         spy_sweeps(monkeypatch, flag_row_1)
         with pytest.raises(ObstacleContact):
             shooting_solve(criterion_09_scenario(), h=5e-3)
@@ -422,9 +496,69 @@ class TestBatchedShooting:
             if i == 1:
                 contact[1:] = True
 
+        monkeypatch.setattr(pmp, "SEGMENT_STEPS", 10**9)
         spy_sweeps(monkeypatch, flag_perturbations)
         sol = shooting_solve(sc, h=1e-2)
         assert sol.iterations == 1 and sol.residual_norm <= 1e-6
+
+
+def group_scenario(case):
+    """The rotation-group scenarios of TestShooting and TestBatchedShooting."""
+    if case == "targeted":
+        return AvoidanceScenario(
+            dimension=3, alpha=0.5, target=exp_so3([0.1, 0.2, -0.1]), horizon=1.0,
+            q0=exp_so3([0.7, -0.2, 0.4]), v0=np.array([0.05, -0.1, 0.02]),
+            manifold="so3-biinvariant")
+    return AvoidanceScenario(
+        dimension=3, alpha=1.0, target=np.eye(3), horizon=1.0,
+        q0=exp_so3([0.7, -0.2, 0.4]), v0=np.array([0.05, -0.1, 0.02]),
+        manifold="so3-biinvariant", mode=case)
+
+
+class TestMultipleShooting:
+    def test_criterion_09_start_matches_single_shooting(self):
+        sol = shooting_solve(criterion_09_scenario())
+        assert sol.trace["segments"] == 40 and sol.residual_norm <= 1e-6
+        assert np.abs(sol.u[0] - CRITERION_09_U0).max() <= 5e-9
+        assert np.abs(sol.udot[0] - CRITERION_09_W0).max() <= 5e-9
+        # One sweep over the whole grid from that start meets the terminal
+        # condition.
+        sc = criterion_09_scenario()
+        z0 = np.concatenate([sc.q0, sc.v0, sol.u[0], sol.udot[0]])[None]
+        zs, contact = pmp._integrate_extremal(sc, z0, sol.times)
+        assert not contact.any()
+        assert np.abs(pmp._terminal_residual(sc, zs[:, -1])).max() <= 1e-6
+
+    def test_contact_on_base_row_of_trial_halves_step(self, monkeypatch):
+        # Linear 1D problem on 20 segments: the full first step converges
+        # unless a base row of its trial is flagged.
+        sc = AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
+                               q0=[1.0], v0=[0.0])
+
+        def flag_segment_3(i, contact):
+            if i == 1:
+                contact[3] = True
+
+        flags = spy_sweeps(monkeypatch, flag_segment_3)
+        sol = shooting_solve(sc)
+        assert sol.trace["segments"] == 20 and sol.residual_norm <= 1e-6
+        assert sol.trace["steps"][0] == 0.5
+        assert len(flags) == sol.trace["sweeps"]
+
+    @pytest.mark.parametrize("case", ["terminal", "avoidance", "targeted"])
+    def test_group_starts_stay_on_the_group_and_match_single_shooting(self, case,
+                                                                      monkeypatch):
+        sc = group_scenario(case)
+        sol = shooting_solve(sc, h=5e-3)
+        assert sol.trace["segments"] == 4 and sol.residual_norm <= 1e-6
+        defect = np.swapaxes(sol.q, 1, 2) @ sol.q - np.eye(3)
+        assert np.abs(defect).max() <= 1e-10
+        monkeypatch.setattr(pmp, "SEGMENT_STEPS", 10**9)
+        single = shooting_solve(sc, h=5e-3)
+        assert single.trace["segments"] == 1
+        for a, b in [(sol.q, single.q), (sol.v, single.v), (sol.u, single.u),
+                     (sol.udot, single.udot)]:
+            assert np.abs(a - b).max() <= 5e-6
 
 
 class TestTranscriptionOracle:
