@@ -41,13 +41,11 @@ from .riccati import (
     scalar_residual,
 )
 from .dynamics import (
-    FlatState,
     InertiaTensor,
     RigidBodyState,
     SimParams,
     TrajectoryLog,
     euler_rhs,
-    flat_step,
     lie_euler_step,
     simulate,
 )
@@ -62,10 +60,8 @@ from .regulators import (
     value_candidate,
 )
 from .pmp import (
-    AvoidanceLagrangian,
     AvoidanceScenario,
     BVPSolution,
-    ControlEffortLagrangian,
     CostateTrajectory,
     SphereObstacle,
     VariationTrajectory,

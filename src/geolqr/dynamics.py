@@ -1,6 +1,6 @@
 """Rigid-body attitude dynamics with a fixed point, the group-preserving
-Euler integrator, a flat-space double integrator, and the one classical
-Runge-Kutta sweep that the Riccati and optimality solvers share.
+Euler integrator, and the one classical Runge-Kutta sweep that the Riccati
+and optimality solvers share.
 
 The body angular velocity satisfies w' = J^-1 (J w x w) + tau and the
 kinematics R' = R hat(w), both in body coordinates. One explicit step is
@@ -61,14 +61,6 @@ class RigidBodyState:
 
     r: np.ndarray
     w: np.ndarray
-
-
-@dataclass
-class FlatState:
-    """Configuration/velocity pair of the flat double integrator."""
-
-    q: np.ndarray
-    v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -175,18 +167,6 @@ def simulate(controller, init: RigidBodyState, p: SimParams) -> TrajectoryLog:
     if not np.isfinite(torques).all():
         raise NumericalDivergence("controller returned a non-finite torque")
     return TrajectoryLog(times, rotations, omegas, torques)
-
-
-def flat_step(s: FlatState, u, h: float, grad_w=None) -> FlatState:
-    """Symplectic-Euler step of the flat double integrator.
-
-    v' = v + h (u - grad_w(q)); q' = q + h v'. grad_w defaults to zero.
-    """
-    force = np.asarray(u, dtype=float)
-    if grad_w is not None:
-        force = force - grad_w(s.q)
-    v_next = s.v + h * force
-    return FlatState(q=s.q + h * v_next, v=v_next)
 
 
 def rk4(rate, y0, times) -> np.ndarray:

@@ -23,10 +23,11 @@ Dp2/Dt = -p1 - grad_v L with u = -p2/alpha; costate_integrate verifies that
 relation and the constancy of H on converged solutions.
 
 The extremal, costate and variational sweeps are all dynamics.rk4 (the
-extremal one over a batch of initial unknowns), and every cost evaluator
-(trajectory_cost, the oracle's batched costs, control_cost,
-AvoidanceLagrangian.value) reads the one array running cost running_cost
-under one trapezoid rule.
+extremal one over a batch of initial unknowns). Every cost evaluator
+(trajectory_cost, the oracle's batched costs, control_cost, and the
+costates' Hamiltonian) reads the one array running cost running_cost under
+one trapezoid rule, and the extremal, the costates and the oracle's
+gradient read the one potential gradient _grad_potential.
 
 On the rotation group all tangent quantities live in body coordinates and
 rates written with a dot are covariant: for a field xi along the trajectory,
@@ -41,12 +42,12 @@ import numpy as np
 
 from .dynamics import rk4
 from .errors import NoConvergence, NoDescent, ObstacleContact
-from .so3 import attitude_errors, exp_so3
+from .so3 import attitude_errors, exp_so3, row_dots
 
 MANIFOLDS = ("flat", "so3-biinvariant")
 
-# Multiple shooting splits the grid into the largest number of equal
-# segments that keeps at least SEGMENT_STEPS steps in each.
+# Multiple shooting splits the grid into steps // SEGMENT_STEPS segments (at
+# least one) whose lengths differ by at most one step.
 SEGMENT_STEPS = 50
 
 # Stopping rule of transcription_oracle: the sup-norm gradient reaches
@@ -157,17 +158,11 @@ def _grad_goal_potential(scenario: AvoidanceScenario, q) -> np.ndarray:
     return g.reshape(q.shape[:-2] + (3,))
 
 
-def _dots(a, b) -> np.ndarray:
-    """Row-wise dot products along the last axis, rounded as the dot product
-    a @ b of one row: a batched matmul gives the per-row bits."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _sqnorm(x) -> np.ndarray:
     """Squared Euclidean norm along the last axis, rounded as the dot
     product x @ x of one row (as in SphereObstacle.value)."""
     x = np.asarray(x, dtype=float)
-    return _dots(x, x)
+    return row_dots(x, x)
 
 
 def _clearances(scenario: AvoidanceScenario, q) -> np.ndarray:
@@ -207,8 +202,8 @@ def _trapezoid_weights(times) -> np.ndarray:
 def _barrier_grad(scenario: AvoidanceScenario, q):
     """Gradient -sum_i grad O_i / O_i^2 of the barrier V at every point of a
     (..., n) array (0.0 without obstacles), and the points that touch an
-    obstacle (some O_i <= 0): avoidance_rhs and AvoidanceLagrangian.grad_q
-    raise there, a batched rollout flags the row."""
+    obstacle (some O_i <= 0): avoidance_rhs and costate_integrate raise
+    there, a batched rollout flags the row."""
     grad, contact = 0.0, False
     for c, r2 in scenario._spheres:
         d = q - c
@@ -218,11 +213,18 @@ def _barrier_grad(scenario: AvoidanceScenario, q):
     return grad, contact
 
 
+def _grad_potential(scenario: AvoidanceScenario, q):
+    """Gradient of U + V at every point of q, and the points that touch an
+    obstacle (see _barrier_grad)."""
+    barrier, contact = _barrier_grad(scenario, q)
+    return _grad_goal_potential(scenario, q) + barrier, contact
+
+
 def _avoidance_accel(scenario: AvoidanceScenario, q, v, u):
     """R(v, u) v + u/alpha - grad(U + V)(q)/alpha at every point, and the
     points that touch an obstacle."""
-    barrier, contact = _barrier_grad(scenario, q)
-    accel = (u - (_grad_goal_potential(scenario, q) + barrier)) / scenario.alpha
+    grad, contact = _grad_potential(scenario, q)
+    accel = (u - grad) / scenario.alpha
     if scenario.manifold == "flat":
         return accel, contact
     return curvature(scenario.manifold, v, u, v) + accel, contact
@@ -373,13 +375,6 @@ def _continuity(scenario: AvoidanceScenario, start, end) -> np.ndarray:
     return np.hstack([dq, start[:, d:] - end[:, d:]])
 
 
-def _segment_count(steps: int) -> int:
-    """Largest divisor of steps that leaves at least SEGMENT_STEPS steps per
-    segment, or 1."""
-    return max([m for m in range(1, steps // SEGMENT_STEPS + 1) if steps % m == 0],
-               default=1)
-
-
 def _segment_starts(scenario: AvoidanceScenario, y, seg) -> np.ndarray:
     """Packed start states of rows y = (xi, v, u, w) of segments seg: q is
     q0 + xi on flat space and q0 exp(xi) on the group, and q0 in segment 0."""
@@ -427,18 +422,20 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3,
                    tol: float = 1e-6, max_iter: int = 100) -> BVPSolution:
     """Damped-Newton multiple shooting.
 
-    The grid splits into M equal segments of at least SEGMENT_STEPS steps
-    (M = 1 on short grids is single shooting). The unknowns are (u(0),
+    The grid splits into M = steps // SEGMENT_STEPS segments (M = 1 on
+    short grids is single shooting) whose lengths differ by at most one
+    step, the longer ones last. The unknowns are (u(0),
     Du/Dt(0)) and each later segment's start (xi, v, u, w), where q is
     q0 + xi on flat space and q0 exp(xi) on the group; segment starts begin
     at (q0, v0, 0, 0). The residual is the continuity of q (by log_so3 on
     the group), v, u and w at each later segment's start, then the terminal
     condition of the scenario mode. The rhs is autonomous, so every segment
-    sweeps the first segment's grid, and each trial point goes through one
-    sweep together with one forward-difference perturbation per unknown: an
-    accepted trial brings the Jacobian at the new iterate along. A trial
-    whose base rows touch an obstacle or overflow halves the step. The path
-    joins the segments' base rows on the global grid. trace holds
+    sweeps the grid of the longest one and reads its end at its own length,
+    and each trial point goes through one sweep together with one
+    forward-difference perturbation per unknown: an accepted trial brings
+    the Jacobian at the new iterate along. A trial whose base rows touch an
+    obstacle or overflow halves the step. The path joins the segments' base
+    rows on the global grid. trace holds
     "residuals" (sup norm, zero guess first), "steps" (the accepted step
     lengths), "sweeps" and "segments" (M).
 
@@ -451,13 +448,15 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3,
     n = scenario.tangent_dim
     steps = max(1, int(round(scenario.horizon / h)))
     times = np.linspace(0.0, scenario.horizon, steps + 1)
-    m = _segment_count(steps)
-    seg_steps = steps // m
+    m = max(1, steps // SEGMENT_STEPS)
+    lengths = np.full(m, steps // m)
+    lengths[m - steps % m:] += 1
     # Unknown i sits at entry 2n + i of the segments' (xi, v, u, w) rows,
     # whose first 2n entries, (0, v0) in segment 0, are fixed.
     place = 2 * n + np.arange((4 * m - 2) * n)
     seg, comp = place // (4 * n), place % (4 * n)
     row_seg = np.concatenate([np.arange(m), seg])
+    row_end = (np.arange(row_seg.size), lengths[row_seg])
 
     def sweep(x):
         deltas = 1e-6 * np.maximum(1.0, np.abs(x))
@@ -465,8 +464,10 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3,
         ys = np.vstack([y, y[seg]])
         ys[m + np.arange(x.size), comp] += deltas
         starts = _segment_starts(scenario, ys, row_seg)
-        zs, contact = _integrate_extremal(scenario, starts, times[:seg_steps + 1])
-        ends = zs[:, -1].copy()
+        # A shorter segment's row runs one step past its end, into the next
+        # segment's span, and its contact flag covers that step too.
+        zs, contact = _integrate_extremal(scenario, starts, times[:lengths[-1] + 1])
+        ends = zs[row_end]
         res = np.concatenate([_continuity(scenario, starts[1:m], ends[:m - 1]).ravel(),
                               _terminal_residual(scenario, ends[m - 1:m])[0]])
         return res, (starts, ends, deltas), contact, zs[:m].copy()
@@ -518,7 +519,8 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3,
             res, swept, contact, base = trial
             residuals.append(float(np.abs(res).max()))
             steps.append(lam)
-    path = np.concatenate([base[:, :-1].reshape(m * seg_steps, -1), base[-1, -1:]])
+    path = np.concatenate([*(b[:k] for b, k in zip(base, lengths)),
+                           base[-1, lengths[-1]:]])
     q, v, u, w = _unpack(scenario, path)
     return BVPSolution(times=times, q=q, v=v, u=u, udot=w, residual_norm=residuals[-1],
                        iterations=len(steps), cost=trajectory_cost(scenario, times, q, v, u),
@@ -570,7 +572,7 @@ def _cost_gradient(scenario: AvoidanceScenario, u: np.ndarray, ht: float,
     """
     q, v = _batched_rollout(scenario, u[None], ht)
     q, v, w = q[0], v[0], weights[:, None]
-    dq = w * (_grad_goal_potential(scenario, q) + _barrier_grad(scenario, q)[0])
+    dq = w * _grad_potential(scenario, q)[0]
     dv = w * v + ht * np.cumsum(dq[::-1], axis=0)[::-1]
     grad = scenario.alpha * w * u
     grad[:-1] += ht * np.cumsum(dv[:0:-1], axis=0)[::-1]
@@ -656,44 +658,6 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
                        trace={"stop_reason": stop_reason, "grad_norm": grad_inf})
 
 
-class AvoidanceLagrangian:
-    """Running cost U + |v|^2/2 + (alpha/2)|u|^2 + V and its gradients, at
-    one point or at every row of (N, n) arrays (q as rotations on the
-    group)."""
-
-    def __init__(self, scenario: AvoidanceScenario):
-        self.scenario = scenario
-
-    def value(self, q, v, u) -> np.ndarray:
-        return running_cost(self.scenario, q, v, u)
-
-    def grad_q(self, q, v, u) -> np.ndarray:
-        barrier, contact = _barrier_grad(self.scenario, q)
-        if np.any(contact):
-            raise ObstacleContact("obstacle contacted")
-        return _grad_goal_potential(self.scenario, q) + barrier
-
-    def grad_v(self, q, v, u) -> np.ndarray:
-        return np.asarray(v, dtype=float)
-
-
-class ControlEffortLagrangian:
-    """Running cost (alpha/2)|u|^2 of the terminal-cost regulation mode, at
-    one point or at every row of (N, n) arrays."""
-
-    def __init__(self, alpha: float):
-        self.alpha = alpha
-
-    def value(self, q, v, u) -> np.ndarray:
-        return 0.5 * self.alpha * _sqnorm(u)
-
-    def grad_q(self, q, v, u) -> np.ndarray:
-        return np.zeros_like(np.asarray(v, dtype=float))
-
-    def grad_v(self, q, v, u) -> np.ndarray:
-        return np.zeros_like(np.asarray(v, dtype=float))
-
-
 def _at(x, k: int, theta: float):
     """Stored grid samples at theta in {0, 1/2, 1} of grid interval k."""
     if theta == 0.0:
@@ -713,36 +677,48 @@ class CostateTrajectory:
     hamiltonian: np.ndarray
 
 
-def costate_integrate(times, q, v, u, lagrangian, terminal,
-                      manifold: str = "flat") -> CostateTrajectory:
-    """Integrate the adjoint equations backward along a stored trajectory.
+def costate_integrate(scenario: AvoidanceScenario, solution: BVPSolution) -> CostateTrajectory:
+    """Integrate the adjoint equations backward along a solution's grid.
 
         Dp1/Dt = -R(v, p2) v - grad_q L
         Dp2/Dt = -p1 - grad_v L
 
-    from p(T) = terminal, recording H = <p1, v> + <p2, u> + L at each grid
-    point. Half-step values of (q, v, u) come from linear interpolation, so
-    the sweep is globally second order on the stored grid.
+    and record H = <p1, v> + <p2, u> + L at each grid point, with L the
+    scenario's running_cost. The avoidance mode's L has grad_q = grad(U + V)
+    and grad_v = v, and p(T) = 0; the terminal mode's L = (alpha/2)|u|^2 has
+    neither, and p(T) = (grad U(q(T)), v(T)) from the terminal cost. Half-step
+    values of (q, v) come from linear interpolation, so the sweep is
+    globally second order on the stored grid.
 
-    The lagrangian's value, grad_q and grad_v take (N, n) arrays (q as
-    (N, 3, 3) rotations on the group); results broadcast against the rows.
-    Both gradients are evaluated before the sweep, once at the grid samples
-    and once at the interval midpoints, so an RK4 stage reads one row and
+    The forcing is evaluated before the sweep, once over the grid samples
+    and once over the interval midpoints, so an RK4 stage reads one row and
     only the curvature terms, which need the stage's costate, stay per
     stage.
+
+    Raises:
+        ObstacleContact: a grid sample or midpoint touches an obstacle.
     """
-    times = np.asarray(times, dtype=float)
+    times, q, v, u = solution.times, solution.q, solution.v, solution.u
+    manifold = scenario.manifold
+    if scenario.mode == "avoidance":
+        terminal = np.zeros((2, scenario.tangent_dim))
+    else:
+        terminal = np.array([_grad_goal_potential(scenario, q[-1]), v[-1]])
     # The sweep runs over the reversed grid, so interval k joins samples k
     # and k + 1 of the reversed arrays.
-    qr, vr, ur = q[::-1], v[::-1], u[::-1]
+    qr, vr = q[::-1], v[::-1]
 
-    def forcing(qs, vs, us):
-        shape = vs.shape
-        return (vs, np.broadcast_to(lagrangian.grad_q(qs, vs, us), shape),
-                np.broadcast_to(lagrangian.grad_v(qs, vs, us), shape))
+    def forcing(qs, vs):
+        if scenario.mode == "terminal":
+            zero = np.zeros_like(vs)
+            return vs, zero, zero
+        grad, contact = _grad_potential(scenario, qs)
+        if np.any(contact):
+            raise ObstacleContact("obstacle contacted")
+        return vs, grad, vs
 
-    at_samples = forcing(qr, vr, ur)
-    at_mids = forcing(*(0.5 * (x[:-1] + x[1:]) for x in (qr, vr, ur)))
+    at_samples = forcing(qr, vr)
+    at_mids = forcing(0.5 * (qr[:-1] + qr[1:]), 0.5 * (vr[:-1] + vr[1:]))
 
     def rate(k, theta, p):
         if theta == 0.5:
@@ -757,9 +733,9 @@ def costate_integrate(times, q, v, u, lagrangian, terminal,
             d2 = d2 - 0.5 * _cross(vk, p[1])
         return np.array([d1, d2])
 
-    ps = rk4(rate, np.array(terminal, dtype=float), times[::-1])[::-1]
+    ps = rk4(rate, terminal, times[::-1])[::-1]
     p1, p2 = ps[:, 0], ps[:, 1]
-    ham = _dots(p1, v) + _dots(p2, u) + lagrangian.value(q, v, u)
+    ham = row_dots(p1, v) + row_dots(p2, u) + running_cost(scenario, q, v, u)
     return CostateTrajectory(times, p1, p2, ham)
 
 

@@ -1,6 +1,8 @@
 """Optimal feedback laws for attitude: LQR regulation to a fixed rotation and
 PD-plus-feedforward tracking of a moving reference, with the Lyapunov and
-candidate-value diagnostics that certify them.
+candidate-value diagnostics that certify them. The diagnostics are array
+functions over rows of attitude errors and velocities, which the regulate
+scenario computes once for its whole log.
 
 The feedback laws run once per closed-loop step, so they read the state
 and reference arrays into Python floats, compute with _float3, and return
@@ -18,7 +20,7 @@ import numpy as np
 from ._float3 import cross, mm, mtm, mv
 from .dynamics import InertiaTensor, RigidBodyState
 from .riccati import GainPair, RiccatiSolution
-from .so3 import exp_so3, log_so3
+from .so3 import exp_so3, log_so3, row_dots
 
 
 @dataclass(frozen=True)
@@ -141,26 +143,25 @@ def feedforward_torque(s: RigidBodyState, ref: ReferenceSample, j: InertiaTensor
     return np.array(_tracking_terms(s, ref, None, j, accel_term)[1])
 
 
-def lyapunov_value(s: RigidBodyState, goal: RegulationGoal, g: GainPair) -> float:
-    """kP * (squared geodesic distance) / 2 + |w|^2 / 2.
+def lyapunov_value(e, w, kp) -> np.ndarray:
+    """kP * (squared geodesic distance) / 2 + |w|^2 / 2 at every row of the
+    (N, 3) attitude errors e = log(r_d.T r) and velocities w; kp is a scalar
+    or an (N,) array.
 
     Nonnegative, zero exactly at the goal with zero velocity, and
     non-increasing along the closed loop away from the first step.
     """
-    e = log_so3(goal.r_d.T @ s.r)
-    w = s.w
-    return g.kP * 0.5 * float(e @ e) + 0.5 * float(w @ w)
+    return kp * 0.5 * row_dots(e, e) + 0.5 * row_dots(w, w)
 
 
-def value_candidate(s: RigidBodyState, goal: RegulationGoal,
-                    sol: RiccatiSolution) -> float:
-    """Candidate value function k1 U + (k2/2)|w|^2 + k3 <log(r_d.T r), w>.
+def value_candidate(e, w, sol: RiccatiSolution) -> np.ndarray:
+    """Candidate value function k1 U + (k2/2)|w|^2 + k3 <log(r_d.T r), w> at
+    every row of the (N, 3) attitude errors e = log(r_d.T r) and velocities
+    w; sol's entries are scalars or (N,) arrays (a DRE schedule's lookup).
 
     U is half the squared geodesic distance; the cross-term sign follows the
     finite-difference calibration of the distance gradient (the directional
     derivative of U along r exp(t hat(w)) equals <log(r_d.T r), w>).
     """
-    e = log_so3(goal.r_d.T @ s.r)
-    w = s.w
-    u = 0.5 * float(e @ e)
-    return sol.k1 * u + 0.5 * sol.k2 * float(w @ w) + sol.k3 * float(e @ w)
+    return (sol.k1 * (0.5 * row_dots(e, e)) + 0.5 * sol.k2 * row_dots(w, w)
+            + sol.k3 * row_dots(e, w))

@@ -5,8 +5,9 @@ The closed loop only logs (`dynamics.simulate`) and makes one feedback-law
 call per step, with ARE gains built once before the loop. The dist, lyap
 and value channels are then computed from the logged arrays: the attitude
 errors in one chunked array pass (`so3.attitude_errors`) against the goal
-or the reference table on the same grid, and K(t) from one
-Riccati-solution lookup over all logged times.
+or the reference table on the same grid, K(t) from one Riccati-solution
+lookup over all logged times, and lyap and value from
+`regulators.lyapunov_value` and `value_candidate` over those arrays.
 
 Trajectory CSV column contract, in order:
 
@@ -190,17 +191,13 @@ def run_regulate(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
         return regulators.regulation_torque(s, goal, gains_at(t))
 
     def channels(log):
-        # The Lyapunov and value formulas are written out so that one attitude
-        # error per sample serves all three channels.
         k = solution_at(log.times)
         e = so3.attitude_errors(np.broadcast_to(goal.r_d, log.rotations.shape),
                                 log.rotations)
-        d2 = pmp._dots(e, e)
-        w2 = pmp._dots(log.omegas, log.omegas)
         return {
-            "dist": np.sqrt(d2),
-            "lyap": k.gains(alpha).kP * 0.5 * d2 + 0.5 * w2,
-            "value": k.k1 * 0.5 * d2 + 0.5 * k.k2 * w2 + k.k3 * pmp._dots(e, log.omegas),
+            "dist": np.sqrt(so3.row_dots(e, e)),
+            "lyap": regulators.lyapunov_value(e, log.omegas, k.gains(alpha).kP),
+            "value": regulators.value_candidate(e, log.omegas, k),
         }
 
     return _run_closed_loop(cfg, out_dir, clock, gain_summary, controller, channels)
@@ -235,11 +232,7 @@ def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     scenario = cfg.avoidance
     solution = pmp.shooting_solve(scenario, h=cfg.sim.h)
     clock.lap("shoot")
-    lagrangian = pmp.AvoidanceLagrangian(scenario)
-    n = scenario.dimension
-    costates = pmp.costate_integrate(solution.times, solution.q, solution.v,
-                                     solution.u, lagrangian,
-                                     (np.zeros(n), np.zeros(n)))
+    costates = pmp.costate_integrate(scenario, solution)
     dist = np.linalg.norm(solution.q - scenario.target, axis=1)
     clearance = None
     if scenario.obstacles:
@@ -251,7 +244,7 @@ def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
                  **_block_columns(_NAMES[13:16], solution.u),
                  "dist": dist, "hamiltonian": costates.hamiltonian},
                 cfg.output.decimation)
-    path_names = [f"{x}{i + 1}" for x in "qvu" for i in range(n)]
+    path_names = [f"{x}{i + 1}" for x in "qvu" for i in range(scenario.dimension)]
     _write_rows(out_dir / "avoidance_path.csv", ",".join(["t"] + path_names),
                 {"t": solution.times,
                  **_block_columns(path_names, np.hstack([solution.q, solution.v, solution.u]))},

@@ -179,6 +179,12 @@ def attitude_errors(r_from, rotations) -> np.ndarray:
     return e
 
 
+def row_dots(a, b) -> np.ndarray:
+    """Row-wise dot products along the last axis, rounded as the dot product
+    a @ b of one row: a batched matmul gives the per-row bits."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def geodesic_distance(r1, r2) -> float:
     """Rotation angle of r1.T r2: length of the shortest path between them.
 

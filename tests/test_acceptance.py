@@ -18,7 +18,6 @@ import scipy.linalg
 
 from geolqr.dynamics import InertiaTensor, RigidBodyState, SimParams, simulate, time_grid
 from geolqr.pmp import (
-    AvoidanceLagrangian,
     AvoidanceScenario,
     SphereObstacle,
     control_cost,
@@ -255,9 +254,7 @@ def test_criterion_09_pmp_avoidance_cross_validation():
     rel_gap = abs(sol2.cost - oracle.cost) / oracle.cost
     assert rel_gap <= 1e-2
 
-    lag = AvoidanceLagrangian(sc2)
-    costates = costate_integrate(sol2.times, sol2.q, sol2.v, sol2.u, lag,
-                                 (np.zeros(2), np.zeros(2)))
+    costates = costate_integrate(sc2, sol2)
     spread = float(costates.hamiltonian.max() - costates.hamiltonian.min())
     assert spread <= 1e-3
     assert np.abs(-costates.p2 / sc2.alpha - sol2.u).max() <= 1e-3

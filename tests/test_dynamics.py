@@ -1,4 +1,4 @@
-"""Rigid-body dynamics, the group-preserving integrator, and the flat stepper."""
+"""Rigid-body dynamics, the group-preserving integrator, and the RK4 sweep."""
 
 import math
 
@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from geolqr.dynamics import (
-    FlatState,
     InertiaTensor,
     RigidBodyState,
     SimParams,
     euler_rhs,
-    flat_step,
     lie_euler_step,
     rk4,
     simulate,
@@ -185,27 +183,3 @@ class TestSimParams:
             SimParams(0.0, 1.0, J123)
         with pytest.raises(ValueError):
             SimParams(1e-3, -1.0, J123)
-
-
-class TestFlatStep:
-    def test_rest_is_fixed_point(self):
-        s = FlatState(np.array([0.7]), np.array([0.0]))
-        s2 = flat_step(s, np.zeros(1), 0.1)
-        assert np.array_equal(s2.q, s.q)
-        assert np.array_equal(s2.v, s.v)
-
-    def test_drift(self):
-        s = flat_step(FlatState(np.array([0.0]), np.array([1.0])), np.zeros(1), 0.1)
-        assert np.allclose(s.q, [0.1], atol=0.0)
-        assert np.allclose(s.v, [1.0], atol=0.0)
-
-    def test_harmonic_energy_bounded(self):
-        # Symplectic Euler keeps the oscillator energy error O(h).
-        s = FlatState(np.array([1.0]), np.array([0.0]))
-        grad = lambda q: q
-        worst = 0.0
-        for _ in range(10000):
-            s = flat_step(s, np.zeros(1), 1e-3, grad)
-            energy = 0.5 * float(s.v @ s.v) + 0.5 * float(s.q @ s.q)
-            worst = max(worst, abs(energy - 0.5))
-        assert worst <= 1e-3

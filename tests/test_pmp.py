@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from geolqr import pmp
-from geolqr.dynamics import FlatState, flat_step, rk4
+from geolqr.dynamics import rk4
 from geolqr.errors import NoConvergence, ObstacleContact
 from geolqr.pmp import (
-    AvoidanceLagrangian,
     AvoidanceScenario,
-    ControlEffortLagrangian,
+    BVPSolution,
     SphereObstacle,
     avoidance_rhs,
     control_cost,
@@ -244,9 +243,7 @@ class TestShooting:
         sc = AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
                                q0=[1.0], v0=[0.0])
         sol = shooting_solve(sc)
-        lag = AvoidanceLagrangian(sc)
-        ct = costate_integrate(sol.times, sol.q, sol.v, sol.u, lag,
-                               (np.zeros(1), np.zeros(1)))
+        ct = costate_integrate(sc, sol)
         assert np.abs(-ct.p2 / sc.alpha - sol.u).max() <= 1e-3
         spread = float(ct.hamiltonian.max() - ct.hamiltonian.min())
         assert spread <= 1e-3
@@ -265,10 +262,7 @@ class TestShooting:
         assert np.abs(sol.u[-1] + sol.v[-1] / a).max() <= 1e-6
         grad_t = log_so3(sc.target.T @ sol.q[-1])
         assert np.abs(sol.udot[-1] - grad_t / a).max() <= 1e-6
-        lag = ControlEffortLagrangian(a)
-        ct = costate_integrate(sol.times, sol.q, sol.v, sol.u, lag,
-                               (grad_t, sol.v[-1].copy()),
-                               manifold="so3-biinvariant")
+        ct = costate_integrate(sc, sol)
         assert np.abs(-ct.p2 / a - sol.u).max() <= 1e-3
         assert float(ct.hamiltonian.max() - ct.hamiltonian.min()) <= 1e-3
 
@@ -281,10 +275,7 @@ class TestShooting:
             manifold="so3-biinvariant", mode="avoidance")
         sol = shooting_solve(sc, h=5e-3)
         assert sol.residual_norm <= 1e-6
-        lag = AvoidanceLagrangian(sc)
-        ct = costate_integrate(sol.times, sol.q, sol.v, sol.u, lag,
-                               (np.zeros(3), np.zeros(3)),
-                               manifold="so3-biinvariant")
+        ct = costate_integrate(sc, sol)
         assert np.abs(-ct.p2 / sc.alpha - sol.u).max() <= 1e-3
         assert float(ct.hamiltonian.max() - ct.hamiltonian.min()) <= 1e-3
 
@@ -314,10 +305,7 @@ class TestShooting:
         assert np.abs(fitted - sol.u).max() <= 1e-8
         # Stationarity: control-effort problems keep p2 = -alpha u along the
         # converged trajectory.
-        grad_t = sol.q[-1] - sc.target
-        lag = ControlEffortLagrangian(sc.alpha)
-        ct = costate_integrate(sol.times, sol.q, sol.v, sol.u, lag,
-                               (grad_t, sol.v[-1].copy()))
+        ct = costate_integrate(sc, sol)
         assert np.abs(-ct.p2 / sc.alpha - sol.u).max() <= 1e-3
         assert float(ct.hamiltonian.max() - ct.hamiltonian.min()) <= 1e-3
 
@@ -545,6 +533,24 @@ class TestMultipleShooting:
         assert sol.trace["steps"][0] == 0.5
         assert len(flags) == sol.trace["sweeps"]
 
+    @pytest.mark.parametrize("steps", [4001, 3998])
+    def test_unequal_segments_solve_the_stiff_case(self, steps):
+        # A step count that 50-step segments do not divide: 80 or 79
+        # segments whose lengths differ by one step. The start agrees with
+        # the 4000-step solve (80 segments of 50) to the grids' difference.
+        sc = AvoidanceScenario(dimension=1, alpha=1e-4, target=[0.0], horizon=2.0,
+                               q0=[1.0], v0=[0.0])
+        ref = shooting_solve(sc, h=sc.horizon / 4000)
+        sol = shooting_solve(sc, h=sc.horizon / steps)
+        assert sol.trace["segments"] == steps // pmp.SEGMENT_STEPS
+        assert sol.residual_norm <= 1e-6
+        assert len(sol.times) == steps + 1 and len(sol.u) == steps + 1
+        assert abs(sol.u[0, 0] - ref.u[0, 0]) <= 1e-8
+        assert abs(sol.udot[0, 0] - ref.udot[0, 0]) <= 1e-8
+        # The joined path lies on the reference path, within linear
+        # interpolation's h^2 max|q''| / 8 = 3e-6.
+        assert np.abs(np.interp(ref.times, sol.times, sol.q[:, 0]) - ref.q[:, 0]).max() <= 1e-5
+
     @pytest.mark.parametrize("case", ["terminal", "avoidance", "targeted"])
     def test_group_starts_stay_on_the_group_and_match_single_shooting(self, case,
                                                                       monkeypatch):
@@ -678,32 +684,51 @@ class TestTranscriptionOracle:
 
 class TestCostates:
     def test_zero_cost_gives_zero_costates(self):
+        # Terminal mode at the target with v = u = 0: the running cost, the
+        # terminal costate and the forcing all vanish.
+        sc = AvoidanceScenario(dimension=2, alpha=1.0, target=[0.3, -0.4], horizon=1.0,
+                               q0=[0.3, -0.4], v0=[0.0, 0.0], mode="terminal")
         times = np.linspace(0.0, 1.0, 101)
-        q = np.zeros((101, 2))
-        v = np.tile([0.5, -0.2], (101, 1))
-        u = np.zeros((101, 2))
-
-        class ZeroLagrangian:
-            def value(self, q, v, u):
-                return 0.0
-
-            def grad_q(self, q, v, u):
-                return np.zeros(2)
-
-            def grad_v(self, q, v, u):
-                return np.zeros(2)
-
-        ct = costate_integrate(times, q, v, u, ZeroLagrangian(),
-                               (np.zeros(2), np.zeros(2)))
+        q = np.tile(sc.target, (101, 1))
+        zeros = np.zeros((101, 2))
+        sol = BVPSolution(times=times, q=q, v=zeros, u=zeros, udot=zeros,
+                          residual_norm=0.0, iterations=0, cost=0.0)
+        ct = costate_integrate(sc, sol)
         assert np.abs(ct.p1).max() == 0.0
         assert np.abs(ct.p2).max() == 0.0
         assert np.abs(ct.hamiltonian).max() == 0.0
 
+    @pytest.mark.parametrize("through", ["sample", "midpoint"])
+    def test_path_through_obstacle_raises(self, through):
+        # A straight path from -1 to 1 across an obstacle at the origin: a
+        # grid sample lies inside it, or on the two-point grid only the
+        # interval midpoint does.
+        sc = AvoidanceScenario(dimension=1, alpha=1.0, target=[1.0], horizon=1.0,
+                               q0=[-1.0], v0=[2.0],
+                               obstacles=(SphereObstacle(np.array([0.0]), 0.5),))
+        n_pts = 11 if through == "sample" else 2
+        times = np.linspace(0.0, 1.0, n_pts)
+        q = np.linspace(-1.0, 1.0, n_pts)[:, None]
+        v = np.full((n_pts, 1), 2.0)
+        sol = BVPSolution(times=times, q=q, v=v, u=np.zeros((n_pts, 1)), udot=None,
+                          residual_norm=0.0, iterations=0, cost=0.0)
+        with pytest.raises(ObstacleContact):
+            costate_integrate(sc, sol)
+
     @staticmethod
-    def per_point_sweep(times, q, v, u, lagrangian, terminal, manifold):
+    def per_point_sweep(sc, sol):
         """The sweep as it was written before the forcing became array passes:
-        the lagrangian evaluated at each RK4 stage's point, and H row by row."""
-        qr, vr, ur = q[::-1], v[::-1], u[::-1]
+        the potential gradient at each RK4 stage's point, the terminal
+        costate from log_so3, and H row by row."""
+        times, q, v, u = sol.times, sol.q, sol.v, sol.u
+        manifold = sc.manifold
+        qr, vr = q[::-1], v[::-1]
+        if sc.mode == "avoidance":
+            terminal = (np.zeros(sc.tangent_dim), np.zeros(sc.tangent_dim))
+        elif manifold == "flat":
+            terminal = (q[-1] - sc.target, v[-1].copy())
+        else:
+            terminal = (log_so3(sc.target.T @ q[-1]), v[-1].copy())
 
         def at(x, k, theta):
             if theta == 0.0:
@@ -713,9 +738,13 @@ class TestCostates:
             return 0.5 * (x[k] + x[k + 1])
 
         def rate(k, theta, p):
-            qk, vk, uk = at(qr, k, theta), at(vr, k, theta), at(ur, k, theta)
-            d1 = -curvature(manifold, vk, p[1], vk) - lagrangian.grad_q(qk, vk, uk)
-            d2 = -p[0] - lagrangian.grad_v(qk, vk, uk)
+            qk, vk = at(qr, k, theta), at(vr, k, theta)
+            if sc.mode == "avoidance":
+                gq, gv = pmp._grad_potential(sc, qk)[0], vk
+            else:
+                gq, gv = np.zeros_like(vk), np.zeros_like(vk)
+            d1 = -curvature(manifold, vk, p[1], vk) - gq
+            d2 = -p[0] - gv
             if manifold == "so3-biinvariant":
                 d1 = d1 - 0.5 * np.cross(vk, p[0])
                 d2 = d2 - 0.5 * np.cross(vk, p[1])
@@ -724,7 +753,7 @@ class TestCostates:
         ps = rk4(rate, np.array(terminal, dtype=float), np.asarray(times)[::-1])[::-1]
         p1, p2 = ps[:, 0], ps[:, 1]
         ham = np.array([float(p1[k] @ v[k]) + float(p2[k] @ u[k])
-                        + float(lagrangian.value(q[k], v[k], u[k]))
+                        + float(pmp.running_cost(sc, q[k], v[k], u[k]))
                         for k in range(len(times))])
         return p1, p2, ham
 
@@ -733,7 +762,6 @@ class TestCostates:
         if case == "criterion_09":
             sc = criterion_09_scenario()
             sol = shooting_solve(sc)
-            lag, terminal, manifold = AvoidanceLagrangian(sc), (np.zeros(2), np.zeros(2)), "flat"
         else:
             mode = case.split("_")[1]
             sc = AvoidanceScenario(
@@ -741,16 +769,8 @@ class TestCostates:
                 q0=exp_so3([0.7, -0.2, 0.4]), v0=np.array([0.05, -0.1, 0.02]),
                 manifold="so3-biinvariant", mode=mode)
             sol = shooting_solve(sc, h=5e-3)
-            manifold = sc.manifold
-            if mode == "avoidance":
-                lag, terminal = AvoidanceLagrangian(sc), (np.zeros(3), np.zeros(3))
-            else:
-                lag = ControlEffortLagrangian(sc.alpha)
-                terminal = (log_so3(sc.target.T @ sol.q[-1]), sol.v[-1].copy())
-        ct = costate_integrate(sol.times, sol.q, sol.v, sol.u, lag, terminal,
-                               manifold=manifold)
-        p1, p2, ham = self.per_point_sweep(sol.times, sol.q, sol.v, sol.u, lag,
-                                           terminal, manifold)
+        ct = costate_integrate(sc, sol)
+        p1, p2, ham = self.per_point_sweep(sc, sol)
         assert ct.p1.tobytes() == p1.tobytes()
         assert ct.p2.tobytes() == p2.tobytes()
         assert ct.hamiltonian.tobytes() == ham.tobytes()
@@ -807,14 +827,9 @@ class TestOneCostFunctional:
         q, v = _batched_rollout(sc, controls, ht)
         costs = _batched_costs(sc, controls, ht, weights)
         assert np.isfinite(costs).all()
-        lagrangian = AvoidanceLagrangian(sc)
         for b in range(controls.shape[0]):
             j = trajectory_cost(sc, times, q[b], v[b], controls[b])
             assert abs(j - costs[b]) <= 1e-12 * abs(costs[b])
-            lvals = running_cost(sc, q[b], v[b], controls[b])
-            for k in range(n_grid):
-                assert lagrangian.value(q[b, k], v[b, k], controls[b, k]) == \
-                    pytest.approx(lvals[k], rel=1e-14)
 
         # Constant thrust along x drives the path straight through the obstacle.
         through = np.zeros((1, n_grid, 2))
@@ -835,9 +850,7 @@ class TestOneCostFunctional:
         v = rng.standard_normal((20, 3))
         u = rng.standard_normal((20, 3))
         lvals = running_cost(sc, q, v, u)
-        lagrangian = AvoidanceLagrangian(sc)
         for k in range(20):
             g = log_so3(sc.target.T @ q[k])
             expected = 0.5 * (g @ g + v[k] @ v[k] + 2.0 * u[k] @ u[k])
             assert lvals[k] == pytest.approx(expected, rel=1e-13)
-            assert lagrangian.value(q[k], v[k], u[k]) == pytest.approx(lvals[k], rel=1e-14)

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from geolqr.dynamics import InertiaTensor, RigidBodyState, SimParams, simulate, time_grid
 from geolqr.errors import AngleNearPi
@@ -26,7 +29,13 @@ from geolqr.riccati import (
     drift_matrix,
     gains_from_K,
 )
-from geolqr.so3 import exp_so3, geodesic_distance, log_so3, transport_velocity
+from geolqr.so3 import (
+    attitude_errors,
+    exp_so3,
+    geodesic_distance,
+    log_so3,
+    transport_velocity,
+)
 
 J123 = InertiaTensor.diagonal([1.0, 2.0, 3.0])
 JSPH = InertiaTensor.diagonal([1.0, 1.0, 1.0])
@@ -192,16 +201,23 @@ class TestFeedforwardTorque:
         assert abs(final - lag) <= 0.15 * lag
 
 
+def certificate_rows(goal, *states):
+    """Attitude errors log(r_d.T r) and velocities of the states, as the
+    (N, 3) rows the certificates take."""
+    return (np.array([log_so3(goal.r_d.T @ s.r) for s in states]),
+            np.array([s.w for s in states]))
+
+
 class TestLyapunovValue:
     def test_zero_at_goal(self):
         goal = RegulationGoal(exp_so3([0.1, 0.9, -0.2]))
         s = RigidBodyState(goal.r_d.copy(), np.zeros(3))
-        assert lyapunov_value(s, goal, GainPair(2.0, 1.0)) == 0.0
+        assert lyapunov_value(*certificate_rows(goal, s), 2.0)[0] == 0.0
 
     def test_plug_in_value(self):
         goal = RegulationGoal(np.eye(3))
         s = RigidBodyState(exp_so3([0.3, 0.0, 0.0]), np.zeros(3))
-        assert abs(lyapunov_value(s, goal, GainPair(2.0, 1.0)) - 0.09) <= 1e-12
+        assert abs(lyapunov_value(*certificate_rows(goal, s), 2.0)[0] - 0.09) <= 1e-12
 
     def test_decreases_along_closed_loop(self):
         g, _ = published_regulation_gains()
@@ -212,8 +228,8 @@ class TestLyapunovValue:
 
         log = simulate(ctrl, RigidBodyState(exp_so3([0.9, -0.4, 0.2]), np.zeros(3)),
                        SimParams(1e-3, 5.0, J123))
-        ly = np.array([lyapunov_value(RigidBodyState(r, w), goal, g)
-                       for r, w in zip(log.rotations, log.omegas)])
+        e = attitude_errors(np.broadcast_to(goal.r_d, log.rotations.shape), log.rotations)
+        ly = lyapunov_value(e, log.omegas, g.kP)
         tau2 = np.array([float(tau @ tau) for tau in log.torques])
         # The explicit scheme injects at most h^2 |tau|^2 of kinetic energy
         # per step while omega ramps up from zero; beyond that the channel
@@ -231,14 +247,14 @@ class TestValueCandidate:
         s = RigidBodyState(np.eye(3), np.zeros(3))
         sol = RiccatiSolution(1.5537739740300367, 1.0986841134678094,
                               0.707106781186547)
-        assert value_candidate(s, goal, sol) == 0.0
+        assert value_candidate(*certificate_rows(goal, s), sol)[0] == 0.0
 
     def test_zero_velocity_reduces_to_distance_term(self):
         goal = RegulationGoal(np.eye(3))
         sol = RiccatiSolution(2.0, 3.0, 0.5)
         s = RigidBodyState(exp_so3([0.0, 0.4, 0.0]), np.zeros(3))
         expected = 2.0 * 0.5 * 0.4 ** 2
-        assert abs(value_candidate(s, goal, sol) - expected) <= 1e-12
+        assert abs(value_candidate(*certificate_rows(goal, s), sol)[0] - expected) <= 1e-12
 
     def test_positive_near_goal_for_positive_definite_k(self):
         goal = RegulationGoal(np.eye(3))
@@ -250,7 +266,61 @@ class TestValueCandidate:
                                rng.standard_normal(3) * 0.2)
             if geodesic_distance(goal.r_d, s.r) < 1e-12 and np.abs(s.w).max() < 1e-12:
                 continue
-            assert value_candidate(s, goal, sol) > 0.0
+            assert value_candidate(*certificate_rows(goal, s), sol)[0] > 0.0
+
+
+def lyapunov_value_at(s, goal, kp):
+    """The Lyapunov certificate at one state, one log_so3 and float dot
+    products: the oracle of the array lyapunov_value."""
+    e = log_so3(goal.r_d.T @ s.r)
+    w = s.w
+    return kp * 0.5 * float(e @ e) + 0.5 * float(w @ w)
+
+
+def value_candidate_at(s, goal, sol):
+    """The candidate value at one state: the oracle of the array
+    value_candidate."""
+    e = log_so3(goal.r_d.T @ s.r)
+    w = s.w
+    u = 0.5 * float(e @ e)
+    return sol.k1 * u + 0.5 * sol.k2 * float(w @ w) + sol.k3 * float(e @ w)
+
+
+# Rotation vectors of at most 0.9 sqrt(3) = 1.56 rad keep relative rotations
+# away from the logarithm's cut locus.
+rotation_vectors = arrays(np.float64, 3, elements=st.floats(-0.9, 0.9))
+entries = st.floats(-10.0, 10.0)
+
+
+class TestArrayCertificates:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), scheduled=st.booleans())
+    def test_equal_to_one_state_at_a_time(self, data, n, scheduled):
+        # Scalar K is an ARE solution; (N,) entries are a DRE schedule's
+        # lookup over the logged times.
+        goal = RegulationGoal(exp_so3(data.draw(rotation_vectors)))
+        rots = np.array([exp_so3(data.draw(rotation_vectors)) for _ in range(n)])
+        omegas = data.draw(arrays(np.float64, (n, 3), elements=entries))
+        shape = (n,) if scheduled else ()
+        kp, k1, k2, k3 = (data.draw(arrays(np.float64, shape, elements=entries))
+                          for _ in range(4))
+        if not scheduled:
+            kp, k1, k2, k3 = (float(x) for x in (kp, k1, k2, k3))
+        states = [RigidBodyState(r, w) for r, w in zip(rots, omegas)]
+        e = attitude_errors(np.broadcast_to(goal.r_d, rots.shape), rots)
+
+        def row(x, i):
+            return x[i] if scheduled else x
+
+        ly = lyapunov_value(e, omegas, kp)
+        want = np.array([lyapunov_value_at(s, goal, row(kp, i))
+                         for i, s in enumerate(states)])
+        assert ly.tobytes() == want.tobytes()
+        val = value_candidate(e, omegas, RiccatiSolution(k1, k2, k3))
+        want = np.array([value_candidate_at(
+            s, goal, RiccatiSolution(row(k1, i), row(k2, i), row(k3, i)))
+            for i, s in enumerate(states)])
+        assert val.tobytes() == want.tobytes()
 
 
 class TestCompatibilityIdentity:
