@@ -37,7 +37,6 @@ from .riccati import (
     are_solve,
     dre_integrate,
     drift_matrix,
-    gains_from_K,
     scalar_residual,
 )
 from .dynamics import (
@@ -65,7 +64,6 @@ from .pmp import (
     CostateTrajectory,
     SphereObstacle,
     VariationTrajectory,
-    avoidance_rhs,
     costate_integrate,
     curvature,
     shooting_solve,

@@ -4,7 +4,14 @@ Top-level keys: command, cost, sim, inertia, initial, goal, reference,
 controller, avoidance, output. Unknown keys at any level are errors, and
 errors carry the dotted path of the offending field. Angles are radians,
 time is seconds. Rotations are given as 9 numbers row-major and must already
-be orthogonal within 1e-6; they are rejected, never re-orthonormalized.
+be rotations within ROTATION_TOL (so3.is_rotation); they are rejected, never
+re-orthonormalized.
+
+The parser checks the JSON's shape: types, lengths, finiteness and the
+choices of string keys. Range rules live in the library types it builds
+(SimParams, RigidBodyState, RegulationGoal, CostParams, InertiaTensor,
+SphereObstacle, AvoidanceScenario), whose errors _build prefixes with the
+section path.
 """
 
 from __future__ import annotations
@@ -15,10 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import InertiaTensor
+from .dynamics import InertiaTensor, RigidBodyState, SimParams
 from .errors import ParseError, ValidationError
-from .pmp import AvoidanceScenario, SphereObstacle, StartInsideObstacle
+from .pmp import AvoidanceScenario, SphereObstacle
+from .regulators import RegulationGoal
 from .riccati import DRIFT_MODES, CostParams
+from .so3 import is_rotation
 
 COMMANDS = ("gains", "regulate", "track", "avoid", "check")
 GAIN_SOURCES = ("are", "dre")
@@ -36,6 +45,16 @@ _COMMAND_COST_DEFAULTS = {
 }
 _COMMAND_T_END = {"regulate": 20.0, "track": 50.0}
 _COMMAND_MODE = {"track": "published-tracking"}
+
+
+def _build(path, cls, *args):
+    """cls(*args), with the path of a ValidationError it raises prefixed by
+    the config path of its arguments."""
+    try:
+        return cls(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}.{exc.path}" if exc.path else path,
+                              exc.message) from None
 
 
 def _require_object(value, path):
@@ -94,36 +113,13 @@ def _matrix(value, path, n) -> np.ndarray:
     return m
 
 
-def _rotation(obj, key, path, default_identity=True):
+def _rotation(obj, key, path):
     if key not in obj:
-        if default_identity:
-            return np.eye(3)
-        raise ValidationError(f"{path}.{key}", "missing required value")
+        return np.eye(3)
     arr = _vector(obj, key, path, 9).reshape(3, 3)
-    defect = np.linalg.norm(arr.T @ arr - np.eye(3))
-    if defect > ROTATION_TOL:
-        raise ValidationError(f"{path}.{key}",
-                              f"not orthogonal (defect {defect:.3g} > {ROTATION_TOL:g})")
-    if abs(np.linalg.det(arr) - 1.0) > ROTATION_TOL:
-        raise ValidationError(f"{path}.{key}", "determinant differs from +1")
+    if not is_rotation(arr, ROTATION_TOL):
+        raise ValidationError(f"{path}.{key}", f"not a rotation within {ROTATION_TOL:g}")
     return arr
-
-
-@dataclass
-class SimConfig:
-    h: float
-    t_end: float
-
-
-@dataclass
-class InitialConfig:
-    rotation: np.ndarray
-    omega: np.ndarray
-
-
-@dataclass
-class GoalConfig:
-    rotation: np.ndarray
 
 
 @dataclass
@@ -174,10 +170,9 @@ class OutputConfig:
 class ScenarioConfig:
     command: str
     cost: CostParams
-    sim: SimConfig
-    inertia: InertiaTensor
-    initial: InitialConfig
-    goal: GoalConfig
+    sim: SimParams
+    initial: RigidBodyState
+    goal: RegulationGoal
     reference: ReferenceConfig
     controller: ControllerSettings
     avoidance: AvoidanceScenario | None
@@ -189,54 +184,38 @@ def _parse_cost(obj, command) -> CostParams:
     _reject_unknown(section, ("alpha", "gamma", "q_weights"), "cost")
     d_alpha, d_gamma = _COMMAND_COST_DEFAULTS[command]
     alpha = _number(section, "alpha", "cost", default=d_alpha)
-    if alpha <= 0.0:
-        raise ValidationError("cost.alpha", "must be positive")
     gamma = _number(section, "gamma", "cost", default=d_gamma)
     q = np.eye(2)
     if "q_weights" in section:
         q = _matrix(section["q_weights"], "cost.q_weights", 2)
-    try:
-        return CostParams(alpha, gamma, q)
-    except ValueError as exc:
-        # alpha is already positive, so CostParams can only refuse q_weights.
-        raise ValidationError("cost.q_weights", str(exc)) from None
+    return _build("cost", CostParams, alpha, gamma, q)
 
 
-def _parse_sim(obj, command) -> SimConfig:
+def _parse_sim(obj, command, inertia: InertiaTensor) -> SimParams:
     section = _require_object(obj.get("sim", {}), "sim")
     _reject_unknown(section, ("h", "t_end"), "sim")
     h = _number(section, "h", "sim", default=1e-3)
-    if not 0.0 < h <= 0.01:
-        raise ValidationError("sim.h", "must satisfy 0 < h <= 0.01")
     t_end = _number(section, "t_end", "sim", default=_COMMAND_T_END.get(command, 20.0))
-    if t_end <= 0.0:
-        raise ValidationError("sim.t_end", "must be positive")
-    return SimConfig(h, t_end)
+    return _build("sim", SimParams, h, t_end, inertia)
 
 
 def _parse_inertia(obj) -> InertiaTensor:
     if "inertia" not in obj:
         return InertiaTensor(np.eye(3))
-    j = _matrix(obj["inertia"], "inertia", 3)
-    try:
-        return InertiaTensor(j)
-    except ValueError as exc:
-        raise ValidationError("inertia", str(exc)) from None
+    return _build("inertia", InertiaTensor, _matrix(obj["inertia"], "inertia", 3))
 
 
-def _parse_initial(obj) -> InitialConfig:
+def _parse_initial(obj) -> RigidBodyState:
     section = _require_object(obj.get("initial", {}), "initial")
     _reject_unknown(section, ("rotation", "omega"), "initial")
-    return InitialConfig(
-        rotation=_rotation(section, "rotation", "initial"),
-        omega=_vector(section, "omega", "initial", 3, default=[0.0, 0.0, 0.0]),
-    )
+    return RigidBodyState(_rotation(section, "rotation", "initial"),
+                          _vector(section, "omega", "initial", 3, default=[0.0, 0.0, 0.0]))
 
 
-def _parse_goal(obj) -> GoalConfig:
+def _parse_goal(obj) -> RegulationGoal:
     section = _require_object(obj.get("goal", {}), "goal")
     _reject_unknown(section, ("rotation",), "goal")
-    return GoalConfig(rotation=_rotation(section, "rotation", "goal"))
+    return RegulationGoal(_rotation(section, "rotation", "goal"))
 
 
 def _parse_reference(obj) -> ReferenceConfig:
@@ -291,8 +270,6 @@ def _parse_avoidance(obj, command, alpha: float) -> AvoidanceScenario | None:
     v0 = _vector(section, "v0", "avoidance", dim, default=[0.0] * dim)
     target = _vector(section, "target", "avoidance", dim)
     horizon = _number(section, "horizon", "avoidance", default=1.0)
-    if horizon <= 0.0:
-        raise ValidationError("avoidance.horizon", "must be positive")
     obstacles = []
     raw = section.get("obstacles", [])
     if not isinstance(raw, list):
@@ -301,17 +278,10 @@ def _parse_avoidance(obj, command, alpha: float) -> AvoidanceScenario | None:
         path = f"avoidance.obstacles[{i}]"
         entry = _require_object(entry, path)
         _reject_unknown(entry, ("center", "radius"), path)
-        center = _vector(entry, "center", path, dim)
-        radius = _number(entry, "radius", path)
-        if radius <= 0.0:
-            raise ValidationError(f"{path}.radius", "must be positive")
-        obstacles.append(SphereObstacle(center, radius))
-    try:
-        return AvoidanceScenario(dimension=dim, alpha=alpha, target=target, horizon=horizon,
-                                 q0=q0, v0=v0, obstacles=tuple(obstacles))
-    except StartInsideObstacle as exc:
-        raise ValidationError(f"avoidance.obstacles[{exc.index}]",
-                              "initial configuration inside obstacle") from None
+        obstacles.append(_build(path, SphereObstacle, _vector(entry, "center", path, dim),
+                                _number(entry, "radius", path)))
+    return _build("avoidance", AvoidanceScenario, dim, alpha, target, horizon, q0, v0,
+                  tuple(obstacles))
 
 
 def _parse_output(obj) -> OutputConfig:
@@ -353,8 +323,7 @@ def parse_config(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig(
         command=command,
         cost=cost,
-        sim=_parse_sim(obj, command),
-        inertia=_parse_inertia(obj),
+        sim=_parse_sim(obj, command, _parse_inertia(obj)),
         initial=_parse_initial(obj),
         goal=_parse_goal(obj),
         reference=_parse_reference(obj),

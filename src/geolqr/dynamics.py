@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._float3 import cross, flat, mv
-from .errors import NumericalDivergence
+from .errors import NumericalDivergence, ValidationError
 from .so3 import exp_so3
 
 OMEGA_DIVERGENCE_LIMIT = 1e6
@@ -31,17 +31,18 @@ class InertiaTensor:
     """Symmetric positive definite inertia matrix with a cached inverse.
 
     j_rows and j_inv_rows hold both matrices' entries row by row as Python
-    floats, for the per-step float kernels.
+    floats, for the per-step float kernels. Any other matrix raises a
+    ValidationError with an empty path: the matrix as a whole is at fault.
     """
 
     def __init__(self, j):
         j = np.asarray(j, dtype=float)
         if j.shape != (3, 3):
-            raise ValueError(f"inertia must be 3x3, got shape {j.shape}")
+            raise ValidationError("", f"inertia must be 3x3, got shape {j.shape}")
         if np.abs(j - j.T).max() > 1e-12:
-            raise ValueError("inertia must be symmetric within 1e-12")
+            raise ValidationError("", "inertia must be symmetric within 1e-12")
         if np.linalg.eigvalsh(j).min() <= 0.0:
-            raise ValueError("inertia must be positive definite")
+            raise ValidationError("", "inertia must be positive definite")
         self.j = j
         self.j_inv = np.linalg.inv(j)
         self.j_rows = tuple(flat(j))
@@ -71,9 +72,9 @@ class SimParams:
 
     def __post_init__(self):
         if not 0.0 < self.h <= 0.01:
-            raise ValueError(f"step size must be in (0, 0.01], got {self.h}")
+            raise ValidationError("h", "must satisfy 0 < h <= 0.01")
         if not self.t_end > 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+            raise ValidationError("t_end", "must be positive")
 
 
 @dataclass

@@ -49,13 +49,20 @@ class ParseError(ConfigError):
     """Configuration text is not valid JSON or not a JSON object."""
 
 
-class ValidationError(ConfigError):
-    """Configuration value violates the schema.
+class ValidationError(ConfigError, ValueError):
+    """A value is out of range or violates the config schema.
+
+    Library constructors raise it naming their own argument ("h",
+    "obstacles[1]"); the config parser prefixes the section path
+    ("avoidance.obstacles[1]").
 
     Attributes:
-        path: dotted path of the offending field, e.g. "initial.rotation".
+        path: dotted path of the offending field, e.g. "initial.rotation";
+            empty when the value as a whole is at fault.
+        message: what is wrong, without the path.
     """
 
     def __init__(self, path: str, message: str):
         self.path = path
-        super().__init__(f"{path}: {message}")
+        self.message = message
+        super().__init__(f"{path}: {message}" if path else message)

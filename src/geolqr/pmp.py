@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import rk4
-from .errors import NoConvergence, NoDescent, ObstacleContact
+from .errors import NoConvergence, NoDescent, ObstacleContact, ValidationError
+from .riccati import CostParams
 from .so3 import attitude_errors, exp_so3, row_dots
 
 MANIFOLDS = ("flat", "so3-biinvariant")
@@ -83,20 +84,16 @@ def curvature(manifold: str, x, y, z) -> np.ndarray:
     raise ValueError(f"unknown manifold {manifold!r}; expected one of {MANIFOLDS}")
 
 
-class StartInsideObstacle(ValueError):
-    """The initial configuration lies inside obstacle `index`."""
-
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"initial configuration inside obstacle {index}")
-
-
 @dataclass(frozen=True)
 class SphereObstacle:
-    """Smooth obstacle indicator O(q) = |q - center|^2 - radius^2."""
+    """Smooth obstacle indicator O(q) = |q - center|^2 - radius^2, radius > 0."""
 
     center: np.ndarray
     radius: float
+
+    def __post_init__(self):
+        if not self.radius > 0.0:
+            raise ValidationError("radius", "must be positive")
 
     def value(self, q) -> float:
         d = np.asarray(q, dtype=float) - self.center
@@ -109,7 +106,9 @@ class AvoidanceScenario:
 
     For the flat manifold q0 and target are n-vectors; for
     "so3-biinvariant" they are rotation matrices and v0 is a body velocity.
-    Obstacles are only meaningful on flat space.
+    Obstacles are only meaningful on flat space, and q0 must lie outside
+    each. A bad value raises a ValidationError naming the argument:
+    "alpha", "horizon", or "obstacles[i]" for the first one containing q0.
     """
 
     dimension: int
@@ -123,20 +122,21 @@ class AvoidanceScenario:
     mode: str = "avoidance"
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        # The control weight's range is CostParams' rule.
+        CostParams(self.alpha)
         if self.manifold not in MANIFOLDS:
             raise ValueError(f"unknown manifold {self.manifold!r}")
         if self.mode not in ("avoidance", "terminal"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+            raise ValidationError("horizon", "must be positive")
         self.target = np.asarray(self.target, dtype=float)
         self.q0 = np.asarray(self.q0, dtype=float)
         self.v0 = np.asarray(self.v0, dtype=float)
         for i, obs in enumerate(self.obstacles):
             if obs.value(self.q0) <= 0.0:
-                raise StartInsideObstacle(i)
+                raise ValidationError(f"obstacles[{i}]",
+                                      "initial configuration inside obstacle")
         # (center, radius^2) of each obstacle, prepared once for the array
         # clearances and the barrier gradient that every RK4 stage calls.
         self._spheres = tuple((np.asarray(o.center, dtype=float), o.radius ** 2)
@@ -202,8 +202,8 @@ def _trapezoid_weights(times) -> np.ndarray:
 def _barrier_grad(scenario: AvoidanceScenario, q):
     """Gradient -sum_i grad O_i / O_i^2 of the barrier V at every point of a
     (..., n) array (0.0 without obstacles), and the points that touch an
-    obstacle (some O_i <= 0): avoidance_rhs and costate_integrate raise
-    there, a batched rollout flags the row."""
+    obstacle (some O_i <= 0): costate_integrate raises there, a batched
+    rollout flags the row."""
     grad, contact = 0.0, False
     for c, r2 in scenario._spheres:
         d = q - c
@@ -221,29 +221,16 @@ def _grad_potential(scenario: AvoidanceScenario, q):
 
 
 def _avoidance_accel(scenario: AvoidanceScenario, q, v, u):
-    """R(v, u) v + u/alpha - grad(U + V)(q)/alpha at every point, and the
-    points that touch an obstacle."""
+    """Covariant second derivative of the control along an extremal,
+    R(v, u) v + u/alpha - grad(U + V)(q)/alpha, at every point, and the
+    points that touch an obstacle. The gradient sign follows from
+    differentiating the costate relation u = -p2/alpha twice; the
+    transcription oracle confirms it numerically."""
     grad, contact = _grad_potential(scenario, q)
     accel = (u - grad) / scenario.alpha
     if scenario.manifold == "flat":
         return accel, contact
     return curvature(scenario.manifold, v, u, v) + accel, contact
-
-
-def avoidance_rhs(u, udot, q, v, scenario: AvoidanceScenario) -> np.ndarray:
-    """Covariant second derivative of the control along an extremal.
-
-    R(v, u) v + u/alpha - grad(U + V)(q)/alpha. The gradient sign follows
-    from differentiating the costate relation u = -p2/alpha twice; the
-    transcription oracle confirms it numerically.
-
-    Raises:
-        ObstacleContact: q touches an obstacle.
-    """
-    accel, contact = _avoidance_accel(scenario, q, v, np.asarray(u, dtype=float))
-    if np.any(contact):
-        raise ObstacleContact("obstacle contacted")
-    return accel
 
 
 def _unpack(scenario: AvoidanceScenario, z):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import rk4
-from .errors import NoStabilizingSolution, NotControllable, StepTooLarge
+from .errors import NoStabilizingSolution, NotControllable, StepTooLarge, ValidationError
 
 # Published gain tables are reproduced by these drift matrices, which do not
 # coincide with the scalar system's reconciled form for nonzero gamma. The
@@ -42,12 +42,12 @@ class CostParams:
 
     def __post_init__(self):
         if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+            raise ValidationError("alpha", "must be positive")
         q = np.asarray(self.q_weights, dtype=float)
         if q.shape != (2, 2) or abs(q[0, 1] - q[1, 0]) > 1e-12:
-            raise ValueError("q_weights must be a symmetric 2x2 matrix")
+            raise ValidationError("q_weights", "must be a symmetric 2x2 matrix")
         if np.linalg.eigvalsh(q).min() < -1e-12:
-            raise ValueError("q_weights must be positive semidefinite")
+            raise ValidationError("q_weights", "must be positive semidefinite")
         object.__setattr__(self, "q_weights", q)
 
 
@@ -142,7 +142,9 @@ def scalar_residual(sol: RiccatiSolution, p: CostParams) -> np.ndarray:
 
 
 def _problem(a, b, q, rw):
-    """Problem data as float arrays (A, B, Q) plus S = B Rw^-1 B.T."""
+    """Problem data as float arrays (A, B, Q) plus S = B Rw^-1 B.T. The
+    control weight rw is CostParams' alpha and obeys its rule."""
+    CostParams(rw)
     a = np.asarray(a, dtype=float).reshape(2, 2)
     b = np.asarray(b, dtype=float).reshape(2, 1)
     q = np.asarray(q, dtype=float).reshape(2, 2)
@@ -177,12 +179,11 @@ def are_solve(a, b, q, rw: float) -> RiccatiSolution:
         A - B Rw^-1 B.T K Hurwitz.
 
     Raises:
+        ValidationError: rw is not positive (path "alpha").
         NotControllable: rank [B, AB] < 2.
         NoStabilizingSolution: Hamiltonian eigenvalues on the imaginary axis
             or the stable subspace does not produce a positive definite K.
     """
-    if not float(rw) > 0.0:
-        raise ValueError(f"control weight must be positive, got {rw}")
     a, b, q, s = _problem(a, b, q, rw)
 
     ctrb = np.hstack([b, a @ b])
@@ -226,11 +227,6 @@ def are_solve(a, b, q, rw: float) -> RiccatiSolution:
     return sol
 
 
-def gains_from_K(sol: RiccatiSolution, p: CostParams) -> GainPair:
-    """Feedback gains Rw^-1 B.T K = (k3/alpha, k2/alpha)."""
-    return sol.gains(p.alpha)
-
-
 def dre_integrate(a, b, q, rw: float, t_end: float, h: float = 1e-3) -> GainSchedule:
     """Backward differential Riccati sweep with terminal condition K(T) = 0.
 
@@ -246,8 +242,6 @@ def dre_integrate(a, b, q, rw: float, t_end: float, h: float = 1e-3) -> GainSche
         StepTooLarge: an entry of K exceeded 1e9 or stopped being finite
             (finite escape).
     """
-    if not t_end > 0.0:
-        raise ValueError(f"horizon must be positive, got {t_end}")
     if not 0.0 < h <= t_end:
         raise ValueError(f"step must satisfy 0 < h <= {t_end}, got {h}")
     a, _, q, s = _problem(a, b, q, rw)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import pmp, regulators, riccati, so3
 from .config import ScenarioConfig
-from .dynamics import InertiaTensor, RigidBodyState, SimParams, simulate, time_grid
+from .dynamics import InertiaTensor, RigidBodyState, simulate, time_grid
 from .errors import AngleNearPi, NumericalDivergence
 
 CSV_HEADER = ("t,r11,r12,r13,r21,r22,r23,r31,r32,r33,wx,wy,wz,"
@@ -164,8 +164,7 @@ def _run_closed_loop(cfg: ScenarioConfig, out_dir: Path, clock: _Clock,
     """Simulate from the configured initial state, compute channels(log) (a
     dict with at least "dist") from the log, write the trajectory CSV and
     summarise."""
-    log = simulate(controller, RigidBodyState(cfg.initial.rotation, cfg.initial.omega),
-                   SimParams(cfg.sim.h, cfg.sim.t_end, cfg.inertia))
+    log = simulate(controller, cfg.initial, cfg.sim)
     clock.lap("simulate")
     derived = channels(log)
     clock.lap("channels")
@@ -181,18 +180,17 @@ def _run_closed_loop(cfg: ScenarioConfig, out_dir: Path, clock: _Clock,
 
 def run_regulate(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     clock = _Clock()
-    goal = regulators.RegulationGoal(cfg.goal.rotation)
-    _guard_initial_distance(goal.r_d, cfg.initial.rotation, "goal")
+    _guard_initial_distance(cfg.goal.r_d, cfg.initial.r, "goal")
     solution_at, gains_at, gain_summary = _resolve_gain_setup(cfg)
     clock.lap("gain_solve")
     alpha = cfg.cost.alpha
 
     def controller(t, s):
-        return regulators.regulation_torque(s, goal, gains_at(t))
+        return regulators.regulation_torque(s, cfg.goal, gains_at(t))
 
     def channels(log):
         k = solution_at(log.times)
-        e = so3.attitude_errors(np.broadcast_to(goal.r_d, log.rotations.shape),
+        e = so3.attitude_errors(np.broadcast_to(cfg.goal.r_d, log.rotations.shape),
                                 log.rotations)
         return {
             "dist": np.sqrt(so3.row_dots(e, e)),
@@ -212,11 +210,11 @@ def run_track(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     ref = regulators.TrackingReference(cfg.reference.omega(times),
                                        cfg.reference.omega_dot(times), cfg.sim.h,
                                        r0=cfg.reference.r0)
-    _guard_initial_distance(ref.rotations[0], cfg.initial.rotation, "reference")
+    _guard_initial_distance(ref.rotations[0], cfg.initial.r, "reference")
     clock.lap("reference_build")
 
     def controller(t, s):
-        return regulators.tracking_torque(s, ref.sample(t), gains_at(t), cfg.inertia,
+        return regulators.tracking_torque(s, ref.sample(t), gains_at(t), cfg.sim.inertia,
                                           accel_term)
 
     def channels(log):
@@ -308,11 +306,11 @@ def run_check(cfg: ScenarioConfig, out_dir: Path):
     b = riccati.B_CANONICAL
     q2 = np.eye(2)
     sol_r = riccati.are_solve(riccati.drift_matrix("published-regulation"), b, q2, 0.5)
-    g_r = riccati.gains_from_K(sol_r, riccati.CostParams(alpha=0.5))
+    g_r = sol_r.gains(0.5)
     ok_r = abs(g_r.kP - 1.4142) <= 1e-3 and abs(g_r.kD - 2.7671) <= 1e-3
     check("regulation gain table (1e-3)", ok_r, f"got ({g_r.kP:.5f}, {g_r.kD:.5f})")
     sol_t = riccati.are_solve(riccati.drift_matrix("published-tracking", -2.0), b, q2, 1.0)
-    g_t = riccati.gains_from_K(sol_t, riccati.CostParams(alpha=1.0))
+    g_t = sol_t.gains(1.0)
     ok_t = abs(g_t.kP - 8.7852) <= 1e-3 and abs(g_t.kD - 8.3357) <= 1e-3
     check("tracking gain table (1e-3)", ok_t, f"got ({g_t.kP:.5f}, {g_t.kD:.5f})")
 

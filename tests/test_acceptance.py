@@ -39,7 +39,6 @@ from geolqr.riccati import (
     are_solve,
     dre_integrate,
     drift_matrix,
-    gains_from_K,
     scalar_residual,
 )
 from geolqr.so3 import exp_so3, geodesic_distance, log_so3, orthogonality_defect
@@ -55,7 +54,7 @@ def test_criterion_01_regulation_gain_table():
     start = time.perf_counter()
     sol = are_solve(a, B, Q2, 0.5)
     elapsed = time.perf_counter() - start
-    g = gains_from_K(sol, CostParams(alpha=0.5))
+    g = sol.gains(0.5)
     assert abs(g.kP - 1.4142) <= 1e-3
     assert abs(g.kD - 2.7671) <= 1e-3
     assert elapsed < 1e-3
@@ -70,7 +69,7 @@ def test_criterion_02_tracking_gain_table():
     start = time.perf_counter()
     sol = are_solve(a, B, Q2, 1.0)
     elapsed = time.perf_counter() - start
-    g = gains_from_K(sol, CostParams(alpha=1.0))
+    g = sol.gains(1.0)
     assert abs(g.kP - 8.7852) <= 1e-3
     assert abs(g.kD - 8.3357) <= 1e-3
     assert elapsed < 1e-3
@@ -119,7 +118,7 @@ def _criterion4_run(h, t_end, gains, sol):
 
 def test_criterion_04_regulation_convergence():
     sol = are_solve(drift_matrix("published-regulation"), B, Q2, 0.5)
-    gains = gains_from_K(sol, CostParams(alpha=0.5))
+    gains = sol.gains(0.5)
     start = time.perf_counter()
     log, channels = _criterion4_run(1e-3, 20.0, gains, sol)
     elapsed = time.perf_counter() - start
@@ -139,7 +138,7 @@ def test_criterion_04_regulation_convergence():
 
 def test_criterion_05_tracking_convergence():
     sol = are_solve(drift_matrix("published-tracking", -2.0), B, Q2, 1.0)
-    gains = gains_from_K(sol, CostParams(alpha=1.0))
+    gains = sol.gains(1.0)
     # w_ref(t) = c t tabulated on the simulation grid.
     c = np.array([0.5, 0.3, 0.4])
     start = time.perf_counter()
@@ -277,7 +276,7 @@ def test_criterion_10_hjb_identity():
     sol = are_solve(drift_matrix("reconciled", 0.0), B, Q2, alpha)
     res = scalar_residual(sol, CostParams(alpha=alpha, gamma=0.0))
     assert np.abs(res).max() <= 1e-9
-    gains = gains_from_K(sol, CostParams(alpha=alpha))
+    gains = sol.gains(alpha)
     h = 1e-4
     _, channels = _criterion4_run(h, 20.0, gains, sol)
     value = channels["value"]

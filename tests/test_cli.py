@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from geolqr.cli import main
 from geolqr.config import parse_config
-from geolqr.dynamics import InertiaTensor
+from geolqr.dynamics import InertiaTensor, SimParams
 from geolqr.errors import GeoLqrError, ParseError, ValidationError
-from geolqr.riccati import B_CANONICAL, dre_integrate, drift_matrix
+from geolqr.pmp import AvoidanceScenario, SphereObstacle
+from geolqr.riccati import B_CANONICAL, CostParams, dre_integrate, drift_matrix
 from geolqr.scenarios import CSV_HEADER, RunSummary, _write_rows, run
 from geolqr.so3 import exp_so3, log_so3, orthogonality_defect
 
@@ -35,7 +36,7 @@ class TestParseConfig:
         assert cfg.sim.t_end == 20.0
         assert cfg.cost.alpha == 0.5
         assert cfg.controller.a_matrix_mode == "published-regulation"
-        assert np.array_equal(cfg.goal.rotation, np.eye(3))
+        assert np.array_equal(cfg.goal.r_d, np.eye(3))
 
     def test_track_defaults(self):
         cfg = parse_config(json.dumps({"command": "track"}))
@@ -101,8 +102,8 @@ class TestParseConfig:
     def test_inertia_parsed_once(self):
         cfg = parse_config(json.dumps({"command": "regulate",
                                        "inertia": [[1, 0, 0], [0, 2, 0], [0, 0, 4]]}))
-        assert isinstance(cfg.inertia, InertiaTensor)
-        assert np.array_equal(cfg.inertia.j_inv, np.diag([1.0, 0.5, 0.25]))
+        assert isinstance(cfg.sim.inertia, InertiaTensor)
+        assert np.array_equal(cfg.sim.inertia.j_inv, np.diag([1.0, 0.5, 0.25]))
 
     def test_avoid_requires_spec(self):
         with pytest.raises(ValidationError) as err:
@@ -126,6 +127,49 @@ class TestParseConfig:
                                             {"center": [0.1], "radius": 0.5}]}}))
         assert err.value.path == "avoidance.obstacles[1]"
         assert "inside obstacle" in str(err.value)
+
+
+AVOID_1D = {"dimension": 1, "q0": [0.0], "target": [2.0],
+            "obstacles": [{"center": [1.0], "radius": 0.3}]}
+
+
+# Each range rule lives in the library type the config builds; the error
+# still names the config path, through parse_config and through the CLI.
+@pytest.mark.parametrize("payload, path", [
+    ({"command": "regulate", "cost": {"alpha": 0}}, "cost.alpha"),
+    ({"command": "regulate", "sim": {"h": 0}}, "sim.h"),
+    ({"command": "regulate", "sim": {"t_end": -1}}, "sim.t_end"),
+    ({"command": "avoid", "avoidance": {**AVOID_1D, "horizon": 0}}, "avoidance.horizon"),
+    ({"command": "avoid",
+      "avoidance": {**AVOID_1D, "obstacles": [{"center": [1.0], "radius": 0}]}},
+     "avoidance.obstacles[0].radius"),
+    ({"command": "regulate", "cost": {"q_weights": [[1, 0.5], [0, 1]]}}, "cost.q_weights"),
+], ids=["alpha", "h", "t_end", "horizon", "radius", "q_weights"])
+def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
+    with pytest.raises(ValidationError) as err:
+        parse_config(json.dumps(payload))
+    assert err.value.path == path
+    cfg = write_config(tmp_path, payload)
+    assert main([payload["command"], "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    line = json.loads(capsys.readouterr().err.strip())
+    assert line["error"] == "ValidationError"
+    assert line["path"] == path
+
+
+# The types' own errors name the constructor's argument, and stay the
+# ValueError of a bad argument.
+@pytest.mark.parametrize("build, name", [
+    (lambda: SimParams(0.02, 1.0, InertiaTensor(np.eye(3))), "h"),
+    (lambda: CostParams(alpha=0.0), "alpha"),
+    (lambda: AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=0.0,
+                               q0=[1.0], v0=[0.0]), "horizon"),
+    (lambda: SphereObstacle(np.array([0.0, 1.0]), 0.0), "radius"),
+], ids=["SimParams", "CostParams", "AvoidanceScenario", "SphereObstacle"])
+def test_constructors_name_their_argument(build, name):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert err.value.path == name
+    assert isinstance(err.value, ValueError)
 
 
 class TestRunSummary:

@@ -12,12 +12,11 @@ from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from geolqr import pmp
 from geolqr.dynamics import rk4
-from geolqr.errors import NoConvergence, ObstacleContact
+from geolqr.errors import NoConvergence, ObstacleContact, ValidationError
 from geolqr.pmp import (
     AvoidanceScenario,
     BVPSolution,
     SphereObstacle,
-    avoidance_rhs,
     control_cost,
     costate_integrate,
     curvature,
@@ -155,7 +154,7 @@ class TestVariationalPropagate:
         assert worst <= 1e-3
 
 
-class TestAvoidanceRhs:
+class TestAvoidanceAccel:
     def scenario_1d(self, obstacles=()):
         return AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
                                  q0=[1.0], v0=[0.0], obstacles=obstacles)
@@ -163,8 +162,7 @@ class TestAvoidanceRhs:
     def test_equilibrium_at_target(self):
         sc = AvoidanceScenario(dimension=2, alpha=0.7, target=[0.3, -0.2],
                                horizon=1.0, q0=[1.0, 0.0], v0=[0.0, 0.0])
-        out = avoidance_rhs(np.zeros(2), np.zeros(2), np.array([0.3, -0.2]),
-                            np.zeros(2), sc)
+        out, _ = pmp._avoidance_accel(sc, np.array([0.3, -0.2]), np.zeros(2), np.zeros(2))
         assert np.array_equal(out, np.zeros(2))
 
     def test_linear_form_without_obstacles(self):
@@ -175,7 +173,7 @@ class TestAvoidanceRhs:
         for _ in range(20):
             u = rng.standard_normal(1)
             q = rng.standard_normal(1)
-            out = avoidance_rhs(u, np.zeros(1), q, np.zeros(1), sc)
+            out, _ = pmp._avoidance_accel(sc, q, np.zeros(1), u)
             assert np.allclose(out, (u - q) / sc.alpha, atol=1e-15)
 
     def test_obstacle_gradient_matches_finite_differences(self):
@@ -190,19 +188,19 @@ class TestAvoidanceRhs:
             e = np.zeros(2)
             e[a] = step
             grad_fd[a] = (1.0 / obs.value(q + e) - 1.0 / obs.value(q - e)) / (2.0 * step)
-        base = avoidance_rhs(np.zeros(2), np.zeros(2), q, np.zeros(2), sc)
+        base, _ = pmp._avoidance_accel(sc, q, np.zeros(2), np.zeros(2))
         no_obs = AvoidanceScenario(dimension=2, alpha=1.0, target=[2.0, 0.0],
                                    horizon=1.0, q0=[-2.0, 0.0], v0=[0.0, 0.0])
-        plain = avoidance_rhs(np.zeros(2), np.zeros(2), q, np.zeros(2), no_obs)
+        plain, _ = pmp._avoidance_accel(no_obs, q, np.zeros(2), np.zeros(2))
         barrier_term = base - plain
         assert np.abs(barrier_term - (-grad_fd)).max() <= 1e-6
 
-    def test_contact_raises(self):
+    def test_contact_flagged(self):
         obs = SphereObstacle(np.array([0.0]), 0.5)
         sc = AvoidanceScenario(dimension=1, alpha=1.0, target=[2.0], horizon=1.0,
                                q0=[-2.0], v0=[0.0], obstacles=(obs,))
-        with pytest.raises(ObstacleContact):
-            avoidance_rhs(np.zeros(1), np.zeros(1), np.array([0.1]), np.zeros(1), sc)
+        _, contact = pmp._avoidance_accel(sc, np.array([0.1]), np.zeros(1), np.zeros(1))
+        assert np.all(contact)
 
 
 class TestShooting:
@@ -785,10 +783,10 @@ class TestScenarioValidation:
 
     def test_start_inside_obstacle_names_the_index(self):
         obstacles = (SphereObstacle(np.array([3.0]), 0.5), SphereObstacle(np.array([0.0]), 0.5))
-        with pytest.raises(pmp.StartInsideObstacle) as err:
+        with pytest.raises(ValidationError) as err:
             AvoidanceScenario(dimension=1, alpha=1.0, target=[2.0], horizon=1.0,
                               q0=[0.1], v0=[0.0], obstacles=obstacles)
-        assert err.value.index == 1
+        assert err.value.path == "obstacles[1]"
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):

@@ -22,12 +22,10 @@ from geolqr.regulators import (
     value_candidate,
 )
 from geolqr.riccati import (
-    CostParams,
     GainPair,
     RiccatiSolution,
     are_solve,
     drift_matrix,
-    gains_from_K,
 )
 from geolqr.so3 import (
     attitude_errors,
@@ -52,12 +50,12 @@ def tabulated_reference(omega, omega_dot, t_end, h):
 
 def published_regulation_gains():
     sol = are_solve(drift_matrix("published-regulation"), B, Q2, 0.5)
-    return gains_from_K(sol, CostParams(alpha=0.5)), sol
+    return sol.gains(0.5), sol
 
 
 def published_tracking_gains():
     sol = are_solve(drift_matrix("published-tracking", -2.0), B, Q2, 1.0)
-    return gains_from_K(sol, CostParams(alpha=1.0)), sol
+    return sol.gains(1.0), sol
 
 
 class TestRegulationTorque:

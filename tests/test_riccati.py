@@ -16,7 +16,6 @@ from geolqr.riccati import (
     are_solve,
     dre_integrate,
     drift_matrix,
-    gains_from_K,
     scalar_residual,
 )
 
@@ -66,7 +65,7 @@ class TestScalarResidual:
 class TestAreSolve:
     def test_published_regulation_table(self):
         sol = are_solve(drift_matrix("published-regulation"), B, Q2, 0.5)
-        g = gains_from_K(sol, CostParams(alpha=0.5))
+        g = sol.gains(0.5)
         assert abs(g.kP - 1.41421) <= 1e-3
         assert abs(g.kD - 2.76714) <= 1e-3
         assert are_residual(drift_matrix("published-regulation"), B, Q2, 0.5, sol) <= 1e-9
@@ -75,7 +74,7 @@ class TestAreSolve:
         a = drift_matrix("published-tracking", gamma=-2.0)
         assert np.array_equal(a, [[2.0, 2.0], [0.0, 2.0]])
         sol = are_solve(a, B, Q2, 1.0)
-        g = gains_from_K(sol, CostParams(alpha=1.0))
+        g = sol.gains(1.0)
         assert abs(g.kP - 8.7852) <= 1e-3
         assert abs(g.kD - 8.3357) <= 1e-3
 
@@ -83,7 +82,7 @@ class TestAreSolve:
         # kP = sqrt(q1/r), kD = sqrt(q2/r + 2 kP); verified by residual
         # substitution.
         sol = are_solve([[0.0, 1.0], [0.0, 0.0]], B, Q2, 1.0)
-        g = gains_from_K(sol, CostParams(alpha=1.0))
+        g = sol.gains(1.0)
         assert abs(g.kP - 1.0) <= 1e-12
         assert abs(g.kD - math.sqrt(3.0)) <= 1e-12
         assert are_residual([[0.0, 1.0], [0.0, 0.0]], B, Q2, 1.0, sol) <= 1e-12
@@ -125,18 +124,16 @@ class TestAreSolve:
 
 class TestGains:
     def test_zero_matrix(self):
-        g = gains_from_K(RiccatiSolution(0.0, 0.0, 0.0), CostParams(alpha=1.0))
+        g = RiccatiSolution(0.0, 0.0, 0.0).gains(1.0)
         assert g == GainPair(0.0, 0.0)
 
     def test_back_solved_regulation_entries(self):
-        g = gains_from_K(RiccatiSolution(0.97832, 1.38357, 0.70711),
-                         CostParams(alpha=0.5))
+        g = RiccatiSolution(0.97832, 1.38357, 0.70711).gains(0.5)
         assert abs(g.kP - 1.41421) <= 1e-4
         assert abs(g.kD - 2.76714) <= 1e-4
 
     def test_tracking_entries_alpha_one(self):
-        g = gains_from_K(RiccatiSolution(19.0447, 8.3357, 8.7852),
-                         CostParams(alpha=1.0))
+        g = RiccatiSolution(19.0447, 8.3357, 8.7852).gains(1.0)
         assert g == GainPair(8.7852, 8.3357)
 
 
