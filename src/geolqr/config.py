@@ -17,7 +17,6 @@ section path.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +80,18 @@ def _number(obj, key, path, default=None):
     value = obj[key]
     if not _is_number(value):
         raise ValidationError(f"{path}.{key}", "expected a number")
-    if not math.isfinite(value):
-        raise ValidationError(f"{path}.{key}", "must be finite")
-    return float(value)
+    return float(_finite(value, f"{path}.{key}", "must be finite"))
+
+
+def _finite(value, path, message) -> np.ndarray:
+    """value as a float array; an integer too large for a float is not finite."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except OverflowError:
+        arr = np.array(np.inf)
+    if not np.isfinite(arr).all():
+        raise ValidationError(path, message)
+    return arr
 
 
 def _vector(obj, key, path, length, default=None):
@@ -95,10 +103,7 @@ def _vector(obj, key, path, length, default=None):
     if (not isinstance(value, list) or len(value) != length
             or not all(_is_number(x) for x in value)):
         raise ValidationError(f"{path}.{key}", f"expected a list of {length} numbers")
-    arr = np.asarray(value, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{path}.{key}", "entries must be finite")
-    return arr
+    return _finite(value, f"{path}.{key}", "entries must be finite")
 
 
 def _matrix(value, path, n) -> np.ndarray:
@@ -107,10 +112,7 @@ def _matrix(value, path, n) -> np.ndarray:
             and all(isinstance(row, list) and len(row) == n
                     and all(_is_number(x) for x in row) for row in value)):
         raise ValidationError(path, f"expected a {n}x{n} nested list of numbers")
-    m = np.asarray(value, dtype=float)
-    if not np.isfinite(m).all():
-        raise ValidationError(path, "entries must be finite")
-    return m
+    return _finite(value, path, "entries must be finite")
 
 
 def _rotation(obj, key, path):
@@ -222,14 +224,12 @@ def _parse_reference(obj) -> ReferenceConfig:
     section = _require_object(obj.get("reference", {}), "reference")
     _reject_unknown(section, ("omega_coeffs", "r0"), "reference")
     if "omega_coeffs" in section:
-        coeffs = section["omega_coeffs"]
+        coeffs, message = section["omega_coeffs"], "expected 3 lists of finite coefficients"
         if not (isinstance(coeffs, list) and len(coeffs) == 3
                 and all(isinstance(axis, list) and axis
-                        and all(_is_number(c) and math.isfinite(c) for c in axis)
-                        for axis in coeffs)):
-            raise ValidationError("reference.omega_coeffs",
-                                  "expected 3 lists of finite coefficients")
-        coeffs = [[float(c) for c in axis] for axis in coeffs]
+                        and all(_is_number(c) for c in axis) for axis in coeffs)):
+            raise ValidationError("reference.omega_coeffs", message)
+        coeffs = [_finite(axis, "reference.omega_coeffs", message).tolist() for axis in coeffs]
     else:
         coeffs = [[0.0, 0.5], [0.0, 0.3], [0.0, 0.4]]
     return ReferenceConfig(omega_coeffs=coeffs,

@@ -22,8 +22,9 @@ Both follow from the costate equations Dp1/Dt = -R(v, p2) v - grad_q L and
 Dp2/Dt = -p1 - grad_v L with u = -p2/alpha; costate_integrate verifies that
 relation and the constancy of H on converged solutions.
 
-The extremal, costate and variational sweeps are all dynamics.rk4 (the
-extremal one over a batch of initial unknowns). Every cost evaluator
+The extremal sweep is dynamics.rk4 over a batch of initial unknowns; the
+linear costate and variational sweeps are dynamics.affine_rk4 over the
+matrices of _variational_matrices. Every cost evaluator
 (trajectory_cost, the oracle's batched costs, control_cost, and the
 costates' Hamiltonian) reads the one array running cost running_cost under
 one trapezoid rule, and the extremal, the costates and the oracle's
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import rk4
+from .dynamics import affine_rk4, rk4
 from .errors import NoConvergence, NoDescent, ObstacleContact, ValidationError
 from .riccati import CostParams
 from .so3 import attitude_errors, exp_so3, row_dots
@@ -95,9 +96,12 @@ class SphereObstacle:
         if not self.radius > 0.0:
             raise ValidationError("radius", "must be positive")
 
-    def value(self, q) -> float:
+    def value(self, q):
+        """O at q, or at every row of a (..., n) array, rounded as d @ d."""
         d = np.asarray(q, dtype=float) - self.center
-        return float(d @ d) - self.radius ** 2
+        o = row_dots(d, d)
+        o -= self.radius ** 2  # in place: no third array the size of q's rows
+        return o
 
 
 @dataclass
@@ -137,10 +141,6 @@ class AvoidanceScenario:
             if obs.value(self.q0) <= 0.0:
                 raise ValidationError(f"obstacles[{i}]",
                                       "initial configuration inside obstacle")
-        # (center, radius^2) of each obstacle, prepared once for the array
-        # clearances and the barrier gradient that every RK4 stage calls.
-        self._spheres = tuple((np.asarray(o.center, dtype=float), o.radius ** 2)
-                              for o in self.obstacles)
 
     @property
     def tangent_dim(self) -> int:
@@ -158,18 +158,6 @@ def _grad_goal_potential(scenario: AvoidanceScenario, q) -> np.ndarray:
     return g.reshape(q.shape[:-2] + (3,))
 
 
-def _sqnorm(x) -> np.ndarray:
-    """Squared Euclidean norm along the last axis, rounded as the dot
-    product x @ x of one row (as in SphereObstacle.value)."""
-    x = np.asarray(x, dtype=float)
-    return row_dots(x, x)
-
-
-def _clearances(scenario: AvoidanceScenario, q) -> np.ndarray:
-    """O_i at every row of a (..., n) array, one obstacle per leading index."""
-    return np.array([_sqnorm(q - c) - r2 for c, r2 in scenario._spheres])
-
-
 def running_cost(scenario: AvoidanceScenario, q, v, u) -> np.ndarray:
     """Running cost L(q, v, u) at every point of (..., N, n) arrays.
 
@@ -178,13 +166,13 @@ def running_cost(scenario: AvoidanceScenario, q, v, u) -> np.ndarray:
     (alpha/2)|u|^2. On the rotation group q holds rotation matrices,
     (..., N, 3, 3), and U takes log_so3 point by point.
     """
-    u2 = _sqnorm(u)
+    u2 = row_dots(u, u)
     if scenario.mode == "terminal":
         return 0.5 * scenario.alpha * u2
-    g2 = _sqnorm(_grad_goal_potential(scenario, q))
-    cost = 0.5 * (g2 + _sqnorm(v) + scenario.alpha * u2)
+    g = _grad_goal_potential(scenario, q)
+    cost = 0.5 * (row_dots(g, g) + row_dots(v, v) + scenario.alpha * u2)
     if scenario.obstacles:
-        o = _clearances(scenario, q)
+        o = np.array([obs.value(q) for obs in scenario.obstacles])
         with np.errstate(divide="ignore"):
             cost = cost + np.where(o <= 0.0, np.inf, 1.0 / o).sum(axis=0)
     return cost
@@ -199,24 +187,16 @@ def _trapezoid_weights(times) -> np.ndarray:
     return w
 
 
-def _barrier_grad(scenario: AvoidanceScenario, q):
-    """Gradient -sum_i grad O_i / O_i^2 of the barrier V at every point of a
-    (..., n) array (0.0 without obstacles), and the points that touch an
-    obstacle (some O_i <= 0): costate_integrate raises there, a batched
-    rollout flags the row."""
-    grad, contact = 0.0, False
-    for c, r2 in scenario._spheres:
-        d = q - c
-        o = _sqnorm(d) - r2
-        grad = grad - 2.0 * d / (o * o)[..., None]
-        contact = contact | (o <= 0.0)
-    return grad, contact
-
-
 def _grad_potential(scenario: AvoidanceScenario, q):
-    """Gradient of U + V at every point of q, and the points that touch an
-    obstacle (see _barrier_grad)."""
-    barrier, contact = _barrier_grad(scenario, q)
+    """Gradient of U + V at every point of q (the barrier's -sum_i grad O_i /
+    O_i^2 added last), and the points that touch an obstacle (some O_i <= 0):
+    costate_integrate raises there, a batched rollout flags the row."""
+    barrier, contact = 0.0, False
+    for obs in scenario.obstacles:
+        d = q - obs.center
+        o = row_dots(d, d) - obs.radius ** 2
+        barrier = barrier - 2.0 * d / (o * o)[..., None]
+        contact = contact | (o <= 0.0)
     return _grad_goal_potential(scenario, q) + barrier, contact
 
 
@@ -312,8 +292,7 @@ def trajectory_cost(scenario: AvoidanceScenario, times, q, v, u) -> float:
         raise ObstacleContact("the path touches an obstacle")
     cost = float(lvals @ _trapezoid_weights(times))
     if scenario.mode == "terminal":
-        gT = _grad_goal_potential(scenario, q[-1])
-        vT = v[-1]
+        gT, vT = _grad_goal_potential(scenario, q[-1]), v[-1]
         cost += 0.5 * float(gT @ gT) + 0.5 * float(vT @ vT)
     return cost
 
@@ -335,10 +314,11 @@ def _integrate_extremal(scenario: AvoidanceScenario, z0, times):
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         zs = rk4(rate, z0, times).swapaxes(0, 1)
-        if scenario.manifold == "flat" and scenario.obstacles:
+        if scenario.manifold == "flat":
             # Terminal mode's rhs has no barrier, and no stage evaluates the
             # final sample.
-            contact |= (_clearances(scenario, _unpack(scenario, zs)[0]) <= 0.0).any(axis=(0, 2))
+            for obs in scenario.obstacles:
+                contact |= (obs.value(_unpack(scenario, zs)[0]) <= 0.0).any(axis=1)
     return zs, contact
 
 
@@ -645,15 +625,6 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
                        trace={"stop_reason": stop_reason, "grad_norm": grad_inf})
 
 
-def _at(x, k: int, theta: float):
-    """Stored grid samples at theta in {0, 1/2, 1} of grid interval k."""
-    if theta == 0.0:
-        return x[k]
-    if theta == 1.0:
-        return x[k + 1]
-    return 0.5 * (x[k] + x[k + 1])
-
-
 @dataclass
 class CostateTrajectory:
     """Backward-integrated adjoints with the Hamiltonian diagnostic channel."""
@@ -662,6 +633,31 @@ class CostateTrajectory:
     p1: np.ndarray
     p2: np.ndarray
     hamiltonian: np.ndarray
+
+
+def _midpoints(scenario: AvoidanceScenario, q) -> np.ndarray:
+    """Interval midpoints of grid samples q: linear averages on flat space,
+    geodesic ones q_k exp(log(q_k.T q_k+1) / 2), rotations, on the group."""
+    if scenario.manifold == "flat":
+        return 0.5 * (q[:-1] + q[1:])
+    halves = 0.5 * attitude_errors(q[:-1], q[1:])
+    return q[:-1] @ np.array([exp_so3(e) for e in halves]).reshape(-1, 3, 3)
+
+
+def _variational_matrices(manifold: str, v, hess=0.0) -> np.ndarray:
+    """System matrices [[-C, I], [J - hess, -C]] of the variational equation
+    in (Y, DY/Dt): on the group one per row of v, with J the matrix of
+    Y -> R(v, Y) v and C = hat(v)/2 (rows e_j x v / 2); on flat space, where
+    J = C = 0, one per row of hess. The costate system is the adjoint, -A.T."""
+    n = v.shape[-1]
+    a = np.zeros((np.shape(hess)[:-2] if manifold == "flat" else v.shape[:-1]) + (2 * n, 2 * n))
+    a[..., :n, n:] = np.eye(n)
+    a[..., n:, :n] = -hess
+    if manifold != "flat":
+        vv = v[..., None, :]
+        a[..., n:, :n] += curvature(manifold, vv, np.eye(n), vv).swapaxes(-1, -2)
+        a[..., :n, :n] = a[..., n:, n:] = -0.5 * _cross(np.eye(3), vv)
+    return a
 
 
 def costate_integrate(scenario: AvoidanceScenario, solution: BVPSolution) -> CostateTrajectory:
@@ -673,55 +669,33 @@ def costate_integrate(scenario: AvoidanceScenario, solution: BVPSolution) -> Cos
     and record H = <p1, v> + <p2, u> + L at each grid point, with L the
     scenario's running_cost. The avoidance mode's L has grad_q = grad(U + V)
     and grad_v = v, and p(T) = 0; the terminal mode's L = (alpha/2)|u|^2 has
-    neither, and p(T) = (grad U(q(T)), v(T)) from the terminal cost. Half-step
-    values of (q, v) come from linear interpolation, so the sweep is
-    globally second order on the stored grid.
+    neither, and p(T) = (grad U(q(T)), v(T)) from the terminal cost.
 
-    The forcing is evaluated before the sweep, once over the grid samples
-    and once over the interval midpoints, so an RK4 stage reads one row and
-    only the curvature terms, which need the stage's costate, stay per
-    stage.
+    The system is linear, p' = A p + f with f = -(grad_q L, grad_v L) and A
+    the adjoint -A.T of _variational_matrices' A: on the group [[-hat(v)/2,
+    -hat(v)^2/4], [-I, -hat(v)/2]]. One dynamics.affine_rk4 sweeps it from the
+    grid samples and interval midpoints (_midpoints), second order overall.
 
     Raises:
         ObstacleContact: a grid sample or midpoint touches an obstacle.
     """
     times, q, v, u = solution.times, solution.q, solution.v, solution.u
-    manifold = scenario.manifold
-    if scenario.mode == "avoidance":
-        terminal = np.zeros((2, scenario.tangent_dim))
-    else:
-        terminal = np.array([_grad_goal_potential(scenario, q[-1]), v[-1]])
     # The sweep runs over the reversed grid, so interval k joins samples k
     # and k + 1 of the reversed arrays.
     qr, vr = q[::-1], v[::-1]
-
-    def forcing(qs, vs):
-        if scenario.mode == "terminal":
-            zero = np.zeros_like(vs)
-            return vs, zero, zero
-        grad, contact = _grad_potential(scenario, qs)
-        if np.any(contact):
-            raise ObstacleContact("obstacle contacted")
-        return vs, grad, vs
-
-    at_samples = forcing(qr, vr)
-    at_mids = forcing(0.5 * (qr[:-1] + qr[1:]), 0.5 * (vr[:-1] + vr[1:]))
-
-    def rate(k, theta, p):
-        if theta == 0.5:
-            vk, gq, gv = (x[k] for x in at_mids)
-        else:
-            i = k + int(theta)
-            vk, gq, gv = (x[i] for x in at_samples)
-        d1 = -curvature(manifold, vk, p[1], vk) - gq
-        d2 = -p[0] - gv
-        if manifold == "so3-biinvariant":
-            d1 = d1 - 0.5 * _cross(vk, p[0])
-            d2 = d2 - 0.5 * _cross(vk, p[1])
-        return np.array([d1, d2])
-
-    ps = rk4(rate, terminal, times[::-1])[::-1]
-    p1, p2 = ps[:, 0], ps[:, 1]
+    vm = 0.5 * (vr[:-1] + vr[1:])
+    a = tuple(-_variational_matrices(scenario.manifold, vs).swapaxes(-1, -2) for vs in (vr, vm))
+    if scenario.mode == "terminal":
+        terminal, f = np.concatenate([_grad_goal_potential(scenario, q[-1]), v[-1]]), (0.0, 0.0)
+    else:
+        terminal, f = np.zeros(2 * v.shape[1]), []
+        for qs, vs in ((qr, vr), (_midpoints(scenario, qr), vm)):
+            grad, contact = _grad_potential(scenario, qs)
+            if np.any(contact):
+                raise ObstacleContact("obstacle contacted")
+            f.append(-np.concatenate([grad, vs], axis=-1))
+    ps = affine_rk4(a, f, terminal, times[::-1])[::-1]
+    p1, p2 = np.split(ps, 2, axis=1)
     ham = row_dots(p1, v) + row_dots(p2, u) + running_cost(scenario, q, v, u)
     return CostateTrajectory(times, p1, p2, ham)
 
@@ -742,30 +716,18 @@ def variational_propagate(times, q, v, y0, ydot0, manifold: str = "flat",
 
         D^2 Y / Dt^2 = -Hess W(q) Y + R(v, Y) v
 
-    with identity actuation, so the control term contributes nothing. The
-    propagation is linear in (y0, ydot0); ydot is the covariant rate, which
-    on the rotation group differs from the coordinate rate by (w x Y)/2.
-
-    Args:
-        times: uniform grid of the base trajectory.
-        q, v: base configurations and velocities on the grid (q is unused
-            unless hess_w needs it).
-        y0, ydot0: initial field and covariant rate.
-        manifold: "flat" or "so3-biinvariant".
-        hess_w: optional callable(q) -> (n, n) Hessian of the flat potential.
+    with identity actuation, so the control term contributes nothing, from
+    the field y0 and covariant rate ydot0 along base configurations q and
+    velocities v on the uniform grid times, by one dynamics.affine_rk4. ydot
+    differs from the coordinate rate by (w x Y)/2 on the group. On flat
+    space hess_w, an optional callable(q) -> (n, n), is Hess W and the only
+    reader of q. manifold is "flat" or "so3-biinvariant".
     """
     times = np.asarray(times, dtype=float)
-    if manifold == "flat":
-        def rate(k, theta, yz):
-            y, z = yz
-            dz = -hess_w(_at(q, k, theta)) @ y if hess_w is not None else np.zeros_like(y)
-            return np.array([z, dz])
-    else:
-        def rate(k, theta, yz):
-            y, z = yz
-            vk = _at(v, k, theta)
-            return np.array([z - 0.5 * _cross(vk, y),
-                             curvature("so3-biinvariant", vk, y, vk) - 0.5 * _cross(vk, z)])
-
-    yz = rk4(rate, np.array([y0, ydot0], dtype=float), times)
-    return VariationTrajectory(times, yz[:, 0], yz[:, 1])
+    hess = (0.0, 0.0)
+    if manifold == "flat" and hess_w is not None:
+        hess = tuple(np.array([hess_w(x) for x in qs]) for qs in (q, 0.5 * (q[:-1] + q[1:])))
+    a = tuple(_variational_matrices(manifold, vs, hs)
+              for vs, hs in zip((v, 0.5 * (v[:-1] + v[1:])), hess))
+    y, ydot = np.split(affine_rk4(a, (0.0, 0.0), np.concatenate([y0, ydot0]), times), 2, axis=1)
+    return VariationTrajectory(times, y, ydot)

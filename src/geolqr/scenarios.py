@@ -234,7 +234,7 @@ def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     dist = np.linalg.norm(solution.q - scenario.target, axis=1)
     clearance = None
     if scenario.obstacles:
-        clearance = float(pmp._clearances(scenario, solution.q).min())
+        clearance = float(min(obs.value(solution.q).min() for obs in scenario.obstacles))
     clock.lap("costates")
 
     _write_rows(out_dir / "trajectory.csv", CSV_HEADER,

@@ -172,6 +172,23 @@ def test_constructors_name_their_argument(build, name):
     assert isinstance(err.value, ValueError)
 
 
+# A JSON integer too large for a float is not finite: exit 2 naming the
+# path, not an OverflowError traceback.
+@pytest.mark.parametrize("payload, path", [
+    ({"command": "regulate", "cost": {"alpha": 10 ** 400}}, "cost.alpha"),
+    ({"command": "avoid", "avoidance": {**AVOID_1D, "q0": [10 ** 400]}}, "avoidance.q0"),
+    ({"command": "regulate", "cost": {"q_weights": [[10 ** 400, 0], [0, 1]]}}, "cost.q_weights"),
+    ({"command": "track", "reference": {"omega_coeffs": [[10 ** 400], [0.0], [0.0]]}},
+     "reference.omega_coeffs"),
+], ids=["scalar", "vector", "matrix", "coefficients"])
+def test_number_too_large_for_a_float_exits_two(tmp_path, capsys, payload, path):
+    cfg = write_config(tmp_path, payload)
+    assert main([payload["command"], "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    line = json.loads(capsys.readouterr().err.strip())
+    assert line["error"] == "ValidationError"
+    assert line["path"] == path
+
+
 class TestRunSummary:
     def test_round_trip(self):
         summary = RunSummary(command="regulate",

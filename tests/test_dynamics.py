@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from geolqr.dynamics import (
     InertiaTensor,
     RigidBodyState,
     SimParams,
+    affine_rk4,
     euler_rhs,
     lie_euler_step,
     rk4,
@@ -173,6 +175,40 @@ class TestRk4:
         rk4(rate, np.zeros(2), [0.0, 0.5, 1.0])
         assert calls == [(0, 0.0), (0, 0.5), (0, 0.5), (0, 1.0),
                          (1, 0.0), (1, 0.5), (1, 0.5), (1, 1.0)]
+
+
+class TestAffineRk4:
+    @pytest.mark.parametrize("direction", [1, -1], ids=["forward", "reversed"])
+    def test_equals_rk4_on_a_time_varying_system(self, direction):
+        # y' = A(t) y + f(t) with A and f known in closed form; rk4 evaluates
+        # them at each stage, affine_rk4 reads them at samples and midpoints.
+        rng = np.random.default_rng(81)
+        a0, a1 = 0.5 * rng.standard_normal((2, 4, 4))
+        f0, f1 = rng.standard_normal((2, 4))
+        y0 = rng.standard_normal(4)
+        a = lambda t: a0 + np.sin(3.0 * t)[..., None, None] * a1
+        f = lambda t: f0 + np.cos(2.0 * t)[..., None] * f1
+        times = np.linspace(0.0, 1.0, 51)[::direction]
+        mids = 0.5 * (times[:-1] + times[1:])
+
+        def rate(k, theta, y):
+            t = np.asarray(times[k] + theta * (times[k + 1] - times[k]))
+            return a(t) @ y + f(t)
+
+        expected = rk4(rate, y0, times)
+        got = affine_rk4((a(times), a(mids)), (f(times), f(mids)), y0, times)
+        assert got.shape == (51, 4)
+        assert np.abs(got - expected).max() <= 1e-13
+
+    def test_fourth_order_against_expm(self):
+        rng = np.random.default_rng(82)
+        a = rng.standard_normal((4, 4))
+        y0 = rng.standard_normal(4)
+        exact = scipy.linalg.expm(a) @ y0
+        errors = [np.abs(affine_rk4((a, a), (0.0, 0.0), y0,
+                                    np.linspace(0.0, 1.0, steps + 1))[-1] - exact).max()
+                  for steps in (10, 20)]
+        assert 14.0 <= errors[0] / errors[1] <= 18.0
 
 
 class TestSimParams:

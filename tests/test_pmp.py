@@ -25,7 +25,8 @@ from geolqr.pmp import (
     transcription_oracle,
     variational_propagate,
 )
-from geolqr.so3 import exp_so3, hat, log_so3, vee
+from geolqr.riccati import B_CANONICAL, dre_integrate, drift_matrix
+from geolqr.so3 import attitude_errors, exp_so3, hat, log_so3, orthogonality_defect, vee
 
 
 class TestCurvature:
@@ -715,9 +716,9 @@ class TestCostates:
 
     @staticmethod
     def per_point_sweep(sc, sol):
-        """The sweep as it was written before the forcing became array passes:
-        the potential gradient at each RK4 stage's point, the terminal
-        costate from log_so3, and H row by row."""
+        """The sweep as dynamics.rk4 over a per-stage rate: the potential
+        gradient at each RK4 stage's point (the geodesic midpoint of a group
+        interval), the terminal costate from log_so3, and H row by row."""
         times, q, v, u = sol.times, sol.q, sol.v, sol.u
         manifold = sc.manifold
         qr, vr = q[::-1], v[::-1]
@@ -733,6 +734,8 @@ class TestCostates:
                 return x[k]
             if theta == 1.0:
                 return x[k + 1]
+            if x.ndim == 3:
+                return x[k] @ exp_so3(0.5 * log_so3(x[k].T @ x[k + 1]))
             return 0.5 * (x[k] + x[k + 1])
 
         def rate(k, theta, p):
@@ -756,7 +759,7 @@ class TestCostates:
         return p1, p2, ham
 
     @pytest.mark.parametrize("case", ["criterion_09", "group_avoidance", "group_terminal"])
-    def test_array_forcing_is_bit_identical_to_per_point_sweep(self, case):
+    def test_affine_sweep_matches_per_point_rk4(self, case):
         if case == "criterion_09":
             sc = criterion_09_scenario()
             sol = shooting_solve(sc)
@@ -769,9 +772,80 @@ class TestCostates:
             sol = shooting_solve(sc, h=5e-3)
         ct = costate_integrate(sc, sol)
         p1, p2, ham = self.per_point_sweep(sc, sol)
-        assert ct.p1.tobytes() == p1.tobytes()
-        assert ct.p2.tobytes() == p2.tobytes()
-        assert ct.hamiltonian.tobytes() == ham.tobytes()
+        # The affine recurrence rounds differently from the stage-by-stage
+        # sweep, by design; both are the same RK4 step.
+        assert np.abs(ct.p1 - p1).max() <= 1e-13
+        assert np.abs(ct.p2 - p2).max() <= 1e-13
+        assert np.abs(ct.hamiltonian - ham).max() <= 1e-13
+
+    def test_group_midpoints_are_rotations(self, monkeypatch):
+        # The forcing reads the potential at every grid sample and interval
+        # midpoint. On a path of exact rotations q0 exp(t w) the midpoints
+        # are geodesic, so each is a rotation; a linear average of two
+        # samples 0.12 rad apart is not (defect about 5e-3).
+        sc = AvoidanceScenario(dimension=3, alpha=1.0, target=np.eye(3), horizon=1.0,
+                               q0=exp_so3([0.7, -0.2, 0.4]), v0=np.zeros(3),
+                               manifold="so3-biinvariant")
+        times = np.linspace(0.0, 1.0, 21)
+        w = np.array([1.0, -2.0, 0.5])
+        q = np.array([sc.q0 @ exp_so3(t * w) for t in times])
+        v = np.tile(w, (21, 1))
+        sol = BVPSolution(times=times, q=q, v=v, u=np.zeros((21, 3)), udot=None,
+                          residual_norm=0.0, iterations=0, cost=0.0)
+        seen = []
+        original = pmp._grad_potential
+
+        def spy(scenario, points):
+            seen.append(points)
+            return original(scenario, points)
+
+        monkeypatch.setattr(pmp, "_grad_potential", spy)
+        costate_integrate(sc, sol)
+        assert [len(points) for points in seen] == [21, 20]
+        assert max(orthogonality_defect(r) for r in seen[1]) <= 1e-12
+        linear = 0.5 * (q[:-1] + q[1:])
+        assert min(orthogonality_defect(r) for r in linear) > 1e-3
+
+
+class TestRiccatiCertifiesExtremal:
+    """On the group with J = I and no obstacles, the avoidance cost
+    U + |v|^2/2 + (alpha/2)|u|^2 is the LQR cost with Q = I, R = alpha of
+    the reconciled drift at gamma = 0, per axis in exponential coordinates.
+    The PMP extremal and the DRE feedback then agree up to curvature, which
+    enters at second order in the size s of the start."""
+
+    ALPHA, HORIZON, H = 0.5, 3.0, 2e-3
+    AXIS = np.array([1.0, 2.0, 2.0]) / 3.0
+    SPIN = np.array([2.0, 1.0, -2.0]) / 3.0  # orthogonal to AXIS
+
+    def gaps(self, s, spin):
+        """Relative gaps of u to -(k3 e + k2 v)/alpha, of (p1, p2) to
+        grad V = (k1 e + k3 v, k3 e + k2 v) along the extremal, and of its
+        cost to V(0)."""
+        sc = AvoidanceScenario(
+            dimension=3, alpha=self.ALPHA, target=np.eye(3), horizon=self.HORIZON,
+            q0=exp_so3(s * self.AXIS), v0=spin * s * self.SPIN, manifold="so3-biinvariant")
+        sol = shooting_solve(sc, h=self.H)
+        ct = costate_integrate(sc, sol)
+        k = dre_integrate(drift_matrix("reconciled", 0.0), B_CANONICAL, np.eye(2),
+                          self.ALPHA, self.HORIZON, h=self.H)
+        assert np.array_equal(k.times, sol.times)
+        k1, k2, k3 = k.k1[:, None], k.k2[:, None], k.k3[:, None]
+        e, v = attitude_errors(np.broadcast_to(np.eye(3), sol.q.shape), sol.q), sol.v
+        g1, g2 = k1 * e + k3 * v, k3 * e + k2 * v
+        value0 = 0.5 * (e[0] @ g1[0] + v[0] @ g2[0])
+        rel = lambda x, y: float(np.abs(x - y).max() / np.abs(y).max())
+        return np.array([rel(sol.u, -g2 / self.ALPHA), rel(ct.p1, g1), rel(ct.p2, g2),
+                         rel(sol.cost, value0)])
+
+    def test_gap_is_second_order_in_the_start(self):
+        ratio = self.gaps(0.2, 1.0) / self.gaps(0.1, 1.0)
+        assert ratio.min() >= 3.5 and ratio.max() <= 4.5
+
+    def test_one_axis_motion_has_no_gap(self):
+        # With v0 = 0 the extremal stays on one rotation axis, a flat
+        # subgroup: what is left is discretisation error.
+        assert self.gaps(0.2, 0.0).max() <= 1e-6
 
 
 class TestScenarioValidation:
