@@ -50,7 +50,6 @@ from .dynamics import (
 )
 from .regulators import (
     ReferenceSample,
-    RegulationGoal,
     TrackingReference,
     feedforward_torque,
     lyapunov_value,

@@ -10,13 +10,6 @@ so a result can differ from numpy's BLAS product in the last bit.
 
 from __future__ import annotations
 
-import numpy as np
-
-
-def flat(a) -> list:
-    """Entries of an array or nested sequence, row by row, as Python floats."""
-    return np.asarray(a, dtype=float).ravel().tolist()
-
 
 def mm(a, b) -> tuple:
     """a @ b."""

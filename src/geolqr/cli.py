@@ -58,12 +58,9 @@ def main(argv=None) -> int:
                     f"config says {cfg.command!r} but the CLI invoked {args.command!r}")
         summary, ok, lines = run(cfg, args.out)
         summary_line = summary.to_json()
-    except ConfigError as exc:
-        print(_error_line(exc), file=sys.stderr)
-        return 2
     except GeoLqrError as exc:
         print(_error_line(exc), file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
 
     for line in lines:
         print(line)

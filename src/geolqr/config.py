@@ -9,9 +9,9 @@ re-orthonormalized.
 
 The parser checks the JSON's shape: types, lengths, finiteness and the
 choices of string keys. Range rules live in the library types it builds
-(SimParams, RigidBodyState, RegulationGoal, CostParams, InertiaTensor,
-SphereObstacle, AvoidanceScenario), whose errors _build prefixes with the
-section path.
+(SimParams, RigidBodyState, CostParams, InertiaTensor, SphereObstacle,
+AvoidanceScenario), whose errors _build prefixes with the section path; the
+goal is its (3, 3) rotation.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from .dynamics import InertiaTensor, RigidBodyState, SimParams
 from .errors import ParseError, ValidationError
 from .pmp import AvoidanceScenario, SphereObstacle
-from .regulators import RegulationGoal
 from .riccati import DRIFT_MODES, CostParams
 from .so3 import is_rotation
 
@@ -33,17 +32,16 @@ GAIN_SOURCES = ("are", "dre")
 
 ROTATION_TOL = 1e-6
 
-# Per-command defaults: the published regulation table was produced with
-# alpha = 0.5, the tracking table with alpha = 1, gamma = -2.
-_COMMAND_COST_DEFAULTS = {
-    "gains": (0.5, -1.0),
-    "regulate": (0.5, -1.0),
-    "track": (1.0, -2.0),
-    "avoid": (1.0, 0.0),
-    "check": (0.5, -1.0),
+# Per-command defaults (alpha, gamma, sim.t_end, a_matrix_mode): the
+# published regulation table was produced with alpha = 0.5, the tracking
+# table with alpha = 1, gamma = -2.
+_DEFAULTS = {
+    "gains": (0.5, -1.0, 20.0, "published-regulation"),
+    "regulate": (0.5, -1.0, 20.0, "published-regulation"),
+    "track": (1.0, -2.0, 50.0, "published-tracking"),
+    "avoid": (1.0, 0.0, 20.0, "published-regulation"),
+    "check": (0.5, -1.0, 20.0, "published-regulation"),
 }
-_COMMAND_T_END = {"regulate": 20.0, "track": 50.0}
-_COMMAND_MODE = {"track": "published-tracking"}
 
 
 def _build(path, cls, *args):
@@ -56,16 +54,14 @@ def _build(path, cls, *args):
                               exc.message) from None
 
 
-def _require_object(value, path):
+def _object(value, path, allowed) -> dict:
+    """value, an object whose keys are all in allowed; path "" is the top level."""
     if not isinstance(value, dict):
         raise ValidationError(path, f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _reject_unknown(obj: dict, allowed, path):
-    for key in obj:
+    for key in value:
         if key not in allowed:
             raise ValidationError(f"{path}.{key}" if path else key, "unknown key")
+    return value
 
 
 def _is_number(x) -> bool:
@@ -174,7 +170,7 @@ class ScenarioConfig:
     cost: CostParams
     sim: SimParams
     initial: RigidBodyState
-    goal: RegulationGoal
+    goal: np.ndarray
     reference: ReferenceConfig
     controller: ControllerSettings
     avoidance: AvoidanceScenario | None
@@ -182,9 +178,8 @@ class ScenarioConfig:
 
 
 def _parse_cost(obj, command) -> CostParams:
-    section = _require_object(obj.get("cost", {}), "cost")
-    _reject_unknown(section, ("alpha", "gamma", "q_weights"), "cost")
-    d_alpha, d_gamma = _COMMAND_COST_DEFAULTS[command]
+    section = _object(obj.get("cost", {}), "cost", ("alpha", "gamma", "q_weights"))
+    d_alpha, d_gamma = _DEFAULTS[command][:2]
     alpha = _number(section, "alpha", "cost", default=d_alpha)
     gamma = _number(section, "gamma", "cost", default=d_gamma)
     q = np.eye(2)
@@ -194,10 +189,9 @@ def _parse_cost(obj, command) -> CostParams:
 
 
 def _parse_sim(obj, command, inertia: InertiaTensor) -> SimParams:
-    section = _require_object(obj.get("sim", {}), "sim")
-    _reject_unknown(section, ("h", "t_end"), "sim")
+    section = _object(obj.get("sim", {}), "sim", ("h", "t_end"))
     h = _number(section, "h", "sim", default=1e-3)
-    t_end = _number(section, "t_end", "sim", default=_COMMAND_T_END.get(command, 20.0))
+    t_end = _number(section, "t_end", "sim", default=_DEFAULTS[command][2])
     return _build("sim", SimParams, h, t_end, inertia)
 
 
@@ -208,21 +202,17 @@ def _parse_inertia(obj) -> InertiaTensor:
 
 
 def _parse_initial(obj) -> RigidBodyState:
-    section = _require_object(obj.get("initial", {}), "initial")
-    _reject_unknown(section, ("rotation", "omega"), "initial")
+    section = _object(obj.get("initial", {}), "initial", ("rotation", "omega"))
     return RigidBodyState(_rotation(section, "rotation", "initial"),
                           _vector(section, "omega", "initial", 3, default=[0.0, 0.0, 0.0]))
 
 
-def _parse_goal(obj) -> RegulationGoal:
-    section = _require_object(obj.get("goal", {}), "goal")
-    _reject_unknown(section, ("rotation",), "goal")
-    return RegulationGoal(_rotation(section, "rotation", "goal"))
+def _parse_goal(obj) -> np.ndarray:
+    return _rotation(_object(obj.get("goal", {}), "goal", ("rotation",)), "rotation", "goal")
 
 
 def _parse_reference(obj) -> ReferenceConfig:
-    section = _require_object(obj.get("reference", {}), "reference")
-    _reject_unknown(section, ("omega_coeffs", "r0"), "reference")
+    section = _object(obj.get("reference", {}), "reference", ("omega_coeffs", "r0"))
     if "omega_coeffs" in section:
         coeffs, message = section["omega_coeffs"], "expected 3 lists of finite coefficients"
         if not (isinstance(coeffs, list) and len(coeffs) == 3
@@ -237,9 +227,8 @@ def _parse_reference(obj) -> ReferenceConfig:
 
 
 def _parse_controller(obj, command) -> ControllerSettings:
-    section = _require_object(obj.get("controller", {}), "controller")
-    _reject_unknown(section, ("gain_source", "feedforward_accel_term", "a_matrix_mode"),
-                    "controller")
+    section = _object(obj.get("controller", {}), "controller",
+                      ("gain_source", "feedforward_accel_term", "a_matrix_mode"))
     source = section.get("gain_source", "are")
     if source not in GAIN_SOURCES:
         raise ValidationError("controller.gain_source",
@@ -247,8 +236,7 @@ def _parse_controller(obj, command) -> ControllerSettings:
     accel = section.get("feedforward_accel_term", False)
     if not isinstance(accel, bool):
         raise ValidationError("controller.feedforward_accel_term", "expected a boolean")
-    mode = section.get("a_matrix_mode",
-                       _COMMAND_MODE.get(command, "published-regulation"))
+    mode = section.get("a_matrix_mode", _DEFAULTS[command][3])
     if mode not in DRIFT_MODES:
         raise ValidationError("controller.a_matrix_mode",
                               f"expected one of {DRIFT_MODES}")
@@ -260,9 +248,8 @@ def _parse_avoidance(obj, command, alpha: float) -> AvoidanceScenario | None:
         if command == "avoid":
             raise ValidationError("avoidance", "required for the avoid command")
         return None
-    section = _require_object(obj["avoidance"], "avoidance")
-    _reject_unknown(section, ("dimension", "q0", "v0", "target", "horizon", "obstacles"),
-                    "avoidance")
+    section = _object(obj["avoidance"], "avoidance",
+                      ("dimension", "q0", "v0", "target", "horizon", "obstacles"))
     dim = section.get("dimension")
     if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= 3:
         raise ValidationError("avoidance.dimension", "expected an integer in [1, 3]")
@@ -276,8 +263,7 @@ def _parse_avoidance(obj, command, alpha: float) -> AvoidanceScenario | None:
         raise ValidationError("avoidance.obstacles", "expected a list")
     for i, entry in enumerate(raw):
         path = f"avoidance.obstacles[{i}]"
-        entry = _require_object(entry, path)
-        _reject_unknown(entry, ("center", "radius"), path)
+        entry = _object(entry, path, ("center", "radius"))
         obstacles.append(_build(path, SphereObstacle, _vector(entry, "center", path, dim),
                                 _number(entry, "radius", path)))
     return _build("avoidance", AvoidanceScenario, dim, alpha, target, horizon, q0, v0,
@@ -285,8 +271,7 @@ def _parse_avoidance(obj, command, alpha: float) -> AvoidanceScenario | None:
 
 
 def _parse_output(obj) -> OutputConfig:
-    section = _require_object(obj.get("output", {}), "output")
-    _reject_unknown(section, ("directory", "decimation"), "output")
+    section = _object(obj.get("output", {}), "output", ("directory", "decimation"))
     directory = section.get("directory", ".")
     if not isinstance(directory, str):
         raise ValidationError("output.directory", "expected a string")
@@ -313,8 +298,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(obj, dict):
         raise ParseError("top level must be a JSON object")
 
-    _reject_unknown(obj, ("command", "cost", "sim", "inertia", "initial", "goal",
-                          "reference", "controller", "avoidance", "output"), "")
+    _object(obj, "", ("command", "cost", "sim", "inertia", "initial", "goal",
+                      "reference", "controller", "avoidance", "output"))
     command = obj.get("command")
     if command not in COMMANDS:
         raise ValidationError("command", f"expected one of {COMMANDS}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._float3 import cross, flat, mv
+from ._float3 import cross, mv
 from .errors import NumericalDivergence, ValidationError
 from .so3 import exp_so3
 
@@ -48,8 +48,8 @@ class InertiaTensor:
             raise ValidationError("", "inertia must be positive definite")
         self.j = j
         self.j_inv = np.linalg.inv(j)
-        self.j_rows = tuple(flat(j))
-        self.j_inv_rows = tuple(flat(self.j_inv))
+        self.j_rows = tuple(j.ravel().tolist())
+        self.j_inv_rows = tuple(self.j_inv.ravel().tolist())
 
     @classmethod
     def diagonal(cls, values) -> "InertiaTensor":
@@ -94,8 +94,15 @@ class TrajectoryLog:
 
 
 def time_grid(h: float, t_end: float) -> np.ndarray:
-    """Sample times k h, k = 0..ceil(t_end / h), of a run of step h."""
+    """The simulator's grid: times k h, k = 0..ceil(t_end / h), of exact step
+    h, so the last time may overshoot t_end. Compare uniform_grid."""
     return np.arange(int(math.ceil(t_end / h - 1e-9)) + 1) * h
+
+
+def uniform_grid(t_end: float, h: float) -> np.ndarray:
+    """The sweeps' grid: round(t_end / h) (at least 1) equal steps ending
+    exactly at t_end, so the step is h adjusted. Compare time_grid."""
+    return np.linspace(0.0, t_end, max(1, round(t_end / h)) + 1)
 
 
 def euler_rhs(w, tau, j: InertiaTensor) -> tuple:

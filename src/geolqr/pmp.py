@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import affine_rk4, rk4
+from .dynamics import affine_rk4, rk4, uniform_grid
 from .errors import NoConvergence, NoDescent, ObstacleContact, ValidationError
 from .riccati import CostParams
 from .so3 import attitude_errors, exp_so3, row_dots
@@ -51,6 +51,11 @@ MANIFOLDS = ("flat", "so3-biinvariant")
 # Multiple shooting splits the grid into steps // SEGMENT_STEPS segments (at
 # least one) whose lengths differ by at most one step.
 SEGMENT_STEPS = 50
+
+# shooting_solve stops at a residual sup norm <= SHOOTING_TOL, or fails after
+# SHOOTING_MAX_ITER Newton iterations.
+SHOOTING_TOL = 1e-6
+SHOOTING_MAX_ITER = 100
 
 # Stopping rule of transcription_oracle: the sup-norm gradient reaches
 # ORACLE_GRAD_TOL, or the last ORACLE_PLATEAU_WINDOW iterations improved the
@@ -108,11 +113,12 @@ class SphereObstacle:
 class AvoidanceScenario:
     """Problem data for the boundary-value solvers.
 
-    For the flat manifold q0 and target are n-vectors; for
-    "so3-biinvariant" they are rotation matrices and v0 is a body velocity.
-    Obstacles are only meaningful on flat space, and q0 must lie outside
-    each. A bad value raises a ValidationError naming the argument:
-    "alpha", "horizon", or "obstacles[i]" for the first one containing q0.
+    For the flat manifold q0, target and v0 are (dimension,) vectors; for
+    "so3-biinvariant" q0 and target are (3, 3) rotation matrices and v0 is a
+    (3,) body velocity. Obstacles are only allowed on flat space, each with a
+    (dimension,) center, and q0 must lie outside each. A bad value raises a
+    ValidationError naming the argument: "alpha", "horizon", "q0", "target",
+    "v0", or "obstacles[i]" for the first bad obstacle or one containing q0.
     """
 
     dimension: int
@@ -137,7 +143,14 @@ class AvoidanceScenario:
         self.target = np.asarray(self.target, dtype=float)
         self.q0 = np.asarray(self.q0, dtype=float)
         self.v0 = np.asarray(self.v0, dtype=float)
+        point = (self.dimension,) if self.manifold == "flat" else (3, 3)
+        for name, shape in (("q0", point), ("target", point), ("v0", (self.tangent_dim,))):
+            if getattr(self, name).shape != shape:
+                raise ValidationError(name, f"expected shape {shape}")
         for i, obs in enumerate(self.obstacles):
+            if self.manifold != "flat" or np.shape(obs.center) != (self.dimension,):
+                raise ValidationError(f"obstacles[{i}]", "expected flat space and a "
+                                      f"center of shape ({self.dimension},)")
             if obs.value(self.q0) <= 0.0:
                 raise ValidationError(f"obstacles[{i}]",
                                       "initial configuration inside obstacle")
@@ -272,8 +285,7 @@ def control_cost(scenario: AvoidanceScenario, times_u, u, h_eval: float) -> floa
     """
     if scenario.manifold != "flat" or scenario.mode != "avoidance":
         raise ValueError("control_cost covers flat avoidance scenarios")
-    steps = max(1, int(round(scenario.horizon / h_eval)))
-    tt = np.linspace(0.0, scenario.horizon, steps + 1)
+    tt = uniform_grid(scenario.horizon, h_eval)
     uu = np.stack([np.interp(tt, times_u, u[:, a])
                    for a in range(scenario.dimension)], axis=1)
     return float(_batched_costs(scenario, uu[None], tt[1] - tt[0],
@@ -385,8 +397,7 @@ def _segment_jacobian(scenario: AvoidanceScenario, starts, ends, deltas, seg) ->
     return diff.T
 
 
-def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3,
-                   tol: float = 1e-6, max_iter: int = 100) -> BVPSolution:
+def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3) -> BVPSolution:
     """Damped-Newton multiple shooting.
 
     The grid splits into M = steps // SEGMENT_STEPS segments (M = 1 on
@@ -407,14 +418,14 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3,
     lengths), "sweeps" and "segments" (M).
 
     Raises:
-        NoConvergence: residual above tol after max_iter iterations, a
-            non-finite zero-guess trajectory or Jacobian, or a stalled step.
+        NoConvergence: residual above SHOOTING_TOL after SHOOTING_MAX_ITER
+            iterations, a non-finite zero-guess path or Jacobian, or a stalled step.
         ObstacleContact: the zero guess's trajectory, or a perturbed one
             whose Jacobian column is needed, touched an obstacle.
     """
     n = scenario.tangent_dim
-    steps = max(1, int(round(scenario.horizon / h)))
-    times = np.linspace(0.0, scenario.horizon, steps + 1)
+    times = uniform_grid(scenario.horizon, h)
+    steps = len(times) - 1
     m = max(1, steps // SEGMENT_STEPS)
     lengths = np.full(m, steps // m)
     lengths[m - steps % m:] += 1
@@ -451,11 +462,11 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3,
             raise NoConvergence("trajectory from the zero initial guess is not finite")
         residuals = [float(np.abs(res).max())]
         steps = []
-        while residuals[-1] > tol:
+        while residuals[-1] > SHOOTING_TOL:
             iterations = len(steps)
-            if iterations >= max_iter:
-                raise NoConvergence(
-                    f"residual {residuals[-1]:.3e} > {tol:g} after {max_iter} iterations")
+            if iterations >= SHOOTING_MAX_ITER:
+                raise NoConvergence(f"residual {residuals[-1]:.3e} > {SHOOTING_TOL:g} "
+                                    f"after {SHOOTING_MAX_ITER} iterations")
             if contact[m:].any():
                 raise ObstacleContact(
                     f"a perturbed path at iterate {iterations} touches an obstacle")

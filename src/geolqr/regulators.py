@@ -24,13 +24,6 @@ from .so3 import exp_so3, log_so3, row_dots
 
 
 @dataclass(frozen=True)
-class RegulationGoal:
-    """Desired attitude."""
-
-    r_d: np.ndarray
-
-
-@dataclass(frozen=True)
 class ReferenceSample:
     """Reference rotation, body velocity and body acceleration at one time."""
 
@@ -75,9 +68,9 @@ class TrackingReference:
                                wdot=self.omega_dots[i])
 
 
-def regulation_torque(s: RigidBodyState, goal: RegulationGoal, g: GainPair) -> np.ndarray:
-    """-kP log(r_d.T r) - kD w. Raises AngleNearPi at the cut locus."""
-    e0, e1, e2 = log_so3(mtm(goal.r_d.ravel().tolist(), s.r.ravel().tolist())).tolist()
+def regulation_torque(s: RigidBodyState, r_d: np.ndarray, g: GainPair) -> np.ndarray:
+    """-kP log(r_d.T r) - kD w to the goal rotation r_d. Raises AngleNearPi at the cut locus."""
+    e0, e1, e2 = log_so3(mtm(r_d.ravel().tolist(), s.r.ravel().tolist())).tolist()
     w0, w1, w2 = s.w.tolist()
     kp, kd = g.kP, g.kD
     return np.array((-kp * e0 - kd * w0, -kp * e1 - kd * w1, -kp * e2 - kd * w2))

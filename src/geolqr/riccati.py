@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import rk4
+from .dynamics import rk4, uniform_grid
 from .errors import NoStabilizingSolution, NotControllable, StepTooLarge, ValidationError
 
 # Published gain tables are reproduced by these drift matrices, which do not
@@ -271,8 +271,7 @@ def dre_integrate(a, b, q, rw: float, t_end: float, h: float = 1e-3) -> GainSche
                - (ks10 * k1 + ks11 * k3) + q10)
         return np.array((m00, m11, 0.5 * (m01 + m10)))
 
-    n = max(1, int(round(t_end / h)))
-    times = np.linspace(0.0, t_end, n + 1)
+    times = uniform_grid(t_end, h)
     # Past a finite escape the sweep overflows; the first step beyond 1e9
     # is reported below instead.
     with np.errstate(over="ignore", invalid="ignore"):

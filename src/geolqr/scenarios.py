@@ -33,8 +33,8 @@ import numpy as np
 
 from . import pmp, regulators, riccati, so3
 from .config import ScenarioConfig
-from .dynamics import InertiaTensor, RigidBodyState, simulate, time_grid
-from .errors import AngleNearPi, NumericalDivergence
+from .dynamics import InertiaTensor, RigidBodyState, SimParams, simulate, time_grid
+from .errors import AngleNearPi, ConfigError, NumericalDivergence
 
 CSV_HEADER = ("t,r11,r12,r13,r21,r22,r23,r31,r32,r33,wx,wy,wz,"
               "tau_x,tau_y,tau_z,dist,lyap,value,hamiltonian")
@@ -51,12 +51,12 @@ class RunSummary:
     phases maps each phase of the run, in order, to its wall seconds."""
 
     command: str
-    gains: dict | None
-    final_distance: float | None
-    final_velocity_norm: float | None
-    min_obstacle_clearance: float | None
-    iterations: dict
-    wall_clock_seconds: float
+    gains: dict | None = None
+    final_distance: float | None = None
+    final_velocity_norm: float | None = None
+    min_obstacle_clearance: float | None = None
+    iterations: dict = field(default_factory=dict)
+    wall_clock_seconds: float = 0.0
     phases: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -86,8 +86,6 @@ class _Clock:
 
     def summary(self, command: str, **fields) -> "RunSummary":
         """The run's summary, timed up to now."""
-        fields = {"gains": None, "final_distance": None, "final_velocity_norm": None,
-                  "min_obstacle_clearance": None, "iterations": {}, **fields}
         return RunSummary(command=command, wall_clock_seconds=time.perf_counter() - self.start,
                           phases=self.phases, **fields)
 
@@ -100,9 +98,13 @@ def _write_rows(path: Path, header: str, columns: dict, decimation: int) -> None
     present = [columns[name] for name in names if name in columns]
     row = ",".join("%.17g" if name in columns else "" for name in names) + "\n"
     n = len(present[0])
+    try:
+        f = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from None
     # Streamed from column views, one row at a time: the largest CSV is
     # several megabytes.
-    with open(path, "w", encoding="utf-8") as f:
+    with f:
         f.write(header + "\n")
         f.writelines(row % cells for cells in zip(*(c[::decimation] for c in present)))
         if (n - 1) % decimation:
@@ -180,7 +182,7 @@ def _run_closed_loop(cfg: ScenarioConfig, out_dir: Path, clock: _Clock,
 
 def run_regulate(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     clock = _Clock()
-    _guard_initial_distance(cfg.goal.r_d, cfg.initial.r, "goal")
+    _guard_initial_distance(cfg.goal, cfg.initial.r, "goal")
     solution_at, gains_at, gain_summary = _resolve_gain_setup(cfg)
     clock.lap("gain_solve")
     alpha = cfg.cost.alpha
@@ -190,8 +192,7 @@ def run_regulate(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
 
     def channels(log):
         k = solution_at(log.times)
-        e = so3.attitude_errors(np.broadcast_to(cfg.goal.r_d, log.rotations.shape),
-                                log.rotations)
+        e = so3.attitude_errors(np.broadcast_to(cfg.goal, log.rotations.shape), log.rotations)
         return {
             "dist": np.sqrt(so3.row_dots(e, e)),
             "lyap": regulators.lyapunov_value(e, log.omegas, k.gains(alpha).kP),
@@ -331,29 +332,24 @@ def run_check(cfg: ScenarioConfig, out_dir: Path):
     check("backward Riccati sweep (terminal 0, fixed point 1e-4)",
           terminal_zero and dre_err <= 1e-4, f"err {dre_err:.2e}")
 
-    # Integrator group preservation and first-order drift.
-    from .dynamics import lie_euler_step
-
+    # Integrator group preservation and first-order drift, on the free body.
     inertia = InertiaTensor.diagonal([1.0, 2.0, 3.0])
-    state = RigidBodyState(np.eye(3), np.array([0.3, 1.1, -0.2]))
-    worst = 0.0
-    for i in range(10000):
-        state = lie_euler_step(state, np.zeros(3), 1e-3, inertia)
-        if i % 100 == 0:
-            worst = max(worst, so3.orthogonality_defect(state.r))
-    worst = max(worst, so3.orthogonality_defect(state.r))
+
+    def free_body(h, t_end):
+        return simulate(lambda t, s: np.zeros(3),
+                        RigidBodyState(np.eye(3), np.array([0.3, 1.1, -0.2])),
+                        SimParams(h, t_end, inertia))
+
+    rots = free_body(1e-3, 10.0).rotations
+    # After steps 1, 101, ... and the last.
+    worst = max(so3.orthogonality_defect(r) for r in [*rots[1::100], rots[-1]])
     check("group preservation over 1e4 steps (1e-10)", worst <= 1e-10,
           f"worst {worst:.2e}")
 
     def energy_drift(h):
-        s = RigidBodyState(np.eye(3), np.array([0.3, 1.1, -0.2]))
-        e0 = 0.5 * float(s.w @ (inertia.j @ s.w))
-        worst_d = 0.0
-        for _ in range(int(round(5.0 / h))):
-            s = lie_euler_step(s, np.zeros(3), h, inertia)
-            e = 0.5 * float(s.w @ (inertia.j @ s.w))
-            worst_d = max(worst_d, abs(e - e0) / e0)
-        return worst_d
+        w = free_body(h, 5.0).omegas
+        e = 0.5 * so3.row_dots(w, w @ inertia.j)
+        return float(np.abs(e - e[0]).max() / e[0])
 
     d1, d2 = energy_drift(1e-3), energy_drift(5e-4)
     ratio = d2 / d1
@@ -361,9 +357,9 @@ def run_check(cfg: ScenarioConfig, out_dir: Path):
           1.0 / 3.0 <= ratio <= 0.75, f"ratio {ratio:.3f}")
 
     # Feedback laws vanish where they should.
-    goal = regulators.RegulationGoal(so3.exp_so3(vs[3]))
-    at_goal = RigidBodyState(goal.r_d.copy(), np.zeros(3))
-    tau = regulators.regulation_torque(at_goal, goal, riccati.GainPair(2.0, 3.0))
+    r_goal = so3.exp_so3(vs[3])
+    at_goal = RigidBodyState(r_goal.copy(), np.zeros(3))
+    tau = regulators.regulation_torque(at_goal, r_goal, riccati.GainPair(2.0, 3.0))
     check("regulation torque zero at goal (exact)", float(np.abs(tau).max()) == 0.0,
           f"{tau}")
 
@@ -381,16 +377,21 @@ def run_check(cfg: ScenarioConfig, out_dir: Path):
     return summary, failures == 0, lines
 
 
+_SCENARIOS = {"gains": run_gains, "regulate": run_regulate, "track": run_track, "avoid": run_avoid}
+
+
 def run(cfg: ScenarioConfig, out_dir: str | None = None):
-    """Dispatch a validated config. Returns (RunSummary, ok, lines)."""
+    """Dispatch a validated config. Returns (RunSummary, ok, lines); only
+    the check command reports lines or fails.
+
+    Raises:
+        ConfigError: the output directory or a CSV in it cannot be created.
+    """
     directory = Path(out_dir if out_dir is not None else cfg.output.directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    if cfg.command == "gains":
-        return run_gains(cfg, directory), True, []
-    if cfg.command == "regulate":
-        return run_regulate(cfg, directory), True, []
-    if cfg.command == "track":
-        return run_track(cfg, directory), True, []
-    if cfg.command == "avoid":
-        return run_avoid(cfg, directory), True, []
-    return run_check(cfg, directory)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {directory}: {exc}") from None
+    if cfg.command == "check":
+        return run_check(cfg, directory)
+    return _SCENARIOS[cfg.command](cfg, directory), True, []

@@ -27,7 +27,6 @@ from geolqr.pmp import (
     variational_propagate,
 )
 from geolqr.regulators import (
-    RegulationGoal,
     TrackingReference,
     feedforward_torque,
     regulation_torque,
@@ -92,7 +91,7 @@ def test_criterion_03_scalar_matrix_consistency():
 
 def _criterion4_run(h, t_end, gains, sol):
     """The criterion-4 closed loop: its log and the channels computed from it."""
-    goal = RegulationGoal(np.eye(3))
+    goal = np.eye(3)
 
     def controller(t, s):
         return regulation_torque(s, goal, gains)

@@ -36,7 +36,7 @@ class TestParseConfig:
         assert cfg.sim.t_end == 20.0
         assert cfg.cost.alpha == 0.5
         assert cfg.controller.a_matrix_mode == "published-regulation"
-        assert np.array_equal(cfg.goal.r_d, np.eye(3))
+        assert np.array_equal(cfg.goal, np.eye(3))
 
     def test_track_defaults(self):
         cfg = parse_config(json.dumps({"command": "track"}))
@@ -164,7 +164,23 @@ def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
     (lambda: AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=0.0,
                                q0=[1.0], v0=[0.0]), "horizon"),
     (lambda: SphereObstacle(np.array([0.0, 1.0]), 0.0), "radius"),
-], ids=["SimParams", "CostParams", "AvoidanceScenario", "SphereObstacle"])
+    (lambda: AvoidanceScenario(dimension=2, alpha=1.0, target=[0.0, 0.0], horizon=1.0,
+                               q0=[1.0, 0.0, 0.0], v0=[0.0, 0.0]), "q0"),
+    (lambda: AvoidanceScenario(dimension=2, alpha=1.0, target=[0.0], horizon=1.0,
+                               q0=[1.0, 0.0], v0=[0.0, 0.0]), "target"),
+    (lambda: AvoidanceScenario(dimension=3, alpha=1.0, target=np.eye(3), horizon=1.0,
+                               q0=np.eye(3), v0=np.zeros(2), manifold="so3-biinvariant"),
+     "v0"),
+    (lambda: AvoidanceScenario(dimension=3, alpha=1.0, target=np.eye(3), horizon=1.0,
+                               q0=np.eye(3), v0=np.zeros(3), manifold="so3-biinvariant",
+                               obstacles=(SphereObstacle(np.zeros(3), 0.1),)),
+     "obstacles[0]"),
+    (lambda: AvoidanceScenario(dimension=2, alpha=1.0, target=[0.0, 0.0], horizon=1.0,
+                               q0=[1.0, 0.0], v0=[0.0, 0.0],
+                               obstacles=(SphereObstacle(np.zeros(3), 0.1),)),
+     "obstacles[0]"),
+], ids=["SimParams", "CostParams", "AvoidanceScenario", "SphereObstacle", "q0", "target",
+        "group-v0", "group-obstacle", "obstacle-center"])
 def test_constructors_name_their_argument(build, name):
     with pytest.raises(ValidationError) as err:
         build()
@@ -290,6 +306,21 @@ class TestRegulateCommand:
 
     def test_missing_config_exits_two(self, tmp_path, capsys):
         assert main(["regulate", "--config", str(tmp_path / "none.json")]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, out):
+        cfg = self.make_config(tmp_path)
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        assert main(["regulate", "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert err["detail"].startswith("cannot write output")
+
+    def test_unopenable_csv_exits_two(self, tmp_path, capsys):
+        cfg = self.make_config(tmp_path)
+        (tmp_path / "out" / "trajectory.csv").mkdir(parents=True)
+        assert main(["regulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
 
     def test_command_mismatch_exits_two(self, tmp_path, capsys):

@@ -26,7 +26,6 @@ from geolqr.dynamics import (
 from geolqr.errors import AngleNearPi
 from geolqr.regulators import (
     ReferenceSample,
-    RegulationGoal,
     feedforward_torque,
     regulation_torque,
     tracking_pd_torque,
@@ -90,7 +89,7 @@ class TestStepAndLaws:
         s = RigidBodyState(r_d @ rel, w)
         e = log_so3(r_d.T @ s.r)
         want = -g.kP * e - g.kD * w
-        got = regulation_torque(s, RegulationGoal(r_d), g)
+        got = regulation_torque(s, r_d, g)
         assert_close(got, want, g.kP * math.pi + g.kD * np.abs(w).max())
 
     @given(r_ref=rotations, rel=rotations, w=vectors, w_ref=vectors, g=gains)

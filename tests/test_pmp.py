@@ -308,11 +308,13 @@ class TestShooting:
         assert np.abs(-ct.p2 / sc.alpha - sol.u).max() <= 1e-3
         assert float(ct.hamiltonian.max() - ct.hamiltonian.min()) <= 1e-3
 
-    def test_no_convergence_budget(self):
+    def test_no_convergence_budget(self, monkeypatch):
         sc = AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
                                q0=[1.0], v0=[0.0])
+        monkeypatch.setattr(pmp, "SHOOTING_MAX_ITER", 0)
+        monkeypatch.setattr(pmp, "SHOOTING_TOL", 1e-12)
         with pytest.raises(NoConvergence):
-            shooting_solve(sc, max_iter=0, tol=1e-12)
+            shooting_solve(sc)
 
     def test_stiff_blowup_reported_not_silently_converged(self):
         # alpha = 1e-6 makes the coupled system grow like exp(1000 t), by

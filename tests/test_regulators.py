@@ -13,7 +13,6 @@ from geolqr.dynamics import InertiaTensor, RigidBodyState, SimParams, simulate, 
 from geolqr.errors import AngleNearPi
 from geolqr.regulators import (
     ReferenceSample,
-    RegulationGoal,
     TrackingReference,
     feedforward_torque,
     lyapunov_value,
@@ -60,25 +59,25 @@ def published_tracking_gains():
 
 class TestRegulationTorque:
     def test_zero_at_goal(self):
-        goal = RegulationGoal(exp_so3([0.3, -0.1, 0.8]))
-        s = RigidBodyState(goal.r_d.copy(), np.zeros(3))
+        goal = exp_so3([0.3, -0.1, 0.8])
+        s = RigidBodyState(goal.copy(), np.zeros(3))
         tau = regulation_torque(s, goal, GainPair(1.5, 2.0))
         assert np.array_equal(tau, np.zeros(3))
 
     def test_pure_derivative_action(self):
-        goal = RegulationGoal(np.eye(3))
+        goal = np.eye(3)
         s = RigidBodyState(np.eye(3), np.array([1.0, 0.0, 0.0]))
         tau = regulation_torque(s, goal, GainPair(1.4142, 2.7671))
         assert np.allclose(tau, [-2.7671, 0.0, 0.0], atol=1e-15)
 
     def test_single_axis_proportional(self):
-        goal = RegulationGoal(np.eye(3))
+        goal = np.eye(3)
         s = RigidBodyState(exp_so3([0.3, 0.0, 0.0]), np.zeros(3))
         tau = regulation_torque(s, goal, GainPair(1.4142, 2.7671))
         assert np.allclose(tau, [-1.4142 * 0.3, 0.0, 0.0], atol=1e-12)
 
     def test_cut_locus_propagates(self):
-        goal = RegulationGoal(np.eye(3))
+        goal = np.eye(3)
         s = RigidBodyState(np.diag([1.0, -1.0, -1.0]), np.zeros(3))
         with pytest.raises(AngleNearPi):
             regulation_torque(s, goal, GainPair(1.0, 1.0))
@@ -91,10 +90,10 @@ class TestRegulationTorque:
             r = exp_so3(rng.standard_normal(3) * 0.5)
             w = rng.standard_normal(3)
             conj = exp_so3(rng.standard_normal(3))
-            tau = regulation_torque(RigidBodyState(r, w), RegulationGoal(r_d), g)
+            tau = regulation_torque(RigidBodyState(r, w), r_d, g)
             tau_c = regulation_torque(
                 RigidBodyState(conj @ r @ conj.T, conj @ w),
-                RegulationGoal(conj @ r_d @ conj.T), g)
+                conj @ r_d @ conj.T, g)
             assert abs(np.linalg.norm(tau) - np.linalg.norm(tau_c)) <= 1e-12
 
 
@@ -116,7 +115,7 @@ class TestTrackingPdTorque:
                                rng.standard_normal(3))
             sample = ReferenceSample(r_ref, np.zeros(3), np.zeros(3))
             assert np.allclose(tracking_pd_torque(s, sample, g),
-                               regulation_torque(s, RegulationGoal(r_ref), g),
+                               regulation_torque(s, r_ref, g),
                                atol=1e-15)
 
     def test_pure_velocity_error(self):
@@ -202,31 +201,31 @@ class TestFeedforwardTorque:
 def certificate_rows(goal, *states):
     """Attitude errors log(r_d.T r) and velocities of the states, as the
     (N, 3) rows the certificates take."""
-    return (np.array([log_so3(goal.r_d.T @ s.r) for s in states]),
+    return (np.array([log_so3(goal.T @ s.r) for s in states]),
             np.array([s.w for s in states]))
 
 
 class TestLyapunovValue:
     def test_zero_at_goal(self):
-        goal = RegulationGoal(exp_so3([0.1, 0.9, -0.2]))
-        s = RigidBodyState(goal.r_d.copy(), np.zeros(3))
+        goal = exp_so3([0.1, 0.9, -0.2])
+        s = RigidBodyState(goal.copy(), np.zeros(3))
         assert lyapunov_value(*certificate_rows(goal, s), 2.0)[0] == 0.0
 
     def test_plug_in_value(self):
-        goal = RegulationGoal(np.eye(3))
+        goal = np.eye(3)
         s = RigidBodyState(exp_so3([0.3, 0.0, 0.0]), np.zeros(3))
         assert abs(lyapunov_value(*certificate_rows(goal, s), 2.0)[0] - 0.09) <= 1e-12
 
     def test_decreases_along_closed_loop(self):
         g, _ = published_regulation_gains()
-        goal = RegulationGoal(np.eye(3))
+        goal = np.eye(3)
 
         def ctrl(t, s):
             return regulation_torque(s, goal, g)
 
         log = simulate(ctrl, RigidBodyState(exp_so3([0.9, -0.4, 0.2]), np.zeros(3)),
                        SimParams(1e-3, 5.0, J123))
-        e = attitude_errors(np.broadcast_to(goal.r_d, log.rotations.shape), log.rotations)
+        e = attitude_errors(np.broadcast_to(goal, log.rotations.shape), log.rotations)
         ly = lyapunov_value(e, log.omegas, g.kP)
         tau2 = np.array([float(tau @ tau) for tau in log.torques])
         # The explicit scheme injects at most h^2 |tau|^2 of kinetic energy
@@ -241,28 +240,28 @@ class TestLyapunovValue:
 
 class TestValueCandidate:
     def test_zero_at_goal(self):
-        goal = RegulationGoal(np.eye(3))
+        goal = np.eye(3)
         s = RigidBodyState(np.eye(3), np.zeros(3))
         sol = RiccatiSolution(1.5537739740300367, 1.0986841134678094,
                               0.707106781186547)
         assert value_candidate(*certificate_rows(goal, s), sol)[0] == 0.0
 
     def test_zero_velocity_reduces_to_distance_term(self):
-        goal = RegulationGoal(np.eye(3))
+        goal = np.eye(3)
         sol = RiccatiSolution(2.0, 3.0, 0.5)
         s = RigidBodyState(exp_so3([0.0, 0.4, 0.0]), np.zeros(3))
         expected = 2.0 * 0.5 * 0.4 ** 2
         assert abs(value_candidate(*certificate_rows(goal, s), sol)[0] - expected) <= 1e-12
 
     def test_positive_near_goal_for_positive_definite_k(self):
-        goal = RegulationGoal(np.eye(3))
+        goal = np.eye(3)
         sol = RiccatiSolution(1.5537739740300367, 1.0986841134678094,
                               0.707106781186547)
         rng = np.random.default_rng(53)
         for _ in range(50):
             s = RigidBodyState(exp_so3(rng.standard_normal(3) * 0.2),
                                rng.standard_normal(3) * 0.2)
-            if geodesic_distance(goal.r_d, s.r) < 1e-12 and np.abs(s.w).max() < 1e-12:
+            if geodesic_distance(goal, s.r) < 1e-12 and np.abs(s.w).max() < 1e-12:
                 continue
             assert value_candidate(*certificate_rows(goal, s), sol)[0] > 0.0
 
@@ -270,7 +269,7 @@ class TestValueCandidate:
 def lyapunov_value_at(s, goal, kp):
     """The Lyapunov certificate at one state, one log_so3 and float dot
     products: the oracle of the array lyapunov_value."""
-    e = log_so3(goal.r_d.T @ s.r)
+    e = log_so3(goal.T @ s.r)
     w = s.w
     return kp * 0.5 * float(e @ e) + 0.5 * float(w @ w)
 
@@ -278,7 +277,7 @@ def lyapunov_value_at(s, goal, kp):
 def value_candidate_at(s, goal, sol):
     """The candidate value at one state: the oracle of the array
     value_candidate."""
-    e = log_so3(goal.r_d.T @ s.r)
+    e = log_so3(goal.T @ s.r)
     w = s.w
     u = 0.5 * float(e @ e)
     return sol.k1 * u + 0.5 * sol.k2 * float(w @ w) + sol.k3 * float(e @ w)
@@ -296,7 +295,7 @@ class TestArrayCertificates:
     def test_equal_to_one_state_at_a_time(self, data, n, scheduled):
         # Scalar K is an ARE solution; (N,) entries are a DRE schedule's
         # lookup over the logged times.
-        goal = RegulationGoal(exp_so3(data.draw(rotation_vectors)))
+        goal = exp_so3(data.draw(rotation_vectors))
         rots = np.array([exp_so3(data.draw(rotation_vectors)) for _ in range(n)])
         omegas = data.draw(arrays(np.float64, (n, 3), elements=entries))
         shape = (n,) if scheduled else ()
@@ -305,7 +304,7 @@ class TestArrayCertificates:
         if not scheduled:
             kp, k1, k2, k3 = (float(x) for x in (kp, k1, k2, k3))
         states = [RigidBodyState(r, w) for r, w in zip(rots, omegas)]
-        e = attitude_errors(np.broadcast_to(goal.r_d, rots.shape), rots)
+        e = attitude_errors(np.broadcast_to(goal, rots.shape), rots)
 
         def row(x, i):
             return x[i] if scheduled else x

@@ -5,10 +5,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from geolqr.dynamics import time_grid
 from geolqr.errors import NoStabilizingSolution, NotControllable, StepTooLarge
 from geolqr.riccati import (
+    B_CANONICAL,
+    DRIFT_MODES,
     CostParams,
     GainPair,
     RiccatiSolution,
@@ -264,3 +269,47 @@ class TestIndexedSchedule:
                 sched.solution_at(t)
         with pytest.raises(ValueError):
             sched.solution_at(np.array([0.0, 0.5, 1.01]))
+
+
+# Problem data over every drift mode: gamma in [-2, 2], alpha in [0.1, 10]
+# and a positive definite Q = M M.T + 0.1 I.
+@st.composite
+def riccati_problems(draw):
+    m = draw(arrays(float, (2, 2), elements=st.floats(-2.0, 2.0)))
+    a = drift_matrix(draw(st.sampled_from(DRIFT_MODES)), draw(st.floats(-2.0, 2.0)))
+    return a, m @ m.T + 0.1 * np.eye(2), draw(st.floats(0.1, 10.0))
+
+
+def relative_error(k, k_ref) -> float:
+    return float(np.linalg.norm(k - k_ref) / np.linalg.norm(k_ref))
+
+
+class TestRiccatiProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(problem=riccati_problems())
+    def test_are_matches_scipy(self, problem):
+        a, q, alpha = problem
+        k_ref = scipy.linalg.solve_continuous_are(a, B_CANONICAL, q, np.array([[alpha]]))
+        assert relative_error(are_solve(a, B_CANONICAL, q, alpha).as_matrix(), k_ref) <= 1e-10
+
+    @settings(max_examples=10, deadline=None)
+    @given(problem=riccati_problems())
+    def test_dre_converges_to_are(self, problem):
+        # Criterion 08 as a property. K(0) of the backward sweep approaches
+        # the ARE solution as the horizon grows: the error never increases
+        # before it reaches 1e-12. At T = 20 it is at most 1e-8, unless the
+        # slowest closed-loop mode, decaying like exp(-sigma t), is too slow
+        # for that (alpha = 10 and Q = 0.1 I leave 1.6e-5 on the
+        # published-regulation drift); then it still shrinks from T = 10 by
+        # at least exp(-10 sigma), half the rate exp(-20 sigma) of the
+        # linearized sweep.
+        a, q, alpha = problem
+        sol = are_solve(a, B_CANONICAL, q, alpha)
+        k = sol.as_matrix()
+        sigma = -np.linalg.eigvals(a - B_CANONICAL @ B_CANONICAL.T @ k / alpha).real.max()
+        errors = [relative_error(dre_integrate(a, B_CANONICAL, q, alpha, t_end=t_end, h=1e-2)
+                                 .solution_at(0.0).as_matrix(), k)
+                  for t_end in (2.0, 5.0, 10.0, 20.0)]
+        for before, after in zip(errors, errors[1:]):
+            assert before <= 1e-12 or after <= before
+        assert errors[3] <= 1e-8 or errors[3] <= errors[2] * math.exp(-10.0 * sigma)
