@@ -27,7 +27,6 @@ from .pmp import AvoidanceScenario, SphereObstacle
 from .riccati import DRIFT_MODES, CostParams
 from .so3 import is_rotation
 
-COMMANDS = ("gains", "regulate", "track", "avoid", "check")
 GAIN_SOURCES = ("are", "dre")
 
 ROTATION_TOL = 1e-6
@@ -42,6 +41,7 @@ _DEFAULTS = {
     "avoid": (1.0, 0.0, 20.0, "published-regulation"),
     "check": (0.5, -1.0, 20.0, "published-regulation"),
 }
+COMMANDS = tuple(_DEFAULTS)
 
 
 def _build(path, cls, *args):
@@ -61,6 +61,14 @@ def _object(value, path, allowed) -> dict:
     for key in value:
         if key not in allowed:
             raise ValidationError(f"{path}.{key}" if path else key, "unknown key")
+    return value
+
+
+def _choice(obj, key, path, choices, default=None):
+    """obj[key] (default when absent), one of choices; path "" is the top level."""
+    value = obj.get(key, default)
+    if value not in choices:
+        raise ValidationError(f"{path}.{key}" if path else key, f"expected one of {choices}")
     return value
 
 
@@ -140,14 +148,16 @@ class ReferenceConfig:
 
 def _horner(coeffs, t) -> np.ndarray:
     """Per-axis polynomials with ascending coefficients at t (a time or an
-    array of times, evaluated all at once), stacked along a new last axis."""
+    array of times, evaluated all at once), stacked along a new last axis.
+    Overflow is left to TrackingReference's velocity check."""
     t = np.asarray(t, dtype=float)
     axes = []
-    for axis in coeffs:
-        acc = np.zeros_like(t)
-        for c in reversed(axis):
-            acc = acc * t + c
-        axes.append(acc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axis in coeffs:
+            acc = np.zeros_like(t)
+            for c in reversed(axis):
+                acc = acc * t + c
+            axes.append(acc)
     return np.stack(axes, axis=-1)
 
 
@@ -229,17 +239,11 @@ def _parse_reference(obj) -> ReferenceConfig:
 def _parse_controller(obj, command) -> ControllerSettings:
     section = _object(obj.get("controller", {}), "controller",
                       ("gain_source", "feedforward_accel_term", "a_matrix_mode"))
-    source = section.get("gain_source", "are")
-    if source not in GAIN_SOURCES:
-        raise ValidationError("controller.gain_source",
-                              f"expected one of {GAIN_SOURCES}")
+    source = _choice(section, "gain_source", "controller", GAIN_SOURCES, "are")
     accel = section.get("feedforward_accel_term", False)
     if not isinstance(accel, bool):
         raise ValidationError("controller.feedforward_accel_term", "expected a boolean")
-    mode = section.get("a_matrix_mode", _DEFAULTS[command][3])
-    if mode not in DRIFT_MODES:
-        raise ValidationError("controller.a_matrix_mode",
-                              f"expected one of {DRIFT_MODES}")
+    mode = _choice(section, "a_matrix_mode", "controller", DRIFT_MODES, _DEFAULTS[command][3])
     return ControllerSettings(source, accel, mode)
 
 
@@ -300,9 +304,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     _object(obj, "", ("command", "cost", "sim", "inertia", "initial", "goal",
                       "reference", "controller", "avoidance", "output"))
-    command = obj.get("command")
-    if command not in COMMANDS:
-        raise ValidationError("command", f"expected one of {COMMANDS}")
+    command = _choice(obj, "command", "", COMMANDS)
 
     cost = _parse_cost(obj, command)
     cfg = ScenarioConfig(

@@ -146,8 +146,8 @@ def simulate(controller, init: RigidBodyState, p: SimParams) -> TrajectoryLog:
         calls with identical inputs produce bit-identical logs.
 
     Raises:
-        NumericalDivergence: |w| exceeded 1e6 rad/s, or the state or a
-            logged torque is not finite.
+        NumericalDivergence: |w| of a state, the initial one included,
+            exceeded 1e6 rad/s, or the state or a logged torque is not finite.
     """
     times = time_grid(p.h, p.t_end)
     n = len(times) - 1
@@ -161,18 +161,18 @@ def simulate(controller, init: RigidBodyState, p: SimParams) -> TrajectoryLog:
     # times are read one at a time, since a list of all would cost memory.
     for i in range(n + 1):
         t = times.item(i)
+        w0, w1, w2 = state.w.tolist()
+        # Written as "not <=" so that a NaN velocity fails the guard too.
+        if not w0 * w0 + w1 * w1 + w2 * w2 <= OMEGA_DIVERGENCE_LIMIT ** 2:
+            raise NumericalDivergence(
+                f"|omega| exceeded {OMEGA_DIVERGENCE_LIMIT:g} rad/s or is not finite "
+                f"at t = {t:.6g}")
         tau = np.asarray(controller(t, state), dtype=float)
         rotations[i] = state.r
         omegas[i] = state.w
         torques[i] = tau
         if i < n:
             state = lie_euler_step(state, tau, p.h, p.inertia)
-            w0, w1, w2 = state.w.tolist()
-            # Written as "not <=" so that a NaN velocity fails the guard too.
-            if not w0 * w0 + w1 * w1 + w2 * w2 <= OMEGA_DIVERGENCE_LIMIT ** 2:
-                raise NumericalDivergence(
-                    f"|omega| exceeded {OMEGA_DIVERGENCE_LIMIT:g} rad/s or is not finite "
-                    f"at t = {t + p.h:.6g}")
     # A non-finite torque before the last sample already fails the velocity
     # guard; this catches the final sample's.
     if not np.isfinite(torques).all():

@@ -113,12 +113,13 @@ class SphereObstacle:
 class AvoidanceScenario:
     """Problem data for the boundary-value solvers.
 
-    For the flat manifold q0, target and v0 are (dimension,) vectors; for
-    "so3-biinvariant" q0 and target are (3, 3) rotation matrices and v0 is a
-    (3,) body velocity. Obstacles are only allowed on flat space, each with a
-    (dimension,) center, and q0 must lie outside each. A bad value raises a
-    ValidationError naming the argument: "alpha", "horizon", "q0", "target",
-    "v0", or "obstacles[i]" for the first bad obstacle or one containing q0.
+    dimension is the tangent dimension. For the flat manifold q0, target and
+    v0 are (dimension,) vectors; "so3-biinvariant" needs dimension 3, with q0
+    and target (3, 3) rotations and v0 a (3,) body velocity. Obstacles are
+    only allowed on flat space, each with a (dimension,) center, and q0 must
+    lie outside each. A bad value raises a ValidationError naming the
+    argument: "alpha", "horizon", "dimension", "q0", "target", "v0", or
+    "obstacles[i]" for the first bad obstacle or one containing q0.
     """
 
     dimension: int
@@ -140,11 +141,13 @@ class AvoidanceScenario:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not self.horizon > 0.0:
             raise ValidationError("horizon", "must be positive")
+        if self.manifold != "flat" and self.dimension != 3:
+            raise ValidationError("dimension", "must be 3 on the rotation group")
         self.target = np.asarray(self.target, dtype=float)
         self.q0 = np.asarray(self.q0, dtype=float)
         self.v0 = np.asarray(self.v0, dtype=float)
         point = (self.dimension,) if self.manifold == "flat" else (3, 3)
-        for name, shape in (("q0", point), ("target", point), ("v0", (self.tangent_dim,))):
+        for name, shape in (("q0", point), ("target", point), ("v0", (self.dimension,))):
             if getattr(self, name).shape != shape:
                 raise ValidationError(name, f"expected shape {shape}")
         for i, obs in enumerate(self.obstacles):
@@ -154,10 +157,6 @@ class AvoidanceScenario:
             if obs.value(self.q0) <= 0.0:
                 raise ValidationError(f"obstacles[{i}]",
                                       "initial configuration inside obstacle")
-
-    @property
-    def tangent_dim(self) -> int:
-        return 3 if self.manifold == "so3-biinvariant" else self.dimension
 
 
 def _grad_goal_potential(scenario: AvoidanceScenario, q) -> np.ndarray:
@@ -229,7 +228,7 @@ def _avoidance_accel(scenario: AvoidanceScenario, q, v, u):
 def _unpack(scenario: AvoidanceScenario, z):
     """Views (q, v, u, w) of packed states along the last axis of z; q takes
     the shape of q0, so it holds rotation matrices on the group."""
-    d, n = scenario.q0.size, scenario.tangent_dim
+    d, n = scenario.q0.size, scenario.dimension
     q = z[..., :d].reshape(z.shape[:-1] + scenario.q0.shape)
     return q, z[..., d:d + n], z[..., d + n:d + 2 * n], z[..., d + 2 * n:]
 
@@ -326,11 +325,10 @@ def _integrate_extremal(scenario: AvoidanceScenario, z0, times):
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         zs = rk4(rate, z0, times).swapaxes(0, 1)
-        if scenario.manifold == "flat":
-            # Terminal mode's rhs has no barrier, and no stage evaluates the
-            # final sample.
-            for obs in scenario.obstacles:
-                contact |= (obs.value(_unpack(scenario, zs)[0]) <= 0.0).any(axis=1)
+        # Terminal mode's rhs has no barrier, and no stage evaluates the
+        # final sample. Obstacles exist on flat space only.
+        for obs in scenario.obstacles:
+            contact |= (obs.value(_unpack(scenario, zs)[0]) <= 0.0).any(axis=1)
     return zs, contact
 
 
@@ -357,7 +355,7 @@ def _continuity(scenario: AvoidanceScenario, start, end) -> np.ndarray:
 def _segment_starts(scenario: AvoidanceScenario, y, seg) -> np.ndarray:
     """Packed start states of rows y = (xi, v, u, w) of segments seg: q is
     q0 + xi on flat space and q0 exp(xi) on the group, and q0 in segment 0."""
-    n = scenario.tangent_dim
+    n = scenario.dimension
     q = np.tile(scenario.q0.ravel(), (len(y), 1))
     later = seg > 0
     xi = y[later, :n]
@@ -376,7 +374,7 @@ def _segment_jacobian(scenario: AvoidanceScenario, starts, ends, deltas, seg) ->
     deltas in segment seg. A column differs from the base residual only in
     the junction its segment starts at and the one (or the terminal
     condition) its segment ends at."""
-    m, p, k = len(starts) - len(seg), len(seg), 4 * scenario.tangent_dim
+    m, p, k = len(starts) - len(seg), len(seg), 4 * scenario.dimension
     rows, cols = m + np.arange(p), np.arange(k)
     diff = np.zeros((p, p))
     at = np.flatnonzero(seg > 0)
@@ -423,7 +421,7 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3) -> BVPSolution:
         ObstacleContact: the zero guess's trajectory, or a perturbed one
             whose Jacobian column is needed, touched an obstacle.
     """
-    n = scenario.tangent_dim
+    n = scenario.dimension
     times = uniform_grid(scenario.horizon, h)
     steps = len(times) - 1
     m = max(1, steps // SEGMENT_STEPS)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._float3 import cross, mm, mtm, mv
-from .dynamics import InertiaTensor, RigidBodyState
+from .dynamics import OMEGA_DIVERGENCE_LIMIT, InertiaTensor, RigidBodyState
+from .errors import NumericalDivergence
 from .riccati import GainPair, RiccatiSolution
 from .so3 import exp_so3, log_so3, row_dots
 
@@ -40,7 +41,9 @@ class TrackingReference:
     evaluates its polynomial over the whole grid at once. The rotations are
     integrated here with the simulator's explicit group-preserving update,
     the only per-step loop, in Python floats written into the preallocated
-    table. sample(t) reads all three tables at the grid time nearest t.
+    table. sample(t) reads all three tables at the grid time nearest t. A
+    w_ref above dynamics.OMEGA_DIVERGENCE_LIMIT or not finite raises
+    NumericalDivergence, before any rotation is integrated.
     """
 
     def __init__(self, omegas, omega_dots, h: float, r0=None):
@@ -49,6 +52,12 @@ class TrackingReference:
         self.omega_dots = np.asarray(omega_dots, dtype=float)
         if self.omegas.shape != self.omega_dots.shape or self.omegas.shape[1:] != (3,):
             raise ValueError("omegas and omega_dots must be (N + 1, 3) tables")
+        with np.errstate(over="ignore"):
+            fast = ~(row_dots(self.omegas, self.omegas) <= OMEGA_DIVERGENCE_LIMIT ** 2)
+        if fast.any():
+            raise NumericalDivergence(
+                f"reference |omega| exceeds {OMEGA_DIVERGENCE_LIMIT:g} rad/s or is not "
+                f"finite at t = {fast.argmax() * self.h:.6g}")
         rots = np.empty(self.omegas.shape[:1] + (3, 3))
         rots[0] = np.eye(3) if r0 is None else np.asarray(r0, dtype=float)
         rows = rots.reshape(-1, 9)

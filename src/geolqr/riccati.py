@@ -7,10 +7,10 @@ The coupled scalar system
     k1 - k3 k2 / alpha        = gamma k3
 
 is equivalent to the 2x2 algebraic Riccati equation
-A.T K + K A - K B R^-1 B.T K = -Q with K = [[k1, k3], [k3, k2]],
-B = [0, 1].T, Q = I, R = alpha and A = [[-gamma/2, 1], [0, -gamma/2]]
-(direct expansion; see drift_matrix for the other bookkeeping modes).
-The stabilizing K yields the gain pair (kP, kD) = (k3/alpha, k2/alpha).
+A.T K + K A - K B R^-1 B.T K = -Q with K = [[k1, k3], [k3, k2]], Q = I,
+R = alpha, A = [[-gamma/2, 1], [0, -gamma/2]] (direct expansion; see
+drift_matrix for the other modes) and the fixed B = [0, 1].T (B_CANONICAL;
+the solvers take no B). The stabilizing K yields (kP, kD) = (k3, k2)/alpha.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import NoStabilizingSolution, NotControllable, StepTooLarge, Valida
 # mode is always explicit in configs, never inferred from gamma.
 DRIFT_MODES = ("published-regulation", "published-tracking", "reconciled")
 
-# Input matrix B = [0, 1].T of the 2x2 gain problem.
+# Input matrix B = [0, 1].T of every 2x2 gain problem (RiccatiSolution.gains).
 B_CANONICAL = np.array([[0.0], [1.0]])
 
 
@@ -141,14 +141,13 @@ def scalar_residual(sol: RiccatiSolution, p: CostParams) -> np.ndarray:
     ])
 
 
-def _problem(a, b, q, rw):
-    """Problem data as float arrays (A, B, Q) plus S = B Rw^-1 B.T. The
-    control weight rw is CostParams' alpha and obeys its rule."""
+def _problem(a, q, rw):
+    """Problem data as float arrays (A, Q) plus S = B Rw^-1 B.T with B =
+    B_CANONICAL. The control weight rw is CostParams' alpha and obeys its rule."""
     CostParams(rw)
     a = np.asarray(a, dtype=float).reshape(2, 2)
-    b = np.asarray(b, dtype=float).reshape(2, 1)
     q = np.asarray(q, dtype=float).reshape(2, 2)
-    return a, b, q, (b @ b.T) / float(rw)
+    return a, q, (B_CANONICAL @ B_CANONICAL.T) / float(rw)
 
 
 def _riccati_operator(a, s, q, k) -> np.ndarray:
@@ -156,21 +155,20 @@ def _riccati_operator(a, s, q, k) -> np.ndarray:
     return a.T @ k + k @ a - k @ s @ k + q
 
 
-def are_residual(a, b, q, rw, sol: RiccatiSolution) -> float:
-    """Frobenius norm of A.T K + K A - K B Rw^-1 B.T K + Q."""
-    a, _, q, s = _problem(a, b, q, rw)
+def are_residual(a, q, rw, sol: RiccatiSolution) -> float:
+    """Frobenius norm of A.T K + K A - K B Rw^-1 B.T K + Q, B = B_CANONICAL."""
+    a, q, s = _problem(a, q, rw)
     return float(np.linalg.norm(_riccati_operator(a, s, q, sol.as_matrix())))
 
 
-def are_solve(a, b, q, rw: float) -> RiccatiSolution:
+def are_solve(a, q, rw: float) -> RiccatiSolution:
     """Stabilizing solution of A.T K + K A - K B Rw^-1 B.T K = -Q.
 
     Eigenvector method on the 4x4 Hamiltonian matrix followed by a Newton
     refinement pass, so the returned residual sits at machine precision.
 
     Args:
-        a: (2, 2) drift matrix.
-        b: (2,) or (2, 1) input matrix.
+        a: (2, 2) drift matrix; the input matrix is always B_CANONICAL.
         q: (2, 2) PSD state weight.
         rw: positive control weight.
 
@@ -184,9 +182,9 @@ def are_solve(a, b, q, rw: float) -> RiccatiSolution:
         NoStabilizingSolution: Hamiltonian eigenvalues on the imaginary axis
             or the stable subspace does not produce a positive definite K.
     """
-    a, b, q, s = _problem(a, b, q, rw)
+    a, q, s = _problem(a, q, rw)
 
-    ctrb = np.hstack([b, a @ b])
+    ctrb = np.hstack([B_CANONICAL, a @ B_CANONICAL])
     if np.linalg.matrix_rank(ctrb) < 2:
         raise NotControllable(f"rank [B, AB] = {np.linalg.matrix_rank(ctrb)} < 2")
 
@@ -227,14 +225,14 @@ def are_solve(a, b, q, rw: float) -> RiccatiSolution:
     return sol
 
 
-def dre_integrate(a, b, q, rw: float, t_end: float, h: float = 1e-3) -> GainSchedule:
+def dre_integrate(a, q, rw: float, t_end: float, h: float = 1e-3) -> GainSchedule:
     """Backward differential Riccati sweep with terminal condition K(T) = 0.
 
     Classical 4th-order one-step method on (k1, k2, k3), which keeps every
     stored K exactly symmetric.
 
     Args:
-        a, b, q, rw: same problem data as are_solve.
+        a, q, rw: same problem data as are_solve.
         t_end: horizon T > 0.
         h: step size, 0 < h <= T. Adjusted to the nearest uniform divisor.
 
@@ -244,32 +242,26 @@ def dre_integrate(a, b, q, rw: float, t_end: float, h: float = 1e-3) -> GainSche
     """
     if not 0.0 < h <= t_end:
         raise ValueError(f"step must satisfy 0 < h <= {t_end}, got {h}")
-    a, _, q, s = _problem(a, b, q, rw)
+    a, q, s = _problem(a, q, rw)
     (a00, a01), (a10, a11) = a.tolist()
-    (s00, s01), (s10, s11) = s.tolist()
     (q00, q01), (q10, q11) = q.tolist()
+    s11 = s.item(1, 1)
 
     def rate(k, theta, y):
         """dK/ds in reversed time s = T - t, propagating only (k1, k2, k3).
 
         _riccati_operator in Python floats, in numpy's summation order with
-        K S K taken as (K S) K, at a third of the time of 2x2 array
-        products. Where numpy's BLAS fuses a multiply-add the two can differ
-        in the last bit; with drift entries 0 and +-2 (the shipped configs)
-        every product is exact and the schedule is bit-identical.
+        K S K taken as (K S) K over S's one nonzero entry s11, at a third of
+        the time of 2x2 array products. Where numpy's BLAS fuses a
+        multiply-add the two can differ in the last bit; with drift entries
+        0 and +-2 (the shipped configs) the schedule is bit-identical.
         """
         k1, k2, k3 = y.tolist()
-        ks00, ks01 = k1 * s00 + k3 * s10, k1 * s01 + k3 * s11
-        ks10, ks11 = k3 * s00 + k2 * s10, k3 * s01 + k2 * s11
-        m00 = ((a00 * k1 + a10 * k3) + (k1 * a00 + k3 * a10)
-               - (ks00 * k1 + ks01 * k3) + q00)
-        m11 = ((a01 * k3 + a11 * k2) + (k3 * a01 + k2 * a11)
-               - (ks10 * k3 + ks11 * k2) + q11)
-        m01 = ((a00 * k3 + a10 * k2) + (k1 * a01 + k3 * a11)
-               - (ks00 * k3 + ks01 * k2) + q01)
-        m10 = ((a01 * k1 + a11 * k3) + (k3 * a00 + k2 * a10)
-               - (ks10 * k1 + ks11 * k3) + q10)
-        return np.array((m00, m11, 0.5 * (m01 + m10)))
+        lin = (a00 * k3 + a10 * k2) + (k1 * a01 + k3 * a11)
+        return np.array((
+            (a00 * k1 + a10 * k3) + (k1 * a00 + k3 * a10) - k3 * s11 * k3 + q00,
+            (a01 * k3 + a11 * k2) + (k3 * a01 + k2 * a11) - k2 * s11 * k2 + q11,
+            0.5 * ((lin - k3 * s11 * k2 + q01) + (lin - k2 * s11 * k3 + q10))))
 
     times = uniform_grid(t_end, h)
     # Past a finite escape the sweep overflows; the first step beyond 1e9

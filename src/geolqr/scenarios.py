@@ -122,10 +122,9 @@ def _resolve_gain_setup(cfg: ScenarioConfig):
     GainPair (ARE: one pair built here; DRE: one schedule lookup per call)
     and the gain summary at t = 0."""
     a = riccati.drift_matrix(cfg.controller.a_matrix_mode, cfg.cost.gamma)
-    b = riccati.B_CANONICAL
     alpha = cfg.cost.alpha
     if cfg.controller.gain_source == "are":
-        sol = riccati.are_solve(a, b, cfg.cost.q_weights, alpha)
+        sol = riccati.are_solve(a, cfg.cost.q_weights, alpha)
         g = sol.gains(alpha)
 
         def solution_at(t):
@@ -134,7 +133,7 @@ def _resolve_gain_setup(cfg: ScenarioConfig):
         def gains_at(t):
             return g
     else:
-        schedule = riccati.dre_integrate(a, b, cfg.cost.q_weights, alpha,
+        schedule = riccati.dre_integrate(a, cfg.cost.q_weights, alpha,
                                          t_end=cfg.sim.t_end, h=cfg.sim.h)
         solution_at = schedule.solution_at
 
@@ -304,13 +303,12 @@ def run_check(cfg: ScenarioConfig, out_dir: Path):
     check("distance gradient (1e-6)", abs(fd - inner) <= 1e-6, f"err {abs(fd - inner):.2e}")
 
     # Published gain tables.
-    b = riccati.B_CANONICAL
     q2 = np.eye(2)
-    sol_r = riccati.are_solve(riccati.drift_matrix("published-regulation"), b, q2, 0.5)
+    sol_r = riccati.are_solve(riccati.drift_matrix("published-regulation"), q2, 0.5)
     g_r = sol_r.gains(0.5)
     ok_r = abs(g_r.kP - 1.4142) <= 1e-3 and abs(g_r.kD - 2.7671) <= 1e-3
     check("regulation gain table (1e-3)", ok_r, f"got ({g_r.kP:.5f}, {g_r.kD:.5f})")
-    sol_t = riccati.are_solve(riccati.drift_matrix("published-tracking", -2.0), b, q2, 1.0)
+    sol_t = riccati.are_solve(riccati.drift_matrix("published-tracking", -2.0), q2, 1.0)
     g_t = sol_t.gains(1.0)
     ok_t = abs(g_t.kP - 8.7852) <= 1e-3 and abs(g_t.kD - 8.3357) <= 1e-3
     check("tracking gain table (1e-3)", ok_t, f"got ({g_t.kP:.5f}, {g_t.kD:.5f})")
@@ -319,13 +317,13 @@ def run_check(cfg: ScenarioConfig, out_dir: Path):
     for _ in range(10):
         gam = rng.uniform(-2.0, 2.0)
         al = rng.uniform(0.1, 10.0)
-        sol = riccati.are_solve(riccati.drift_matrix("reconciled", gam), b, q2, al)
+        sol = riccati.are_solve(riccati.drift_matrix("reconciled", gam), q2, al)
         res = riccati.scalar_residual(sol, riccati.CostParams(alpha=al, gamma=gam))
         worst = max(worst, float(np.abs(res).max()))
     check("scalar-matrix consistency (1e-9)", worst <= 1e-9, f"worst {worst:.2e}")
 
     sched = riccati.dre_integrate(riccati.drift_matrix("published-tracking", -2.0),
-                                  b, q2, 1.0, t_end=10.0, h=1e-3)
+                                  q2, 1.0, t_end=10.0, h=1e-3)
     terminal_zero = (sched.k1[-1] == 0.0 and sched.k2[-1] == 0.0 and sched.k3[-1] == 0.0)
     k0 = sched.solution_at(0.0)
     dre_err = max(abs(k0.k1 - sol_t.k1), abs(k0.k2 - sol_t.k2), abs(k0.k3 - sol_t.k3))

@@ -42,16 +42,15 @@ from geolqr.riccati import (
 )
 from geolqr.so3 import exp_so3, geodesic_distance, log_so3, orthogonality_defect
 
-B = np.array([[0.0], [1.0]])
 Q2 = np.eye(2)
 J123 = InertiaTensor.diagonal([1.0, 2.0, 3.0])
 
 
 def test_criterion_01_regulation_gain_table():
     a = drift_matrix("published-regulation")
-    are_solve(a, B, Q2, 0.5)  # warm-up outside the timed call
+    are_solve(a, Q2, 0.5)  # warm-up outside the timed call
     start = time.perf_counter()
-    sol = are_solve(a, B, Q2, 0.5)
+    sol = are_solve(a, Q2, 0.5)
     elapsed = time.perf_counter() - start
     g = sol.gains(0.5)
     assert abs(g.kP - 1.4142) <= 1e-3
@@ -64,9 +63,9 @@ def test_criterion_01_regulation_gain_table():
 def test_criterion_02_tracking_gain_table():
     a = drift_matrix("published-tracking", gamma=-2.0)
     assert np.array_equal(a, [[2.0, 2.0], [0.0, 2.0]])
-    are_solve(a, B, Q2, 1.0)
+    are_solve(a, Q2, 1.0)
     start = time.perf_counter()
-    sol = are_solve(a, B, Q2, 1.0)
+    sol = are_solve(a, Q2, 1.0)
     elapsed = time.perf_counter() - start
     g = sol.gains(1.0)
     assert abs(g.kP - 8.7852) <= 1e-3
@@ -82,7 +81,7 @@ def test_criterion_03_scalar_matrix_consistency():
     for _ in range(50):
         gamma = rng.uniform(-2.0, 2.0)
         alpha = rng.uniform(0.1, 10.0)
-        sol = are_solve(drift_matrix("reconciled", gamma), B, Q2, alpha)
+        sol = are_solve(drift_matrix("reconciled", gamma), Q2, alpha)
         res = scalar_residual(sol, CostParams(alpha=alpha, gamma=gamma))
         worst = max(worst, float(np.abs(res).max()))
     assert worst <= 1e-9
@@ -116,7 +115,7 @@ def _criterion4_run(h, t_end, gains, sol):
 
 
 def test_criterion_04_regulation_convergence():
-    sol = are_solve(drift_matrix("published-regulation"), B, Q2, 0.5)
+    sol = are_solve(drift_matrix("published-regulation"), Q2, 0.5)
     gains = sol.gains(0.5)
     start = time.perf_counter()
     log, channels = _criterion4_run(1e-3, 20.0, gains, sol)
@@ -136,7 +135,7 @@ def test_criterion_04_regulation_convergence():
 
 
 def test_criterion_05_tracking_convergence():
-    sol = are_solve(drift_matrix("published-tracking", -2.0), B, Q2, 1.0)
+    sol = are_solve(drift_matrix("published-tracking", -2.0), Q2, 1.0)
     gains = sol.gains(1.0)
     # w_ref(t) = c t tabulated on the simulation grid.
     c = np.array([0.5, 0.3, 0.4])
@@ -208,13 +207,13 @@ def test_criterion_07_exp_log_roundtrip():
 
 def test_criterion_08_dre_to_are_convergence():
     a = drift_matrix("published-tracking", -2.0)
-    sched = dre_integrate(a, B, Q2, 1.0, t_end=50.0, h=1e-3)
-    sol = are_solve(a, B, Q2, 1.0)
+    sched = dre_integrate(a, Q2, 1.0, t_end=50.0, h=1e-3)
+    sol = are_solve(a, Q2, 1.0)
     k0 = sched.solution_at(0.0)
     worst = max(abs(k0.k1 - sol.k1), abs(k0.k2 - sol.k2), abs(k0.k3 - sol.k3))
     assert worst <= 1e-4
     assert sched.k1[-1] == 0.0 and sched.k2[-1] == 0.0 and sched.k3[-1] == 0.0
-    assert are_residual(a, B, Q2, 1.0, sol) <= 1e-9
+    assert are_residual(a, Q2, 1.0, sol) <= 1e-9
     print(f"criterion 08 PASS: K(0) within {worst:.2e} of the fixed point")
 
 
@@ -272,7 +271,7 @@ def test_criterion_10_hjb_identity():
     # Undiscounted scalar-consistent solution and its optimal feedback on
     # the criterion-4 scenario, recomputed at h = 1e-4.
     alpha = 0.5
-    sol = are_solve(drift_matrix("reconciled", 0.0), B, Q2, alpha)
+    sol = are_solve(drift_matrix("reconciled", 0.0), Q2, alpha)
     res = scalar_residual(sol, CostParams(alpha=alpha, gamma=0.0))
     assert np.abs(res).max() <= 1e-9
     gains = sol.gains(alpha)

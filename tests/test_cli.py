@@ -15,7 +15,7 @@ from geolqr.config import parse_config
 from geolqr.dynamics import InertiaTensor, SimParams
 from geolqr.errors import GeoLqrError, ParseError, ValidationError
 from geolqr.pmp import AvoidanceScenario, SphereObstacle
-from geolqr.riccati import B_CANONICAL, CostParams, dre_integrate, drift_matrix
+from geolqr.riccati import CostParams, dre_integrate, drift_matrix
 from geolqr.scenarios import CSV_HEADER, RunSummary, _write_rows, run
 from geolqr.so3 import exp_so3, log_so3, orthogonality_defect
 
@@ -68,6 +68,10 @@ class TestParseConfig:
     def test_rejects_malformed_json(self):
         with pytest.raises(ParseError):
             parse_config("{not json")
+
+    def test_rejects_non_object_root(self):
+        with pytest.raises(ParseError):
+            parse_config("[]")
 
     def test_rejects_non_finite(self):
         with pytest.raises(ParseError):
@@ -133,8 +137,9 @@ AVOID_1D = {"dimension": 1, "q0": [0.0], "target": [2.0],
             "obstacles": [{"center": [1.0], "radius": 0.3}]}
 
 
-# Each range rule lives in the library type the config builds; the error
-# still names the config path, through parse_config and through the CLI.
+# Each range rule lives in the library type the config builds, and each
+# schema rule (a type, a length, a choice, a missing value) in the parser;
+# either error names the config path, through parse_config and the CLI.
 @pytest.mark.parametrize("payload, path", [
     ({"command": "regulate", "cost": {"alpha": 0}}, "cost.alpha"),
     ({"command": "regulate", "sim": {"h": 0}}, "sim.h"),
@@ -144,7 +149,25 @@ AVOID_1D = {"dimension": 1, "q0": [0.0], "target": [2.0],
       "avoidance": {**AVOID_1D, "obstacles": [{"center": [1.0], "radius": 0}]}},
      "avoidance.obstacles[0].radius"),
     ({"command": "regulate", "cost": {"q_weights": [[1, 0.5], [0, 1]]}}, "cost.q_weights"),
-], ids=["alpha", "h", "t_end", "horizon", "radius", "q_weights"])
+    ({"command": "regulate", "sim": []}, "sim"),
+    ({"command": "avoid", "avoidance": {**AVOID_1D, "obstacles": [{"center": [1.0]}]}},
+     "avoidance.obstacles[0].radius"),
+    ({"command": "regulate", "cost": {"alpha": "0.5"}}, "cost.alpha"),
+    ({"command": "avoid", "avoidance": {"dimension": 1, "target": [2.0]}}, "avoidance.q0"),
+    ({"command": "regulate", "initial": {"omega": [0, 0]}}, "initial.omega"),
+    ({"command": "track", "reference": {"omega_coeffs": [[0], [0]]}},
+     "reference.omega_coeffs"),
+    ({"command": "regulate", "controller": {"gain_source": "lqr"}}, "controller.gain_source"),
+    ({"command": "track", "controller": {"feedforward_accel_term": 1}},
+     "controller.feedforward_accel_term"),
+    ({"command": "regulate", "controller": {"a_matrix_mode": "x"}}, "controller.a_matrix_mode"),
+    ({"command": "avoid", "avoidance": {**AVOID_1D, "dimension": 4}}, "avoidance.dimension"),
+    ({"command": "avoid", "avoidance": {**AVOID_1D, "obstacles": {}}}, "avoidance.obstacles"),
+    ({"command": "regulate", "output": {"directory": 1}}, "output.directory"),
+    ({"command": "regulate", "output": {"decimation": 0}}, "output.decimation"),
+], ids=["alpha", "h", "t_end", "horizon", "radius", "q_weights", "section", "missing-radius",
+        "string-alpha", "missing-q0", "omega-length", "coeff-axes", "gain_source",
+        "accel-term", "a_matrix_mode", "dimension", "obstacles", "directory", "decimation"])
 def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
     with pytest.raises(ValidationError) as err:
         parse_config(json.dumps(payload))
@@ -179,8 +202,11 @@ def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
                                q0=[1.0, 0.0], v0=[0.0, 0.0],
                                obstacles=(SphereObstacle(np.zeros(3), 0.1),)),
      "obstacles[0]"),
+    (lambda: AvoidanceScenario(dimension=2, alpha=1.0, target=np.eye(3), horizon=1.0,
+                               q0=np.eye(3), v0=np.zeros(3), manifold="so3-biinvariant"),
+     "dimension"),
 ], ids=["SimParams", "CostParams", "AvoidanceScenario", "SphereObstacle", "q0", "target",
-        "group-v0", "group-obstacle", "obstacle-center"])
+        "group-v0", "group-obstacle", "obstacle-center", "group-dimension"])
 def test_constructors_name_their_argument(build, name):
     with pytest.raises(ValidationError) as err:
         build()
@@ -323,6 +349,14 @@ class TestRegulateCommand:
         assert main(["regulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
 
+    def test_too_fast_initial_velocity_exits_three(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"command": "regulate", "sim": {"t_end": 1.0},
+                                      "initial": {"omega": [1e300, 0, 0]}})
+        assert main(["regulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == "NumericalDivergence"
+
     def test_command_mismatch_exits_two(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path)
         assert main(["track", "--config", str(cfg)]) == 2
@@ -386,7 +420,7 @@ class TestDreGainSource:
         assert main(["regulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         parsed = parse_config(cfg.read_text())
         sched = dre_integrate(
-            drift_matrix(parsed.controller.a_matrix_mode, parsed.cost.gamma), B_CANONICAL,
+            drift_matrix(parsed.controller.a_matrix_mode, parsed.cost.gamma),
             parsed.cost.q_weights, parsed.cost.alpha, t_end=parsed.sim.t_end, h=parsed.sim.h)
         names = CSV_HEADER.split(",")
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
@@ -472,6 +506,19 @@ class TestTrackCommand:
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         cells = lines[1].split(",")
         assert cells[17] == "" and cells[18] == "" and cells[19] == ""
+
+    # The second reference overflows while its polynomial is evaluated.
+    @pytest.mark.parametrize("coeffs", [[[0, 1e200], [0.3], [0.4]],
+                                        [[0, 1e308, 1e308], [0, 0.3], [0, 0.4]]],
+                             ids=["fast", "overflow"])
+    def test_reference_beyond_the_velocity_limit_exits_three(self, tmp_path, capsys, coeffs):
+        cfg = write_config(tmp_path, {"command": "track",
+                                      "reference": {"omega_coeffs": coeffs}})
+        assert main(["track", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "NumericalDivergence"
 
 
 class TestAvoidCommand:

@@ -133,6 +133,13 @@ class TestSimulate:
             simulate(runaway, RigidBodyState(np.eye(3), np.array([1.0, 0.0, 0.0])),
                      SimParams(1e-3, 10.0, J123))
 
+    def test_initial_velocity_is_guarded(self):
+        # The guard reads every state before it is used, the first one too.
+        with pytest.raises(NumericalDivergence):
+            simulate(lambda t, s: np.zeros(3),
+                     RigidBodyState(np.eye(3), np.array([1e300, 0.0, 0.0])),
+                     SimParams(1e-3, 1.0, J123))
+
     def test_nan_torque_raises(self):
         with pytest.raises(NumericalDivergence):
             simulate(lambda t, s: np.full(3, np.nan),

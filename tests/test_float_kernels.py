@@ -32,7 +32,6 @@ from geolqr.regulators import (
     tracking_torque,
 )
 from geolqr.riccati import (
-    B_CANONICAL,
     DRIFT_MODES,
     GainPair,
     _problem,
@@ -142,7 +141,7 @@ def test_simulate_keeps_rotations_orthogonal(r0, w0, torques, j):
 
 def dre_oracle(a, q, rw, t_end, h):
     """The numpy sweep: rk4 over _riccati_operator on the 2x2 matrix K."""
-    a, _, q, s = _problem(a, B_CANONICAL, q, rw)
+    a, q, s = _problem(a, q, rw)
 
     def rate(k, theta, y):
         m = _riccati_operator(a, s, q, np.array([[y[0], y[2]], [y[2], y[1]]]))
@@ -166,7 +165,7 @@ class TestDreSweep:
            alpha=st.floats(0.1, 10.0), q=psd_weights)
     def test_bit_identical_with_exact_drift_products(self, mode, gamma, alpha, q):
         a = drift_matrix(mode, gamma)
-        sched = dre_integrate(a, B_CANONICAL, q, alpha, t_end=0.5, h=1e-3)
+        sched = dre_integrate(a, q, alpha, t_end=0.5, h=1e-3)
         ys = dre_oracle(a, q, alpha, 0.5, 1e-3)
         for i, k in enumerate((sched.k1, sched.k2, sched.k3)):
             assert np.array_equal(k, ys[:, i])
@@ -177,7 +176,7 @@ class TestDreSweep:
            alpha=st.floats(0.1, 10.0), q=psd_weights)
     def test_close_for_any_drift(self, mode, gamma, alpha, q):
         a = drift_matrix(mode, gamma)
-        sched = dre_integrate(a, B_CANONICAL, q, alpha, t_end=0.5, h=1e-3)
+        sched = dre_integrate(a, q, alpha, t_end=0.5, h=1e-3)
         ys = dre_oracle(a, q, alpha, 0.5, 1e-3)
         scale = np.abs(ys).max()
         for i, k in enumerate((sched.k1, sched.k2, sched.k3)):

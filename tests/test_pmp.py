@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from geolqr import pmp
 from geolqr.dynamics import rk4
-from geolqr.errors import NoConvergence, ObstacleContact, ValidationError
+from geolqr.errors import NoConvergence, NoDescent, ObstacleContact, ValidationError
 from geolqr.pmp import (
     AvoidanceScenario,
     BVPSolution,
@@ -25,7 +25,7 @@ from geolqr.pmp import (
     transcription_oracle,
     variational_propagate,
 )
-from geolqr.riccati import B_CANONICAL, dre_integrate, drift_matrix
+from geolqr.riccati import dre_integrate, drift_matrix
 from geolqr.so3 import attitude_errors, exp_so3, hat, log_so3, orthogonality_defect, vee
 
 
@@ -425,7 +425,7 @@ class TestBatchedShooting:
                 dimension=3, alpha=0.5, target=exp_so3([0.1, 0.2, -0.1]), horizon=1.0,
                 q0=exp_so3([0.7, -0.2, 0.4]), v0=np.array([0.05, -0.1, 0.02]),
                 manifold="so3-biinvariant"), 5e-3
-        m = 2 * sc.tangent_dim
+        m = 2 * sc.dimension
         rng = np.random.default_rng(65)
         x = 0.5 * rng.standard_normal(m)
         batch = np.vstack([x, x + np.diag(np.full(m, 1e-3))])
@@ -670,7 +670,7 @@ class TestTranscriptionOracle:
             adjoint = _cost_gradient(sc, u, ht, weights)
             assert np.abs(adjoint - central).max() <= 1e-7
 
-    def test_trace_names_the_stop_reason(self):
+    def test_trace_names_the_stop_reason(self, monkeypatch):
         sc = AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
                                q0=[1.0], v0=[0.0])
         out = transcription_oracle(sc, 101, max_iter=3)
@@ -681,6 +681,29 @@ class TestTranscriptionOracle:
         out = transcription_oracle(sc, 101)
         assert out.trace["stop_reason"] in ("grad_tol", "plateau")
         assert out.iterations < 5000
+        # No gradient is small enough, and any window that does not halve
+        # the cost is a plateau: the first full window stops the descent.
+        monkeypatch.setattr(pmp, "ORACLE_GRAD_TOL", 0.0)
+        monkeypatch.setattr(pmp, "ORACLE_PLATEAU_RTOL", 1.0)
+        out = transcription_oracle(sc, 101)
+        assert out.trace["stop_reason"] == "plateau"
+        assert out.iterations == pmp.ORACLE_PLATEAU_WINDOW
+
+    def test_stalled_line_search_raises_no_descent(self, monkeypatch):
+        # Every trial costs 1.0 more than the start, so each line search
+        # fails after its 60 halvings, and the 50th failure in a row raises.
+        sc = AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
+                               q0=[1.0], v0=[0.0])
+        real, costs = pmp._batched_costs, []
+
+        def costlier(*args):
+            costs.append(costs[0] + 1.0 if costs else real(*args))
+            return costs[-1]
+
+        monkeypatch.setattr(pmp, "_batched_costs", costlier)
+        with pytest.raises(NoDescent):
+            transcription_oracle(sc, 101)
+        assert len(costs) == 1 + 50 * 60
 
 
 class TestCostates:
@@ -725,7 +748,7 @@ class TestCostates:
         manifold = sc.manifold
         qr, vr = q[::-1], v[::-1]
         if sc.mode == "avoidance":
-            terminal = (np.zeros(sc.tangent_dim), np.zeros(sc.tangent_dim))
+            terminal = (np.zeros(sc.dimension), np.zeros(sc.dimension))
         elif manifold == "flat":
             terminal = (q[-1] - sc.target, v[-1].copy())
         else:
@@ -829,8 +852,8 @@ class TestRiccatiCertifiesExtremal:
             q0=exp_so3(s * self.AXIS), v0=spin * s * self.SPIN, manifold="so3-biinvariant")
         sol = shooting_solve(sc, h=self.H)
         ct = costate_integrate(sc, sol)
-        k = dre_integrate(drift_matrix("reconciled", 0.0), B_CANONICAL, np.eye(2),
-                          self.ALPHA, self.HORIZON, h=self.H)
+        k = dre_integrate(drift_matrix("reconciled", 0.0), np.eye(2), self.ALPHA,
+                          self.HORIZON, h=self.H)
         assert np.array_equal(k.times, sol.times)
         k1, k2, k3 = k.k1[:, None], k.k2[:, None], k.k3[:, None]
         e, v = attitude_errors(np.broadcast_to(np.eye(3), sol.q.shape), sol.q), sol.v

@@ -36,7 +36,6 @@ from geolqr.so3 import (
 
 J123 = InertiaTensor.diagonal([1.0, 2.0, 3.0])
 JSPH = InertiaTensor.diagonal([1.0, 1.0, 1.0])
-B = np.array([[0.0], [1.0]])
 Q2 = np.eye(2)
 
 
@@ -48,12 +47,12 @@ def tabulated_reference(omega, omega_dot, t_end, h):
 
 
 def published_regulation_gains():
-    sol = are_solve(drift_matrix("published-regulation"), B, Q2, 0.5)
+    sol = are_solve(drift_matrix("published-regulation"), Q2, 0.5)
     return sol.gains(0.5), sol
 
 
 def published_tracking_gains():
-    sol = are_solve(drift_matrix("published-tracking", -2.0), B, Q2, 1.0)
+    sol = are_solve(drift_matrix("published-tracking", -2.0), Q2, 1.0)
     return sol.gains(1.0), sol
 
 

@@ -54,7 +54,7 @@ class TestScalarResidual:
             root = scipy.optimize.fsolve(equations, [1.0, 1.0, 1.0], full_output=False,
                                          xtol=1e-13)
             assert np.abs(equations(root)).max() <= 1e-9
-            sol = are_solve(drift_matrix("reconciled", gamma), B, Q2, alpha)
+            sol = are_solve(drift_matrix("reconciled", gamma), Q2, alpha)
             assert np.abs(np.array([sol.k1, sol.k2, sol.k3]) - root).max() <= 1e-8
 
     def test_are_solution_zeroes_scalar_system(self):
@@ -62,23 +62,23 @@ class TestScalarResidual:
         for _ in range(20):
             gamma = rng.uniform(-2.0, 2.0)
             alpha = rng.uniform(0.1, 10.0)
-            sol = are_solve(drift_matrix("reconciled", gamma), B, Q2, alpha)
+            sol = are_solve(drift_matrix("reconciled", gamma), Q2, alpha)
             res = scalar_residual(sol, CostParams(alpha=alpha, gamma=gamma))
             assert np.abs(res).max() <= 1e-9
 
 
 class TestAreSolve:
     def test_published_regulation_table(self):
-        sol = are_solve(drift_matrix("published-regulation"), B, Q2, 0.5)
+        sol = are_solve(drift_matrix("published-regulation"), Q2, 0.5)
         g = sol.gains(0.5)
         assert abs(g.kP - 1.41421) <= 1e-3
         assert abs(g.kD - 2.76714) <= 1e-3
-        assert are_residual(drift_matrix("published-regulation"), B, Q2, 0.5, sol) <= 1e-9
+        assert are_residual(drift_matrix("published-regulation"), Q2, 0.5, sol) <= 1e-9
 
     def test_published_tracking_table(self):
         a = drift_matrix("published-tracking", gamma=-2.0)
         assert np.array_equal(a, [[2.0, 2.0], [0.0, 2.0]])
-        sol = are_solve(a, B, Q2, 1.0)
+        sol = are_solve(a, Q2, 1.0)
         g = sol.gains(1.0)
         assert abs(g.kP - 8.7852) <= 1e-3
         assert abs(g.kD - 8.3357) <= 1e-3
@@ -86,11 +86,11 @@ class TestAreSolve:
     def test_double_integrator_closed_form(self):
         # kP = sqrt(q1/r), kD = sqrt(q2/r + 2 kP); verified by residual
         # substitution.
-        sol = are_solve([[0.0, 1.0], [0.0, 0.0]], B, Q2, 1.0)
+        sol = are_solve([[0.0, 1.0], [0.0, 0.0]], Q2, 1.0)
         g = sol.gains(1.0)
         assert abs(g.kP - 1.0) <= 1e-12
         assert abs(g.kD - math.sqrt(3.0)) <= 1e-12
-        assert are_residual([[0.0, 1.0], [0.0, 0.0]], B, Q2, 1.0, sol) <= 1e-12
+        assert are_residual([[0.0, 1.0], [0.0, 0.0]], Q2, 1.0, sol) <= 1e-12
 
     def test_positive_definite_and_hurwitz(self):
         rng = np.random.default_rng(32)
@@ -99,12 +99,12 @@ class TestAreSolve:
             if np.linalg.matrix_rank(np.hstack([B, a @ B])) < 2:
                 continue
             rw = rng.uniform(0.1, 5.0)
-            sol = are_solve(a, B, Q2, rw)
+            sol = are_solve(a, Q2, rw)
             assert sol.is_positive_definite()
             s = (B @ B.T) / rw
             closed = np.linalg.eigvals(a - s @ sol.as_matrix())
             assert closed.real.max() < 0.0
-            assert are_residual(a, B, Q2, rw, sol) <= 1e-9
+            assert are_residual(a, Q2, rw, sol) <= 1e-9
 
     def test_matches_scipy(self):
         rng = np.random.default_rng(33)
@@ -113,18 +113,18 @@ class TestAreSolve:
             if np.linalg.matrix_rank(np.hstack([B, a @ B])) < 2:
                 continue
             rw = rng.uniform(0.2, 3.0)
-            sol = are_solve(a, B, Q2, rw)
+            sol = are_solve(a, Q2, rw)
             k_ref = scipy.linalg.solve_continuous_are(a, B, Q2, np.array([[rw]]))
             assert np.abs(sol.as_matrix() - k_ref).max() <= 1e-8
 
     def test_not_controllable(self):
         with pytest.raises(NotControllable):
-            are_solve(np.zeros((2, 2)), B, Q2, 1.0)
+            are_solve(np.zeros((2, 2)), Q2, 1.0)
 
     def test_no_stabilizing_solution(self):
         # Q = 0 leaves the whole Hamiltonian spectrum on the imaginary axis.
         with pytest.raises(NoStabilizingSolution):
-            are_solve([[0.0, 1.0], [0.0, 0.0]], B, np.zeros((2, 2)), 1.0)
+            are_solve([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)), 1.0)
 
 
 class TestGains:
@@ -144,7 +144,7 @@ class TestGains:
 
 class TestDre:
     def test_terminal_condition_exact(self):
-        sched = dre_integrate(drift_matrix("published-tracking", -2.0), B, Q2, 1.0,
+        sched = dre_integrate(drift_matrix("published-tracking", -2.0), Q2, 1.0,
                               t_end=1.0, h=1e-3)
         assert sched.k1[-1] == 0.0 and sched.k2[-1] == 0.0 and sched.k3[-1] == 0.0
         g = sched.gains_at(1.0)
@@ -152,8 +152,8 @@ class TestDre:
 
     def test_long_horizon_matches_are(self):
         a = drift_matrix("published-tracking", -2.0)
-        sched = dre_integrate(a, B, Q2, 1.0, t_end=20.0, h=1e-3)
-        sol = are_solve(a, B, Q2, 1.0)
+        sched = dre_integrate(a, Q2, 1.0, t_end=20.0, h=1e-3)
+        sol = are_solve(a, Q2, 1.0)
         k0 = sched.solution_at(0.0)
         assert abs(k0.k1 - sol.k1) <= 1e-4
         assert abs(k0.k2 - sol.k2) <= 1e-4
@@ -161,12 +161,12 @@ class TestDre:
 
     def test_symmetry_by_construction(self):
         # Only (k1, k2, k3) are propagated, so K - K.T is identically zero.
-        sched = dre_integrate([[0.0, 1.0], [0.0, 0.0]], B, Q2, 1.0, t_end=2.0, h=1e-3)
+        sched = dre_integrate([[0.0, 1.0], [0.0, 0.0]], Q2, 1.0, t_end=2.0, h=1e-3)
         k = sched.solution_at(0.7).as_matrix()
         assert np.array_equal(k, k.T)
 
     def test_positive_semidefinite_along_grid(self):
-        sched = dre_integrate(drift_matrix("published-tracking", -2.0), B, Q2, 1.0,
+        sched = dre_integrate(drift_matrix("published-tracking", -2.0), Q2, 1.0,
                               t_end=5.0, h=1e-3)
         for i in range(0, len(sched.times), 200):
             k = np.array([[sched.k1[i], sched.k3[i]], [sched.k3[i], sched.k2[i]]])
@@ -177,7 +177,7 @@ class TestDre:
         # 10 h^2 bound; the stiff tracking table exceeds it in its transient.
         a = drift_matrix("reconciled", 0.0)
         h = 1e-3
-        sched = dre_integrate(a, B, Q2, 1.0, t_end=5.0, h=h)
+        sched = dre_integrate(a, Q2, 1.0, t_end=5.0, h=h)
         s = (B @ B.T) / 1.0
         worst = 0.0
         for i in range(1, len(sched.times) - 1, 37):
@@ -193,17 +193,17 @@ class TestDre:
 
     def test_finite_escape_raises(self):
         with pytest.raises(StepTooLarge):
-            dre_integrate([[5.0, 0.0], [0.0, 5.0]], B, Q2, 1e6, t_end=10.0, h=1e-3)
+            dre_integrate([[5.0, 0.0], [0.0, 5.0]], Q2, 1e6, t_end=10.0, h=1e-3)
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
-            dre_integrate([[0.0, 1.0], [0.0, 0.0]], B, Q2, 1.0, t_end=1.0, h=2.0)
+            dre_integrate([[0.0, 1.0], [0.0, 0.0]], Q2, 1.0, t_end=1.0, h=2.0)
         with pytest.raises(ValueError):
-            dre_integrate([[0.0, 1.0], [0.0, 0.0]], B, Q2, 1.0, t_end=-1.0, h=1e-3)
+            dre_integrate([[0.0, 1.0], [0.0, 0.0]], Q2, 1.0, t_end=-1.0, h=1e-3)
 
     def test_gain_interpolation(self):
         a = drift_matrix("published-tracking", -2.0)
-        sched = dre_integrate(a, B, Q2, 1.0, t_end=10.0, h=1e-3)
+        sched = dre_integrate(a, Q2, 1.0, t_end=10.0, h=1e-3)
         g = sched.gains_at(0.0)
         assert abs(g.kP - 8.7852) <= 1e-3
         assert abs(g.kD - 8.3357) <= 1e-3
@@ -231,7 +231,7 @@ class TestIndexedSchedule:
 
     @staticmethod
     def schedule(t_end, h):
-        return dre_integrate(drift_matrix("published-tracking", -2.0), B, Q2, 1.0,
+        return dre_integrate(drift_matrix("published-tracking", -2.0), Q2, 1.0,
                              t_end=t_end, h=h)
 
     @pytest.mark.parametrize("t_end, h, same_grid", [
@@ -290,7 +290,7 @@ class TestRiccatiProperties:
     def test_are_matches_scipy(self, problem):
         a, q, alpha = problem
         k_ref = scipy.linalg.solve_continuous_are(a, B_CANONICAL, q, np.array([[alpha]]))
-        assert relative_error(are_solve(a, B_CANONICAL, q, alpha).as_matrix(), k_ref) <= 1e-10
+        assert relative_error(are_solve(a, q, alpha).as_matrix(), k_ref) <= 1e-10
 
     @settings(max_examples=10, deadline=None)
     @given(problem=riccati_problems())
@@ -304,10 +304,10 @@ class TestRiccatiProperties:
         # at least exp(-10 sigma), half the rate exp(-20 sigma) of the
         # linearized sweep.
         a, q, alpha = problem
-        sol = are_solve(a, B_CANONICAL, q, alpha)
+        sol = are_solve(a, q, alpha)
         k = sol.as_matrix()
         sigma = -np.linalg.eigvals(a - B_CANONICAL @ B_CANONICAL.T @ k / alpha).real.max()
-        errors = [relative_error(dre_integrate(a, B_CANONICAL, q, alpha, t_end=t_end, h=1e-2)
+        errors = [relative_error(dre_integrate(a, q, alpha, t_end=t_end, h=1e-2)
                                  .solution_at(0.0).as_matrix(), k)
                   for t_end in (2.0, 5.0, 10.0, 20.0)]
         for before, after in zip(errors, errors[1:]):
