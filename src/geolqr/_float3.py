@@ -2,25 +2,13 @@
 
 A matrix is its nine entries row by row, a vector its three entries; every
 function returns a tuple. The per-step kernels of the closed loop (the
-integrator step, the feedback laws and the reference recurrence) use these
-instead of numpy, whose call overhead is several times the arithmetic at
-this size. Each entry is summed in index order without fused multiply-adds,
-so a result can differ from numpy's BLAS product in the last bit.
+integrator step's velocity update and the feedback laws) use these instead
+of numpy, whose call overhead is several times the arithmetic at this size.
+Each entry is summed in index order without fused multiply-adds, so a
+result can differ from numpy's BLAS product in the last bit.
 """
 
 from __future__ import annotations
-
-
-def mm(a, b) -> tuple:
-    """a @ b."""
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    return (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7,
-            a0 * b2 + a1 * b5 + a2 * b8,
-            a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7,
-            a3 * b2 + a4 * b5 + a5 * b8,
-            a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7,
-            a6 * b2 + a7 * b5 + a8 * b8)
 
 
 def mtm(a, b) -> tuple:

@@ -26,6 +26,8 @@ from .so3 import exp_so3
 
 OMEGA_DIVERGENCE_LIMIT = 1e6
 
+MAX_STEPS = 10 ** 7  # steps of one simulation grid: 200 times the shipped track's
+
 # Steps per batch of affine_rk4's maps: 50 kB stage matrices at m = 4.
 AFFINE_CHUNK = 256
 
@@ -78,6 +80,8 @@ class SimParams:
             raise ValidationError("h", "must satisfy 0 < h <= 0.01")
         if not self.t_end > 0.0:
             raise ValidationError("t_end", "must be positive")
+        if self.t_end / self.h > MAX_STEPS:
+            raise ValidationError("t_end", f"must be at most {MAX_STEPS:g} steps of h")
 
 
 @dataclass
@@ -123,7 +127,8 @@ def lie_euler_step(s: RigidBodyState, tau, h: float, j: InertiaTensor) -> RigidB
     w0, w1, w2 = w = s.w.tolist()
     a0, a1, a2 = euler_rhs(w, tau.tolist(), j)
     return RigidBodyState(
-        r=s.r @ exp_so3((w0 * h, w1 * h, w2 * h)),
+        # .dot: the same BLAS product as @ at half the call overhead.
+        r=s.r.dot(exp_so3((w0 * h, w1 * h, w2 * h))),
         w=np.array((w0 + h * a0, w1 + h * a1, w2 + h * a2)),
     )
 

@@ -44,7 +44,7 @@ import numpy as np
 from .dynamics import affine_rk4, rk4, uniform_grid
 from .errors import NoConvergence, NoDescent, ObstacleContact, ValidationError
 from .riccati import CostParams
-from .so3 import attitude_errors, exp_so3, row_dots
+from .so3 import attitude_errors, exp_rows, row_dots
 
 MANIFOLDS = ("flat", "so3-biinvariant")
 
@@ -362,8 +362,7 @@ def _segment_starts(scenario: AvoidanceScenario, y, seg) -> np.ndarray:
     if scenario.manifold == "flat":
         q[later] = scenario.q0 + xi
     else:
-        rotations = np.array([exp_so3(e) for e in xi]).reshape(-1, 3, 3)
-        q[later] = (scenario.q0 @ rotations).reshape(-1, 9)
+        q[later] = (scenario.q0 @ exp_rows(xi)).reshape(-1, 9)
     return np.hstack([q, y[:, n:]])
 
 
@@ -650,7 +649,7 @@ def _midpoints(scenario: AvoidanceScenario, q) -> np.ndarray:
     if scenario.manifold == "flat":
         return 0.5 * (q[:-1] + q[1:])
     halves = 0.5 * attitude_errors(q[:-1], q[1:])
-    return q[:-1] @ np.array([exp_so3(e) for e in halves]).reshape(-1, 3, 3)
+    return q[:-1] @ exp_rows(halves)
 
 
 def _variational_matrices(manifold: str, v, hess=0.0) -> np.ndarray:

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._float3 import cross, mm, mtm, mv
+from ._float3 import cross, mtm, mv
 from .dynamics import OMEGA_DIVERGENCE_LIMIT, InertiaTensor, RigidBodyState
 from .errors import NumericalDivergence
 from .riccati import GainPair, RiccatiSolution
-from .so3 import exp_so3, log_so3, row_dots
+from .so3 import _CHUNK, exp_rows, log_so3, row_dots
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,11 @@ class TrackingReference:
 
     omegas and omega_dots are w_ref and its derivative tabulated at the grid
     times k h, k = 0..N, as (N + 1, 3) arrays; config.ReferenceConfig
-    evaluates its polynomial over the whole grid at once. The rotations are
-    integrated here with the simulator's explicit group-preserving update,
-    the only per-step loop, in Python floats written into the preallocated
-    table. sample(t) reads all three tables at the grid time nearest t. A
+    evaluates its polynomial over the whole grid at once. The rotations obey
+    the simulator's update r_k+1 = r_k exp(h w_k), built per so3._CHUNK steps
+    by one so3.exp_rows of the independent increments and a prefix product in
+    log2(_CHUNK) doubling rounds; rows differ from a sequential chain in the
+    last bits. sample(t) reads all three tables at the grid time nearest t. A
     w_ref above dynamics.OMEGA_DIVERGENCE_LIMIT or not finite raises
     NumericalDivergence, before any rotation is integrated.
     """
@@ -60,12 +61,13 @@ class TrackingReference:
                 f"finite at t = {fast.argmax() * self.h:.6g}")
         rots = np.empty(self.omegas.shape[:1] + (3, 3))
         rots[0] = np.eye(3) if r0 is None else np.asarray(r0, dtype=float)
-        rows = rots.reshape(-1, 9)
-        r = rows[0].tolist()
-        # Row by row: a list of every row would cost more memory than the tables.
-        for i, w in enumerate(self.omegas[:-1], start=1):
-            x, y, z = w.tolist()
-            r = rows[i] = mm(r, exp_so3((x * h, y * h, z * h)).ravel().tolist())
+        for lo in range(0, len(rots) - 1, _CHUNK):
+            p = exp_rows(self.h * self.omegas[:-1][lo:lo + _CHUNK])
+            d = 1
+            while d < len(p):
+                p[d:] = p[:-d] @ p[d:]
+                d *= 2
+            rots[lo + 1:lo + _CHUNK + 1] = rots[lo] @ p
         self.rotations = rots
 
     def sample(self, t: float) -> ReferenceSample:

@@ -91,6 +91,27 @@ def exp_so3(v) -> np.ndarray:
     )).reshape(3, 3)
 
 
+def exp_rows(v) -> np.ndarray:
+    """exp_so3 of every row of the (N, 3) array v as one (N, 3, 3) array pass,
+    bit for bit: math.sin and math.cos are mapped over the angles, because
+    numpy's differ from libm's in the last bit on some rows."""
+    x, y, z = np.asarray(v, dtype=float).T
+    xx, yy, zz = x * x, y * y, z * z
+    phi2 = xx + yy + zz
+    phi = np.sqrt(phi2)
+    # The quotients are 0/0 on zero rows; the series replaces them there.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.array(list(map(math.sin, phi.tolist()))) / phi
+        b = (1.0 - np.array(list(map(math.cos, phi.tolist())))) / phi2
+    small = phi < SMALL_ANGLE
+    p2 = phi2[small]
+    a[small], b[small] = 1.0 - p2 / 6.0 + p2 * p2 / 120.0, 0.5 - p2 / 24.0 + p2 * p2 / 720.0
+    bxy, bxz, byz, ax, ay, az = b * x * y, b * x * z, b * y * z, a * x, a * y, a * z
+    return np.stack((1.0 - b * (yy + zz), bxy - az, bxz + ay,
+                     bxy + az, 1.0 - b * (xx + zz), byz - ax,
+                     bxz - ay, byz + ax, 1.0 - b * (xx + yy)), axis=-1).reshape(-1, 3, 3)
+
+
 def log_so3(r) -> np.ndarray:
     """Axis-angle logarithm of a rotation matrix.
 
@@ -128,7 +149,7 @@ def log_so3(r) -> np.ndarray:
     return np.array([s * sx, s * sy, s * sz])
 
 
-# Rows per chunk of attitude_errors: each of its temporaries stays near 300 kB.
+# Rows per chunk of the array passes: each temporary stays near 300 kB.
 _CHUNK = 4096
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from geolqr.cli import main
 from geolqr.config import parse_config
-from geolqr.dynamics import InertiaTensor, SimParams
+from geolqr.dynamics import MAX_STEPS, InertiaTensor, SimParams
 from geolqr.errors import GeoLqrError, ParseError, ValidationError
 from geolqr.pmp import AvoidanceScenario, SphereObstacle
 from geolqr.riccati import CostParams, dre_integrate, drift_matrix
@@ -165,9 +165,16 @@ AVOID_1D = {"dimension": 1, "q0": [0.0], "target": [2.0],
     ({"command": "avoid", "avoidance": {**AVOID_1D, "obstacles": {}}}, "avoidance.obstacles"),
     ({"command": "regulate", "output": {"directory": 1}}, "output.directory"),
     ({"command": "regulate", "output": {"decimation": 0}}, "output.decimation"),
+    # A horizon of more than MAX_STEPS steps is refused before any grid is
+    # allocated, for the closed loops and for the DRE sweep alike.
+    ({"command": "regulate", "sim": {"t_end": 1e300}}, "sim.t_end"),
+    ({"command": "track", "sim": {"t_end": 1e300}}, "sim.t_end"),
+    ({"command": "gains", "controller": {"gain_source": "dre"}, "sim": {"t_end": 1e300}},
+     "sim.t_end"),
 ], ids=["alpha", "h", "t_end", "horizon", "radius", "q_weights", "section", "missing-radius",
         "string-alpha", "missing-q0", "omega-length", "coeff-axes", "gain_source",
-        "accel-term", "a_matrix_mode", "dimension", "obstacles", "directory", "decimation"])
+        "accel-term", "a_matrix_mode", "dimension", "obstacles", "directory", "decimation",
+        "regulate-steps", "track-steps", "gains-dre-steps"])
 def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
     with pytest.raises(ValidationError) as err:
         parse_config(json.dumps(payload))
@@ -183,6 +190,7 @@ def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
 # ValueError of a bad argument.
 @pytest.mark.parametrize("build, name", [
     (lambda: SimParams(0.02, 1.0, InertiaTensor(np.eye(3))), "h"),
+    (lambda: SimParams(0.01, (MAX_STEPS + 1) * 0.01, InertiaTensor(np.eye(3))), "t_end"),
     (lambda: CostParams(alpha=0.0), "alpha"),
     (lambda: AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=0.0,
                                q0=[1.0], v0=[0.0]), "horizon"),
@@ -205,13 +213,17 @@ def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
     (lambda: AvoidanceScenario(dimension=2, alpha=1.0, target=np.eye(3), horizon=1.0,
                                q0=np.eye(3), v0=np.zeros(3), manifold="so3-biinvariant"),
      "dimension"),
-], ids=["SimParams", "CostParams", "AvoidanceScenario", "SphereObstacle", "q0", "target",
-        "group-v0", "group-obstacle", "obstacle-center", "group-dimension"])
+], ids=["SimParams", "SimParams-steps", "CostParams", "AvoidanceScenario", "SphereObstacle",
+        "q0", "target", "group-v0", "group-obstacle", "obstacle-center", "group-dimension"])
 def test_constructors_name_their_argument(build, name):
     with pytest.raises(ValidationError) as err:
         build()
     assert err.value.path == name
     assert isinstance(err.value, ValueError)
+
+
+def test_step_cap_admits_exactly_max_steps():
+    assert SimParams(0.01, MAX_STEPS * 0.01, InertiaTensor(np.eye(3))).t_end == MAX_STEPS * 0.01
 
 
 # A JSON integer too large for a float is not finite: exit 2 naming the

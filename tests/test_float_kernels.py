@@ -1,7 +1,8 @@
 """Property tests of the closed loop's Python-float kernels against the numpy
 formulas they replace, written out here as the oracles: the integrator step,
 the torque laws, the backward Riccati sweep and the reference polynomial
-tables; and of the array attitude-error pass against log_so3 row by row."""
+tables; and of the array exponential and attitude-error passes against
+exp_so3 and log_so3 row by row."""
 
 import json
 import math
@@ -43,6 +44,7 @@ from geolqr.so3 import (
     _CHUNK,
     SMALL_ANGLE,
     attitude_errors,
+    exp_rows,
     exp_so3,
     log_so3,
     orthogonality_defect,
@@ -256,6 +258,30 @@ def rotation_pairs(drawn, broadcast):
 
 def row_by_row(r_from, rots):
     return np.array([log_so3(r0.T @ r) for r0, r in zip(r_from, rots)]).reshape(-1, 3)
+
+
+# Axis-angle rows from the zero row through the small-angle series to past pi.
+rotation_vectors = st.tuples(unit_axes, st.one_of(
+    st.just(0.0), st.floats(0.0, 2.0 * SMALL_ANGLE), st.floats(0.0, 7.0))).map(
+    lambda d: d[1] * d[0])
+
+
+class TestExpRows:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.one_of(rotation_vectors, vectors), max_size=40))
+    def test_bit_identical_with_exp_so3(self, rows):
+        v = np.array(rows).reshape(-1, 3)
+        assert exp_rows(v).tobytes() == np.array([exp_so3(x) for x in v]).tobytes()
+
+    def test_edge_rows(self):
+        axis = np.array([2.0, -1.0, 2.0]) / 3.0
+        angles = [0.0, SMALL_ANGLE, math.nextafter(SMALL_ANGLE, 0.0),
+                  math.nextafter(SMALL_ANGLE, 1.0), 1e-300, math.pi, 4.0, 2.0 * math.pi, 9.5]
+        v = np.vstack([np.outer(angles, axis), np.outer(angles, [1.0, 0.0, 0.0])])
+        assert exp_rows(v).tobytes() == np.array([exp_so3(x) for x in v]).tobytes()
+
+    def test_empty_input(self):
+        assert exp_rows(np.zeros((0, 3))).shape == (0, 3, 3)
 
 
 class TestAttitudeErrors:

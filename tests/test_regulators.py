@@ -27,7 +27,9 @@ from geolqr.riccati import (
     drift_matrix,
 )
 from geolqr.so3 import (
+    _CHUNK,
     attitude_errors,
+    exp_rows,
     exp_so3,
     geodesic_distance,
     log_so3,
@@ -372,6 +374,33 @@ class TestTrackingReference:
                 assert np.array_equal(near.r, ref.rotations[k])
                 assert np.array_equal(near.w, om(k * h))
                 assert np.array_equal(near.wdot, omdot(k * h))
+
+    @pytest.mark.parametrize("rows", [1, 2, _CHUNK, _CHUNK + 1, _CHUNK + 2, 10_001])
+    def test_rows_match_a_sequential_chain(self, rows):
+        rng = np.random.default_rng(rows)
+        h = 1e-3
+        omegas = rng.uniform(-3.0, 3.0, (rows, 3))
+        r0 = exp_so3([0.3, -1.1, 0.7])
+        ref = TrackingReference(omegas, np.zeros((rows, 3)), h, r0)
+        assert np.array_equal(ref.rotations[0], r0)
+        r = r0
+        for k in range(1, rows):
+            r = r @ exp_so3(h * omegas[k - 1])
+            assert np.abs(ref.rotations[k] - r).max() <= 1e-12
+
+    def test_long_table_stays_on_group_and_on_the_closed_form(self):
+        # w_ref = c t has a constant axis, so the increments commute and the
+        # chain is R0 exp(hat(c) h^2 n (n - 1) / 2) exactly in real numbers.
+        c = np.array([0.5, -0.3, 0.4])
+        h, steps = 1e-3, 50_000
+        times = np.arange(steps + 1) * h
+        r0 = exp_so3([0.2, 0.1, -0.4])
+        ref = TrackingReference(np.outer(times, c), np.tile(c, (steps + 1, 1)), h, r0)
+        n = np.arange(steps + 1)
+        closed = r0 @ exp_rows(np.outer(h * h * n * (n - 1) / 2.0, c))
+        assert np.abs(ref.rotations - closed).max() <= 1e-12
+        defects = np.swapaxes(ref.rotations, 1, 2) @ ref.rotations - np.eye(3)
+        assert np.sqrt((defects ** 2).sum(axis=(1, 2))).max() <= 1e-12
 
     def test_sample_off_grid_raises(self):
         ref = tabulated_reference(lambda t: np.array([1.0, 0.0, 0.0]),
