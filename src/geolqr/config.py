@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import InertiaTensor, RigidBodyState, SimParams
+from .dynamics import MAX_STEPS, InertiaTensor, RigidBodyState, SimParams
 from .errors import ParseError, ValidationError
 from .pmp import AvoidanceScenario, SphereObstacle
 from .riccati import DRIFT_MODES, CostParams
@@ -327,6 +327,10 @@ def parse_config(text: str) -> ScenarioConfig:
         if command != "gains" and abs(steps - round(steps)) > 1e-9:
             raise ValidationError("sim.t_end",
                                   "must be a whole number of sim.h steps for DRE gains")
+    # The boundary-value solvers sweep the horizon on a grid of step sim.h.
+    if cfg.avoidance is not None and cfg.avoidance.horizon / cfg.sim.h > MAX_STEPS:
+        raise ValidationError("avoidance.horizon",
+                              f"must be at most {MAX_STEPS:g} steps of sim.h")
     return cfg
 
 

@@ -1,6 +1,7 @@
 """Rigid-body attitude dynamics with a fixed point, the group-preserving
-Euler integrator, and the classical Runge-Kutta sweep the solvers share,
-with its affine form for linear systems.
+Euler integrator, the classical Runge-Kutta sweep of pmp's extremal with
+its affine form for linear systems, and the doubling prefix product that
+the tracking reference and the Riccati sweep share.
 
 The body angular velocity satisfies w' = J^-1 (J w x w) + tau and the
 kinematics R' = R hat(w), both in body coordinates. One explicit step is
@@ -28,7 +29,8 @@ OMEGA_DIVERGENCE_LIMIT = 1e6
 
 MAX_STEPS = 10 ** 7  # steps of one simulation grid: 200 times the shipped track's
 
-# Steps per batch of affine_rk4's maps: 50 kB stage matrices at m = 4.
+# Steps per batch of affine_rk4's maps (50 kB stage matrices at m = 4) and
+# of the Riccati sweep's step-map powers.
 AFFINE_CHUNK = 256
 
 
@@ -242,3 +244,15 @@ def affine_rk4(a, f, y0, times) -> np.ndarray:
         for i, p in enumerate(step, lo + 1):
             ys[i] = y = np.dot(p, y)
     return ys[:, :m]
+
+
+def _prefix_products(p: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products p[0] p[1] ... p[i] of a stack of square
+    matrices, in place, in ceil(log2(len(p))) doubling rounds of batched
+    products; returns p. A matrix product is associative, so the rows agree
+    with a sequential left-to-right chain up to rounding."""
+    d = 1
+    while d < len(p):
+        p[d:] = p[:-d] @ p[d:]
+        d *= 2
+    return p

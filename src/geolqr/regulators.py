@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._float3 import cross, mtm, mv
-from .dynamics import OMEGA_DIVERGENCE_LIMIT, InertiaTensor, RigidBodyState
+from .dynamics import OMEGA_DIVERGENCE_LIMIT, InertiaTensor, RigidBodyState, _prefix_products
 from .errors import NumericalDivergence
 from .riccati import GainPair, RiccatiSolution
 from .so3 import _CHUNK, exp_rows, log_so3, row_dots
@@ -40,10 +40,11 @@ class TrackingReference:
     times k h, k = 0..N, as (N + 1, 3) arrays; config.ReferenceConfig
     evaluates its polynomial over the whole grid at once. The rotations obey
     the simulator's update r_k+1 = r_k exp(h w_k), built per so3._CHUNK steps
-    by one so3.exp_rows of the independent increments and a prefix product in
-    log2(_CHUNK) doubling rounds; rows differ from a sequential chain in the
-    last bits. sample(t) reads all three tables at the grid time nearest t. A
-    w_ref above dynamics.OMEGA_DIVERGENCE_LIMIT or not finite raises
+    by one so3.exp_rows of the independent increments and their prefix
+    products (dynamics._prefix_products, log2(_CHUNK) doubling rounds); rows
+    differ from a sequential chain in the last bits. sample(t) reads all
+    three tables at the grid time nearest t. A w_ref above
+    dynamics.OMEGA_DIVERGENCE_LIMIT or not finite raises
     NumericalDivergence, before any rotation is integrated.
     """
 
@@ -62,11 +63,7 @@ class TrackingReference:
         rots = np.empty(self.omegas.shape[:1] + (3, 3))
         rots[0] = np.eye(3) if r0 is None else np.asarray(r0, dtype=float)
         for lo in range(0, len(rots) - 1, _CHUNK):
-            p = exp_rows(self.h * self.omegas[:-1][lo:lo + _CHUNK])
-            d = 1
-            while d < len(p):
-                p[d:] = p[:-d] @ p[d:]
-                d *= 2
+            p = _prefix_products(exp_rows(self.h * self.omegas[:-1][lo:lo + _CHUNK]))
             rots[lo + 1:lo + _CHUNK + 1] = rots[lo] @ p
         self.rotations = rots
 

@@ -11,15 +11,22 @@ A.T K + K A - K B R^-1 B.T K = -Q with K = [[k1, k3], [k3, k2]], Q = I,
 R = alpha, A = [[-gamma/2, 1], [0, -gamma/2]] (direct expansion; see
 drift_matrix for the other modes) and the fixed B = [0, 1].T (B_CANONICAL;
 the solvers take no B). The stabilizing K yields (kP, kD) = (k3, k2)/alpha.
+
+The finite-horizon gains solve the differential Riccati equation backward
+from K(T) = 0 as the projection K = Y X^-1 of a linear Hamiltonian flow
+(Radon's lemma), so one constant 4x4 step map serves the whole grid; the
+sweep restarts at X = I every AFFINE_CHUNK steps, or fewer where the flow is
+stiff, which keeps X well conditioned over long horizons.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import rk4, uniform_grid
+from .dynamics import AFFINE_CHUNK, _prefix_products, uniform_grid
 from .errors import NoStabilizingSolution, NotControllable, StepTooLarge, ValidationError
 
 # Published gain tables are reproduced by these drift matrices, which do not
@@ -29,6 +36,12 @@ DRIFT_MODES = ("published-regulation", "published-tracking", "reconciled")
 
 # Input matrix B = [0, 1].T of every 2x2 gain problem (RiccatiSolution.gains).
 B_CANONICAL = np.array([[0.0], [1.0]])
+
+# Most e-folds of the Hamiltonian's eigenvalue spread that one chunk of the
+# DRE sweep spans. X's columns part at at most that rate (the Davison-Maki
+# instability), so X keeps a condition number below about e^8 = 3e3 and K
+# about 12 digits.
+CHUNK_EFOLDS = 8.0
 
 
 @dataclass(frozen=True)
@@ -84,7 +97,7 @@ class GainSchedule:
     """Riccati solution sampled on a uniform time grid, zero at the horizon.
 
     The grid is the simulation's (config requires a whole number of steps
-    for DRE runs), so solution_at reads the sample at the nearest grid index
+    for DRE runs), so a lookup reads the sample at the nearest grid index
     instead of interpolating; a scalar lookup returns Python floats, which
     keeps the per-step feedback laws in float arithmetic.
     """
@@ -95,23 +108,30 @@ class GainSchedule:
     k3: np.ndarray
     alpha: float
 
+    def _index(self, t: float) -> int:
+        n = len(self.times) - 1
+        i = round(t * (n / self.times.item(-1)))
+        if not 0 <= i <= n:
+            raise ValueError(f"t = {t:.6g} lies outside the gain schedule's grid")
+        return i
+
     def solution_at(self, t) -> RiccatiSolution:
         """K at the grid time nearest t; an array of times gives arrays of
         entries. Raises ValueError when t lies off the grid."""
-        n = len(self.times) - 1
-        per_step = n / self.times.item(-1)
         if isinstance(t, np.ndarray):
-            i = np.rint(t * per_step).astype(np.intp)
+            n = len(self.times) - 1
+            i = np.rint(t * (n / self.times.item(-1))).astype(np.intp)
             if i.size and not (0 <= i.min() and i.max() <= n):
                 raise ValueError("a time lies outside the gain schedule's grid")
             return RiccatiSolution(self.k1[i], self.k2[i], self.k3[i])
-        i = round(t * per_step)
-        if not 0 <= i <= n:
-            raise ValueError(f"t = {t:.6g} lies outside the gain schedule's grid")
+        i = self._index(t)
         return RiccatiSolution(self.k1.item(i), self.k2.item(i), self.k3.item(i))
 
     def gains_at(self, t: float) -> GainPair:
-        return self.solution_at(t).gains(self.alpha)
+        """solution_at(t).gains(alpha), read from the k3 and k2 samples
+        directly: the closed loop's one lookup per step."""
+        i = self._index(t)
+        return GainPair(self.k3.item(i) / self.alpha, self.k2.item(i) / self.alpha)
 
 
 def drift_matrix(mode: str, gamma: float = 0.0) -> np.ndarray:
@@ -143,10 +163,10 @@ def scalar_residual(sol: RiccatiSolution, p: CostParams) -> np.ndarray:
 
 def _problem(a, q, rw):
     """Problem data as float arrays (A, Q) plus S = B Rw^-1 B.T with B =
-    B_CANONICAL. The control weight rw is CostParams' alpha and obeys its rule."""
-    CostParams(rw)
+    B_CANONICAL. The weights rw and q are CostParams' alpha and q_weights
+    and obey their rules."""
+    q = CostParams(rw, q_weights=q).q_weights
     a = np.asarray(a, dtype=float).reshape(2, 2)
-    q = np.asarray(q, dtype=float).reshape(2, 2)
     return a, q, (B_CANONICAL @ B_CANONICAL.T) / float(rw)
 
 
@@ -177,7 +197,8 @@ def are_solve(a, q, rw: float) -> RiccatiSolution:
         A - B Rw^-1 B.T K Hurwitz.
 
     Raises:
-        ValidationError: rw is not positive (path "alpha").
+        ValidationError: rw is not positive (path "alpha"), or q is not a
+            symmetric PSD 2x2 matrix (path "q_weights").
         NotControllable: rank [B, AB] < 2.
         NoStabilizingSolution: Hamiltonian eigenvalues on the imaginary axis
             or the stable subspace does not produce a positive definite K.
@@ -225,11 +246,33 @@ def are_solve(a, q, rw: float) -> RiccatiSolution:
     return sol
 
 
+def _expm(m: np.ndarray) -> np.ndarray:
+    """exp(m) of a small square matrix: 16 Taylor terms by Horner's rule,
+    below machine precision once m is scaled by 2^-j to a row-sum norm of at
+    most 1/2, then j squarings."""
+    j = max(0, math.frexp(float(np.abs(m).sum(axis=1).max()))[1] + 1)
+    m = np.ldexp(m, -j)
+    eye = np.eye(len(m))
+    e = eye
+    for k in range(16, 0, -1):
+        e = eye + (m @ e) / k
+    for _ in range(j):
+        e = e @ e
+    return e
+
+
 def dre_integrate(a, q, rw: float, t_end: float, h: float = 1e-3) -> GainSchedule:
     """Backward differential Riccati sweep with terminal condition K(T) = 0.
 
-    Classical 4th-order one-step method on (k1, k2, k3), which keeps every
-    stored K exactly symmetric.
+    Radon's lemma: in reversed time s = T - t, K(s) = Y X^-1 with
+    (X, Y)' = H (X, Y), H = [[-A, S], [Q, A.T]], S = B Rw^-1 B.T, from
+    (X, Y)(0) = (I, 0). The step map E = exp(H h) is built once, and its
+    powers E^1 .. E^m by doubling prefix products, with m = AFFINE_CHUNK or
+    fewer, so that m steps span at most CHUNK_EFOLDS e-folds of a bound on
+    the spread of H's eigenvalues. Each chunk of m steps restarts at (I, K)
+    from the chunk's first K, takes (X, Y) = E^j (I, K) for every step j at
+    once and solves for K in one batched solve; every stored K is
+    symmetrised, and K(T) = 0 is exact.
 
     Args:
         a, q, rw: same problem data as are_solve.
@@ -237,43 +280,44 @@ def dre_integrate(a, q, rw: float, t_end: float, h: float = 1e-3) -> GainSchedul
         h: step size, 0 < h <= T. Adjusted to the nearest uniform divisor.
 
     Raises:
-        StepTooLarge: an entry of K exceeded 1e9 or stopped being finite
-            (finite escape).
+        ValidationError: as are_solve, for rw and q.
+        StepTooLarge: an entry of K exceeded 1e9, or X became singular or
+            not finite (finite escape).
     """
     if not 0.0 < h <= t_end:
         raise ValueError(f"step must satisfy 0 < h <= {t_end}, got {h}")
     a, q, s = _problem(a, q, rw)
-    (a00, a01), (a10, a11) = a.tolist()
-    (q00, q01), (q10, q11) = q.tolist()
-    s11 = s.item(1, 1)
-
-    def rate(k, theta, y):
-        """dK/ds in reversed time s = T - t, propagating only (k1, k2, k3).
-
-        _riccati_operator in Python floats, in numpy's summation order with
-        K S K taken as (K S) K over S's one nonzero entry s11, at a third of
-        the time of 2x2 array products. Where numpy's BLAS fuses a
-        multiply-add the two can differ in the last bit; with drift entries
-        0 and +-2 (the shipped configs) the schedule is bit-identical.
-        """
-        k1, k2, k3 = y.tolist()
-        lin = (a00 * k3 + a10 * k2) + (k1 * a01 + k3 * a11)
-        return np.array((
-            (a00 * k1 + a10 * k3) + (k1 * a00 + k3 * a10) - k3 * s11 * k3 + q00,
-            (a01 * k3 + a11 * k2) + (k3 * a01 + k2 * a11) - k2 * s11 * k2 + q11,
-            0.5 * ((lin - k3 * s11 * k2 + q01) + (lin - k2 * s11 * k3 + q10))))
-
     times = uniform_grid(t_end, h)
-    # Past a finite escape the sweep overflows; the first step beyond 1e9
-    # is reported below instead.
+    n = len(times) - 1
+    dt = t_end / n
+    ham = np.block([[-a, s], [q, a.T]])
+    ks = np.zeros((n + 1, 2, 2))
+    # Past a finite escape the step map's powers or X overflow or X turns
+    # singular; the first step beyond 1e9 is reported instead.
     with np.errstate(over="ignore", invalid="ignore"):
-        ys = rk4(rate, np.zeros(3), times)
-    escaped = np.flatnonzero(~(np.abs(ys).max(axis=1) <= 1e9))
-    if escaped.size:
-        raise StepTooLarge(f"K entry exceeded 1e9 at s = {times[escaped[0]]:.6g}")
+        try:
+            # 2 |H^2|^(1/2) bounds the spread of H's eigenvalues' real parts.
+            spread = 2.0 * float(np.abs(ham @ ham).sum(axis=1).max()) ** 0.5 * dt
+            m = min(n, AFFINE_CHUNK)
+            if spread * m > CHUNK_EFOLDS:
+                m = max(1, int(CHUNK_EFOLDS / spread))
+            powers = _prefix_products(np.repeat(_expm(ham * dt)[None], m, axis=0))
+            for lo in range(0, n, m):
+                p = powers[:n - lo]
+                xy = p[:, :, :2] + p[:, :, 2:] @ ks[lo]
+                # X.T K.T = Y.T, so the solve returns K.T.
+                kt = np.linalg.solve(xy[:, :2].transpose(0, 2, 1), xy[:, 2:].transpose(0, 2, 1))
+                k = 0.5 * (kt + kt.transpose(0, 2, 1))
+                escaped = np.flatnonzero(~(np.abs(k).max(axis=(1, 2)) <= 1e9))
+                if escaped.size:
+                    raise StepTooLarge(
+                        f"K entry exceeded 1e9 at s = {times[lo + 1 + escaped[0]]:.6g}")
+                ks[lo + 1:lo + 1 + len(p)] = k
+        except np.linalg.LinAlgError:
+            raise StepTooLarge("step map not finite, or X singular or not finite") from None
 
     # Swept in reversed time s = T - t on the same grid; flip so times run
     # 0..T with K(T) = 0 exact.
-    ys = ys[::-1]
-    return GainSchedule(times, ys[:, 0].copy(), ys[:, 1].copy(), ys[:, 2].copy(),
+    ks = ks[::-1]
+    return GainSchedule(times, ks[:, 0, 0].copy(), ks[:, 1, 1].copy(), ks[:, 0, 1].copy(),
                         alpha=float(rw))

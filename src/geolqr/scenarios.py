@@ -135,10 +135,7 @@ def _resolve_gain_setup(cfg: ScenarioConfig):
     else:
         schedule = riccati.dre_integrate(a, cfg.cost.q_weights, alpha,
                                          t_end=cfg.sim.t_end, h=cfg.sim.h)
-        solution_at = schedule.solution_at
-
-        def gains_at(t):
-            return solution_at(t).gains(alpha)
+        solution_at, gains_at = schedule.solution_at, schedule.gains_at
     g0 = gains_at(0.0)
     summary = {"source": cfg.controller.gain_source, "kP": g0.kP, "kD": g0.kD}
     return solution_at, gains_at, summary

@@ -166,15 +166,17 @@ AVOID_1D = {"dimension": 1, "q0": [0.0], "target": [2.0],
     ({"command": "regulate", "output": {"directory": 1}}, "output.directory"),
     ({"command": "regulate", "output": {"decimation": 0}}, "output.decimation"),
     # A horizon of more than MAX_STEPS steps is refused before any grid is
-    # allocated, for the closed loops and for the DRE sweep alike.
+    # allocated, for the closed loops, the DRE sweep and the boundary-value
+    # solvers alike.
     ({"command": "regulate", "sim": {"t_end": 1e300}}, "sim.t_end"),
     ({"command": "track", "sim": {"t_end": 1e300}}, "sim.t_end"),
     ({"command": "gains", "controller": {"gain_source": "dre"}, "sim": {"t_end": 1e300}},
      "sim.t_end"),
+    ({"command": "avoid", "avoidance": {**AVOID_1D, "horizon": 1e300}}, "avoidance.horizon"),
 ], ids=["alpha", "h", "t_end", "horizon", "radius", "q_weights", "section", "missing-radius",
         "string-alpha", "missing-q0", "omega-length", "coeff-axes", "gain_source",
         "accel-term", "a_matrix_mode", "dimension", "obstacles", "directory", "decimation",
-        "regulate-steps", "track-steps", "gains-dre-steps"])
+        "regulate-steps", "track-steps", "gains-dre-steps", "avoid-steps"])
 def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
     with pytest.raises(ValidationError) as err:
         parse_config(json.dumps(payload))

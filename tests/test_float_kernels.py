@@ -1,8 +1,9 @@
 """Property tests of the closed loop's Python-float kernels against the numpy
 formulas they replace, written out here as the oracles: the integrator step,
-the torque laws, the backward Riccati sweep and the reference polynomial
-tables; and of the array exponential and attitude-error passes against
-exp_so3 and log_so3 row by row."""
+the torque laws and the reference polynomial tables; of the backward Riccati
+sweep against the exact Hamiltonian flow by scipy; and of the array
+exponential and attitude-error passes against exp_so3 and log_so3 row by
+row."""
 
 import json
 import math
@@ -10,17 +11,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from geolqr.config import ReferenceConfig, parse_config
 from geolqr.dynamics import (
+    AFFINE_CHUNK,
     InertiaTensor,
     RigidBodyState,
     SimParams,
     lie_euler_step,
-    rk4,
     simulate,
     time_grid,
 )
@@ -36,7 +38,6 @@ from geolqr.riccati import (
     DRIFT_MODES,
     GainPair,
     _problem,
-    _riccati_operator,
     dre_integrate,
     drift_matrix,
 )
@@ -141,16 +142,27 @@ def test_simulate_keeps_rotations_orthogonal(r0, w0, torques, j):
     assert max(orthogonality_defect(r) for r in log.rotations) <= 1e-12
 
 
-def dre_oracle(a, q, rw, t_end, h):
-    """The numpy sweep: rk4 over _riccati_operator on the 2x2 matrix K."""
+def dre_exact(a, q, rw, times):
+    """The exact schedule on the grid times, by Radon's lemma and scipy:
+    K(s) = Y X^-1 with (X, Y) = expm(H s) (I, 0), H = [[-A, S], [Q, A.T]],
+    at s = T - t, as (N, 2, 2) matrices with times running 0..T."""
     a, q, s = _problem(a, q, rw)
+    flows = scipy.linalg.expm(np.block([[-a, s], [q, a.T]]) * (times[-1] - times)[:, None, None])
+    return np.linalg.solve(flows[:, :2, :2].transpose(0, 2, 1),
+                           flows[:, 2:, :2].transpose(0, 2, 1)).transpose(0, 2, 1)
 
-    def rate(k, theta, y):
-        m = _riccati_operator(a, s, q, np.array([[y[0], y[2]], [y[2], y[1]]]))
-        return np.array([m[0, 0], m[1, 1], 0.5 * (m[0, 1] + m[1, 0])])
 
-    times = np.linspace(0.0, t_end, max(1, int(round(t_end / h))) + 1)
-    return rk4(rate, np.zeros(3), times)[::-1]
+def dre_stepwise(a, q, rw, times):
+    """The exact schedule one step at a time, for stiff flows where X's
+    columns part over a long span: K <- (E21 + E22 K)(E11 + E12 K)^-1 with
+    E = expm(H h) by scipy, as (N, 2, 2) matrices with times running 0..T."""
+    a, q, s = _problem(a, q, rw)
+    e = scipy.linalg.expm(np.block([[-a, s], [q, a.T]]) * (times[-1] / (len(times) - 1)))
+    ks = [np.zeros((2, 2))]
+    for _ in times[1:]:
+        x, y = e[:2, :2] + e[:2, 2:] @ ks[-1], e[2:, :2] + e[2:, 2:] @ ks[-1]
+        ks.append(np.linalg.solve(x.T, y.T).T)
+    return np.array(ks[::-1])
 
 
 psd_weights = arrays(np.float64, (2, 2), elements=st.floats(-2.0, 2.0)).map(
@@ -158,31 +170,57 @@ psd_weights = arrays(np.float64, (2, 2), elements=st.floats(-2.0, 2.0)).map(
 
 
 class TestDreSweep:
-    # Powers of two make every product of a drift entry exact, so a fused
-    # multiply-add in numpy's BLAS cannot round differently from the float
-    # rate; the shipped drift matrices (entries 0 and +-2) are of this kind.
+    # Scaling A, Q and S by a power of two c and the step and horizon by 1/c
+    # leaves H h unchanged, each drift product (c A)(h / c) exact, so the
+    # schedule on the times scaled by 1/c is the same bit for bit.
     @settings(max_examples=30, deadline=None)
     @given(mode=st.sampled_from(DRIFT_MODES),
            gamma=st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0]),
-           alpha=st.floats(0.1, 10.0), q=psd_weights)
-    def test_bit_identical_with_exact_drift_products(self, mode, gamma, alpha, q):
+           alpha=st.floats(0.1, 10.0), q=psd_weights, c=st.sampled_from([2.0, 4.0, 8.0]))
+    def test_bit_identical_with_exact_drift_products(self, mode, gamma, alpha, q, c):
         a = drift_matrix(mode, gamma)
         sched = dre_integrate(a, q, alpha, t_end=0.5, h=1e-3)
-        ys = dre_oracle(a, q, alpha, 0.5, 1e-3)
-        for i, k in enumerate((sched.k1, sched.k2, sched.k3)):
-            assert np.array_equal(k, ys[:, i])
+        fast = dre_integrate(c * a, c * q, alpha / c, t_end=0.5 / c, h=1e-3 / c)
+        assert np.array_equal(fast.times * c, sched.times)
+        for k, k_fast in ((sched.k1, fast.k1), (sched.k2, fast.k2), (sched.k3, fast.k3)):
+            assert np.array_equal(k, k_fast)
 
-    # Any other gamma leaves the two sweeps a few ulps apart per step.
-    @settings(max_examples=30, deadline=None)
-    @given(mode=st.sampled_from(DRIFT_MODES), gamma=st.floats(-2.0, 2.0),
+    # The shipped drift matrices (entries 0 and +-2 at the sampled gammas)
+    # and any other gamma, against the exact flow at every grid time.
+    @settings(max_examples=60, deadline=None)
+    @given(mode=st.sampled_from(DRIFT_MODES),
+           gamma=st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0]),
+                           st.floats(-2.0, 2.0)),
            alpha=st.floats(0.1, 10.0), q=psd_weights)
     def test_close_for_any_drift(self, mode, gamma, alpha, q):
-        a = drift_matrix(mode, gamma)
-        sched = dre_integrate(a, q, alpha, t_end=0.5, h=1e-3)
-        ys = dre_oracle(a, q, alpha, 0.5, 1e-3)
-        scale = np.abs(ys).max()
-        for i, k in enumerate((sched.k1, sched.k2, sched.k3)):
-            assert np.abs(k - ys[:, i]).max() <= 1e-12 * max(1.0, scale)
+        self.check(drift_matrix(mode, gamma), q, alpha, 0.5)
+
+    # One step, a chunk's steps less one, one chunk, one more, two chunks
+    # and one more.
+    @pytest.mark.parametrize("steps", [1, AFFINE_CHUNK - 1, AFFINE_CHUNK, AFFINE_CHUNK + 1,
+                                       2 * AFFINE_CHUNK + 1])
+    def test_chunk_boundaries(self, steps):
+        self.check(drift_matrix("published-tracking", -2.0), np.eye(2), 1.0, steps * 1e-3)
+
+    # Eigenvalue spreads of 63 and 51 at h = 1e-2: 256 steps would span 162
+    # and 130 e-folds, and X would be singular to working precision.
+    @pytest.mark.parametrize("a, q, alpha, t_end", [
+        (drift_matrix("reconciled", 0.0), np.eye(2), 1e-3, 20.0),
+        (drift_matrix("reconciled", 2.0), 64.0 * np.eye(2), 0.1, 5.0)],
+        ids=["light-control", "heavy-state"])
+    def test_stiff_flows_take_shorter_chunks(self, a, q, alpha, t_end):
+        self.check(a, q, alpha, t_end, h=1e-2, exact=dre_stepwise)
+
+    @staticmethod
+    def check(a, q, alpha, t_end, h=1e-3, exact=dre_exact):
+        sched = dre_integrate(a, q, alpha, t_end=t_end, h=h)
+        assert len(sched.times) == round(t_end / h) + 1
+        k = exact(a, q, alpha, sched.times)
+        scale = np.maximum(1.0, np.abs(k).max(axis=(1, 2)))
+        for got, want in ((sched.k1, k[:, 0, 0]), (sched.k2, k[:, 1, 1]),
+                          (sched.k3, 0.5 * (k[:, 0, 1] + k[:, 1, 0]))):
+            assert (np.abs(got - want) <= 1e-12 * scale).all()
+        assert sched.k1[-1] == sched.k2[-1] == sched.k3[-1] == 0.0
 
 
 def generator_sums(coeffs, t):

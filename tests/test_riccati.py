@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from geolqr.dynamics import time_grid
-from geolqr.errors import NoStabilizingSolution, NotControllable, StepTooLarge
+from geolqr.errors import NoStabilizingSolution, NotControllable, StepTooLarge, ValidationError
 from geolqr.riccati import (
     B_CANONICAL,
     DRIFT_MODES,
@@ -160,7 +160,7 @@ class TestDre:
         assert abs(k0.k3 - sol.k3) <= 1e-4
 
     def test_symmetry_by_construction(self):
-        # Only (k1, k2, k3) are propagated, so K - K.T is identically zero.
+        # Only (k1, k2, k3) are stored, so K - K.T is identically zero.
         sched = dre_integrate([[0.0, 1.0], [0.0, 0.0]], Q2, 1.0, t_end=2.0, h=1e-3)
         k = sched.solution_at(0.7).as_matrix()
         assert np.array_equal(k, k.T)
@@ -194,6 +194,21 @@ class TestDre:
     def test_finite_escape_raises(self):
         with pytest.raises(StepTooLarge):
             dre_integrate([[5.0, 0.0], [0.0, 5.0]], Q2, 1e6, t_end=10.0, h=1e-3)
+
+    # Q = -I has a true finite escape (the RK4 sweep once raised
+    # StepTooLarge at s = 1.356 on it); the linear flow would step through
+    # the pole, so the PSD rule on Q refuses it before any sweep.
+    @pytest.mark.parametrize("q", [-Q2, np.array([[1.0, 0.5], [0.0, 1.0]]),
+                                   np.array([[1.0, 2.0], [2.0, 1.0]])],
+                             ids=["negative", "asymmetric", "indefinite"])
+    def test_q_outside_the_psd_rule_is_refused(self, q):
+        a = [[0.0, 1.0], [0.0, 0.0]]
+        with pytest.raises(ValidationError) as err:
+            dre_integrate(a, q, 1.0, t_end=10.0, h=1e-3)
+        assert err.value.path == "q_weights"
+        with pytest.raises(ValidationError) as err:
+            are_solve(a, q, 1.0)
+        assert err.value.path == "q_weights"
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
@@ -260,6 +275,11 @@ class TestIndexedSchedule:
         assert not np.array_equal(interp, sched.k2)
         assert np.abs(interp - sched.k2).max() <= 1e-14 * np.abs(sched.k2).max()
 
+    def test_gains_at_is_solution_at_gains(self):
+        sched = self.schedule(5.0, 1e-3)
+        for t in time_grid(1e-3, 5.0).tolist():
+            assert sched.gains_at(t) == sched.solution_at(t).gains(1.0)
+
     def test_rejects_times_off_the_grid(self):
         sched = self.schedule(1.0, 1e-3)
         assert sched.solution_at(1.0).k1 == 0.0
@@ -269,6 +289,8 @@ class TestIndexedSchedule:
                 sched.solution_at(t)
         with pytest.raises(ValueError):
             sched.solution_at(np.array([0.0, 0.5, 1.01]))
+        with pytest.raises(ValueError):
+            sched.gains_at(1.01)
 
 
 # Problem data over every drift mode: gamma in [-2, 2], alpha in [0.1, 10]
