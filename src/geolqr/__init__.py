@@ -53,7 +53,9 @@ from .regulators import (
     TrackingReference,
     feedforward_torque,
     lyapunov_value,
+    regulation_controller,
     regulation_torque,
+    tracking_controller,
     tracking_pd_torque,
     value_candidate,
 )

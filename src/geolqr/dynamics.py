@@ -12,6 +12,12 @@ kinematics R' = R hat(w), both in body coordinates. One explicit step is
 with the torque evaluated at the pre-step state. The rotation update
 multiplies by an exact exponential, so group membership holds at machine
 precision for arbitrarily many steps.
+
+The closed loop builds no per-step object: simulate holds the state as the
+rotation array and three Python floats, and calls its controller as
+controller(i, r, w) with the sample index i, so a law reads its tables at
+row i instead of looking the time up. One private step kernel serves
+simulate and the array wrapper lie_euler_step.
 """
 
 from __future__ import annotations
@@ -118,33 +124,43 @@ def euler_rhs(w, tau, j: InertiaTensor) -> tuple:
     return (a0 + tau[0], a1 + tau[1], a2 + tau[2])
 
 
-def lie_euler_step(s: RigidBodyState, tau, h: float, j: InertiaTensor) -> RigidBodyState:
-    """One explicit group-preserving step of size h > 0.
+def _step(r, w, tau, h: float, j: InertiaTensor) -> tuple:
+    """One explicit group-preserving step of size h > 0 from rotation r, a
+    (3, 3) array, and velocity w under torque tau, float triples; returns
+    (r_next, w_next) in the same forms.
 
-    s.w and tau are (3,) float arrays. The velocity update is Python float
-    arithmetic: at one 3-vector per step numpy's call overhead outweighs the
-    work. The rotation update stays the numpy product of s.r and
-    exp_so3(h w), since both factors and the result are arrays.
+    The velocity update is Python float arithmetic: at one 3-vector per step
+    numpy's call overhead outweighs the work. The rotation update is the
+    numpy product of r and exp_so3(h w).
     """
-    w0, w1, w2 = w = s.w.tolist()
-    a0, a1, a2 = euler_rhs(w, tau.tolist(), j)
-    return RigidBodyState(
-        # .dot: the same BLAS product as @ at half the call overhead.
-        r=s.r.dot(exp_so3((w0 * h, w1 * h, w2 * h))),
-        w=np.array((w0 + h * a0, w1 + h * a1, w2 + h * a2)),
-    )
+    w0, w1, w2 = w
+    a0, a1, a2 = euler_rhs(w, tau, j)
+    # .dot: the same BLAS product as @ at half the call overhead.
+    return (r.dot(exp_so3((w0 * h, w1 * h, w2 * h))),
+            (w0 + h * a0, w1 + h * a1, w2 + h * a2))
+
+
+def lie_euler_step(s: RigidBodyState, tau, h: float, j: InertiaTensor) -> RigidBodyState:
+    """One explicit group-preserving step of size h > 0; s.w and tau are
+    (3,) float arrays. simulate's step, bit for bit."""
+    r, w = _step(s.r, s.w.tolist(), tau.tolist(), h, j)
+    return RigidBodyState(r, np.array(w))
 
 
 def simulate(controller, init: RigidBodyState, p: SimParams) -> TrajectoryLog:
     """Roll the closed loop forward and log every sample.
 
-    The controller is the only per-step callback. Quantities of the logged
-    state (errors, Lyapunov and value channels) are computed by the caller
-    from the returned arrays after the run.
+    The controller is the only per-step callback, and nothing in the loop
+    builds a per-step object: the state is a rotation array and three
+    floats. Quantities of the logged state (errors, Lyapunov and value
+    channels) are computed by the caller from the returned arrays after the
+    run.
 
     Args:
-        controller: callable(t, RigidBodyState) -> torque (3,). Its output is
-            recorded at each sample, including the final one.
+        controller: callable(i, r, w) -> three floats, the torque at sample
+            i (time log.times[i]) of rotation r, a (3, 3) array, and
+            velocity w, three floats. Its output is recorded at each
+            sample, including the final one.
         init: initial state.
         p: step size, horizon and inertia.
 
@@ -162,24 +178,22 @@ def simulate(controller, init: RigidBodyState, p: SimParams) -> TrajectoryLog:
     omegas = np.empty((n + 1, 3))
     torques = np.empty((n + 1, 3))
 
-    state = RigidBodyState(np.asarray(init.r, dtype=float).copy(),
-                           np.asarray(init.w, dtype=float).copy())
-    # Times and the guard are Python floats, like the step and the laws; the
-    # times are read one at a time, since a list of all would cost memory.
+    h, j = p.h, p.inertia
+    r = np.array(init.r, dtype=float)
+    w = tuple(np.asarray(init.w, dtype=float).tolist())
     for i in range(n + 1):
-        t = times.item(i)
-        w0, w1, w2 = state.w.tolist()
+        w0, w1, w2 = w
         # Written as "not <=" so that a NaN velocity fails the guard too.
         if not w0 * w0 + w1 * w1 + w2 * w2 <= OMEGA_DIVERGENCE_LIMIT ** 2:
             raise NumericalDivergence(
                 f"|omega| exceeded {OMEGA_DIVERGENCE_LIMIT:g} rad/s or is not finite "
-                f"at t = {t:.6g}")
-        tau = np.asarray(controller(t, state), dtype=float)
-        rotations[i] = state.r
-        omegas[i] = state.w
+                f"at t = {times.item(i):.6g}")
+        tau = controller(i, r, w)
+        rotations[i] = r
+        omegas[i] = w
         torques[i] = tau
         if i < n:
-            state = lie_euler_step(state, tau, p.h, p.inertia)
+            r, w = _step(r, w, tau, h, j)
     # A non-finite torque before the last sample already fails the velocity
     # guard; this catches the final sample's.
     if not np.isfinite(torques).all():

@@ -4,11 +4,13 @@ candidate-value diagnostics that certify them. The diagnostics are array
 functions over rows of attitude errors and velocities, which the regulate
 scenario computes once for its whole log.
 
-The feedback laws run once per closed-loop step, so they read the state
-and reference arrays into Python floats, compute with _float3, and return
-one (3,) array. Regulation makes one regulation_torque call per step and
-tracking one tracking_torque call, whose PD and feedforward terms come from
-the same float kernel as tracking_pd_torque and feedforward_torque.
+Each law is one private float kernel over Python floats, computed with
+_float3. regulation_controller and tracking_controller wrap the kernels as
+simulate's (i, r, w) controllers: sample i reads row i of the reference
+tables and of gain arrays over the grid, or constant gains, with no per-step
+object. regulation_torque, tracking_torque, tracking_pd_torque and
+feedforward_torque wrap the same kernels for one RigidBodyState and
+ReferenceSample and return a (3,) array, bit for bit the controllers' torque.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._float3 import cross, mtm, mv
-from .dynamics import OMEGA_DIVERGENCE_LIMIT, InertiaTensor, RigidBodyState, _prefix_products
+from .dynamics import (MAX_STEPS, OMEGA_DIVERGENCE_LIMIT, InertiaTensor, RigidBodyState,
+                       _prefix_products)
 from .errors import NumericalDivergence
 from .riccati import GainPair, RiccatiSolution
-from .so3 import _CHUNK, exp_rows, log_so3, row_dots
+from .so3 import _CHUNK, _log_floats, exp_rows, row_dots
 
 
 @dataclass(frozen=True)
@@ -76,32 +79,40 @@ class TrackingReference:
                                wdot=self.omega_dots[i])
 
 
-def regulation_torque(s: RigidBodyState, r_d: np.ndarray, g: GainPair) -> np.ndarray:
-    """-kP log(r_d.T r) - kD w to the goal rotation r_d. Raises AngleNearPi at the cut locus."""
-    e0, e1, e2 = log_so3(mtm(r_d.ravel().tolist(), s.r.ravel().tolist())).tolist()
-    w0, w1, w2 = s.w.tolist()
-    kp, kd = g.kP, g.kD
-    return np.array((-kp * e0 - kd * w0, -kp * e1 - kd * w1, -kp * e2 - kd * w2))
+def _per_sample(k) -> np.ndarray:
+    """A gain as a table read at sample i by .item(i): an array over the
+    simulation grid as it is, a constant as a zero-stride view as long as
+    the longest grid."""
+    k = np.asarray(k, dtype=float)
+    return k if k.ndim else np.broadcast_to(k, MAX_STEPS + 1)
 
 
-def _tracking_terms(s: RigidBodyState, ref: ReferenceSample, g: GainPair | None,
-                    j: InertiaTensor | None, accel_term: bool) -> tuple:
-    """The tracking law's PD and feedforward terms as float triples, from one
-    reading of the state and the sample; a term whose gains g or inertia j
-    is None comes back as None.
+def _regulation_law(r_d, r, w, kp: float, kd: float) -> tuple:
+    """-kP log(r_d.T r) - kD w from the floats of r_d and r, row by row, and
+    of w; raises AngleNearPi at the cut locus."""
+    e0, e1, e2 = _log_floats(mtm(r_d, r))
+    w0, w1, w2 = w
+    return (-kp * e0 - kd * w0, -kp * e1 - kd * w1, -kp * e2 - kd * w2)
+
+
+def _tracking_terms(r, w, r_ref, w_ref, wdot_ref, kp, kd, j: InertiaTensor | None,
+                    accel_term: bool) -> tuple:
+    """The tracking law's PD and feedforward terms as float triples, from the
+    floats of the state (r row by row, w) and of one reference row (r_ref
+    row by row, w_ref, wdot_ref, which is read only with accel_term); a term
+    whose gains kp, kd or inertia j is None comes back as None.
 
     Both terms share rel = r.T r_ref and the transported reference velocity
     w_t = rel w_ref. The attitude error log(r_ref.T r) is -log(rel) exactly,
     since transposing negates the skew part and keeps the trace, so the PD
     term is kP log(rel) - kD (w - w_t).
     """
-    rel = mtm(s.r.ravel().tolist(), ref.r.ravel().tolist())
-    t0, t1, t2 = w_t = mv(rel, ref.w.tolist())
-    w0, w1, w2 = w = s.w.tolist()
+    rel = mtm(r, r_ref)
+    t0, t1, t2 = w_t = mv(rel, w_ref)
+    w0, w1, w2 = w
     pd = ff = None
-    if g is not None:
-        e0, e1, e2 = log_so3(rel).tolist()
-        kp, kd = g.kP, g.kD
+    if kp is not None:
+        e0, e1, e2 = _log_floats(rel)
         pd = (kp * e0 - kd * (w0 - t0), kp * e1 - kd * (w1 - t1),
               kp * e2 - kd * (w2 - t2))
     if j is not None:
@@ -111,23 +122,74 @@ def _tracking_terms(s: RigidBodyState, ref: ReferenceSample, g: GainPair | None,
         x0, x1, x2 = cross(w, w_t)
         ff = (0.5 * (x0 - m0), 0.5 * (x1 - m1), 0.5 * (x2 - m2))
         if accel_term:
-            a0, a1, a2 = mv(rel, ref.wdot.tolist())
+            a0, a1, a2 = mv(rel, wdot_ref)
             ff = (ff[0] + a0, ff[1] + a1, ff[2] + a2)
     return pd, ff
+
+
+def _tracking_law(r, w, r_ref, w_ref, wdot_ref, kp: float, kd: float, j: InertiaTensor,
+                  accel_term: bool) -> tuple:
+    """The whole tracking law, PD plus feedforward, as a float triple."""
+    (p0, p1, p2), (f0, f1, f2) = _tracking_terms(r, w, r_ref, w_ref, wdot_ref, kp, kd, j,
+                                                 accel_term)
+    return (p0 + f0, p1 + f1, p2 + f2)
+
+
+def regulation_controller(r_d, g: GainPair):
+    """The regulation law as simulate's controller (i, r, w) -> torque.
+
+    g holds floats (ARE gains) or arrays over the simulation grid (a DRE
+    schedule's solution_at(times).gains(alpha)), read at sample i.
+    """
+    r_d = np.asarray(r_d, dtype=float).ravel().tolist()
+    kp, kd = _per_sample(g.kP), _per_sample(g.kD)
+
+    def controller(i, r, w):
+        return _regulation_law(r_d, r.ravel().tolist(), w, kp.item(i), kd.item(i))
+
+    return controller
+
+
+def tracking_controller(ref: TrackingReference, g: GainPair, j: InertiaTensor,
+                        accel_term: bool = False):
+    """The tracking law as simulate's controller (i, r, w) -> torque, on
+    ref's grid: sample i reads row i of the reference tables, and g as
+    regulation_controller does."""
+    rotations = ref.rotations.reshape(-1, 9)
+    omegas, omega_dots = ref.omegas, ref.omega_dots
+    kp, kd = _per_sample(g.kP), _per_sample(g.kD)
+
+    def controller(i, r, w):
+        return _tracking_law(r.ravel().tolist(), w, rotations[i].tolist(),
+                             omegas[i].tolist(),
+                             omega_dots[i].tolist() if accel_term else None,
+                             kp.item(i), kd.item(i), j, accel_term)
+
+    return controller
+
+
+def regulation_torque(s: RigidBodyState, r_d: np.ndarray, g: GainPair) -> np.ndarray:
+    """-kP log(r_d.T r) - kD w to the goal rotation r_d. Raises AngleNearPi at the cut locus."""
+    return np.array(_regulation_law(r_d.ravel().tolist(), s.r.ravel().tolist(),
+                                    s.w.tolist(), g.kP, g.kD))
+
+
+def _state_and_sample(s: RigidBodyState, ref: ReferenceSample) -> tuple:
+    """The floats _tracking_terms reads from a state and a reference sample."""
+    return (s.r.ravel().tolist(), s.w.tolist(), ref.r.ravel().tolist(), ref.w.tolist(),
+            ref.wdot.tolist())
 
 
 def tracking_torque(s: RigidBodyState, sample: ReferenceSample, g: GainPair,
                     j: InertiaTensor, accel_term: bool = False) -> np.ndarray:
     """The whole tracking law, tracking_pd_torque + feedforward_torque, in one
-    float pass: the closed loop's one call per step. Raises AngleNearPi at
-    the cut locus."""
-    (p0, p1, p2), (f0, f1, f2) = _tracking_terms(s, sample, g, j, accel_term)
-    return np.array((p0 + f0, p1 + f1, p2 + f2))
+    float pass. Raises AngleNearPi at the cut locus."""
+    return np.array(_tracking_law(*_state_and_sample(s, sample), g.kP, g.kD, j, accel_term))
 
 
 def tracking_pd_torque(s: RigidBodyState, ref: ReferenceSample, g: GainPair) -> np.ndarray:
     """-kP log(r_ref.T r) - kD (w - r.T r_ref w_ref)."""
-    return np.array(_tracking_terms(s, ref, g, None, False)[0])
+    return np.array(_tracking_terms(*_state_and_sample(s, ref), g.kP, g.kD, None, False)[0])
 
 
 def feedforward_torque(s: RigidBodyState, ref: ReferenceSample, j: InertiaTensor,
@@ -141,7 +203,7 @@ def feedforward_torque(s: RigidBodyState, ref: ReferenceSample, j: InertiaTensor
     plus, when accel_term is set, the transported reference acceleration
     r.T r_ref wdot_ref.
     """
-    return np.array(_tracking_terms(s, ref, None, j, accel_term)[1])
+    return np.array(_tracking_terms(*_state_and_sample(s, ref), None, None, j, accel_term)[1])
 
 
 def lyapunov_value(e, w, kp) -> np.ndarray:

@@ -46,16 +46,18 @@ CHUNK_EFOLDS = 8.0
 
 @dataclass(frozen=True)
 class CostParams:
-    """Quadratic cost weights: control weight alpha > 0, discount rate gamma,
-    and a 2x2 PSD state-cost matrix (identity by default)."""
+    """Quadratic cost weights: control weight alpha > 0 with a finite 1 /
+    alpha, discount rate gamma, and a 2x2 PSD state-cost matrix (identity by
+    default)."""
 
     alpha: float
     gamma: float = 0.0
     q_weights: np.ndarray = field(default_factory=lambda: np.eye(2))
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValidationError("alpha", "must be positive")
+        # A tiny alpha overflows the solvers' S = B B.T / alpha to inf.
+        if not (self.alpha > 0.0 and math.isfinite(1.0 / self.alpha)):
+            raise ValidationError("alpha", "must be positive with a finite reciprocal")
         q = np.asarray(self.q_weights, dtype=float)
         if q.shape != (2, 2) or abs(q[0, 1] - q[1, 0]) > 1e-12:
             raise ValidationError("q_weights", "must be a symmetric 2x2 matrix")
@@ -98,8 +100,9 @@ class GainSchedule:
 
     The grid is the simulation's (config requires a whole number of steps
     for DRE runs), so a lookup reads the sample at the nearest grid index
-    instead of interpolating; a scalar lookup returns Python floats, which
-    keeps the per-step feedback laws in float arithmetic.
+    instead of interpolating. A scalar lookup returns Python floats, and an
+    array of times arrays: the closed loop takes solution_at(times) once
+    over its grid and reads its gains at each sample index.
     """
 
     times: np.ndarray
@@ -129,7 +132,7 @@ class GainSchedule:
 
     def gains_at(self, t: float) -> GainPair:
         """solution_at(t).gains(alpha), read from the k3 and k2 samples
-        directly: the closed loop's one lookup per step."""
+        directly: bit for bit the closed loop's gains at that sample."""
         i = self._index(t)
         return GainPair(self.k3.item(i) / self.alpha, self.k2.item(i) / self.alpha)
 

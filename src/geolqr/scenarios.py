@@ -1,13 +1,15 @@
 """Scenario execution: resolve gains, run the closed loop or the
 boundary-value solver, write the trajectory CSV, and build the run summary.
 
-The closed loop only logs (`dynamics.simulate`) and makes one feedback-law
-call per step, with ARE gains built once before the loop. The dist, lyap
-and value channels are then computed from the logged arrays: the attitude
-errors in one chunked array pass (`so3.attitude_errors`) against the goal
-or the reference table on the same grid, K(t) from one Riccati-solution
-lookup over all logged times, and lyap and value from
-`regulators.lyapunov_value` and `value_candidate` over those arrays.
+The closed loop only logs (`dynamics.simulate`) and makes one call per step
+of `regulators.regulation_controller` or `tracking_controller`, which read
+sample i of tables built before the loop: the reference rows, and the gains
+as ARE's constant pair or as arrays from one DRE-schedule lookup over the
+simulation grid. The dist, lyap and value channels are then computed from
+the logged arrays: the attitude errors in one chunked array pass
+(`so3.attitude_errors`) against the goal or the reference table on the same
+grid, and lyap and value from `regulators.lyapunov_value` and
+`value_candidate` with that same K(t).
 
 Trajectory CSV column contract, in order:
 
@@ -118,27 +120,20 @@ def _block_columns(names, block) -> dict:
 
 def _resolve_gain_setup(cfg: ScenarioConfig):
     """Riccati solution lookup t -> RiccatiSolution (ARE: constant; DRE: the
-    backward sweep on the simulation grid), feedback gains lookup t ->
-    GainPair (ARE: one pair built here; DRE: one schedule lookup per call)
+    backward sweep on the simulation grid, arrays for an array of times)
     and the gain summary at t = 0."""
     a = riccati.drift_matrix(cfg.controller.a_matrix_mode, cfg.cost.gamma)
-    alpha = cfg.cost.alpha
     if cfg.controller.gain_source == "are":
-        sol = riccati.are_solve(a, cfg.cost.q_weights, alpha)
-        g = sol.gains(alpha)
+        sol = riccati.are_solve(a, cfg.cost.q_weights, cfg.cost.alpha)
 
         def solution_at(t):
             return sol
-
-        def gains_at(t):
-            return g
     else:
-        schedule = riccati.dre_integrate(a, cfg.cost.q_weights, alpha,
-                                         t_end=cfg.sim.t_end, h=cfg.sim.h)
-        solution_at, gains_at = schedule.solution_at, schedule.gains_at
-    g0 = gains_at(0.0)
+        solution_at = riccati.dre_integrate(a, cfg.cost.q_weights, cfg.cost.alpha,
+                                            t_end=cfg.sim.t_end, h=cfg.sim.h).solution_at
+    g0 = solution_at(0.0).gains(cfg.cost.alpha)
     summary = {"source": cfg.controller.gain_source, "kP": g0.kP, "kD": g0.kD}
-    return solution_at, gains_at, summary
+    return solution_at, summary
 
 
 def _guard_initial_distance(r_from, r0, what: str) -> None:
@@ -152,7 +147,7 @@ def _guard_initial_distance(r_from, r0, what: str) -> None:
 
 def run_gains(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     clock = _Clock()
-    _, _, gains = _resolve_gain_setup(cfg)
+    _, gains = _resolve_gain_setup(cfg)
     clock.lap("gain_solve")
     return clock.summary("gains", gains=gains)
 
@@ -179,40 +174,37 @@ def _run_closed_loop(cfg: ScenarioConfig, out_dir: Path, clock: _Clock,
 def run_regulate(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     clock = _Clock()
     _guard_initial_distance(cfg.goal, cfg.initial.r, "goal")
-    solution_at, gains_at, gain_summary = _resolve_gain_setup(cfg)
+    solution_at, gain_summary = _resolve_gain_setup(cfg)
     clock.lap("gain_solve")
-    alpha = cfg.cost.alpha
-
-    def controller(t, s):
-        return regulators.regulation_torque(s, cfg.goal, gains_at(t))
+    # K on the simulation grid: constants for ARE gains, arrays for DRE.
+    k = solution_at(time_grid(cfg.sim.h, cfg.sim.t_end))
+    g = k.gains(cfg.cost.alpha)
 
     def channels(log):
-        k = solution_at(log.times)
         e = so3.attitude_errors(np.broadcast_to(cfg.goal, log.rotations.shape), log.rotations)
         return {
             "dist": np.sqrt(so3.row_dots(e, e)),
-            "lyap": regulators.lyapunov_value(e, log.omegas, k.gains(alpha).kP),
+            "lyap": regulators.lyapunov_value(e, log.omegas, g.kP),
             "value": regulators.value_candidate(e, log.omegas, k),
         }
 
-    return _run_closed_loop(cfg, out_dir, clock, gain_summary, controller, channels)
+    return _run_closed_loop(cfg, out_dir, clock, gain_summary,
+                            regulators.regulation_controller(cfg.goal, g), channels)
 
 
 def run_track(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     clock = _Clock()
-    _, gains_at, gain_summary = _resolve_gain_setup(cfg)
+    solution_at, gain_summary = _resolve_gain_setup(cfg)
     clock.lap("gain_solve")
-    accel_term = cfg.controller.feedforward_accel_term
     times = time_grid(cfg.sim.h, cfg.sim.t_end)
     ref = regulators.TrackingReference(cfg.reference.omega(times),
                                        cfg.reference.omega_dot(times), cfg.sim.h,
                                        r0=cfg.reference.r0)
     _guard_initial_distance(ref.rotations[0], cfg.initial.r, "reference")
     clock.lap("reference_build")
-
-    def controller(t, s):
-        return regulators.tracking_torque(s, ref.sample(t), gains_at(t), cfg.sim.inertia,
-                                          accel_term)
+    controller = regulators.tracking_controller(
+        ref, solution_at(times).gains(cfg.cost.alpha), cfg.sim.inertia,
+        cfg.controller.feedforward_accel_term)
 
     def channels(log):
         # so3.geodesic_distance's sum of squares, in its order.
@@ -331,7 +323,7 @@ def run_check(cfg: ScenarioConfig, out_dir: Path):
     inertia = InertiaTensor.diagonal([1.0, 2.0, 3.0])
 
     def free_body(h, t_end):
-        return simulate(lambda t, s: np.zeros(3),
+        return simulate(lambda i, r, w: (0.0, 0.0, 0.0),
                         RigidBodyState(np.eye(3), np.array([0.3, 1.1, -0.2])),
                         SimParams(h, t_end, inertia))
 

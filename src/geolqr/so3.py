@@ -116,9 +116,7 @@ def log_so3(r) -> np.ndarray:
     """Axis-angle logarithm of a rotation matrix.
 
     Args:
-        r: (3, 3) rotation matrix with tr(r) > -1 + TRACE_GUARD, or its nine
-            entries row by row as a flat sequence of floats (the form the
-            float kernels of the closed loop produce).
+        r: (3, 3) rotation matrix with tr(r) > -1 + TRACE_GUARD.
 
     Returns:
         (3,) vector whose norm is the rotation angle, in [0, pi).
@@ -127,10 +125,16 @@ def log_so3(r) -> np.ndarray:
         AngleNearPi: when tr(r) + 1 <= TRACE_GUARD, i.e. the rotation is
             at or within about 1e-3 rad of the cut locus.
     """
+    return np.array(_log_floats(np.asarray(r, dtype=float).ravel().tolist()))
+
+
+def _log_floats(m) -> tuple:
+    """log_so3 of the rotation whose nine entries, row by row, are the
+    floats m, as a float triple: the form the closed loop's float kernels
+    take and give."""
     # Python floats: the same IEEE arithmetic as numpy scalars, several
     # times cheaper per operation.
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = (
-        r if len(r) == 9 else np.asarray(r, dtype=float).ravel().tolist())
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = m
     tr = r00 + r11 + r22
     if tr + 1.0 <= TRACE_GUARD:
         raise AngleNearPi(
@@ -146,7 +150,7 @@ def log_so3(r) -> np.ndarray:
         s = 1.0 + phi * phi / 6.0 + 7.0 * phi ** 4 / 360.0
     else:
         s = phi / sin_phi
-    return np.array([s * sx, s * sy, s * sz])
+    return (s * sx, s * sy, s * sz)
 
 
 # Rows per chunk of the array passes: each temporary stays near 300 kB.

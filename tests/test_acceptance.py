@@ -26,12 +26,7 @@ from geolqr.pmp import (
     transcription_oracle,
     variational_propagate,
 )
-from geolqr.regulators import (
-    TrackingReference,
-    feedforward_torque,
-    regulation_torque,
-    tracking_pd_torque,
-)
+from geolqr.regulators import TrackingReference, regulation_controller, tracking_controller
 from geolqr.riccati import (
     CostParams,
     are_residual,
@@ -92,9 +87,6 @@ def _criterion4_run(h, t_end, gains, sol):
     """The criterion-4 closed loop: its log and the channels computed from it."""
     goal = np.eye(3)
 
-    def controller(t, s):
-        return regulation_torque(s, goal, gains)
-
     def channels(s, tau):
         e = log_so3(s.r)  # goal is the identity
         d2 = float(e @ e)
@@ -108,7 +100,7 @@ def _criterion4_run(h, t_end, gains, sol):
         }
 
     init = RigidBodyState(exp_so3([0.9, -0.4, 0.2]), np.zeros(3))
-    log = simulate(controller, init, SimParams(h, t_end, J123))
+    log = simulate(regulation_controller(goal, gains), init, SimParams(h, t_end, J123))
     rows = [channels(RigidBodyState(r, w), tau)
             for r, w, tau in zip(log.rotations, log.omegas, log.torques)]
     return log, {name: np.array([row[name] for row in rows]) for name in rows[0]}
@@ -145,12 +137,8 @@ def test_criterion_05_tracking_convergence():
     axis = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
     init = RigidBodyState(ref.rotations[0] @ exp_so3(0.5 * axis), np.zeros(3))
 
-    def controller(t, s):
-        sample = ref.sample(t)
-        return (tracking_pd_torque(s, sample, gains)
-                + feedforward_torque(s, sample, J123, accel_term=True))
-
-    log = simulate(controller, init, SimParams(1e-3, 50.0, J123))
+    log = simulate(tracking_controller(ref, gains, J123, accel_term=True), init,
+                   SimParams(1e-3, 50.0, J123))
     err = np.array([geodesic_distance(ref.sample(t).r, r)
                     for t, r in zip(log.times, log.rotations)])
     elapsed = time.perf_counter() - start
@@ -174,7 +162,7 @@ def test_criterion_06_integrator_fidelity():
     assert worst <= 1e-10
 
     def worst_drift(h):
-        log = simulate(lambda t, s: np.zeros(3),
+        log = simulate(lambda i, r, w: (0.0, 0.0, 0.0),
                        RigidBodyState(np.eye(3), np.array([0.3, 1.1, -0.2])),
                        SimParams(h, 10.0, J123))
         ke = np.array([0.5 * float(w @ (J123.j @ w)) for w in log.omegas])

@@ -245,6 +245,24 @@ def test_number_too_large_for_a_float_exits_two(tmp_path, capsys, payload, path)
     assert line["path"] == path
 
 
+# 1 / alpha overflows to inf in the solvers' S = B B.T / alpha: exit 2 with
+# one JSON line on stderr, not a LinAlgError traceback or a numpy warning.
+@pytest.mark.parametrize("source", ["are", "dre"])
+def test_alpha_with_infinite_reciprocal_exits_two(tmp_path, capsys, source):
+    payload = {"command": "gains", "cost": {"alpha": 1e-320},
+               "controller": {"gain_source": source}}
+    cfg = write_config(tmp_path, payload)
+    assert main(["gains", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    line = json.loads(err[0])
+    assert line["error"] == "ValidationError"
+    assert line["path"] == "cost.alpha"
+    with pytest.raises(ValidationError) as exc:
+        CostParams(alpha=1e-320)
+    assert exc.value.path == "alpha"
+
+
 class TestRunSummary:
     def test_round_trip(self):
         summary = RunSummary(command="regulate",

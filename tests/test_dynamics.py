@@ -20,7 +20,7 @@ from geolqr.errors import NumericalDivergence
 from geolqr.so3 import exp_so3, orthogonality_defect
 
 J123 = InertiaTensor.diagonal([1.0, 2.0, 3.0])
-ZERO_CONTROLLER = lambda t, s: np.zeros(3)
+ZERO_CONTROLLER = lambda i, r, w: (0.0, 0.0, 0.0)
 
 
 class TestInertia:
@@ -101,7 +101,7 @@ class TestSimulate:
 
     def test_deterministic_bit_identical(self):
         init = RigidBodyState(exp_so3([0.5, -0.2, 0.1]), np.array([0.1, 0.0, -0.3]))
-        ctrl = lambda t, s: -0.5 * s.w
+        ctrl = lambda i, r, w: (-0.5 * w[0], -0.5 * w[1], -0.5 * w[2])
         log1 = simulate(ctrl, init, SimParams(1e-3, 1.0, J123))
         log2 = simulate(ctrl, init, SimParams(1e-3, 1.0, J123))
         assert np.array_equal(log1.rotations, log2.rotations)
@@ -128,7 +128,7 @@ class TestSimulate:
         assert 0.5 / 1.5 <= mom2 / mom1 <= 0.5 * 1.5
 
     def test_divergence_guard(self):
-        runaway = lambda t, s: 1e4 * s.w
+        runaway = lambda i, r, w: (1e4 * w[0], 1e4 * w[1], 1e4 * w[2])
         with pytest.raises(NumericalDivergence):
             simulate(runaway, RigidBodyState(np.eye(3), np.array([1.0, 0.0, 0.0])),
                      SimParams(1e-3, 10.0, J123))
@@ -136,24 +136,39 @@ class TestSimulate:
     def test_initial_velocity_is_guarded(self):
         # The guard reads every state before it is used, the first one too.
         with pytest.raises(NumericalDivergence):
-            simulate(lambda t, s: np.zeros(3),
+            simulate(ZERO_CONTROLLER,
                      RigidBodyState(np.eye(3), np.array([1e300, 0.0, 0.0])),
                      SimParams(1e-3, 1.0, J123))
 
     def test_nan_torque_raises(self):
         with pytest.raises(NumericalDivergence):
-            simulate(lambda t, s: np.full(3, np.nan),
+            simulate(lambda i, r, w: (math.nan, math.nan, math.nan),
                      RigidBodyState(np.eye(3), np.zeros(3)), SimParams(1e-3, 1.0, J123))
 
     def test_nan_torque_at_final_sample_raises(self):
         # No step follows the last sample, so only the torque check sees it.
-        last = lambda t, s: np.full(3, np.nan) if t > 0.0095 else np.zeros(3)
+        last = lambda i, r, w: (math.nan,) * 3 if i == 10 else (0.0, 0.0, 0.0)
         with pytest.raises(NumericalDivergence):
             simulate(last, RigidBodyState(np.eye(3), np.zeros(3)),
                      SimParams(1e-3, 0.01, J123))
 
+    def test_controller_sees_index_rotation_array_and_float_velocity(self):
+        seen = []
+
+        def ctrl(i, r, w):
+            seen.append((i, r.copy(), w))
+            return (0.1, -0.2, 0.3)
+
+        init = RigidBodyState(exp_so3([0.2, 0.1, -0.4]), np.array([0.3, 0.0, 1.0]))
+        log = simulate(ctrl, init, SimParams(1e-3, 0.01, J123))
+        assert [i for i, _, _ in seen] == list(range(len(log)))
+        for i, r, w in seen:
+            assert r.shape == (3, 3) and np.array_equal(r, log.rotations[i])
+            assert len(w) == 3 and all(type(x) is float for x in w)
+            assert np.array_equal(w, log.omegas[i])
+
     def test_torque_channel_records_controller_output(self):
-        ctrl = lambda t, s: np.array([math.sin(t), 0.0, 0.0])
+        ctrl = lambda i, r, w: (math.sin(i * 1e-3), 0.0, 0.0)
         log = simulate(ctrl, RigidBodyState(np.eye(3), np.zeros(3)),
                        SimParams(1e-3, 0.01, J123))
         assert np.allclose(log.torques[:, 0], np.sin(log.times), atol=1e-15)

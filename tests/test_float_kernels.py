@@ -1,6 +1,8 @@
 """Property tests of the closed loop's Python-float kernels against the numpy
 formulas they replace, written out here as the oracles: the integrator step,
-the torque laws and the reference polynomial tables; of the backward Riccati
+the torque laws and the reference polynomial tables; of simulate's float
+loop and the scenarios' controllers against a per-step loop of state objects
+and the public array laws, bit for bit; of the backward Riccati
 sweep against the exact Hamiltonian flow by scipy; and of the array
 exponential and attitude-error passes against exp_so3 and log_so3 row by
 row."""
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from geolqr import scenarios
 from geolqr.config import ReferenceConfig, parse_config
 from geolqr.dynamics import (
     AFFINE_CHUNK,
@@ -29,8 +32,11 @@ from geolqr.dynamics import (
 from geolqr.errors import AngleNearPi
 from geolqr.regulators import (
     ReferenceSample,
+    TrackingReference,
     feedforward_torque,
+    regulation_controller,
     regulation_torque,
+    tracking_controller,
     tracking_pd_torque,
     tracking_torque,
 )
@@ -38,6 +44,7 @@ from geolqr.riccati import (
     DRIFT_MODES,
     GainPair,
     _problem,
+    are_solve,
     dre_integrate,
     drift_matrix,
 )
@@ -137,9 +144,142 @@ class TestStepAndLaws:
 def test_simulate_keeps_rotations_orthogonal(r0, w0, torques, j):
     # A piecewise-constant torque drawn afresh every 25 steps for 1,000 steps.
     h = 1e-3
-    log = simulate(lambda t, s: torques[int(round(t / h)) // 25],
+    log = simulate(lambda i, r, w: torques[i // 25].tolist(),
                    RigidBodyState(r0, w0), SimParams(h, 1.0, j))
     assert max(orthogonality_defect(r) for r in log.rotations) <= 1e-12
+
+
+def simulate_per_step(law, init, p):
+    """The closed loop with a RigidBodyState per step, lie_euler_step and
+    law(t, s) -> (3,) array, as it ran before simulate's (i, r, w) float
+    contract: the oracle of simulate's loop. Returns the logged rotations,
+    velocities and torques."""
+    times = time_grid(p.h, p.t_end)
+    s = RigidBodyState(init.r.copy(), init.w.copy())
+    rows = []
+    for k, t in enumerate(times.tolist()):
+        tau = law(t, s)
+        rows.append((s.r, s.w, tau))
+        if k < len(times) - 1:
+            s = lie_euler_step(s, tau, p.h, p.inertia)
+    return tuple(np.array(x) for x in zip(*rows))
+
+
+J_OFF = InertiaTensor([[1.0, 0.1, -0.2], [0.1, 2.0, 0.3], [-0.2, 0.3, 3.0]])
+SIM = SimParams(1e-3, 1.0, J_OFF)
+START = RigidBodyState(exp_so3([0.9, -0.4, 0.7]), np.array([0.3, -1.1, 0.5]))
+GOAL = exp_so3([-0.2, 0.1, 0.3])
+
+
+def schedules():
+    """ARE and DRE gains of the published tracking problem on SIM's grid:
+    (gains_at(t) for the per-step loop, the pair over the grid for the
+    controllers)."""
+    a = drift_matrix("published-tracking", -2.0)
+    sol = are_solve(a, np.eye(2), 1.0)
+    sched = dre_integrate(a, np.eye(2), 1.0, t_end=SIM.t_end, h=SIM.h)
+    times = time_grid(SIM.h, SIM.t_end)
+    return {"are": (lambda t: sol.gains(1.0), sol.gains(1.0)),
+            "dre": (sched.gains_at, sched.solution_at(times).gains(1.0))}
+
+
+def quadratic_reference(p):
+    """w_ref = b + c t + d t^2 on p's grid: every row of all three tables
+    differs from its neighbours."""
+    t = time_grid(p.h, p.t_end)[:, None]
+    b, c, d = np.array([[0.2, 0.1, -0.3], [0.5, -0.3, 0.4], [0.3, 0.2, -0.1]])
+    return TrackingReference(b + c * t + d * t * t, c + 2.0 * d * t, p.h,
+                             r0=exp_so3([0.1, 0.2, 0.3]))
+
+
+class TestClosedLoopAgainstPerStepObjects:
+    """simulate with the public controllers against simulate_per_step with
+    the public array laws, bit for bit over 1,000 steps."""
+
+    @staticmethod
+    def assert_same_log(log, oracle):
+        rotations, omegas, torques = oracle
+        assert np.array_equal(log.rotations, rotations)
+        assert np.array_equal(log.omegas, omegas)
+        assert np.array_equal(log.torques, torques)
+
+    @pytest.mark.parametrize("source", ["are", "dre"])
+    def test_regulation(self, source):
+        gains_at, g = schedules()[source]
+        log = simulate(regulation_controller(GOAL, g), START, SIM)
+        self.assert_same_log(log, simulate_per_step(
+            lambda t, s: regulation_torque(s, GOAL, gains_at(t)), START, SIM))
+
+    @pytest.mark.parametrize("source", ["are", "dre"])
+    @pytest.mark.parametrize("accel_term", [True, False])
+    def test_tracking(self, source, accel_term):
+        gains_at, g = schedules()[source]
+        ref = quadratic_reference(SIM)
+        log = simulate(tracking_controller(ref, g, J_OFF, accel_term), START, SIM)
+        self.assert_same_log(log, simulate_per_step(
+            lambda t, s: tracking_torque(s, ref.sample(t), gains_at(t), J_OFF, accel_term),
+            START, SIM))
+
+
+class TestScenarioLaws:
+    """The controllers scenarios.run hands to simulate, evaluated at every
+    25th logged state, equal the public array laws by tobytes()."""
+
+    @staticmethod
+    def run_capturing(monkeypatch, tmp_path, config):
+        captured = []
+
+        def capture(controller, init, p):
+            log = simulate(controller, init, p)
+            captured.append((controller, log))
+            return log
+
+        monkeypatch.setattr(scenarios, "simulate", capture)
+        cfg = parse_config(json.dumps(config))
+        scenarios.run(cfg, str(tmp_path))
+        (controller, log), = captured
+        return cfg, controller, log
+
+    @staticmethod
+    def gains_at(cfg):
+        a = drift_matrix(cfg.controller.a_matrix_mode, cfg.cost.gamma)
+        if cfg.controller.gain_source == "are":
+            g = are_solve(a, cfg.cost.q_weights, cfg.cost.alpha).gains(cfg.cost.alpha)
+            return lambda t: g
+        return dre_integrate(a, cfg.cost.q_weights, cfg.cost.alpha,
+                             t_end=cfg.sim.t_end, h=cfg.sim.h).gains_at
+
+    @staticmethod
+    def states(log):
+        for i in range(0, len(log), 25):
+            yield i, log.times.item(i), log.rotations[i], log.omegas[i]
+
+    @pytest.mark.parametrize("source", ["are", "dre"])
+    def test_regulate(self, monkeypatch, tmp_path, source):
+        cfg, controller, log = self.run_capturing(monkeypatch, tmp_path, {
+            "command": "regulate", "sim": {"t_end": 2.0},
+            "initial": {"omega": [0.3, -0.2, 0.5]}, "controller": {"gain_source": source}})
+        gains_at = self.gains_at(cfg)
+        for i, t, r, w in self.states(log):
+            want = regulation_torque(RigidBodyState(r, w), cfg.goal, gains_at(t))
+            assert np.array(controller(i, r, tuple(w.tolist()))).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("source", ["are", "dre"])
+    @pytest.mark.parametrize("accel_term", [True, False])
+    def test_track(self, monkeypatch, tmp_path, source, accel_term):
+        cfg, controller, log = self.run_capturing(monkeypatch, tmp_path, {
+            "command": "track", "sim": {"t_end": 2.0},
+            "reference": {"omega_coeffs": [[0.2, 0.5, 0.3], [0.1, -0.3, 0.2],
+                                           [-0.3, 0.4, -0.1]]},
+            "controller": {"gain_source": source, "feedforward_accel_term": accel_term}})
+        gains_at = self.gains_at(cfg)
+        times = time_grid(cfg.sim.h, cfg.sim.t_end)
+        ref = TrackingReference(cfg.reference.omega(times), cfg.reference.omega_dot(times),
+                                cfg.sim.h, r0=cfg.reference.r0)
+        for i, t, r, w in self.states(log):
+            want = tracking_torque(RigidBodyState(r, w), ref.sample(t), gains_at(t),
+                                   cfg.sim.inertia, accel_term)
+            assert np.array(controller(i, r, tuple(w.tolist()))).tobytes() == want.tobytes()
 
 
 def dre_exact(a, q, rw, times):
