@@ -1,7 +1,8 @@
 """Rigid-body attitude dynamics with a fixed point, the group-preserving
 Euler integrator, the classical Runge-Kutta sweep of pmp's extremal with
-its affine form for linear systems, and the doubling prefix product that
-the tracking reference and the Riccati sweep share.
+its affine form for linear systems, and what the tracking reference and the
+Riccati sweep share: the doubling prefix product and nearest_sample, the
+one rule that maps a time to its grid sample.
 
 The body angular velocity satisfies w' = J^-1 (J w x w) + tau and the
 kinematics R' = R hat(w), both in body coordinates. One explicit step is
@@ -109,6 +110,17 @@ def time_grid(h: float, t_end: float) -> np.ndarray:
     """The simulator's grid: times k h, k = 0..ceil(t_end / h), of exact step
     h, so the last time may overshoot t_end. Compare uniform_grid."""
     return np.arange(int(math.ceil(t_end / h - 1e-9)) + 1) * h
+
+
+def nearest_sample(t, h: float, n: int):
+    """Index k of the grid time k h, k = 0..n, nearest t: an int, or an
+    intp array for an array of times. Raises ValueError when a time lies
+    off the grid, more than h / 2 outside [0, n h], or is NaN."""
+    k = np.rint(np.divide(t, h))
+    if np.size(k) and not (0 <= k.min() and k.max() <= n):
+        raise ValueError(f"t = {np.min(t) if k.min() < 0 else np.max(t):.6g} lies outside "
+                         f"the grid of {n} steps of {h:.6g}")
+    return k.astype(np.intp) if isinstance(k, np.ndarray) else int(k)
 
 
 def uniform_grid(t_end: float, h: float) -> np.ndarray:

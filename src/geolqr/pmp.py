@@ -159,8 +159,9 @@ class AvoidanceScenario:
                                       "initial configuration inside obstacle")
 
 
-def _grad_goal_potential(scenario: AvoidanceScenario, q) -> np.ndarray:
-    """Gradient of U(q*, .) at every point of q: q - q* on flat space, and
+def goal_errors(scenario: AvoidanceScenario, q) -> np.ndarray:
+    """Error of every point of q from the goal q*, which is the gradient of
+    U(q*, .) and whose norm is the distance to q*: q - q* on flat space, and
     log(q*.T q) on the group, where q holds (..., 3, 3) rotations."""
     q = np.asarray(q, dtype=float)
     if scenario.manifold == "flat":
@@ -181,7 +182,7 @@ def running_cost(scenario: AvoidanceScenario, q, v, u) -> np.ndarray:
     u2 = row_dots(u, u)
     if scenario.mode == "terminal":
         return 0.5 * scenario.alpha * u2
-    g = _grad_goal_potential(scenario, q)
+    g = goal_errors(scenario, q)
     cost = 0.5 * (row_dots(g, g) + row_dots(v, v) + scenario.alpha * u2)
     if scenario.obstacles:
         o = np.array([obs.value(q) for obs in scenario.obstacles])
@@ -209,7 +210,7 @@ def _grad_potential(scenario: AvoidanceScenario, q):
         o = row_dots(d, d) - obs.radius ** 2
         barrier = barrier - 2.0 * d / (o * o)[..., None]
         contact = contact | (o <= 0.0)
-    return _grad_goal_potential(scenario, q) + barrier, contact
+    return goal_errors(scenario, q) + barrier, contact
 
 
 def _avoidance_accel(scenario: AvoidanceScenario, q, v, u):
@@ -303,7 +304,7 @@ def trajectory_cost(scenario: AvoidanceScenario, times, q, v, u) -> float:
         raise ObstacleContact("the path touches an obstacle")
     cost = float(lvals @ _trapezoid_weights(times))
     if scenario.mode == "terminal":
-        gT, vT = _grad_goal_potential(scenario, q[-1]), v[-1]
+        gT, vT = goal_errors(scenario, q[-1]), v[-1]
         cost += 0.5 * float(gT @ gT) + 0.5 * float(vT @ vT)
     return cost
 
@@ -338,7 +339,7 @@ def _terminal_residual(scenario: AvoidanceScenario, z) -> np.ndarray:
     a = scenario.alpha
     if scenario.mode == "avoidance":
         return np.hstack([u, w - v / a])
-    gT = _grad_goal_potential(scenario, q)
+    gT = goal_errors(scenario, q)
     return np.hstack([u + v / a, w - gT / a])
 
 
@@ -694,7 +695,7 @@ def costate_integrate(scenario: AvoidanceScenario, solution: BVPSolution) -> Cos
     vm = 0.5 * (vr[:-1] + vr[1:])
     a = tuple(-_variational_matrices(scenario.manifold, vs).swapaxes(-1, -2) for vs in (vr, vm))
     if scenario.mode == "terminal":
-        terminal, f = np.concatenate([_grad_goal_potential(scenario, q[-1]), v[-1]]), (0.0, 0.0)
+        terminal, f = np.concatenate([goal_errors(scenario, q[-1]), v[-1]]), (0.0, 0.0)
     else:
         terminal, f = np.zeros(2 * v.shape[1]), []
         for qs, vs in ((qr, vr), (_midpoints(scenario, qr), vm)):

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._float3 import cross, mtm, mv
 from .dynamics import (MAX_STEPS, OMEGA_DIVERGENCE_LIMIT, InertiaTensor, RigidBodyState,
-                       _prefix_products)
+                       _prefix_products, nearest_sample)
 from .errors import NumericalDivergence
 from .riccati import GainPair, RiccatiSolution
 from .so3 import _CHUNK, _log_floats, exp_rows, row_dots
@@ -71,10 +71,9 @@ class TrackingReference:
         self.rotations = rots
 
     def sample(self, t: float) -> ReferenceSample:
-        """Grid sample nearest t; raises ValueError when t is off the grid."""
-        i = int(round(t / self.h))
-        if not 0 <= i < self.rotations.shape[0]:
-            raise ValueError(f"t = {t:.6g} lies outside the reference grid")
+        """Grid sample nearest t (dynamics.nearest_sample); raises ValueError
+        when t is off the grid."""
+        i = nearest_sample(t, self.h, len(self.rotations) - 1)
         return ReferenceSample(r=self.rotations[i], w=self.omegas[i],
                                wdot=self.omega_dots[i])
 
@@ -138,8 +137,8 @@ def _tracking_law(r, w, r_ref, w_ref, wdot_ref, kp: float, kd: float, j: Inertia
 def regulation_controller(r_d, g: GainPair):
     """The regulation law as simulate's controller (i, r, w) -> torque.
 
-    g holds floats (ARE gains) or arrays over the simulation grid (a DRE
-    schedule's solution_at(times).gains(alpha)), read at sample i.
+    g holds floats (ARE gains) or arrays over the simulation grid (the
+    gains of a DRE schedule's rows), read at sample i.
     """
     r_d = np.asarray(r_d, dtype=float).ravel().tolist()
     kp, kd = _per_sample(g.kP), _per_sample(g.kD)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import AFFINE_CHUNK, _prefix_products, uniform_grid
+from .dynamics import AFFINE_CHUNK, _prefix_products, nearest_sample, uniform_grid
 from .errors import NoStabilizingSolution, NotControllable, StepTooLarge, ValidationError
 
 # Published gain tables are reproduced by these drift matrices, which do not
@@ -98,11 +98,12 @@ class GainPair:
 class GainSchedule:
     """Riccati solution sampled on a uniform time grid, zero at the horizon.
 
-    The grid is the simulation's (config requires a whole number of steps
-    for DRE runs), so a lookup reads the sample at the nearest grid index
-    instead of interpolating. A scalar lookup returns Python floats, and an
-    array of times arrays: the closed loop takes solution_at(times) once
-    over its grid and reads its gains at each sample index.
+    For a DRE closed loop the grid is the simulation's (config requires a
+    whole number of steps), so row i of k1, k2 and k3 is the loop's sample
+    i and the loop reads the rows as they are. A lookup by time reads the
+    sample at the nearest grid index (dynamics.nearest_sample) instead of
+    interpolating; a scalar time gives Python floats, an array of times
+    arrays.
     """
 
     times: np.ndarray
@@ -111,23 +112,16 @@ class GainSchedule:
     k3: np.ndarray
     alpha: float
 
-    def _index(self, t: float) -> int:
+    def _index(self, t):
         n = len(self.times) - 1
-        i = round(t * (n / self.times.item(-1)))
-        if not 0 <= i <= n:
-            raise ValueError(f"t = {t:.6g} lies outside the gain schedule's grid")
-        return i
+        return nearest_sample(t, self.times.item(-1) / n, n)
 
     def solution_at(self, t) -> RiccatiSolution:
         """K at the grid time nearest t; an array of times gives arrays of
         entries. Raises ValueError when t lies off the grid."""
-        if isinstance(t, np.ndarray):
-            n = len(self.times) - 1
-            i = np.rint(t * (n / self.times.item(-1))).astype(np.intp)
-            if i.size and not (0 <= i.min() and i.max() <= n):
-                raise ValueError("a time lies outside the gain schedule's grid")
-            return RiccatiSolution(self.k1[i], self.k2[i], self.k3[i])
         i = self._index(t)
+        if isinstance(i, np.ndarray):
+            return RiccatiSolution(self.k1[i], self.k2[i], self.k3[i])
         return RiccatiSolution(self.k1.item(i), self.k2.item(i), self.k3.item(i))
 
     def gains_at(self, t: float) -> GainPair:

@@ -4,12 +4,14 @@ boundary-value solver, write the trajectory CSV, and build the run summary.
 The closed loop only logs (`dynamics.simulate`) and makes one call per step
 of `regulators.regulation_controller` or `tracking_controller`, which read
 sample i of tables built before the loop: the reference rows, and the gains
-as ARE's constant pair or as arrays from one DRE-schedule lookup over the
-simulation grid. The dist, lyap and value channels are then computed from
-the logged arrays: the attitude errors in one chunked array pass
-(`so3.attitude_errors`) against the goal or the reference table on the same
-grid, and lyap and value from `regulators.lyapunov_value` and
-`value_candidate` with that same K(t).
+as ARE's constant pair or as the DRE schedule's rows, which are the
+simulation grid's samples. The channels are then computed from the logged
+arrays in _run_closed_loop: the attitude errors e against the reference
+rotations (the goal, broadcast, or the tracking table on the same grid) in
+one chunked array pass (`so3.attitude_errors`), dist = |e| by
+`so3.row_dots`, and regulate's lyap and value from
+`regulators.lyapunov_value` and `value_candidate` with the same e and K(t).
+The avoid command's dist is the same norm of `pmp.goal_errors`.
 
 Trajectory CSV column contract, in order:
 
@@ -119,21 +121,18 @@ def _block_columns(names, block) -> dict:
 
 
 def _resolve_gain_setup(cfg: ScenarioConfig):
-    """Riccati solution lookup t -> RiccatiSolution (ARE: constant; DRE: the
-    backward sweep on the simulation grid, arrays for an array of times)
-    and the gain summary at t = 0."""
+    """K on the simulation grid and the gain summary at t = 0. ARE: the
+    constant solution. DRE: the backward sweep's rows, which a closed loop
+    reads as its samples (config requires a whole number of sim.h steps)."""
     a = riccati.drift_matrix(cfg.controller.a_matrix_mode, cfg.cost.gamma)
     if cfg.controller.gain_source == "are":
-        sol = riccati.are_solve(a, cfg.cost.q_weights, cfg.cost.alpha)
-
-        def solution_at(t):
-            return sol
+        k = k0 = riccati.are_solve(a, cfg.cost.q_weights, cfg.cost.alpha)
     else:
-        solution_at = riccati.dre_integrate(a, cfg.cost.q_weights, cfg.cost.alpha,
-                                            t_end=cfg.sim.t_end, h=cfg.sim.h).solution_at
-    g0 = solution_at(0.0).gains(cfg.cost.alpha)
-    summary = {"source": cfg.controller.gain_source, "kP": g0.kP, "kD": g0.kD}
-    return solution_at, summary
+        sched = riccati.dre_integrate(a, cfg.cost.q_weights, cfg.cost.alpha,
+                                      t_end=cfg.sim.t_end, h=cfg.sim.h)
+        k, k0 = riccati.RiccatiSolution(sched.k1, sched.k2, sched.k3), sched.solution_at(0.0)
+    g0 = k0.gains(cfg.cost.alpha)
+    return k, {"source": cfg.controller.gain_source, "kP": g0.kP, "kD": g0.kD}
 
 
 def _guard_initial_distance(r_from, r0, what: str) -> None:
@@ -153,48 +152,45 @@ def run_gains(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
 
 
 def _run_closed_loop(cfg: ScenarioConfig, out_dir: Path, clock: _Clock,
-                     gain_summary: dict, controller, channels) -> RunSummary:
-    """Simulate from the configured initial state, compute channels(log) (a
-    dict with at least "dist") from the log, write the trajectory CSV and
+                     gain_summary: dict, controller, r_ref, channels=None) -> RunSummary:
+    """Simulate from the configured initial state; take the attitude errors
+    e of the log against r_ref (one goal rotation, or a reference table on
+    the simulation grid) in one pass and dist = |e| row by row, plus the
+    columns of channels(e, log), if given; write the trajectory CSV and
     summarise."""
     log = simulate(controller, cfg.initial, cfg.sim)
     clock.lap("simulate")
-    derived = channels(log)
+    e = so3.attitude_errors(np.broadcast_to(r_ref, log.rotations.shape), log.rotations)
+    dist = np.sqrt(so3.row_dots(e, e))
+    derived = channels(e, log) if channels else {}
     clock.lap("channels")
     columns = {"t": log.times, **_block_columns(_NAMES[1:10], log.rotations),
                **_block_columns(_NAMES[10:13], log.omegas),
-               **_block_columns(_NAMES[13:16], log.torques), **derived}
+               **_block_columns(_NAMES[13:16], log.torques), "dist": dist, **derived}
     _write_rows(out_dir / "trajectory.csv", CSV_HEADER, columns, cfg.output.decimation)
     clock.lap("csv_write")
-    return clock.summary(cfg.command, gains=gain_summary,
-                         final_distance=float(derived["dist"][-1]),
+    return clock.summary(cfg.command, gains=gain_summary, final_distance=float(dist[-1]),
                          final_velocity_norm=float(np.linalg.norm(log.omegas[-1])))
 
 
 def run_regulate(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     clock = _Clock()
     _guard_initial_distance(cfg.goal, cfg.initial.r, "goal")
-    solution_at, gain_summary = _resolve_gain_setup(cfg)
+    k, gain_summary = _resolve_gain_setup(cfg)
     clock.lap("gain_solve")
-    # K on the simulation grid: constants for ARE gains, arrays for DRE.
-    k = solution_at(time_grid(cfg.sim.h, cfg.sim.t_end))
     g = k.gains(cfg.cost.alpha)
 
-    def channels(log):
-        e = so3.attitude_errors(np.broadcast_to(cfg.goal, log.rotations.shape), log.rotations)
-        return {
-            "dist": np.sqrt(so3.row_dots(e, e)),
-            "lyap": regulators.lyapunov_value(e, log.omegas, g.kP),
-            "value": regulators.value_candidate(e, log.omegas, k),
-        }
+    def channels(e, log):
+        return {"lyap": regulators.lyapunov_value(e, log.omegas, g.kP),
+                "value": regulators.value_candidate(e, log.omegas, k)}
 
     return _run_closed_loop(cfg, out_dir, clock, gain_summary,
-                            regulators.regulation_controller(cfg.goal, g), channels)
+                            regulators.regulation_controller(cfg.goal, g), cfg.goal, channels)
 
 
 def run_track(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     clock = _Clock()
-    solution_at, gain_summary = _resolve_gain_setup(cfg)
+    k, gain_summary = _resolve_gain_setup(cfg)
     clock.lap("gain_solve")
     times = time_grid(cfg.sim.h, cfg.sim.t_end)
     ref = regulators.TrackingReference(cfg.reference.omega(times),
@@ -202,16 +198,9 @@ def run_track(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
                                        r0=cfg.reference.r0)
     _guard_initial_distance(ref.rotations[0], cfg.initial.r, "reference")
     clock.lap("reference_build")
-    controller = regulators.tracking_controller(
-        ref, solution_at(times).gains(cfg.cost.alpha), cfg.sim.inertia,
-        cfg.controller.feedforward_accel_term)
-
-    def channels(log):
-        # so3.geodesic_distance's sum of squares, in its order.
-        e2 = so3.attitude_errors(ref.rotations, log.rotations) ** 2
-        return {"dist": np.sqrt(e2[:, 0] + e2[:, 1] + e2[:, 2])}
-
-    return _run_closed_loop(cfg, out_dir, clock, gain_summary, controller, channels)
+    controller = regulators.tracking_controller(ref, k.gains(cfg.cost.alpha), cfg.sim.inertia,
+                                                cfg.controller.feedforward_accel_term)
+    return _run_closed_loop(cfg, out_dir, clock, gain_summary, controller, ref.rotations)
 
 
 def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
@@ -220,7 +209,8 @@ def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     solution = pmp.shooting_solve(scenario, h=cfg.sim.h)
     clock.lap("shoot")
     costates = pmp.costate_integrate(scenario, solution)
-    dist = np.linalg.norm(solution.q - scenario.target, axis=1)
+    e = pmp.goal_errors(scenario, solution.q)
+    dist = np.sqrt(so3.row_dots(e, e))
     clearance = None
     if scenario.obstacles:
         clearance = float(min(obs.value(solution.q).min() for obs in scenario.obstacles))

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from geolqr.cli import main
 from geolqr.config import parse_config
-from geolqr.dynamics import MAX_STEPS, InertiaTensor, SimParams
+from geolqr.dynamics import MAX_STEPS, InertiaTensor, SimParams, time_grid
 from geolqr.errors import GeoLqrError, ParseError, ValidationError
-from geolqr.pmp import AvoidanceScenario, SphereObstacle
+from geolqr.pmp import AvoidanceScenario, SphereObstacle, goal_errors
+from geolqr.regulators import TrackingReference
 from geolqr.riccati import CostParams, dre_integrate, drift_matrix
 from geolqr.scenarios import CSV_HEADER, RunSummary, _write_rows, run
-from geolqr.so3 import exp_so3, log_so3, orthogonality_defect
+from geolqr.so3 import attitude_errors, exp_so3, log_so3, orthogonality_defect, row_dots
 
 IDENTITY9 = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
 
@@ -674,6 +675,67 @@ class TestTrackWithScheduledGains:
         assert main(["track", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["gains"]["source"] == "dre"
+
+
+def _csv_columns(path) -> dict:
+    """A CSV's non-empty columns as float arrays; %.17g cells round-trip."""
+    lines = path.read_text().splitlines()
+    names, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    return {name: np.array([float(row[i]) for row in rows])
+            for i, name in enumerate(names) if rows[0][i] != ""}
+
+
+class TestOneDistance:
+    """Every scenario's dist is sqrt(row_dots(e, e)) of the row's error e to
+    its reference, bit for bit, and final_distance is the last row's."""
+
+    GOAL = exp_so3([0.1, 0.2, -0.1])
+    CLOSED_LOOP = {"sim": {"t_end": 2.0},
+                   "initial": {"rotation": exp_so3([0.9, -0.4, 0.6]).reshape(9).tolist(),
+                               "omega": [0.2, -0.1, 0.3]},
+                   "output": {"decimation": 1}}
+    PAYLOADS = {
+        "regulate": {"command": "regulate", **CLOSED_LOOP,
+                     "goal": {"rotation": GOAL.reshape(9).tolist()}},
+        "track-are": {"command": "track", **CLOSED_LOOP,
+                      "controller": {"feedforward_accel_term": True}},
+        "track-dre": {"command": "track", **CLOSED_LOOP,
+                      "controller": {"feedforward_accel_term": True, "gain_source": "dre"}},
+        "avoid": {"command": "avoid", "cost": {"alpha": 0.2},
+                  "avoidance": {"dimension": 2, "q0": [-1.2, 0.0], "v0": [0.0, 0.0],
+                                "target": [1.2, 0.15], "horizon": 2.0,
+                                "obstacles": [{"center": [-0.1, 0.28], "radius": 0.4}]},
+                  "output": {"decimation": 1}},
+    }
+
+    @pytest.mark.parametrize("case", PAYLOADS)
+    def test_dist_is_the_norm_of_the_error(self, tmp_path, capsys, case):
+        payload = self.PAYLOADS[case]
+        command = payload["command"]
+        path = write_config(tmp_path, payload)
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        cfg = parse_config(path.read_text())
+        columns = _csv_columns(tmp_path / "trajectory.csv")
+        if command == "avoid":
+            path_columns = _csv_columns(tmp_path / "avoidance_path.csv")
+            q = np.column_stack([path_columns["q1"], path_columns["q2"]])
+            e = goal_errors(cfg.avoidance, q)
+        else:
+            rotations = np.column_stack([columns[n] for n in CSV_HEADER.split(",")[1:10]])
+            rotations = rotations.reshape(-1, 3, 3)
+            if command == "regulate":
+                r_ref = np.broadcast_to(cfg.goal, rotations.shape)
+            else:
+                times = time_grid(cfg.sim.h, cfg.sim.t_end)
+                ref = TrackingReference(cfg.reference.omega(times),
+                                        cfg.reference.omega_dot(times), cfg.sim.h,
+                                        r0=cfg.reference.r0)
+                r_ref = np.array([ref.sample(t).r for t in columns["t"].tolist()])
+            e = attitude_errors(r_ref, rotations)
+        assert len(columns["dist"]) > 1000
+        assert np.array_equal(columns["dist"], np.sqrt(row_dots(e, e)))
+        assert summary["final_distance"] == columns["dist"][-1]
 
 
 class TestCheckCommand:

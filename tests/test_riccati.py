@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from geolqr.dynamics import time_grid
+from geolqr.dynamics import nearest_sample, time_grid
 from geolqr.errors import NoStabilizingSolution, NotControllable, StepTooLarge, ValidationError
 from geolqr.riccati import (
     B_CANONICAL,
@@ -274,6 +274,27 @@ class TestIndexedSchedule:
         interp = np.interp(times, sched.times, sched.k2)
         assert not np.array_equal(interp, sched.k2)
         assert np.abs(interp - sched.k2).max() <= 1e-14 * np.abs(sched.k2).max()
+
+    # Whole-step horizons t_end = N h, as config requires of a DRE closed
+    # loop, which reads row i of the schedule as its sample i. The examples
+    # are horizons where linspace and arange * h differ in the last bit.
+    @settings(deadline=None)
+    @given(horizon=st.builds(lambda n, h: (n * h, h), st.integers(1, 2000),
+                             st.sampled_from([1e-3, 3e-3, 1e-2])))
+    @example(horizon=(0.7, 1e-3))
+    @example(horizon=(2.3, 1e-3))
+    @example(horizon=(3.3, 3e-3))
+    def test_rows_are_the_simulation_samples(self, horizon):
+        t_end, h = horizon
+        sched = self.schedule(t_end, h)
+        times = time_grid(h, t_end)
+        n = len(times) - 1
+        assert len(sched.times) == n + 1
+        for step in (h, sched.times.item(-1) / n):
+            assert np.array_equal(nearest_sample(times, step, n), np.arange(n + 1))
+        k = sched.solution_at(times)
+        for got, rows in ((k.k1, sched.k1), (k.k2, sched.k2), (k.k3, sched.k3)):
+            assert np.array_equal(got, rows)
 
     def test_gains_at_is_solution_at_gains(self):
         sched = self.schedule(5.0, 1e-3)
