@@ -24,7 +24,7 @@ import numpy as np
 from .dynamics import MAX_STEPS, InertiaTensor, RigidBodyState, SimParams
 from .errors import ParseError, ValidationError
 from .pmp import AvoidanceScenario, SphereObstacle
-from .riccati import DRIFT_MODES, CostParams
+from .riccati import DRIFT_MODES, CostParams, check_dre_step
 from .so3 import is_rotation
 
 GAIN_SOURCES = ("are", "dre")
@@ -321,9 +321,11 @@ def parse_config(text: str) -> ScenarioConfig:
     # The backward Riccati sweep needs at least one step of size h, and a
     # closed loop reads its samples on the simulation grid.
     if command in ("gains", "regulate", "track") and cfg.controller.gain_source == "dre":
+        try:
+            check_dre_step(cfg.sim.t_end, cfg.sim.h)
+        except ValueError:
+            raise ValidationError("sim.t_end", "must be at least sim.h for DRE gains") from None
         steps = cfg.sim.t_end / cfg.sim.h
-        if cfg.sim.t_end < cfg.sim.h:
-            raise ValidationError("sim.t_end", "must be at least sim.h for DRE gains")
         if command != "gains" and abs(steps - round(steps)) > 1e-9:
             raise ValidationError("sim.t_end",
                                   "must be a whole number of sim.h steps for DRE gains")

@@ -17,8 +17,10 @@ precision for arbitrarily many steps.
 The closed loop builds no per-step object: simulate holds the state as the
 rotation array and three Python floats, and calls its controller as
 controller(i, r, w) with the sample index i, so a law reads its tables at
-row i instead of looking the time up. One private step kernel serves
-simulate and the array wrapper lie_euler_step.
+row i instead of looking the time up. The velocity update is straight-line
+float arithmetic (euler_rhs), and one private step kernel serves simulate
+and the array wrapper lie_euler_step. simulate gathers its log in lists
+per AFFINE_CHUNK samples and stores each chunk by one slice assignment.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._float3 import cross, mv
 from .errors import NumericalDivergence, ValidationError
 from .so3 import exp_so3
 
@@ -131,19 +132,25 @@ def uniform_grid(t_end: float, h: float) -> np.ndarray:
 
 def euler_rhs(w, tau, j: InertiaTensor) -> tuple:
     """Angular acceleration J^-1 (J w x w) + tau as three floats, from the
-    inertia's float rows; w and tau are 3-sequences."""
-    a0, a1, a2 = mv(j.j_inv_rows, cross(mv(j.j_rows, w), w))
-    return (a0 + tau[0], a1 + tau[1], a2 + tau[2])
+    inertia's float rows; w and tau are 3-sequences. Straight-line float
+    arithmetic: at one 3-vector per step numpy's call overhead, or a helper
+    call per product, outweighs the work."""
+    w0, w1, w2 = w
+    j0, j1, j2, j3, j4, j5, j6, j7, j8 = j.j_rows
+    v0 = j0 * w0 + j1 * w1 + j2 * w2
+    v1 = j3 * w0 + j4 * w1 + j5 * w2
+    v2 = j6 * w0 + j7 * w1 + j8 * w2
+    c0, c1, c2 = v1 * w2 - v2 * w1, v2 * w0 - v0 * w2, v0 * w1 - v1 * w0
+    k0, k1, k2, k3, k4, k5, k6, k7, k8 = j.j_inv_rows
+    return (k0 * c0 + k1 * c1 + k2 * c2 + tau[0], k3 * c0 + k4 * c1 + k5 * c2 + tau[1],
+            k6 * c0 + k7 * c1 + k8 * c2 + tau[2])
 
 
 def _step(r, w, tau, h: float, j: InertiaTensor) -> tuple:
     """One explicit group-preserving step of size h > 0 from rotation r, a
     (3, 3) array, and velocity w under torque tau, float triples; returns
-    (r_next, w_next) in the same forms.
-
-    The velocity update is Python float arithmetic: at one 3-vector per step
-    numpy's call overhead outweighs the work. The rotation update is the
-    numpy product of r and exp_so3(h w).
+    (r_next, w_next) in the same forms: euler_rhs's float velocity update,
+    and the numpy product of r and exp_so3(h w).
     """
     w0, w1, w2 = w
     a0, a1, a2 = euler_rhs(w, tau, j)
@@ -193,19 +200,25 @@ def simulate(controller, init: RigidBodyState, p: SimParams) -> TrajectoryLog:
     h, j = p.h, p.inertia
     r = np.array(init.r, dtype=float)
     w = tuple(np.asarray(init.w, dtype=float).tolist())
-    for i in range(n + 1):
-        w0, w1, w2 = w
-        # Written as "not <=" so that a NaN velocity fails the guard too.
-        if not w0 * w0 + w1 * w1 + w2 * w2 <= OMEGA_DIVERGENCE_LIMIT ** 2:
-            raise NumericalDivergence(
-                f"|omega| exceeded {OMEGA_DIVERGENCE_LIMIT:g} rad/s or is not finite "
-                f"at t = {times.item(i):.6g}")
-        tau = controller(i, r, w)
-        rotations[i] = r
-        omegas[i] = w
-        torques[i] = tau
-        if i < n:
-            r, w = _step(r, w, tau, h, j)
+    # The log gathers in lists per AFFINE_CHUNK samples, each stored by one
+    # slice assignment: a numpy row assignment per sample costs more.
+    limit = OMEGA_DIVERGENCE_LIMIT ** 2
+    for lo in range(0, n + 1, AFFINE_CHUNK):
+        rs, ws, taus = [], [], []
+        for i in range(lo, min(lo + AFFINE_CHUNK, n + 1)):
+            w0, w1, w2 = w
+            # Written as "not <=" so that a NaN velocity fails the guard too.
+            if not w0 * w0 + w1 * w1 + w2 * w2 <= limit:
+                raise NumericalDivergence(
+                    f"|omega| exceeded {OMEGA_DIVERGENCE_LIMIT:g} rad/s or is not finite "
+                    f"at t = {times.item(i):.6g}")
+            tau = controller(i, r, w)
+            rs.append(r)
+            ws.append(w)
+            taus.append(tau)
+            if i < n:
+                r, w = _step(r, w, tau, h, j)
+        rotations[lo:i + 1], omegas[lo:i + 1], torques[lo:i + 1] = rs, ws, taus
     # A non-finite torque before the last sample already fails the velocity
     # guard; this catches the final sample's.
     if not np.isfinite(torques).all():

@@ -4,13 +4,16 @@ candidate-value diagnostics that certify them. The diagnostics are array
 functions over rows of attitude errors and velocities, which the regulate
 scenario computes once for its whole log.
 
-Each law is one private float kernel over Python floats, computed with
-_float3. regulation_controller and tracking_controller wrap the kernels as
-simulate's (i, r, w) controllers: sample i reads row i of the reference
-tables and of gain arrays over the grid, or constant gains, with no per-step
-object. regulation_torque, tracking_torque, tracking_pd_torque and
-feedforward_torque wrap the same kernels for one RigidBodyState and
-ReferenceSample and return a (3,) array, bit for bit the controllers' torque.
+Each law is one private kernel of straight-line arithmetic over Python
+floats, with no helper call but the logarithm: at one 3-vector per step a
+call per product costs more than the product. regulation_controller and
+tracking_controller wrap the kernels as simulate's (i, r, w) controllers:
+sample i reads row i of the reference tables and of gain arrays over the
+grid, or constant gains, from Python lists converted AFFINE_CHUNK rows at a
+time, with no per-step object. regulation_torque, tracking_torque,
+tracking_pd_torque and feedforward_torque wrap the same kernels for one
+RigidBodyState and ReferenceSample and return a (3,) array, bit for bit the
+controllers' torque.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._float3 import cross, mtm, mv
-from .dynamics import (MAX_STEPS, OMEGA_DIVERGENCE_LIMIT, InertiaTensor, RigidBodyState,
-                       _prefix_products, nearest_sample)
+from .dynamics import (AFFINE_CHUNK, MAX_STEPS, OMEGA_DIVERGENCE_LIMIT, InertiaTensor,
+                       RigidBodyState, _prefix_products, nearest_sample)
 from .errors import NumericalDivergence
 from .riccati import GainPair, RiccatiSolution
 from .so3 import _CHUNK, _log_floats, exp_rows, row_dots
@@ -79,7 +81,7 @@ class TrackingReference:
 
 
 def _per_sample(k) -> np.ndarray:
-    """A gain as a table read at sample i by .item(i): an array over the
+    """A gain as a table with a row per sample: an array over the
     simulation grid as it is, a constant as a zero-stride view as long as
     the longest grid."""
     k = np.asarray(k, dtype=float)
@@ -89,49 +91,76 @@ def _per_sample(k) -> np.ndarray:
 def _regulation_law(r_d, r, w, kp: float, kd: float) -> tuple:
     """-kP log(r_d.T r) - kD w from the floats of r_d and r, row by row, and
     of w; raises AngleNearPi at the cut locus."""
-    e0, e1, e2 = _log_floats(mtm(r_d, r))
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = r_d
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = r
+    e0, e1, e2 = _log_floats((
+        a0 * b0 + a3 * b3 + a6 * b6, a0 * b1 + a3 * b4 + a6 * b7, a0 * b2 + a3 * b5 + a6 * b8,
+        a1 * b0 + a4 * b3 + a7 * b6, a1 * b1 + a4 * b4 + a7 * b7, a1 * b2 + a4 * b5 + a7 * b8,
+        a2 * b0 + a5 * b3 + a8 * b6, a2 * b1 + a5 * b4 + a8 * b7, a2 * b2 + a5 * b5 + a8 * b8))
     w0, w1, w2 = w
     return (-kp * e0 - kd * w0, -kp * e1 - kd * w1, -kp * e2 - kd * w2)
 
 
-def _tracking_terms(r, w, r_ref, w_ref, wdot_ref, kp, kd, j: InertiaTensor | None,
-                    accel_term: bool) -> tuple:
-    """The tracking law's PD and feedforward terms as float triples, from the
+def _tracking_law(r, w, r_ref, w_ref, wdot_ref, kp, kd, j: InertiaTensor | None,
+                  accel_term: bool) -> tuple:
+    """The tracking law, PD plus feedforward, as a float triple from the
     floats of the state (r row by row, w) and of one reference row (r_ref
-    row by row, w_ref, wdot_ref, which is read only with accel_term); a term
-    whose gains kp, kd or inertia j is None comes back as None.
+    row by row, w_ref, wdot_ref, which is read only with accel_term). With
+    kp None it is the feedforward term alone, which never raises; with j
+    None the PD term alone.
 
     Both terms share rel = r.T r_ref and the transported reference velocity
     w_t = rel w_ref. The attitude error log(r_ref.T r) is -log(rel) exactly,
     since transposing negates the skew part and keeps the trace, so the PD
     term is kP log(rel) - kD (w - w_t).
     """
-    rel = mtm(r, r_ref)
-    t0, t1, t2 = w_t = mv(rel, w_ref)
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = r
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = r_ref
+    m0, m1, m2 = (a0 * b0 + a3 * b3 + a6 * b6, a0 * b1 + a3 * b4 + a6 * b7,
+                  a0 * b2 + a3 * b5 + a6 * b8)
+    m3, m4, m5 = (a1 * b0 + a4 * b3 + a7 * b6, a1 * b1 + a4 * b4 + a7 * b7,
+                  a1 * b2 + a4 * b5 + a7 * b8)
+    m6, m7, m8 = (a2 * b0 + a5 * b3 + a8 * b6, a2 * b1 + a5 * b4 + a8 * b7,
+                  a2 * b2 + a5 * b5 + a8 * b8)
+    x, y, z = w_ref
+    t0, t1, t2 = m0 * x + m1 * y + m2 * z, m3 * x + m4 * y + m5 * z, m6 * x + m7 * y + m8 * z
     w0, w1, w2 = w
-    pd = ff = None
     if kp is not None:
-        e0, e1, e2 = _log_floats(rel)
-        pd = (kp * e0 - kd * (w0 - t0), kp * e1 - kd * (w1 - t1),
-              kp * e2 - kd * (w2 - t2))
-    if j is not None:
-        c0, c1, c2 = cross(mv(j.j_rows, w_t), w)
-        d0, d1, d2 = cross(mv(j.j_rows, w), w_t)
-        m0, m1, m2 = mv(j.j_inv_rows, (c0 + d0, c1 + d1, c2 + d2))
-        x0, x1, x2 = cross(w, w_t)
-        ff = (0.5 * (x0 - m0), 0.5 * (x1 - m1), 0.5 * (x2 - m2))
-        if accel_term:
-            a0, a1, a2 = mv(rel, wdot_ref)
-            ff = (ff[0] + a0, ff[1] + a1, ff[2] + a2)
-    return pd, ff
+        e0, e1, e2 = _log_floats((m0, m1, m2, m3, m4, m5, m6, m7, m8))
+        p0, p1, p2 = (kp * e0 - kd * (w0 - t0), kp * e1 - kd * (w1 - t1),
+                      kp * e2 - kd * (w2 - t2))
+        if j is None:
+            return p0, p1, p2
+    # (w x w_t - J^-1 (J w_t x w + J w x w_t)) / 2, feedforward_torque's formula.
+    j0, j1, j2, j3, j4, j5, j6, j7, j8 = j.j_rows
+    u0, u1, u2 = (j0 * t0 + j1 * t1 + j2 * t2, j3 * t0 + j4 * t1 + j5 * t2,
+                  j6 * t0 + j7 * t1 + j8 * t2)
+    v0, v1, v2 = (j0 * w0 + j1 * w1 + j2 * w2, j3 * w0 + j4 * w1 + j5 * w2,
+                  j6 * w0 + j7 * w1 + j8 * w2)
+    s0 = u1 * w2 - u2 * w1 + (v1 * t2 - v2 * t1)
+    s1 = u2 * w0 - u0 * w2 + (v2 * t0 - v0 * t2)
+    s2 = u0 * w1 - u1 * w0 + (v0 * t1 - v1 * t0)
+    k0, k1, k2, k3, k4, k5, k6, k7, k8 = j.j_inv_rows
+    f0 = 0.5 * (w1 * t2 - w2 * t1 - (k0 * s0 + k1 * s1 + k2 * s2))
+    f1 = 0.5 * (w2 * t0 - w0 * t2 - (k3 * s0 + k4 * s1 + k5 * s2))
+    f2 = 0.5 * (w0 * t1 - w1 * t0 - (k6 * s0 + k7 * s1 + k8 * s2))
+    if accel_term:
+        x, y, z = wdot_ref
+        f0, f1, f2 = (f0 + (m0 * x + m1 * y + m2 * z), f1 + (m3 * x + m4 * y + m5 * z),
+                      f2 + (m6 * x + m7 * y + m8 * z))
+    if kp is None:
+        return f0, f1, f2
+    return p0 + f0, p1 + f1, p2 + f2
 
 
-def _tracking_law(r, w, r_ref, w_ref, wdot_ref, kp: float, kd: float, j: InertiaTensor,
-                  accel_term: bool) -> tuple:
-    """The whole tracking law, PD plus feedforward, as a float triple."""
-    (p0, p1, p2), (f0, f1, f2) = _tracking_terms(r, w, r_ref, w_ref, wdot_ref, kp, kd, j,
-                                                 accel_term)
-    return (p0 + f0, p1 + f1, p2 + f2)
+def _rows_around(i: int, tables) -> tuple:
+    """(lo, hi, rows): the AFFINE_CHUNK samples lo..hi - 1 around sample i,
+    and their rows of every table as one tuple of Python values per sample.
+    The controllers read their tables this way, one chunk at a time, and
+    never convert a whole table at once."""
+    lo = i - i % AFFINE_CHUNK
+    hi = lo + AFFINE_CHUNK
+    return lo, hi, list(zip(*[t[lo:hi].tolist() for t in tables]))
 
 
 def regulation_controller(r_d, g: GainPair):
@@ -141,10 +170,16 @@ def regulation_controller(r_d, g: GainPair):
     gains of a DRE schedule's rows), read at sample i.
     """
     r_d = np.asarray(r_d, dtype=float).ravel().tolist()
-    kp, kd = _per_sample(g.kP), _per_sample(g.kD)
+    tables = (_per_sample(g.kP), _per_sample(g.kD))
+    lo = hi = 0
+    rows = []
 
     def controller(i, r, w):
-        return _regulation_law(r_d, r.ravel().tolist(), w, kp.item(i), kd.item(i))
+        nonlocal lo, hi, rows
+        if not lo <= i < hi:
+            lo, hi, rows = _rows_around(i, tables)
+        kp, kd = rows[i - lo]
+        return _regulation_law(r_d, r.ravel().tolist(), w, kp, kd)
 
     return controller
 
@@ -154,15 +189,18 @@ def tracking_controller(ref: TrackingReference, g: GainPair, j: InertiaTensor,
     """The tracking law as simulate's controller (i, r, w) -> torque, on
     ref's grid: sample i reads row i of the reference tables, and g as
     regulation_controller does."""
-    rotations = ref.rotations.reshape(-1, 9)
-    omegas, omega_dots = ref.omegas, ref.omega_dots
-    kp, kd = _per_sample(g.kP), _per_sample(g.kD)
+    tables = (ref.rotations.reshape(-1, 9), ref.omegas, ref.omega_dots,
+              _per_sample(g.kP), _per_sample(g.kD))
+    lo = hi = 0
+    rows = []
 
     def controller(i, r, w):
-        return _tracking_law(r.ravel().tolist(), w, rotations[i].tolist(),
-                             omegas[i].tolist(),
-                             omega_dots[i].tolist() if accel_term else None,
-                             kp.item(i), kd.item(i), j, accel_term)
+        nonlocal lo, hi, rows
+        if not lo <= i < hi:
+            lo, hi, rows = _rows_around(i, tables)
+        r_ref, w_ref, wdot_ref, kp, kd = rows[i - lo]
+        return _tracking_law(r.ravel().tolist(), w, r_ref, w_ref, wdot_ref, kp, kd, j,
+                             accel_term)
 
     return controller
 
@@ -174,7 +212,7 @@ def regulation_torque(s: RigidBodyState, r_d: np.ndarray, g: GainPair) -> np.nda
 
 
 def _state_and_sample(s: RigidBodyState, ref: ReferenceSample) -> tuple:
-    """The floats _tracking_terms reads from a state and a reference sample."""
+    """The floats _tracking_law reads from a state and a reference sample."""
     return (s.r.ravel().tolist(), s.w.tolist(), ref.r.ravel().tolist(), ref.w.tolist(),
             ref.wdot.tolist())
 
@@ -188,7 +226,7 @@ def tracking_torque(s: RigidBodyState, sample: ReferenceSample, g: GainPair,
 
 def tracking_pd_torque(s: RigidBodyState, ref: ReferenceSample, g: GainPair) -> np.ndarray:
     """-kP log(r_ref.T r) - kD (w - r.T r_ref w_ref)."""
-    return np.array(_tracking_terms(*_state_and_sample(s, ref), g.kP, g.kD, None, False)[0])
+    return np.array(_tracking_law(*_state_and_sample(s, ref), g.kP, g.kD, None, False))
 
 
 def feedforward_torque(s: RigidBodyState, ref: ReferenceSample, j: InertiaTensor,
@@ -202,7 +240,7 @@ def feedforward_torque(s: RigidBodyState, ref: ReferenceSample, j: InertiaTensor
     plus, when accel_term is set, the transported reference acceleration
     r.T r_ref wdot_ref.
     """
-    return np.array(_tracking_terms(*_state_and_sample(s, ref), None, None, j, accel_term)[1])
+    return np.array(_tracking_law(*_state_and_sample(s, ref), None, None, j, accel_term))
 
 
 def lyapunov_value(e, w, kp) -> np.ndarray:

@@ -220,7 +220,8 @@ def geodesic_distance(r1, r2) -> float:
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
     v = log_so3(r1.T @ r2)
-    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    # v @ v rounds as row_dots, so this is the dist channel's rounding.
+    return math.sqrt(v @ v)
 
 
 def transport_velocity(r, r_ref, w_ref) -> np.ndarray:

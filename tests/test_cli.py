@@ -422,7 +422,9 @@ class TestDreGainSource:
         })
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == code
         if code == 2:
-            assert json.loads(capsys.readouterr().err.strip())["path"] == "sim.t_end"
+            error = json.loads(capsys.readouterr().err.strip())
+            assert error["path"] == "sim.t_end"
+            assert error["detail"] == "sim.t_end: must be at least sim.h for DRE gains"
 
     @pytest.mark.parametrize("command, code", [("gains", 0), ("regulate", 2), ("track", 2)])
     def test_horizon_off_the_step_grid(self, tmp_path, capsys, command, code):

@@ -7,8 +7,10 @@ sweep against the exact Hamiltonian flow by scipy; and of the array
 exponential and attitude-error passes against exp_so3 and log_so3 row by
 row."""
 
+import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from geolqr.dynamics import (
     simulate,
     time_grid,
 )
-from geolqr.errors import AngleNearPi
+from geolqr.errors import AngleNearPi, NumericalDivergence
 from geolqr.regulators import (
     ReferenceSample,
     TrackingReference,
@@ -54,6 +56,7 @@ from geolqr.so3 import (
     attitude_errors,
     exp_rows,
     exp_so3,
+    geodesic_distance,
     log_so3,
     orthogonality_defect,
 )
@@ -171,14 +174,14 @@ START = RigidBodyState(exp_so3([0.9, -0.4, 0.7]), np.array([0.3, -1.1, 0.5]))
 GOAL = exp_so3([-0.2, 0.1, 0.3])
 
 
-def schedules():
-    """ARE and DRE gains of the published tracking problem on SIM's grid:
+def schedules(p=SIM):
+    """ARE and DRE gains of the published tracking problem on p's grid:
     (gains_at(t) for the per-step loop, the pair over the grid for the
     controllers)."""
     a = drift_matrix("published-tracking", -2.0)
     sol = are_solve(a, np.eye(2), 1.0)
-    sched = dre_integrate(a, np.eye(2), 1.0, t_end=SIM.t_end, h=SIM.h)
-    times = time_grid(SIM.h, SIM.t_end)
+    sched = dre_integrate(a, np.eye(2), 1.0, t_end=p.t_end, h=p.h)
+    times = time_grid(p.h, p.t_end)
     return {"are": (lambda t: sol.gains(1.0), sol.gains(1.0)),
             "dre": (sched.gains_at, sched.solution_at(times).gains(1.0))}
 
@@ -219,6 +222,46 @@ class TestClosedLoopAgainstPerStepObjects:
         self.assert_same_log(log, simulate_per_step(
             lambda t, s: tracking_torque(s, ref.sample(t), gains_at(t), J_OFF, accel_term),
             START, SIM))
+
+    # simulate logs and the controllers read their tables AFFINE_CHUNK
+    # samples at a time. A grid of n steps has n + 1 samples: one short of a
+    # chunk, one chunk, one more (the last sample alone in its chunk), and
+    # two chunks and two more.
+    @pytest.mark.parametrize("steps", [AFFINE_CHUNK - 1, AFFINE_CHUNK, AFFINE_CHUNK + 1,
+                                       2 * AFFINE_CHUNK + 1])
+    @pytest.mark.parametrize("source", ["are", "dre"])
+    def test_chunk_boundaries(self, steps, source):
+        p = SimParams(SIM.h, steps * SIM.h, J_OFF)
+        assert len(time_grid(p.h, p.t_end)) == steps + 1
+        gains_at, g = schedules(p)[source]
+        log = simulate(regulation_controller(GOAL, g), START, p)
+        self.assert_same_log(log, simulate_per_step(
+            lambda t, s: regulation_torque(s, GOAL, gains_at(t)), START, p))
+        ref = quadratic_reference(p)
+        log = simulate(tracking_controller(ref, g, J_OFF, True), START, p)
+        self.assert_same_log(log, simulate_per_step(
+            lambda t, s: tracking_torque(s, ref.sample(t), gains_at(t), J_OFF, True),
+            START, p))
+
+    # The last sample of a chunk, the first of the next, and one mid-chunk.
+    @pytest.mark.parametrize("at", [AFFINE_CHUNK - 1, AFFINE_CHUNK, AFFINE_CHUNK + 44])
+    def test_divergence_names_its_time(self, at):
+        # One huge torque at sample at - 1 throws |w| past the limit at sample at.
+        def kick(i, r, w):
+            return (1e12, 0.0, 0.0) if i == at - 1 else (0.0, 0.0, 0.0)
+
+        t = time_grid(SIM.h, SIM.t_end).item(at)
+        with pytest.raises(NumericalDivergence, match=re.escape(f"at t = {t:.6g}") + "$"):
+            simulate(kick, START, SIM)
+
+    # With AFFINE_CHUNK steps the last sample is alone in its chunk.
+    @pytest.mark.parametrize("steps", [AFFINE_CHUNK - 1, AFFINE_CHUNK])
+    def test_non_finite_final_torque(self, steps):
+        def law(i, r, w):
+            return (0.0, math.nan, 0.0) if i == steps else (0.0, 0.0, 0.0)
+
+        with pytest.raises(NumericalDivergence, match="non-finite torque"):
+            simulate(law, START, SimParams(SIM.h, steps * SIM.h, J_OFF))
 
 
 class TestScenarioLaws:
@@ -280,6 +323,20 @@ class TestScenarioLaws:
             want = tracking_torque(RigidBodyState(r, w), ref.sample(t), gains_at(t),
                                    cfg.sim.inertia, accel_term)
             assert np.array(controller(i, r, tuple(w.tolist()))).tobytes() == want.tobytes()
+
+
+    def test_track_dist_is_the_geodesic_distance(self, monkeypatch, tmp_path):
+        # so3.geodesic_distance rounds as the dist channel, row for row.
+        cfg, _, log = self.run_capturing(monkeypatch, tmp_path, {
+            "command": "track", "sim": {"t_end": 2.0}, "output": {"decimation": 1}})
+        times = time_grid(cfg.sim.h, cfg.sim.t_end)
+        ref = TrackingReference(cfg.reference.omega(times), cfg.reference.omega_dot(times),
+                                cfg.sim.h, r0=cfg.reference.r0)
+        with open(tmp_path / "trajectory.csv", encoding="utf-8") as f:
+            dist = [float(row["dist"]) for row in csv.DictReader(f)]
+        assert len(dist) == len(log) == len(ref.rotations)
+        assert dist == [geodesic_distance(r_ref, r)
+                        for r_ref, r in zip(ref.rotations, log.rotations)]
 
 
 def dre_exact(a, q, rw, times):
