@@ -24,7 +24,7 @@ import numpy as np
 from .dynamics import MAX_STEPS, InertiaTensor, RigidBodyState, SimParams
 from .errors import ParseError, ValidationError
 from .pmp import AvoidanceScenario, SphereObstacle
-from .riccati import DRIFT_MODES, CostParams, check_dre_step
+from .riccati import CostParams, check_dre_step, drift_matrix
 from .so3 import is_rotation
 
 GAIN_SOURCES = ("are", "dre")
@@ -243,7 +243,8 @@ def _parse_controller(obj, command) -> ControllerSettings:
     accel = section.get("feedforward_accel_term", False)
     if not isinstance(accel, bool):
         raise ValidationError("controller.feedforward_accel_term", "expected a boolean")
-    mode = _choice(section, "a_matrix_mode", "controller", DRIFT_MODES, _DEFAULTS[command][3])
+    mode = section.get("a_matrix_mode", _DEFAULTS[command][3])
+    _build("controller", drift_matrix, mode)
     return ControllerSettings(source, accel, mode)
 
 

@@ -15,18 +15,22 @@ multiplies by an exact exponential, so group membership holds at machine
 precision for arbitrarily many steps.
 
 The closed loop builds no per-step object: simulate holds the state as the
-rotation array and three Python floats, and calls its controller as
-controller(i, r, w) with the sample index i, so a law reads its tables at
-row i instead of looking the time up. The velocity update is straight-line
-float arithmetic (euler_rhs), and one private step kernel serves simulate
-and the array wrapper lie_euler_step. simulate gathers its log in lists
-per AFFINE_CHUNK samples and stores each chunk by one slice assignment.
+rotation array and three Python floats, and calls its law as
+law(r, w, *row), where row is sample i of each of its tables (reference
+rows, gains over the grid, or constants), so a law is a pure function of
+the state and one row and never looks the time up. simulate is the one
+place that walks per-sample data: per AFFINE_CHUNK samples it reads the
+tables' rows into Python values and gathers the log in lists, stored by
+one slice assignment. The velocity update is straight-line float
+arithmetic (euler_rhs), and one private step kernel serves simulate and
+the array wrapper lie_euler_step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -166,33 +170,39 @@ def lie_euler_step(s: RigidBodyState, tau, h: float, j: InertiaTensor) -> RigidB
     return RigidBodyState(r, np.array(w))
 
 
-def simulate(controller, init: RigidBodyState, p: SimParams) -> TrajectoryLog:
+def simulate(law, init: RigidBodyState, p: SimParams, *, tables=()) -> TrajectoryLog:
     """Roll the closed loop forward and log every sample.
 
-    The controller is the only per-step callback, and nothing in the loop
-    builds a per-step object: the state is a rotation array and three
-    floats. Quantities of the logged state (errors, Lyapunov and value
-    channels) are computed by the caller from the returned arrays after the
-    run.
+    The law is the only per-step callback, and nothing in the loop builds a
+    per-step object: the state is a rotation array and three floats.
+    Quantities of the logged state (errors, Lyapunov and value channels) are
+    computed by the caller from the returned arrays after the run.
 
     Args:
-        controller: callable(i, r, w) -> three floats, the torque at sample
-            i (time log.times[i]) of rotation r, a (3, 3) array, and
-            velocity w, three floats. Its output is recorded at each
-            sample, including the final one.
+        law: callable(r, w, *row) -> three floats, the torque of rotation r,
+            a (3, 3) array, and velocity w, three floats, where row holds
+            sample i of each table as Python values. Its output is recorded
+            at each sample, including the final one.
         init: initial state.
         p: step size, horizon and inertia.
+        tables: keyword-only; each is 0-d, the same value at every sample,
+            or has one row per sample.
 
     Returns:
         TrajectoryLog with ceil(t_end / h) + 1 samples. Deterministic: two
         calls with identical inputs produce bit-identical logs.
 
     Raises:
+        ValueError: a table has another row count, before the first step.
         NumericalDivergence: |w| of a state, the initial one included,
             exceeded 1e6 rad/s, or the state or a logged torque is not finite.
     """
     times = time_grid(p.h, p.t_end)
     n = len(times) - 1
+    tables = [np.asarray(t) for t in tables]
+    for k, t in enumerate(tables):
+        if t.ndim and len(t) != n + 1:
+            raise ValueError(f"table {k} has {len(t)} rows; the grid has {n + 1} samples")
     rotations = np.empty((n + 1, 3, 3))
     omegas = np.empty((n + 1, 3))
     torques = np.empty((n + 1, 3))
@@ -200,25 +210,28 @@ def simulate(controller, init: RigidBodyState, p: SimParams) -> TrajectoryLog:
     h, j = p.h, p.inertia
     r = np.array(init.r, dtype=float)
     w = tuple(np.asarray(init.w, dtype=float).tolist())
-    # The log gathers in lists per AFFINE_CHUNK samples, each stored by one
-    # slice assignment: a numpy row assignment per sample costs more.
+    # Per AFFINE_CHUNK samples, the tables' rows are read into Python values
+    # and the log gathers in lists, stored by one slice assignment: numpy
+    # indexing per sample costs more.
     limit = OMEGA_DIVERGENCE_LIMIT ** 2
     for lo in range(0, n + 1, AFFINE_CHUNK):
+        hi = min(lo + AFFINE_CHUNK, n + 1)
         rs, ws, taus = [], [], []
-        for i in range(lo, min(lo + AFFINE_CHUNK, n + 1)):
+        cols = [t[lo:hi].tolist() if t.ndim else repeat(t.item()) for t in tables]
+        for i, row in zip(range(lo, hi), zip(*cols) if cols else repeat(())):
             w0, w1, w2 = w
             # Written as "not <=" so that a NaN velocity fails the guard too.
             if not w0 * w0 + w1 * w1 + w2 * w2 <= limit:
                 raise NumericalDivergence(
                     f"|omega| exceeded {OMEGA_DIVERGENCE_LIMIT:g} rad/s or is not finite "
                     f"at t = {times.item(i):.6g}")
-            tau = controller(i, r, w)
+            tau = law(r, w, *row)
             rs.append(r)
             ws.append(w)
             taus.append(tau)
             if i < n:
                 r, w = _step(r, w, tau, h, j)
-        rotations[lo:i + 1], omegas[lo:i + 1], torques[lo:i + 1] = rs, ws, taus
+        rotations[lo:hi], omegas[lo:hi], torques[lo:hi] = rs, ws, taus
     # A non-finite torque before the last sample already fails the velocity
     # guard; this catches the final sample's.
     if not np.isfinite(torques).all():

@@ -47,6 +47,7 @@ from .riccati import CostParams
 from .so3 import attitude_errors, exp_rows, row_dots
 
 MANIFOLDS = ("flat", "so3-biinvariant")
+MODES = ("avoidance", "terminal")
 
 # Multiple shooting splits the grid into steps // SEGMENT_STEPS segments (at
 # least one) whose lengths differ by at most one step.
@@ -108,6 +109,10 @@ class SphereObstacle:
         o -= self.radius ** 2  # in place: no third array the size of q's rows
         return o
 
+    def grad(self, q):
+        """Gradient 2 (q - center) of O at q, or at every row of a (..., n) array."""
+        return 2.0 * (np.asarray(q, dtype=float) - self.center)
+
 
 @dataclass
 class AvoidanceScenario:
@@ -118,8 +123,9 @@ class AvoidanceScenario:
     and target (3, 3) rotations and v0 a (3,) body velocity. Obstacles are
     only allowed on flat space, each with a (dimension,) center, and q0 must
     lie outside each. A bad value raises a ValidationError naming the
-    argument: "alpha", "horizon", "dimension", "q0", "target", "v0", or
-    "obstacles[i]" for the first bad obstacle or one containing q0.
+    argument: "alpha", "horizon", "dimension", "q0", "target", "v0",
+    "manifold", "mode", or "obstacles[i]" for the first bad obstacle or one
+    containing q0.
     """
 
     dimension: int
@@ -136,9 +142,9 @@ class AvoidanceScenario:
         # The control weight's range is CostParams' rule.
         CostParams(self.alpha)
         if self.manifold not in MANIFOLDS:
-            raise ValueError(f"unknown manifold {self.manifold!r}")
-        if self.mode not in ("avoidance", "terminal"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValidationError("manifold", f"expected one of {MANIFOLDS}")
+        if self.mode not in MODES:
+            raise ValidationError("mode", f"expected one of {MODES}")
         if not self.horizon > 0.0:
             raise ValidationError("horizon", "must be positive")
         if self.manifold != "flat" and self.dimension != 3:
@@ -206,9 +212,8 @@ def _grad_potential(scenario: AvoidanceScenario, q):
     costate_integrate raises there, a batched rollout flags the row."""
     barrier, contact = 0.0, False
     for obs in scenario.obstacles:
-        d = q - obs.center
-        o = row_dots(d, d) - obs.radius ** 2
-        barrier = barrier - 2.0 * d / (o * o)[..., None]
+        o = obs.value(q)
+        barrier = barrier - obs.grad(q) / (o * o)[..., None]
         contact = contact | (o <= 0.0)
     return goal_errors(scenario, q) + barrier, contact
 

@@ -7,13 +7,13 @@ scenario computes once for its whole log.
 Each law is one private kernel of straight-line arithmetic over Python
 floats, with no helper call but the logarithm: at one 3-vector per step a
 call per product costs more than the product. regulation_controller and
-tracking_controller wrap the kernels as simulate's (i, r, w) controllers:
-sample i reads row i of the reference tables and of gain arrays over the
-grid, or constant gains, from Python lists converted AFFINE_CHUNK rows at a
-time, with no per-step object. regulation_torque, tracking_torque,
+tracking_controller return each kernel as simulate's (law, tables): a pure
+function law(r, w, *row) of the state and one row, and the tables it reads,
+the reference rows and the gains (constants, or arrays over the grid), which
+simulate walks beside its log. regulation_torque, tracking_torque,
 tracking_pd_torque and feedforward_torque wrap the same kernels for one
 RigidBodyState and ReferenceSample and return a (3,) array, bit for bit the
-controllers' torque.
+laws' torque.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (AFFINE_CHUNK, MAX_STEPS, OMEGA_DIVERGENCE_LIMIT, InertiaTensor,
-                       RigidBodyState, _prefix_products, nearest_sample)
+from .dynamics import (OMEGA_DIVERGENCE_LIMIT, InertiaTensor, RigidBodyState,
+                       _prefix_products, nearest_sample)
 from .errors import NumericalDivergence
 from .riccati import GainPair, RiccatiSolution
 from .so3 import _CHUNK, _log_floats, exp_rows, row_dots
@@ -78,14 +78,6 @@ class TrackingReference:
         i = nearest_sample(t, self.h, len(self.rotations) - 1)
         return ReferenceSample(r=self.rotations[i], w=self.omegas[i],
                                wdot=self.omega_dots[i])
-
-
-def _per_sample(k) -> np.ndarray:
-    """A gain as a table with a row per sample: an array over the
-    simulation grid as it is, a constant as a zero-stride view as long as
-    the longest grid."""
-    k = np.asarray(k, dtype=float)
-    return k if k.ndim else np.broadcast_to(k, MAX_STEPS + 1)
 
 
 def _regulation_law(r_d, r, w, kp: float, kd: float) -> tuple:
@@ -153,56 +145,30 @@ def _tracking_law(r, w, r_ref, w_ref, wdot_ref, kp, kd, j: InertiaTensor | None,
     return p0 + f0, p1 + f1, p2 + f2
 
 
-def _rows_around(i: int, tables) -> tuple:
-    """(lo, hi, rows): the AFFINE_CHUNK samples lo..hi - 1 around sample i,
-    and their rows of every table as one tuple of Python values per sample.
-    The controllers read their tables this way, one chunk at a time, and
-    never convert a whole table at once."""
-    lo = i - i % AFFINE_CHUNK
-    hi = lo + AFFINE_CHUNK
-    return lo, hi, list(zip(*[t[lo:hi].tolist() for t in tables]))
-
-
 def regulation_controller(r_d, g: GainPair):
-    """The regulation law as simulate's controller (i, r, w) -> torque.
-
-    g holds floats (ARE gains) or arrays over the simulation grid (the
-    gains of a DRE schedule's rows), read at sample i.
-    """
+    """The regulation law as simulate's (law, tables): law(r, w, kp, kd)
+    -> torque, with tables (g.kP, g.kD), floats (ARE gains) or arrays over
+    the simulation grid (the gains of a DRE schedule's rows)."""
     r_d = np.asarray(r_d, dtype=float).ravel().tolist()
-    tables = (_per_sample(g.kP), _per_sample(g.kD))
-    lo = hi = 0
-    rows = []
 
-    def controller(i, r, w):
-        nonlocal lo, hi, rows
-        if not lo <= i < hi:
-            lo, hi, rows = _rows_around(i, tables)
-        kp, kd = rows[i - lo]
+    def law(r, w, kp, kd):
         return _regulation_law(r_d, r.ravel().tolist(), w, kp, kd)
 
-    return controller
+    return law, (g.kP, g.kD)
 
 
 def tracking_controller(ref: TrackingReference, g: GainPair, j: InertiaTensor,
                         accel_term: bool = False):
-    """The tracking law as simulate's controller (i, r, w) -> torque, on
-    ref's grid: sample i reads row i of the reference tables, and g as
-    regulation_controller does."""
-    tables = (ref.rotations.reshape(-1, 9), ref.omegas, ref.omega_dots,
-              _per_sample(g.kP), _per_sample(g.kD))
-    lo = hi = 0
-    rows = []
+    """The tracking law as simulate's (law, tables) on ref's grid:
+    law(r, w, r_ref, w_ref, wdot_ref, kp, kd) -> torque, with tables ref's
+    rotations (9 columns), omegas and omega_dots, then g as
+    regulation_controller's."""
 
-    def controller(i, r, w):
-        nonlocal lo, hi, rows
-        if not lo <= i < hi:
-            lo, hi, rows = _rows_around(i, tables)
-        r_ref, w_ref, wdot_ref, kp, kd = rows[i - lo]
+    def law(r, w, r_ref, w_ref, wdot_ref, kp, kd):
         return _tracking_law(r.ravel().tolist(), w, r_ref, w_ref, wdot_ref, kp, kd, j,
                              accel_term)
 
-    return controller
+    return law, (ref.rotations.reshape(-1, 9), ref.omegas, ref.omega_dots, g.kP, g.kD)
 
 
 def regulation_torque(s: RigidBodyState, r_d: np.ndarray, g: GainPair) -> np.ndarray:

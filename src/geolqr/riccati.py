@@ -137,7 +137,8 @@ def drift_matrix(mode: str, gamma: float = 0.0) -> np.ndarray:
     "published-regulation" and "published-tracking" pin the matrices that
     reproduce the published gain tables (1.4142, 2.7671) and
     (8.7852, 8.3357); "reconciled" is the form consistent with the scalar
-    system for every gamma.
+    system for every gamma. Any other mode raises a ValidationError naming
+    a_matrix_mode, the config key of the choice; this is its one check.
     """
     if mode == "published-regulation":
         return np.array([[0.0, 2.0], [0.0, 0.0]])
@@ -145,7 +146,7 @@ def drift_matrix(mode: str, gamma: float = 0.0) -> np.ndarray:
         return np.array([[-gamma, 2.0], [0.0, -gamma]])
     if mode == "reconciled":
         return np.array([[-gamma / 2.0, 1.0], [0.0, -gamma / 2.0]])
-    raise ValueError(f"unknown drift mode {mode!r}; expected one of {DRIFT_MODES}")
+    raise ValidationError("a_matrix_mode", f"expected one of {DRIFT_MODES}")
 
 
 def scalar_residual(sol: RiccatiSolution, p: CostParams) -> np.ndarray:

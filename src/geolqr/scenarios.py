@@ -1,16 +1,17 @@
 """Scenario execution: resolve gains, run the closed loop or the
 boundary-value solver, write the trajectory CSV, and build the run summary.
 
-The closed loop only logs (`dynamics.simulate`) and makes one call per step
-of `regulators.regulation_controller` or `tracking_controller`, which read
-sample i of tables built before the loop: the reference rows, and the gains
-as ARE's constant pair or as the DRE schedule's rows, which are the
-simulation grid's samples. The channels are then computed from the logged
-arrays in _run_closed_loop: the attitude errors e against the reference
-rotations (the goal, broadcast, or the tracking table on the same grid) in
-one chunked array pass (`so3.attitude_errors`), dist = |e| by
-`so3.row_dots`, and regulate's lyap and value from
-`regulators.lyapunov_value` and `value_candidate` with the same e and K(t).
+The closed loop (`dynamics.simulate`) logs and calls, once per step, the law
+of `regulators.regulation_controller` or `tracking_controller` with sample i
+of the tables the factory returns beside it, built before the loop: the
+reference rows, and the gains as ARE's constant pair or as the DRE
+schedule's rows, which are the simulation grid's samples. The channels are
+then computed from the logged arrays in _run_closed_loop: the attitude
+errors e against the reference rotations (the goal, broadcast, or the
+tracking table on the same grid) in one chunked array pass
+(`so3.attitude_errors`), dist = |e| by `so3.row_dots`, and regulate's lyap
+and value from `regulators.lyapunov_value` and `value_candidate` with the
+same e and K(t).
 The avoid command's dist is the same norm of `pmp.goal_errors`.
 
 Trajectory CSV column contract, in order:
@@ -153,12 +154,13 @@ def run_gains(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
 
 def _run_closed_loop(cfg: ScenarioConfig, out_dir: Path, clock: _Clock,
                      gain_summary: dict, controller, r_ref, channels=None) -> RunSummary:
-    """Simulate from the configured initial state; take the attitude errors
-    e of the log against r_ref (one goal rotation, or a reference table on
-    the simulation grid) in one pass and dist = |e| row by row, plus the
-    columns of channels(e, log), if given; write the trajectory CSV and
-    summarise."""
-    log = simulate(controller, cfg.initial, cfg.sim)
+    """Simulate controller, a regulators factory's (law, tables), from the
+    configured initial state; take the attitude errors e of the log against
+    r_ref (one goal rotation, or a reference table on the simulation grid)
+    in one pass and dist = |e| row by row, plus the columns of
+    channels(e, log), if given; write the trajectory CSV and summarise."""
+    law, tables = controller
+    log = simulate(law, cfg.initial, cfg.sim, tables=tables)
     clock.lap("simulate")
     e = so3.attitude_errors(np.broadcast_to(r_ref, log.rotations.shape), log.rotations)
     dist = np.sqrt(so3.row_dots(e, e))
@@ -240,15 +242,9 @@ def run_check(cfg: ScenarioConfig, out_dir: Path):
     clock = _Clock()
     rng = np.random.default_rng(2024)
     lines = []
-    failures = 0
 
     def check(name, ok, detail=""):
-        nonlocal failures
-        if ok:
-            lines.append(f"ok   {name}")
-        else:
-            failures += 1
-            lines.append(f"FAIL {name}: {detail}")
+        lines.append(f"ok   {name}" if ok else f"FAIL {name}: {detail}")
 
     # Group math round trips.
     vs = rng.standard_normal((10000, 3))
@@ -313,7 +309,7 @@ def run_check(cfg: ScenarioConfig, out_dir: Path):
     inertia = InertiaTensor.diagonal([1.0, 2.0, 3.0])
 
     def free_body(h, t_end):
-        return simulate(lambda i, r, w: (0.0, 0.0, 0.0),
+        return simulate(lambda r, w: (0.0, 0.0, 0.0),
                         RigidBodyState(np.eye(3), np.array([0.3, 1.1, -0.2])),
                         SimParams(h, t_end, inertia))
 
@@ -350,6 +346,7 @@ def run_check(cfg: ScenarioConfig, out_dir: Path):
     check("velocity transport isometry (1e-12)", worst <= 1e-12, f"worst {worst:.2e}")
 
     clock.lap("checks")
+    failures = sum(line.startswith("FAIL") for line in lines)
     summary = clock.summary("check", iterations={"checks": len(lines), "failures": failures})
     return summary, failures == 0, lines
 

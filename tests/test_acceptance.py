@@ -100,7 +100,8 @@ def _criterion4_run(h, t_end, gains, sol):
         }
 
     init = RigidBodyState(exp_so3([0.9, -0.4, 0.2]), np.zeros(3))
-    log = simulate(regulation_controller(goal, gains), init, SimParams(h, t_end, J123))
+    law, tables = regulation_controller(goal, gains)
+    log = simulate(law, init, SimParams(h, t_end, J123), tables=tables)
     rows = [channels(RigidBodyState(r, w), tau)
             for r, w, tau in zip(log.rotations, log.omegas, log.torques)]
     return log, {name: np.array([row[name] for row in rows]) for name in rows[0]}
@@ -137,8 +138,8 @@ def test_criterion_05_tracking_convergence():
     axis = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
     init = RigidBodyState(ref.rotations[0] @ exp_so3(0.5 * axis), np.zeros(3))
 
-    log = simulate(tracking_controller(ref, gains, J123, accel_term=True), init,
-                   SimParams(1e-3, 50.0, J123))
+    law, tables = tracking_controller(ref, gains, J123, accel_term=True)
+    log = simulate(law, init, SimParams(1e-3, 50.0, J123), tables=tables)
     err = np.array([geodesic_distance(ref.sample(t).r, r)
                     for t, r in zip(log.times, log.rotations)])
     elapsed = time.perf_counter() - start
@@ -162,7 +163,7 @@ def test_criterion_06_integrator_fidelity():
     assert worst <= 1e-10
 
     def worst_drift(h):
-        log = simulate(lambda i, r, w: (0.0, 0.0, 0.0),
+        log = simulate(lambda r, w: (0.0, 0.0, 0.0),
                        RigidBodyState(np.eye(3), np.array([0.3, 1.1, -0.2])),
                        SimParams(h, 10.0, J123))
         ke = np.array([0.5 * float(w @ (J123.j @ w)) for w in log.omegas])

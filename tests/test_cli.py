@@ -216,8 +216,13 @@ def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
     (lambda: AvoidanceScenario(dimension=2, alpha=1.0, target=np.eye(3), horizon=1.0,
                                q0=np.eye(3), v0=np.zeros(3), manifold="so3-biinvariant"),
      "dimension"),
+    (lambda: AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
+                               q0=[1.0], v0=[0.0], manifold="sphere"), "manifold"),
+    (lambda: AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
+                               q0=[1.0], v0=[0.0], mode="minimum-time"), "mode"),
 ], ids=["SimParams", "SimParams-steps", "CostParams", "AvoidanceScenario", "SphereObstacle",
-        "q0", "target", "group-v0", "group-obstacle", "obstacle-center", "group-dimension"])
+        "q0", "target", "group-v0", "group-obstacle", "obstacle-center", "group-dimension",
+        "manifold", "mode"])
 def test_constructors_name_their_argument(build, name):
     with pytest.raises(ValidationError) as err:
         build()

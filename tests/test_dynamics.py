@@ -20,7 +20,7 @@ from geolqr.errors import NumericalDivergence
 from geolqr.so3 import exp_so3, orthogonality_defect
 
 J123 = InertiaTensor.diagonal([1.0, 2.0, 3.0])
-ZERO_CONTROLLER = lambda i, r, w: (0.0, 0.0, 0.0)
+ZERO_CONTROLLER = lambda r, w: (0.0, 0.0, 0.0)
 
 
 class TestInertia:
@@ -101,7 +101,7 @@ class TestSimulate:
 
     def test_deterministic_bit_identical(self):
         init = RigidBodyState(exp_so3([0.5, -0.2, 0.1]), np.array([0.1, 0.0, -0.3]))
-        ctrl = lambda i, r, w: (-0.5 * w[0], -0.5 * w[1], -0.5 * w[2])
+        ctrl = lambda r, w: (-0.5 * w[0], -0.5 * w[1], -0.5 * w[2])
         log1 = simulate(ctrl, init, SimParams(1e-3, 1.0, J123))
         log2 = simulate(ctrl, init, SimParams(1e-3, 1.0, J123))
         assert np.array_equal(log1.rotations, log2.rotations)
@@ -128,7 +128,7 @@ class TestSimulate:
         assert 0.5 / 1.5 <= mom2 / mom1 <= 0.5 * 1.5
 
     def test_divergence_guard(self):
-        runaway = lambda i, r, w: (1e4 * w[0], 1e4 * w[1], 1e4 * w[2])
+        runaway = lambda r, w: (1e4 * w[0], 1e4 * w[1], 1e4 * w[2])
         with pytest.raises(NumericalDivergence):
             simulate(runaway, RigidBodyState(np.eye(3), np.array([1.0, 0.0, 0.0])),
                      SimParams(1e-3, 10.0, J123))
@@ -142,35 +142,54 @@ class TestSimulate:
 
     def test_nan_torque_raises(self):
         with pytest.raises(NumericalDivergence):
-            simulate(lambda i, r, w: (math.nan, math.nan, math.nan),
+            simulate(lambda r, w: (math.nan, math.nan, math.nan),
                      RigidBodyState(np.eye(3), np.zeros(3)), SimParams(1e-3, 1.0, J123))
 
     def test_nan_torque_at_final_sample_raises(self):
         # No step follows the last sample, so only the torque check sees it.
-        last = lambda i, r, w: (math.nan,) * 3 if i == 10 else (0.0, 0.0, 0.0)
+        taus = np.zeros((11, 3))
+        taus[10] = math.nan
         with pytest.raises(NumericalDivergence):
-            simulate(last, RigidBodyState(np.eye(3), np.zeros(3)),
-                     SimParams(1e-3, 0.01, J123))
+            simulate(lambda r, w, tau: tau, RigidBodyState(np.eye(3), np.zeros(3)),
+                     SimParams(1e-3, 0.01, J123), tables=(taus,))
 
-    def test_controller_sees_index_rotation_array_and_float_velocity(self):
+    def test_law_sees_row_i_of_each_table_rotation_array_and_float_velocity(self):
         seen = []
 
-        def ctrl(i, r, w):
-            seen.append((i, r.copy(), w))
+        def law(r, w, i, row, k):
+            seen.append((i, row, k, r.copy(), w))
             return (0.1, -0.2, 0.3)
 
         init = RigidBodyState(exp_so3([0.2, 0.1, -0.4]), np.array([0.3, 0.0, 1.0]))
-        log = simulate(ctrl, init, SimParams(1e-3, 0.01, J123))
-        assert [i for i, _, _ in seen] == list(range(len(log)))
-        for i, r, w in seen:
+        index = np.arange(11)
+        rows = np.arange(33.0).reshape(11, 3)
+        log = simulate(law, init, SimParams(1e-3, 0.01, J123),
+                       tables=(index, rows, np.float64(2.5)))
+        assert [i for i, *_ in seen] == list(range(len(log)))
+        for i, row, k, r, w in seen:
+            assert type(i) is int and row == rows[i].tolist() and k == 2.5
             assert r.shape == (3, 3) and np.array_equal(r, log.rotations[i])
             assert len(w) == 3 and all(type(x) is float for x in w)
             assert np.array_equal(w, log.omegas[i])
 
+    @pytest.mark.parametrize("rows", [10, 12])
+    def test_table_of_wrong_length_raises_before_first_step(self, rows):
+        calls = []
+
+        def law(r, w, kp, tau):
+            calls.append(kp)
+            return tau
+
+        with pytest.raises(ValueError, match="table 1 has"):
+            simulate(law, RigidBodyState(np.eye(3), np.zeros(3)),
+                     SimParams(1e-3, 0.01, J123), tables=(1.0, np.zeros((rows, 3))))
+        assert calls == []
+
     def test_torque_channel_records_controller_output(self):
-        ctrl = lambda i, r, w: (math.sin(i * 1e-3), 0.0, 0.0)
-        log = simulate(ctrl, RigidBodyState(np.eye(3), np.zeros(3)),
-                       SimParams(1e-3, 0.01, J123))
+        times = np.arange(11) * 1e-3
+        log = simulate(lambda r, w, t: (math.sin(t), 0.0, 0.0),
+                       RigidBodyState(np.eye(3), np.zeros(3)),
+                       SimParams(1e-3, 0.01, J123), tables=(times,))
         assert np.allclose(log.torques[:, 0], np.sin(log.times), atol=1e-15)
 
 

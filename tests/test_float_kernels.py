@@ -147,15 +147,15 @@ class TestStepAndLaws:
 def test_simulate_keeps_rotations_orthogonal(r0, w0, torques, j):
     # A piecewise-constant torque drawn afresh every 25 steps for 1,000 steps.
     h = 1e-3
-    log = simulate(lambda i, r, w: torques[i // 25].tolist(),
-                   RigidBodyState(r0, w0), SimParams(h, 1.0, j))
+    log = simulate(lambda r, w, tau: tau, RigidBodyState(r0, w0), SimParams(h, 1.0, j),
+                   tables=(np.repeat(torques, 25, axis=0)[:1001],))
     assert max(orthogonality_defect(r) for r in log.rotations) <= 1e-12
 
 
 def simulate_per_step(law, init, p):
     """The closed loop with a RigidBodyState per step, lie_euler_step and
-    law(t, s) -> (3,) array, as it ran before simulate's (i, r, w) float
-    contract: the oracle of simulate's loop. Returns the logged rotations,
+    law(t, s) -> (3,) array, as it ran before simulate's float contract:
+    the oracle of simulate's loop. Returns the logged rotations,
     velocities and torques."""
     times = time_grid(p.h, p.t_end)
     s = RigidBodyState(init.r.copy(), init.w.copy())
@@ -200,6 +200,11 @@ class TestClosedLoopAgainstPerStepObjects:
     the public array laws, bit for bit over 1,000 steps."""
 
     @staticmethod
+    def run(controller, p=SIM):
+        law, tables = controller
+        return simulate(law, START, p, tables=tables)
+
+    @staticmethod
     def assert_same_log(log, oracle):
         rotations, omegas, torques = oracle
         assert np.array_equal(log.rotations, rotations)
@@ -209,7 +214,7 @@ class TestClosedLoopAgainstPerStepObjects:
     @pytest.mark.parametrize("source", ["are", "dre"])
     def test_regulation(self, source):
         gains_at, g = schedules()[source]
-        log = simulate(regulation_controller(GOAL, g), START, SIM)
+        log = self.run(regulation_controller(GOAL, g))
         self.assert_same_log(log, simulate_per_step(
             lambda t, s: regulation_torque(s, GOAL, gains_at(t)), START, SIM))
 
@@ -218,13 +223,13 @@ class TestClosedLoopAgainstPerStepObjects:
     def test_tracking(self, source, accel_term):
         gains_at, g = schedules()[source]
         ref = quadratic_reference(SIM)
-        log = simulate(tracking_controller(ref, g, J_OFF, accel_term), START, SIM)
+        log = self.run(tracking_controller(ref, g, J_OFF, accel_term))
         self.assert_same_log(log, simulate_per_step(
             lambda t, s: tracking_torque(s, ref.sample(t), gains_at(t), J_OFF, accel_term),
             START, SIM))
 
-    # simulate logs and the controllers read their tables AFFINE_CHUNK
-    # samples at a time. A grid of n steps has n + 1 samples: one short of a
+    # simulate logs and reads the controllers' tables AFFINE_CHUNK samples
+    # at a time. A grid of n steps has n + 1 samples: one short of a
     # chunk, one chunk, one more (the last sample alone in its chunk), and
     # two chunks and two more.
     @pytest.mark.parametrize("steps", [AFFINE_CHUNK - 1, AFFINE_CHUNK, AFFINE_CHUNK + 1,
@@ -234,11 +239,11 @@ class TestClosedLoopAgainstPerStepObjects:
         p = SimParams(SIM.h, steps * SIM.h, J_OFF)
         assert len(time_grid(p.h, p.t_end)) == steps + 1
         gains_at, g = schedules(p)[source]
-        log = simulate(regulation_controller(GOAL, g), START, p)
+        log = self.run(regulation_controller(GOAL, g), p)
         self.assert_same_log(log, simulate_per_step(
             lambda t, s: regulation_torque(s, GOAL, gains_at(t)), START, p))
         ref = quadratic_reference(p)
-        log = simulate(tracking_controller(ref, g, J_OFF, True), START, p)
+        log = self.run(tracking_controller(ref, g, J_OFF, True), p)
         self.assert_same_log(log, simulate_per_step(
             lambda t, s: tracking_torque(s, ref.sample(t), gains_at(t), J_OFF, True),
             START, p))
@@ -247,40 +252,47 @@ class TestClosedLoopAgainstPerStepObjects:
     @pytest.mark.parametrize("at", [AFFINE_CHUNK - 1, AFFINE_CHUNK, AFFINE_CHUNK + 44])
     def test_divergence_names_its_time(self, at):
         # One huge torque at sample at - 1 throws |w| past the limit at sample at.
-        def kick(i, r, w):
-            return (1e12, 0.0, 0.0) if i == at - 1 else (0.0, 0.0, 0.0)
-
-        t = time_grid(SIM.h, SIM.t_end).item(at)
+        times = time_grid(SIM.h, SIM.t_end)
+        kick = np.zeros((len(times), 3))
+        kick[at - 1, 0] = 1e12
+        t = times.item(at)
         with pytest.raises(NumericalDivergence, match=re.escape(f"at t = {t:.6g}") + "$"):
-            simulate(kick, START, SIM)
+            simulate(lambda r, w, tau: tau, START, SIM, tables=(kick,))
 
     # With AFFINE_CHUNK steps the last sample is alone in its chunk.
     @pytest.mark.parametrize("steps", [AFFINE_CHUNK - 1, AFFINE_CHUNK])
     def test_non_finite_final_torque(self, steps):
-        def law(i, r, w):
-            return (0.0, math.nan, 0.0) if i == steps else (0.0, 0.0, 0.0)
-
+        taus = np.zeros((steps + 1, 3))
+        taus[steps, 1] = math.nan
         with pytest.raises(NumericalDivergence, match="non-finite torque"):
-            simulate(law, START, SimParams(SIM.h, steps * SIM.h, J_OFF))
+            simulate(lambda r, w, tau: tau, START, SimParams(SIM.h, steps * SIM.h, J_OFF),
+                     tables=(taus,))
 
 
 class TestScenarioLaws:
-    """The controllers scenarios.run hands to simulate, evaluated at every
-    25th logged state, equal the public array laws by tobytes()."""
+    """The laws scenarios.run hands to simulate, evaluated at every 25th
+    logged state with that sample's row of their tables, equal the public
+    array laws by tobytes()."""
 
     @staticmethod
     def run_capturing(monkeypatch, tmp_path, config):
+        """(cfg, controller, log): controller(i, r, w) is the captured law at
+        sample i of its tables."""
         captured = []
 
-        def capture(controller, init, p):
-            log = simulate(controller, init, p)
-            captured.append((controller, log))
+        def capture(law, init, p, *, tables):
+            log = simulate(law, init, p, tables=tables)
+            captured.append((law, [np.asarray(t) for t in tables], log))
             return log
 
         monkeypatch.setattr(scenarios, "simulate", capture)
         cfg = parse_config(json.dumps(config))
         scenarios.run(cfg, str(tmp_path))
-        (controller, log), = captured
+        (law, tables, log), = captured
+
+        def controller(i, r, w):
+            return law(r, w, *[t[i].tolist() if t.ndim else t.item() for t in tables])
+
         return cfg, controller, log
 
     @staticmethod

@@ -196,6 +196,16 @@ class TestAvoidanceAccel:
         barrier_term = base - plain
         assert np.abs(barrier_term - (-grad_fd)).max() <= 1e-6
 
+    def test_sphere_grad_matches_central_differences_of_value(self):
+        obs = SphereObstacle(np.array([0.3, -0.2, 0.5]), 0.4)
+        q = np.random.default_rng(5).standard_normal((4, 3))
+        step = 1e-6
+        grad_fd = np.stack([(obs.value(q + e) - obs.value(q - e)) / (2.0 * step)
+                            for e in step * np.eye(3)], axis=-1)
+        assert obs.grad(q).shape == q.shape
+        assert np.abs(obs.grad(q) - grad_fd).max() <= 1e-8
+        assert np.array_equal(obs.grad(q), 2.0 * (q - obs.center))
+
     def test_contact_flagged(self):
         obs = SphereObstacle(np.array([0.0]), 0.5)
         sc = AvoidanceScenario(dimension=1, alpha=1.0, target=[2.0], horizon=1.0,

@@ -169,9 +169,9 @@ class TestFeedforwardTorque:
         om = lambda t: np.array([0.5 * t, 0.3 * t, 0.4 * t])
         omdot = lambda t: np.array([0.5, 0.3, 0.4])
         ref = tabulated_reference(om, omdot, t_end=5.0, h=1e-3)
-        log = simulate(tracking_controller(ref, g, J123, accel_term=True),
-                       RigidBodyState(ref.rotations[0].copy(), om(0.0)),
-                       SimParams(1e-3, 5.0, J123))
+        law, tables = tracking_controller(ref, g, J123, accel_term=True)
+        log = simulate(law, RigidBodyState(ref.rotations[0].copy(), om(0.0)),
+                       SimParams(1e-3, 5.0, J123), tables=tables)
         err = [geodesic_distance(ref.sample(t).r, r) for t, r in zip(log.times, log.rotations)]
         assert max(err) <= 1e-3
 
@@ -183,9 +183,9 @@ class TestFeedforwardTorque:
         om = lambda t: np.array([0.5 * t, 0.3 * t, 0.4 * t])
         omdot = lambda t: np.array([0.5, 0.3, 0.4])
         ref = tabulated_reference(om, omdot, t_end=12.0, h=1e-3)
-        log = simulate(tracking_controller(ref, g, J123, accel_term=False),
-                       RigidBodyState(ref.rotations[0].copy(), om(0.0)),
-                       SimParams(1e-3, 12.0, J123))
+        law, tables = tracking_controller(ref, g, J123, accel_term=False)
+        log = simulate(law, RigidBodyState(ref.rotations[0].copy(), om(0.0)),
+                       SimParams(1e-3, 12.0, J123), tables=tables)
         lag = np.linalg.norm(omdot(0.0)) / g.kP
         final = geodesic_distance(ref.sample(log.times[-1]).r, log.rotations[-1])
         assert abs(final - lag) <= 0.15 * lag
@@ -212,9 +212,9 @@ class TestLyapunovValue:
     def test_decreases_along_closed_loop(self):
         g, _ = published_regulation_gains()
         goal = np.eye(3)
-        log = simulate(regulation_controller(goal, g),
-                       RigidBodyState(exp_so3([0.9, -0.4, 0.2]), np.zeros(3)),
-                       SimParams(1e-3, 5.0, J123))
+        law, tables = regulation_controller(goal, g)
+        log = simulate(law, RigidBodyState(exp_so3([0.9, -0.4, 0.2]), np.zeros(3)),
+                       SimParams(1e-3, 5.0, J123), tables=tables)
         e = attitude_errors(np.broadcast_to(goal, log.rotations.shape), log.rotations)
         ly = lyapunov_value(e, log.omegas, g.kP)
         tau2 = np.array([float(tau @ tau) for tau in log.torques])

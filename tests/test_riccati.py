@@ -233,6 +233,14 @@ def test_drift_matrix_modes():
         drift_matrix("bogus")
 
 
+def test_unknown_drift_mode_names_the_config_key():
+    # drift_matrix is the one check of the mode; config prefixes "controller".
+    with pytest.raises(ValidationError) as err:
+        drift_matrix("bogus")
+    assert err.value.path == "a_matrix_mode"
+    assert err.value.message == f"expected one of {DRIFT_MODES}"
+
+
 def test_cost_params_validation():
     with pytest.raises(ValueError):
         CostParams(alpha=0.0)
