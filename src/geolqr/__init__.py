@@ -66,7 +66,6 @@ from .pmp import (
     SphereObstacle,
     VariationTrajectory,
     costate_integrate,
-    curvature,
     shooting_solve,
     trajectory_cost,
     transcription_oracle,

@@ -28,11 +28,8 @@ matrices of _variational_matrices. Every cost evaluator
 (trajectory_cost, the oracle's batched costs, control_cost, and the
 costates' Hamiltonian) reads the one array running cost running_cost under
 one trapezoid rule, and the extremal, the costates and the oracle's
-gradient read the one potential gradient _grad_potential.
-
-On the rotation group all tangent quantities live in body coordinates and
-rates written with a dot are covariant: for a field xi along the trajectory,
-D xi / Dt = xi' + (w x xi) / 2.
+gradient read the one potential gradient _grad_potential. Every rule of
+the configuration space is a method of its object in MANIFOLDS.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from .errors import NoConvergence, NoDescent, ObstacleContact, ValidationError
 from .riccati import CostParams
 from .so3 import attitude_errors, exp_rows, row_dots
 
-MANIFOLDS = ("flat", "so3-biinvariant")
 MODES = ("avoidance", "terminal")
 
 # Multiple shooting splits the grid into steps // SEGMENT_STEPS segments (at
@@ -76,19 +72,66 @@ def _cross(a, b) -> np.ndarray:
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
-def curvature(manifold: str, x, y, z) -> np.ndarray:
-    """Curvature tensor R(X, Y)Z evaluated in closed form.
+class _Flat:
+    """Flat space: q is a vector, log(a, b) = b - a, retract(q, xi) = q + xi,
+    and no connection or curvature term enters rates or connect."""
 
-    Flat space is zero; the bi-invariant rotation group gives
-    -[[X, Y], Z]/4, i.e. -(x cross y) cross z / 4 in vector coordinates
-    (sectional curvature +1/4 for orthonormal pairs).
-    """
-    x = np.asarray(x, dtype=float)
-    if manifold == "flat":
-        return np.zeros_like(x)
-    if manifold == "so3-biinvariant":
+    def log(self, a, b):
+        return b - a
+
+    def retract(self, q, xi):
+        return q + xi
+
+    def rates(self, q, v, u, w, dw):
+        return v, u, w, dw
+
+    def connect(self, a, v):
+        return a
+
+
+class _Rotations:
+    """The rotation group with the bi-invariant metric: q holds (..., 3, 3)
+    rotations, tangent quantities live in body coordinates, log(a, b) =
+    log(a.T b) row by row with a broadcast, and retract(q, xi) = q exp(xi)
+    on (N, 3) rows xi. Rates written with a dot are covariant, D xi / Dt =
+    xi' + (v x xi) / 2 along a path of velocity v, so rates and connect add
+    -(v x .)/2 and the curvature terms R(v, u)v and R(v, .)v. The rows of
+    q hat(v) are the rows of q crossed with v."""
+
+    def log(self, a, b):
+        rs = b.reshape(-1, 3, 3)
+        e = attitude_errors(np.broadcast_to(a, b.shape).reshape(rs.shape), rs)
+        return e.reshape(b.shape[:-2] + (3,))
+
+    def retract(self, q, xi):
+        return q @ exp_rows(xi)
+
+    def curvature(self, x, y, z) -> np.ndarray:
+        """R(x, y)z = -[[x, y], z]/4, i.e. -(x cross y) cross z / 4
+        (sectional curvature +1/4 for orthonormal pairs)."""
         return -0.25 * _cross(_cross(x, y), z)
-    raise ValueError(f"unknown manifold {manifold!r}; expected one of {MANIFOLDS}")
+
+    def rates(self, q, v, u, w, dw):
+        half = 0.5 * v
+        return (_cross(q, v[:, None, :]).reshape(len(v), 9), u, w - _cross(half, u),
+                self.curvature(v, u, v) + dw - _cross(half, w))
+
+    def connect(self, a, v):
+        vv = v[..., None, :]
+        a[..., 3:, :3] += self.curvature(vv, np.eye(3), vv).swapaxes(-1, -2)
+        a[..., :3, :3] = a[..., 3:, 3:] = -0.5 * _cross(np.eye(3), vv)
+        return a
+
+
+MANIFOLDS = {"flat": _Flat(), "so3-biinvariant": _Rotations()}
+
+
+def _space(name: str):
+    """The object of MANIFOLDS named name; the tuple refuses unhashable names too."""
+    names = tuple(MANIFOLDS)
+    if name not in names:
+        raise ValidationError("manifold", f"expected one of {names}")
+    return MANIFOLDS[name]
 
 
 @dataclass(frozen=True)
@@ -103,24 +146,26 @@ class SphereObstacle:
             raise ValidationError("radius", "must be positive")
 
     def value(self, q):
-        """O at q, or at every row of a (..., n) array, rounded as d @ d."""
+        """O at q, or at every row of a (..., n) array."""
+        return self.value_and_grad(q)[0]
+
+    def value_and_grad(self, q):
+        """O, rounded as d @ d, and its gradient 2 d at q, or at every row of
+        a (..., n) array, from one d = q - center."""
         d = np.asarray(q, dtype=float) - self.center
         o = row_dots(d, d)
         o -= self.radius ** 2  # in place: no third array the size of q's rows
-        return o
-
-    def grad(self, q):
-        """Gradient 2 (q - center) of O at q, or at every row of a (..., n) array."""
-        return 2.0 * (np.asarray(q, dtype=float) - self.center)
+        return o, 2.0 * d
 
 
 @dataclass
 class AvoidanceScenario:
     """Problem data for the boundary-value solvers.
 
-    dimension is the tangent dimension. For the flat manifold q0, target and
-    v0 are (dimension,) vectors; "so3-biinvariant" needs dimension 3, with q0
-    and target (3, 3) rotations and v0 a (3,) body velocity. Obstacles are
+    dimension is the tangent dimension, and space the object of MANIFOLDS
+    named by manifold. For the flat manifold q0, target and v0 are
+    (dimension,) vectors; "so3-biinvariant" needs dimension 3, with q0 and
+    target (3, 3) rotations and v0 a (3,) body velocity. Obstacles are
     only allowed on flat space, each with a (dimension,) center, and q0 must
     lie outside each. A bad value raises a ValidationError naming the
     argument: "alpha", "horizon", "dimension", "q0", "target", "v0",
@@ -141,8 +186,7 @@ class AvoidanceScenario:
     def __post_init__(self):
         # The control weight's range is CostParams' rule.
         CostParams(self.alpha)
-        if self.manifold not in MANIFOLDS:
-            raise ValidationError("manifold", f"expected one of {MANIFOLDS}")
+        self.space = _space(self.manifold)
         if self.mode not in MODES:
             raise ValidationError("mode", f"expected one of {MODES}")
         if not self.horizon > 0.0:
@@ -166,15 +210,9 @@ class AvoidanceScenario:
 
 
 def goal_errors(scenario: AvoidanceScenario, q) -> np.ndarray:
-    """Error of every point of q from the goal q*, which is the gradient of
-    U(q*, .) and whose norm is the distance to q*: q - q* on flat space, and
-    log(q*.T q) on the group, where q holds (..., 3, 3) rotations."""
-    q = np.asarray(q, dtype=float)
-    if scenario.manifold == "flat":
-        return q - scenario.target
-    rs = q.reshape(-1, 3, 3)
-    g = attitude_errors(np.broadcast_to(scenario.target, rs.shape), rs)
-    return g.reshape(q.shape[:-2] + (3,))
+    """Error log(q*, q) of every point of q from the goal q*, which is the
+    gradient of U(q*, .) and whose norm is the distance to q*."""
+    return scenario.space.log(scenario.target, np.asarray(q, dtype=float))
 
 
 def running_cost(scenario: AvoidanceScenario, q, v, u) -> np.ndarray:
@@ -182,8 +220,7 @@ def running_cost(scenario: AvoidanceScenario, q, v, u) -> np.ndarray:
 
     Avoidance mode: U(q*, q) + |v|^2/2 + (alpha/2)|u|^2 + sum_i 1/O_i(q),
     and +inf where the path touches an obstacle (O_i <= 0). Terminal mode:
-    (alpha/2)|u|^2. On the rotation group q holds rotation matrices,
-    (..., N, 3, 3), and U takes log_so3 point by point.
+    (alpha/2)|u|^2.
     """
     u2 = row_dots(u, u)
     if scenario.mode == "terminal":
@@ -212,23 +249,10 @@ def _grad_potential(scenario: AvoidanceScenario, q):
     costate_integrate raises there, a batched rollout flags the row."""
     barrier, contact = 0.0, False
     for obs in scenario.obstacles:
-        o = obs.value(q)
-        barrier = barrier - obs.grad(q) / (o * o)[..., None]
+        o, grad = obs.value_and_grad(q)
+        barrier = barrier - grad / (o * o)[..., None]
         contact = contact | (o <= 0.0)
     return goal_errors(scenario, q) + barrier, contact
-
-
-def _avoidance_accel(scenario: AvoidanceScenario, q, v, u):
-    """Covariant second derivative of the control along an extremal,
-    R(v, u) v + u/alpha - grad(U + V)(q)/alpha, at every point, and the
-    points that touch an obstacle. The gradient sign follows from
-    differentiating the costate relation u = -p2/alpha twice; the
-    transcription oracle confirms it numerically."""
-    grad, contact = _grad_potential(scenario, q)
-    accel = (u - grad) / scenario.alpha
-    if scenario.manifold == "flat":
-        return accel, contact
-    return curvature(scenario.manifold, v, u, v) + accel, contact
 
 
 def _unpack(scenario: AvoidanceScenario, z):
@@ -243,20 +267,18 @@ def _coupled_rhs(scenario: AvoidanceScenario, z: np.ndarray):
     """Time derivative of a (B, .) batch of packed states (q, v, u, w), and
     the rows whose q touches an obstacle.
 
-    On the group the rows of R hat(w) are the rows of R crossed with w.
+    The covariant second derivative of the control is R(v, u)v, which the
+    space's rates add, plus (u - grad(U + V)(q))/alpha in avoidance mode.
+    That gradient sign follows from differentiating the costate relation
+    u = -p2/alpha twice; the transcription oracle confirms it numerically.
     """
     q, v, u, w = _unpack(scenario, z)
     if scenario.mode == "avoidance":
-        dw, contact = _avoidance_accel(scenario, q, v, u)
+        grad, contact = _grad_potential(scenario, q)
+        dw = (u - grad) / scenario.alpha
     else:
-        dw, contact = curvature(scenario.manifold, v, u, v), False
-    if scenario.manifold == "flat":
-        return np.concatenate([v, u, w, dw], axis=1), contact
-    half_om = 0.5 * v
-    return np.concatenate([_cross(q, v[:, None, :]).reshape(len(z), 9),
-                           u,
-                           w - _cross(half_om, u),
-                           dw - _cross(half_om, w)], axis=1), contact
+        dw, contact = np.zeros_like(v), False
+    return np.concatenate(scenario.space.rates(q, v, u, w, dw), axis=1), contact
 
 
 @dataclass
@@ -350,26 +372,19 @@ def _terminal_residual(scenario: AvoidanceScenario, z) -> np.ndarray:
 
 def _continuity(scenario: AvoidanceScenario, start, end) -> np.ndarray:
     """Mismatch between (B, .) batches of packed segment starts and the ends
-    they continue, (B, 4n): start - end in q (log(end.T start) on the
-    group), v, u and w."""
+    they continue, (B, 4n): log(end, start) in q, start - end in v, u and w."""
     d = scenario.q0.size
-    qs, qe = _unpack(scenario, start)[0], _unpack(scenario, end)[0]
-    dq = qs - qe if scenario.manifold == "flat" else attitude_errors(qe, qs)
+    dq = scenario.space.log(_unpack(scenario, end)[0], _unpack(scenario, start)[0])
     return np.hstack([dq, start[:, d:] - end[:, d:]])
 
 
-def _segment_starts(scenario: AvoidanceScenario, y, seg) -> np.ndarray:
-    """Packed start states of rows y = (xi, v, u, w) of segments seg: q is
-    q0 + xi on flat space and q0 exp(xi) on the group, and q0 in segment 0."""
+def _segment_starts(scenario: AvoidanceScenario, y) -> np.ndarray:
+    """Packed start states of rows y = (xi, v, u, w), with q retracted from
+    q0 along xi. Segment 0's xi is zero, and the retraction of q0 along zero
+    is q0 exactly."""
     n = scenario.dimension
-    q = np.tile(scenario.q0.ravel(), (len(y), 1))
-    later = seg > 0
-    xi = y[later, :n]
-    if scenario.manifold == "flat":
-        q[later] = scenario.q0 + xi
-    else:
-        q[later] = (scenario.q0 @ exp_rows(xi)).reshape(-1, 9)
-    return np.hstack([q, y[:, n:]])
+    q = scenario.space.retract(scenario.q0, y[:, :n])
+    return np.hstack([q.reshape(len(y), -1), y[:, n:]])
 
 
 def _segment_jacobian(scenario: AvoidanceScenario, starts, ends, deltas, seg) -> np.ndarray:
@@ -405,18 +420,17 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3) -> BVPSolution:
 
     The grid splits into M = steps // SEGMENT_STEPS segments (M = 1 on
     short grids is single shooting) whose lengths differ by at most one
-    step, the longer ones last. The unknowns are (u(0),
-    Du/Dt(0)) and each later segment's start (xi, v, u, w), where q is
-    q0 + xi on flat space and q0 exp(xi) on the group; segment starts begin
-    at (q0, v0, 0, 0). The residual is the continuity of q (by log_so3 on
-    the group), v, u and w at each later segment's start, then the terminal
-    condition of the scenario mode. The rhs is autonomous, so every segment
-    sweeps the grid of the longest one and reads its end at its own length,
-    and each trial point goes through one sweep together with one
-    forward-difference perturbation per unknown: an accepted trial brings
-    the Jacobian at the new iterate along. A trial whose base rows touch an
-    obstacle or overflow halves the step. The path joins the segments' base
-    rows on the global grid. trace holds
+    step, the longer ones last. The unknowns are (u(0), Du/Dt(0)) and each
+    later segment's start (xi, v, u, w), where q is retracted from q0 along
+    xi; segment starts begin at (q0, v0, 0, 0). The residual is the
+    continuity of q (by the space's log), v, u and w at each later
+    segment's start, then the terminal condition of the scenario mode. The
+    rhs is autonomous, so every segment sweeps the grid of the longest one
+    and reads its end at its own length, and each trial point goes through
+    one sweep together with one forward-difference perturbation per
+    unknown: an accepted trial brings the Jacobian at the new iterate along.
+    A trial whose base rows touch an obstacle or overflow halves the step.
+    The path joins the segments' base rows on the global grid. trace holds
     "residuals" (sup norm, zero guess first), "steps" (the accepted step
     lengths), "sweeps" and "segments" (M).
 
@@ -444,7 +458,7 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3) -> BVPSolution:
         y = np.concatenate([np.zeros(n), scenario.v0, x]).reshape(m, 4 * n)
         ys = np.vstack([y, y[seg]])
         ys[m + np.arange(x.size), comp] += deltas
-        starts = _segment_starts(scenario, ys, row_seg)
+        starts = _segment_starts(scenario, ys)
         # A shorter segment's row runs one step past its end, into the next
         # segment's span, and its contact flag covers that step too.
         zs, contact = _integrate_extremal(scenario, starts, times[:lengths[-1] + 1])
@@ -649,29 +663,21 @@ class CostateTrajectory:
     hamiltonian: np.ndarray
 
 
-def _midpoints(scenario: AvoidanceScenario, q) -> np.ndarray:
-    """Interval midpoints of grid samples q: linear averages on flat space,
-    geodesic ones q_k exp(log(q_k.T q_k+1) / 2), rotations, on the group."""
-    if scenario.manifold == "flat":
-        return 0.5 * (q[:-1] + q[1:])
-    halves = 0.5 * attitude_errors(q[:-1], q[1:])
-    return q[:-1] @ exp_rows(halves)
+def _midpoints(space, q) -> np.ndarray:
+    """Interval midpoints retract(q_k, log(q_k, q_k+1) / 2) of grid samples q."""
+    return space.retract(q[:-1], 0.5 * space.log(q[:-1], q[1:]))
 
 
-def _variational_matrices(manifold: str, v, hess=0.0) -> np.ndarray:
+def _variational_matrices(space, v, hess=0.0) -> np.ndarray:
     """System matrices [[-C, I], [J - hess, -C]] of the variational equation
-    in (Y, DY/Dt): on the group one per row of v, with J the matrix of
-    Y -> R(v, Y) v and C = hat(v)/2 (rows e_j x v / 2); on flat space, where
-    J = C = 0, one per row of hess. The costate system is the adjoint, -A.T."""
+    in (Y, DY/Dt), one per row of the broadcast of v's and hess's rows:
+    space.connect adds J, the matrix of Y -> R(v, Y) v, and -C, the
+    connection term Y -> -(v x Y)/2. The costate system is the adjoint, -A.T."""
     n = v.shape[-1]
-    a = np.zeros((np.shape(hess)[:-2] if manifold == "flat" else v.shape[:-1]) + (2 * n, 2 * n))
+    a = np.zeros(np.broadcast_shapes(v.shape[:-1], np.shape(hess)[:-2]) + (2 * n, 2 * n))
     a[..., :n, n:] = np.eye(n)
     a[..., n:, :n] = -hess
-    if manifold != "flat":
-        vv = v[..., None, :]
-        a[..., n:, :n] += curvature(manifold, vv, np.eye(n), vv).swapaxes(-1, -2)
-        a[..., :n, :n] = a[..., n:, n:] = -0.5 * _cross(np.eye(3), vv)
-    return a
+    return space.connect(a, v)
 
 
 def costate_integrate(scenario: AvoidanceScenario, solution: BVPSolution) -> CostateTrajectory:
@@ -686,9 +692,9 @@ def costate_integrate(scenario: AvoidanceScenario, solution: BVPSolution) -> Cos
     neither, and p(T) = (grad U(q(T)), v(T)) from the terminal cost.
 
     The system is linear, p' = A p + f with f = -(grad_q L, grad_v L) and A
-    the adjoint -A.T of _variational_matrices' A: on the group [[-hat(v)/2,
-    -hat(v)^2/4], [-I, -hat(v)/2]]. One dynamics.affine_rk4 sweeps it from the
-    grid samples and interval midpoints (_midpoints), second order overall.
+    the adjoint -A.T of _variational_matrices' A. One dynamics.affine_rk4
+    sweeps it from the grid samples and interval midpoints (_midpoints),
+    second order overall.
 
     Raises:
         ObstacleContact: a grid sample or midpoint touches an obstacle.
@@ -698,12 +704,12 @@ def costate_integrate(scenario: AvoidanceScenario, solution: BVPSolution) -> Cos
     # and k + 1 of the reversed arrays.
     qr, vr = q[::-1], v[::-1]
     vm = 0.5 * (vr[:-1] + vr[1:])
-    a = tuple(-_variational_matrices(scenario.manifold, vs).swapaxes(-1, -2) for vs in (vr, vm))
+    a = tuple(-_variational_matrices(scenario.space, vs).swapaxes(-1, -2) for vs in (vr, vm))
     if scenario.mode == "terminal":
         terminal, f = np.concatenate([goal_errors(scenario, q[-1]), v[-1]]), (0.0, 0.0)
     else:
         terminal, f = np.zeros(2 * v.shape[1]), []
-        for qs, vs in ((qr, vr), (_midpoints(scenario, qr), vm)):
+        for qs, vs in ((qr, vr), (_midpoints(scenario.space, qr), vm)):
             grad, contact = _grad_potential(scenario, qs)
             if np.any(contact):
                 raise ObstacleContact("obstacle contacted")
@@ -733,15 +739,16 @@ def variational_propagate(times, q, v, y0, ydot0, manifold: str = "flat",
     with identity actuation, so the control term contributes nothing, from
     the field y0 and covariant rate ydot0 along base configurations q and
     velocities v on the uniform grid times, by one dynamics.affine_rk4. ydot
-    differs from the coordinate rate by (w x Y)/2 on the group. On flat
-    space hess_w, an optional callable(q) -> (n, n), is Hess W and the only
-    reader of q. manifold is "flat" or "so3-biinvariant".
+    is covariant. On flat space hess_w, an optional callable(q) -> (n, n),
+    is Hess W and the only reader of q. manifold names a MANIFOLDS entry;
+    any other raises ValidationError("manifold").
     """
+    space = _space(manifold)
     times = np.asarray(times, dtype=float)
     hess = (0.0, 0.0)
     if manifold == "flat" and hess_w is not None:
         hess = tuple(np.array([hess_w(x) for x in qs]) for qs in (q, 0.5 * (q[:-1] + q[1:])))
-    a = tuple(_variational_matrices(manifold, vs, hs)
+    a = tuple(_variational_matrices(space, vs, hs)
               for vs, hs in zip((v, 0.5 * (v[:-1] + v[1:])), hess))
     y, ydot = np.split(affine_rk4(a, (0.0, 0.0), np.concatenate([y0, ydot0]), times), 2, axis=1)
     return VariationTrajectory(times, y, ydot)

@@ -10,10 +10,9 @@ call per product costs more than the product. regulation_controller and
 tracking_controller return each kernel as simulate's (law, tables): a pure
 function law(r, w, *row) of the state and one row, and the tables it reads,
 the reference rows and the gains (constants, or arrays over the grid), which
-simulate walks beside its log. regulation_torque, tracking_torque,
-tracking_pd_torque and feedforward_torque wrap the same kernels for one
-RigidBodyState and ReferenceSample and return a (3,) array, bit for bit the
-laws' torque.
+simulate walks beside its log. regulation_torque, tracking_pd_torque and
+feedforward_torque wrap the same kernels for one RigidBodyState and
+ReferenceSample and return a (3,) array, bit for bit the laws' torque.
 """
 
 from __future__ import annotations
@@ -181,13 +180,6 @@ def _state_and_sample(s: RigidBodyState, ref: ReferenceSample) -> tuple:
     """The floats _tracking_law reads from a state and a reference sample."""
     return (s.r.ravel().tolist(), s.w.tolist(), ref.r.ravel().tolist(), ref.w.tolist(),
             ref.wdot.tolist())
-
-
-def tracking_torque(s: RigidBodyState, sample: ReferenceSample, g: GainPair,
-                    j: InertiaTensor, accel_term: bool = False) -> np.ndarray:
-    """The whole tracking law, tracking_pd_torque + feedforward_torque, in one
-    float pass. Raises AngleNearPi at the cut locus."""
-    return np.array(_tracking_law(*_state_and_sample(s, sample), g.kP, g.kD, j, accel_term))
 
 
 def tracking_pd_torque(s: RigidBodyState, ref: ReferenceSample, g: GainPair) -> np.ndarray:

@@ -219,10 +219,12 @@ def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
     (lambda: AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
                                q0=[1.0], v0=[0.0], manifold="sphere"), "manifold"),
     (lambda: AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
+                               q0=[1.0], v0=[0.0], manifold=["flat"]), "manifold"),
+    (lambda: AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
                                q0=[1.0], v0=[0.0], mode="minimum-time"), "mode"),
 ], ids=["SimParams", "SimParams-steps", "CostParams", "AvoidanceScenario", "SphereObstacle",
         "q0", "target", "group-v0", "group-obstacle", "obstacle-center", "group-dimension",
-        "manifold", "mode"])
+        "manifold", "manifold-unhashable", "mode"])
 def test_constructors_name_their_argument(build, name):
     with pytest.raises(ValidationError) as err:
         build()

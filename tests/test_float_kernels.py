@@ -40,7 +40,6 @@ from geolqr.regulators import (
     regulation_torque,
     tracking_controller,
     tracking_pd_torque,
-    tracking_torque,
 )
 from geolqr.riccati import (
     DRIFT_MODES,
@@ -79,6 +78,16 @@ def inertias(draw):
     axes = exp_so3(draw(vectors))
     j = axes @ np.diag(moments) @ axes.T
     return InertiaTensor(0.5 * (j + j.T))
+
+
+def tracking_law(ref, g, j, accel_term):
+    """The law of tracking_controller(ref, g, j, accel_term) as
+    law(s, sample, gains) -> (3,) array: state s and a row made of a
+    ReferenceSample and a GainPair, passed as simulate passes them."""
+    law, _ = tracking_controller(ref, g, j, accel_term)
+    return lambda s, sample, gains: np.array(law(
+        s.r, tuple(s.w.tolist()), sample.r.ravel().tolist(), sample.w.tolist(),
+        sample.wdot.tolist(), gains.kP, gains.kD))
 
 
 def assert_close(got, want, scale):
@@ -134,10 +143,13 @@ class TestStepAndLaws:
            g=gains, j=inertias(), accel_term=st.booleans())
     def test_tracking_torque_is_the_sum_of_both_terms(self, r_ref, rel, w, w_ref, wdot,
                                                       g, j, accel_term):
+        # The law of tracking_controller on the one row of a one-sample reference.
         s = RigidBodyState(r_ref @ rel, w)
-        ref = ReferenceSample(r_ref, w_ref, wdot)
-        want = tracking_pd_torque(s, ref, g) + feedforward_torque(s, ref, j, accel_term)
-        assert tracking_torque(s, ref, g, j, accel_term).tobytes() == want.tobytes()
+        ref = TrackingReference(w_ref[None], wdot[None], 1e-3, r0=r_ref)
+        sample = ref.sample(0.0)
+        want = tracking_pd_torque(s, sample, g) + feedforward_torque(s, sample, j, accel_term)
+        got = tracking_law(ref, g, j, accel_term)(s, sample, g)
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -224,9 +236,9 @@ class TestClosedLoopAgainstPerStepObjects:
         gains_at, g = schedules()[source]
         ref = quadratic_reference(SIM)
         log = self.run(tracking_controller(ref, g, J_OFF, accel_term))
+        law = tracking_law(ref, g, J_OFF, accel_term)
         self.assert_same_log(log, simulate_per_step(
-            lambda t, s: tracking_torque(s, ref.sample(t), gains_at(t), J_OFF, accel_term),
-            START, SIM))
+            lambda t, s: law(s, ref.sample(t), gains_at(t)), START, SIM))
 
     # simulate logs and reads the controllers' tables AFFINE_CHUNK samples
     # at a time. A grid of n steps has n + 1 samples: one short of a
@@ -244,9 +256,9 @@ class TestClosedLoopAgainstPerStepObjects:
             lambda t, s: regulation_torque(s, GOAL, gains_at(t)), START, p))
         ref = quadratic_reference(p)
         log = self.run(tracking_controller(ref, g, J_OFF, True), p)
+        law = tracking_law(ref, g, J_OFF, True)
         self.assert_same_log(log, simulate_per_step(
-            lambda t, s: tracking_torque(s, ref.sample(t), gains_at(t), J_OFF, True),
-            START, p))
+            lambda t, s: law(s, ref.sample(t), gains_at(t)), START, p))
 
     # The last sample of a chunk, the first of the next, and one mid-chunk.
     @pytest.mark.parametrize("at", [AFFINE_CHUNK - 1, AFFINE_CHUNK, AFFINE_CHUNK + 44])
@@ -331,9 +343,9 @@ class TestScenarioLaws:
         times = time_grid(cfg.sim.h, cfg.sim.t_end)
         ref = TrackingReference(cfg.reference.omega(times), cfg.reference.omega_dot(times),
                                 cfg.sim.h, r0=cfg.reference.r0)
+        law = tracking_law(ref, gains_at(0.0), cfg.sim.inertia, accel_term)
         for i, t, r, w in self.states(log):
-            want = tracking_torque(RigidBodyState(r, w), ref.sample(t), gains_at(t),
-                                   cfg.sim.inertia, accel_term)
+            want = law(RigidBodyState(r, w), ref.sample(t), gains_at(t))
             assert np.array(controller(i, r, tuple(w.tolist()))).tobytes() == want.tobytes()
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from geolqr import pmp
-from geolqr.dynamics import rk4
+from geolqr.dynamics import InertiaTensor, RigidBodyState, SimParams, rk4, simulate
 from geolqr.errors import NoConvergence, NoDescent, ObstacleContact, ValidationError
 from geolqr.pmp import (
     AvoidanceScenario,
@@ -19,7 +19,6 @@ from geolqr.pmp import (
     SphereObstacle,
     control_cost,
     costate_integrate,
-    curvature,
     shooting_solve,
     trajectory_cost,
     transcription_oracle,
@@ -29,16 +28,13 @@ from geolqr.riccati import dre_integrate, drift_matrix
 from geolqr.so3 import attitude_errors, exp_so3, hat, log_so3, orthogonality_defect, vee
 
 
-class TestCurvature:
-    def test_flat_is_zero(self):
-        rng = np.random.default_rng(61)
-        out = curvature("flat", rng.standard_normal(4), rng.standard_normal(4),
-                        rng.standard_normal(4))
-        assert np.array_equal(out, np.zeros(4))
+curvature = pmp.MANIFOLDS["so3-biinvariant"].curvature
 
+
+class TestCurvature:
     def test_antisymmetry_in_first_slots(self):
         x = np.array([0.3, -0.8, 0.5])
-        assert np.allclose(curvature("so3-biinvariant", x, x, [1.0, 2.0, 3.0]),
+        assert np.allclose(curvature(x, x, [1.0, 2.0, 3.0]),
                            np.zeros(3), atol=1e-15)
 
     def test_bracket_arithmetic_oracle(self):
@@ -49,19 +45,22 @@ class TestCurvature:
             hx, hy, hz = hat(x), hat(y), hat(z)
             bracket = (hx @ hy - hy @ hx)
             expected = vee(-0.25 * (bracket @ hz - hz @ bracket))
-            assert np.allclose(curvature("so3-biinvariant", x, y, z), expected,
+            assert np.allclose(curvature(x, y, z), expected,
                                atol=1e-12)
 
     def test_positive_sectional_curvature(self):
         x = np.array([1.0, 0.0, 0.0])
         y = np.array([0.0, 1.0, 0.0])
-        r = curvature("so3-biinvariant", x, y, y)
+        r = curvature(x, y, y)
         assert np.allclose(r, [0.25, 0.0, 0.0], atol=1e-15)
         assert float(r @ x) > 0.0
 
     def test_unknown_manifold(self):
-        with pytest.raises(ValueError):
-            curvature("hyperbolic", np.zeros(3), np.zeros(3), np.zeros(3))
+        times = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(ValidationError) as err:
+            variational_propagate(times, np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3),
+                                  np.zeros(3), "hyperbolic")
+        assert err.value.path == "manifold"
 
     @given(st.data())
     def test_cross_equals_numpy_cross_byte_for_byte(self, data):
@@ -70,6 +69,44 @@ class TestCurvature:
                                  elements=st.floats(-1e150, 1e150, allow_subnormal=True)))
                 for shape in shapes.input_shapes)
         assert pmp._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
+
+@st.composite
+def point_and_tangent(draw, manifold):
+    """A point of the named manifold and one (1, 3) tangent row at it: on the
+    group a rotation and a row of norm at most pi - 0.1."""
+    a = draw(arrays(np.float64, 3, elements=st.floats(-3.0, 3.0)))
+    xi = draw(arrays(np.float64, (1, 3), elements=st.floats(-1.0, 1.0)))
+    if manifold == "flat":
+        return a, xi
+    return exp_so3(a), xi * ((math.pi - 0.1) / math.sqrt(3.0))
+
+
+class TestManifolds:
+    """The contract of each MANIFOLDS object: log inverts the retraction and
+    midpoints halve the log."""
+
+    @pytest.mark.parametrize("manifold", list(pmp.MANIFOLDS))
+    @given(data=st.data())
+    def test_log_of_a_point_to_itself_is_zero(self, manifold, data):
+        a, _ = data.draw(point_and_tangent(manifold))
+        assert np.abs(pmp.MANIFOLDS[manifold].log(a, a)).max() <= 1e-15
+
+    @pytest.mark.parametrize("manifold", list(pmp.MANIFOLDS))
+    @given(data=st.data())
+    def test_log_inverts_the_retraction(self, manifold, data):
+        a, xi = data.draw(point_and_tangent(manifold))
+        space = pmp.MANIFOLDS[manifold]
+        assert np.abs(space.log(a, space.retract(a, xi)) - xi).max() <= 1e-12
+
+    @pytest.mark.parametrize("manifold", list(pmp.MANIFOLDS))
+    @given(data=st.data())
+    def test_midpoint_halves_the_log(self, manifold, data):
+        q0, xi = data.draw(point_and_tangent(manifold))
+        space = pmp.MANIFOLDS[manifold]
+        q1 = space.retract(q0, xi)[0]
+        m = pmp._midpoints(space, np.stack([q0, q1]))[0]
+        assert np.abs(space.log(q0, m) - 0.5 * space.log(q0, q1)).max() <= 1e-12
 
 
 class TestVariationalPropagate:
@@ -155,6 +192,13 @@ class TestVariationalPropagate:
         assert worst <= 1e-3
 
 
+def avoidance_accel(sc, q, v, u):
+    """The covariant control acceleration dw at (q, v, u, 0) and its contact
+    flag, read from the w slot of _coupled_rhs."""
+    dz, contact = pmp._coupled_rhs(sc, np.concatenate([q, v, u, np.zeros_like(v)])[None])
+    return pmp._unpack(sc, dz)[3][0], contact
+
+
 class TestAvoidanceAccel:
     def scenario_1d(self, obstacles=()):
         return AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
@@ -163,7 +207,7 @@ class TestAvoidanceAccel:
     def test_equilibrium_at_target(self):
         sc = AvoidanceScenario(dimension=2, alpha=0.7, target=[0.3, -0.2],
                                horizon=1.0, q0=[1.0, 0.0], v0=[0.0, 0.0])
-        out, _ = pmp._avoidance_accel(sc, np.array([0.3, -0.2]), np.zeros(2), np.zeros(2))
+        out, _ = avoidance_accel(sc, np.array([0.3, -0.2]), np.zeros(2), np.zeros(2))
         assert np.array_equal(out, np.zeros(2))
 
     def test_linear_form_without_obstacles(self):
@@ -174,7 +218,7 @@ class TestAvoidanceAccel:
         for _ in range(20):
             u = rng.standard_normal(1)
             q = rng.standard_normal(1)
-            out, _ = pmp._avoidance_accel(sc, q, np.zeros(1), u)
+            out, _ = avoidance_accel(sc, q, np.zeros(1), u)
             assert np.allclose(out, (u - q) / sc.alpha, atol=1e-15)
 
     def test_obstacle_gradient_matches_finite_differences(self):
@@ -189,10 +233,10 @@ class TestAvoidanceAccel:
             e = np.zeros(2)
             e[a] = step
             grad_fd[a] = (1.0 / obs.value(q + e) - 1.0 / obs.value(q - e)) / (2.0 * step)
-        base, _ = pmp._avoidance_accel(sc, q, np.zeros(2), np.zeros(2))
+        base, _ = avoidance_accel(sc, q, np.zeros(2), np.zeros(2))
         no_obs = AvoidanceScenario(dimension=2, alpha=1.0, target=[2.0, 0.0],
                                    horizon=1.0, q0=[-2.0, 0.0], v0=[0.0, 0.0])
-        plain, _ = pmp._avoidance_accel(no_obs, q, np.zeros(2), np.zeros(2))
+        plain, _ = avoidance_accel(no_obs, q, np.zeros(2), np.zeros(2))
         barrier_term = base - plain
         assert np.abs(barrier_term - (-grad_fd)).max() <= 1e-6
 
@@ -202,15 +246,19 @@ class TestAvoidanceAccel:
         step = 1e-6
         grad_fd = np.stack([(obs.value(q + e) - obs.value(q - e)) / (2.0 * step)
                             for e in step * np.eye(3)], axis=-1)
-        assert obs.grad(q).shape == q.shape
-        assert np.abs(obs.grad(q) - grad_fd).max() <= 1e-8
-        assert np.array_equal(obs.grad(q), 2.0 * (q - obs.center))
+        value, grad = obs.value_and_grad(q)
+        assert np.array_equal(value, obs.value(q))
+        want = ((q - obs.center) ** 2).sum(axis=1) - obs.radius ** 2
+        assert np.abs(value - want).max() <= 1e-14
+        assert grad.shape == q.shape
+        assert np.abs(grad - grad_fd).max() <= 1e-8
+        assert np.array_equal(grad, 2.0 * (q - obs.center))
 
     def test_contact_flagged(self):
         obs = SphereObstacle(np.array([0.0]), 0.5)
         sc = AvoidanceScenario(dimension=1, alpha=1.0, target=[2.0], horizon=1.0,
                                q0=[-2.0], v0=[0.0], obstacles=(obs,))
-        _, contact = pmp._avoidance_accel(sc, np.array([0.1]), np.zeros(1), np.zeros(1))
+        _, contact = avoidance_accel(sc, np.array([0.1]), np.zeros(1), np.zeros(1))
         assert np.all(contact)
 
 
@@ -779,7 +827,8 @@ class TestCostates:
                 gq, gv = pmp._grad_potential(sc, qk)[0], vk
             else:
                 gq, gv = np.zeros_like(vk), np.zeros_like(vk)
-            d1 = -curvature(manifold, vk, p[1], vk) - gq
+            curv = curvature(vk, p[1], vk) if manifold == "so3-biinvariant" else 0.0
+            d1 = -curv - gq
             d2 = -p[0] - gv
             if manifold == "so3-biinvariant":
                 d1 = d1 - 0.5 * np.cross(vk, p[0])
@@ -881,6 +930,28 @@ class TestRiccatiCertifiesExtremal:
         # With v0 = 0 the extremal stays on one rotation axis, a flat
         # subgroup: what is left is discretisation error.
         assert self.gaps(0.2, 0.0).max() <= 1e-6
+
+
+class TestGroupExtremalReplay:
+    """With J = I the simulator's Lie-Euler update is w + h tau, and the
+    extremal's v' is u, so the group extremal's u, fed to dynamics.simulate
+    as a torque table, retraces the extremal to first order in the step."""
+
+    @pytest.mark.parametrize("mode", pmp.MODES)
+    def test_attitude_gap_halves_with_the_step(self, mode):
+        gaps = []
+        for h in (4e-3, 2e-3):
+            sc = AvoidanceScenario(
+                dimension=3, alpha=0.5, target=np.eye(3), horizon=2.0,
+                q0=exp_so3([0.9, -0.4, 0.3]), v0=np.array([0.2, 0.1, -0.3]),
+                manifold="so3-biinvariant", mode=mode)
+            sol = shooting_solve(sc, h=h)
+            log = simulate(lambda r, w, a, b, c: (a, b, c), RigidBodyState(sol.q[0], sol.v[0]),
+                           SimParams(h, sc.horizon, InertiaTensor(np.eye(3))),
+                           tables=tuple(sol.u.T))
+            assert len(log) == len(sol.times)
+            gaps.append(np.linalg.norm(attitude_errors(sol.q, log.rotations), axis=1).max())
+        assert 1.9 <= gaps[0] / gaps[1] <= 2.1
 
 
 class TestScenarioValidation:
