@@ -247,18 +247,31 @@ def rk4(rate, y0, times) -> np.ndarray:
     on the grid can take sample k, the midpoint, or sample k + 1. A
     decreasing grid integrates backward. Returns the states at every grid
     time, stacked along a new leading axis.
+
+    The state, the stage state and the update sum live in buffers of y0's
+    memory order, reused every step and written by ufuncs with out=, with
+    the classical step's operations in its order. So a component-major
+    (Fortran-ordered) batch stays component-major in every stage, y0 is not
+    modified, and rate may return its own argument.
     """
     grid = np.asarray(times, dtype=float).tolist()
-    y = np.asarray(y0, dtype=float)
+    y = np.array(y0, dtype=float, order="K")
+    stage, acc, tmp = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     ys = np.empty((len(grid),) + y.shape)
     ys[0] = y
     for k in range(len(grid) - 1):
         h = grid[k + 1] - grid[k]
         f1 = rate(k, 0.0, y)
-        f2 = rate(k, 0.5, y + 0.5 * h * f1)
-        f3 = rate(k, 0.5, y + 0.5 * h * f2)
-        f4 = rate(k, 1.0, y + h * f3)
-        y = y + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        np.add(y, np.multiply(f1, 0.5 * h, out=stage), out=stage)
+        # Each stage's rate enters the sum before stage is overwritten.
+        f2 = rate(k, 0.5, stage)
+        np.add(f1, np.multiply(f2, 2.0, out=acc), out=acc)
+        np.add(y, np.multiply(f2, 0.5 * h, out=stage), out=stage)
+        f3 = rate(k, 0.5, stage)
+        np.add(acc, np.multiply(f3, 2.0, out=tmp), out=acc)
+        np.add(y, np.multiply(f3, h, out=stage), out=stage)
+        np.add(acc, rate(k, 1.0, stage), out=acc)
+        np.add(y, np.multiply(acc, h / 6.0, out=acc), out=y)
         ys[k + 1] = y
     return ys
 

@@ -22,9 +22,9 @@ Both follow from the costate equations Dp1/Dt = -R(v, p2) v - grad_q L and
 Dp2/Dt = -p1 - grad_v L with u = -p2/alpha; costate_integrate verifies that
 relation and the constancy of H on converged solutions.
 
-The extremal sweep is dynamics.rk4 over a batch of initial unknowns; the
-linear costate and variational sweeps are dynamics.affine_rk4 over the
-matrices of _variational_matrices. Every cost evaluator
+The extremal sweep is dynamics.rk4 over a component-major batch of start
+states; the linear costate and variational sweeps are dynamics.affine_rk4
+over the matrices of _variational_matrices. Every cost evaluator
 (trajectory_cost, the oracle's batched costs, control_cost, and the
 costates' Hamiltonian) reads the one array running cost running_cost under
 one trapezoid rule, and the extremal, the costates and the oracle's
@@ -189,8 +189,10 @@ class AvoidanceScenario:
         self.space = _space(self.manifold)
         if self.mode not in MODES:
             raise ValidationError("mode", f"expected one of {MODES}")
-        if not self.horizon > 0.0:
-            raise ValidationError("horizon", "must be positive")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValidationError("horizon", "must be positive and finite")
+        if not self.dimension >= 1:
+            raise ValidationError("dimension", "must be at least 1")
         if self.manifold != "flat" and self.dimension != 3:
             raise ValidationError("dimension", "must be 3 on the rotation group")
         self.target = np.asarray(self.target, dtype=float)
@@ -264,8 +266,8 @@ def _unpack(scenario: AvoidanceScenario, z):
 
 
 def _coupled_rhs(scenario: AvoidanceScenario, z: np.ndarray):
-    """Time derivative of a (B, .) batch of packed states (q, v, u, w), and
-    the rows whose q touches an obstacle.
+    """Time derivative of a (B, .) batch of packed states (q, v, u, w), in
+    one array of z's memory order, and the rows whose q touches an obstacle.
 
     The covariant second derivative of the control is R(v, u)v, which the
     space's rates add, plus (u - grad(U + V)(q))/alpha in avoidance mode.
@@ -278,7 +280,8 @@ def _coupled_rhs(scenario: AvoidanceScenario, z: np.ndarray):
         dw = (u - grad) / scenario.alpha
     else:
         dw, contact = np.zeros_like(v), False
-    return np.concatenate(scenario.space.rates(q, v, u, w, dw), axis=1), contact
+    return np.concatenate(scenario.space.rates(q, v, u, w, dw), axis=1,
+                          out=np.empty_like(z)), contact
 
 
 @dataclass
@@ -338,7 +341,9 @@ def trajectory_cost(scenario: AvoidanceScenario, times, q, v, u) -> float:
 
 def _integrate_extremal(scenario: AvoidanceScenario, z0, times):
     """One RK4 sweep of the coupled (q, v, u, w) system along the grid times
-    for a (B, .) batch of packed start states.
+    for a (B, .) batch of packed start states. The sweep holds the batch
+    component-major (Fortran order), so each state component is contiguous
+    over the rows; each row's arithmetic is that of its own sweep.
 
     Returns the packed states, (B, len(times), .), and the rows whose path
     touched an obstacle at an RK4 stage or a grid point. A row that
@@ -352,11 +357,13 @@ def _integrate_extremal(scenario: AvoidanceScenario, z0, times):
         return dz
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        zs = rk4(rate, z0, times).swapaxes(0, 1)
-        # Terminal mode's rhs has no barrier, and no stage evaluates the
-        # final sample. Obstacles exist on flat space only.
+        zs = rk4(rate, np.asfortranarray(z0), times).swapaxes(0, 1)
+        # In avoidance mode each step's first stage has flagged its grid
+        # sample, so only the final one is left; terminal mode's rhs has no
+        # barrier. Obstacles exist on flat space only.
+        unflagged = zs[:, -1:] if scenario.mode == "avoidance" else zs
         for obs in scenario.obstacles:
-            contact |= (obs.value(_unpack(scenario, zs)[0]) <= 0.0).any(axis=1)
+            contact |= (obs.value(_unpack(scenario, unflagged)[0]) <= 0.0).any(axis=1)
     return zs, contact
 
 

@@ -232,9 +232,7 @@ def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     return clock.summary("avoid", final_distance=float(dist[-1]),
                          final_velocity_norm=float(np.linalg.norm(solution.v[-1])),
                          min_obstacle_clearance=clearance,
-                         iterations={"newton": solution.iterations,
-                                     "residuals": solution.trace["residuals"],
-                                     "segments": solution.trace["segments"]})
+                         iterations={"newton": solution.iterations, **solution.trace})
 
 
 def run_check(cfg: ScenarioConfig, out_dir: Path):

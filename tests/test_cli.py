@@ -222,9 +222,13 @@ def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
                                q0=[1.0], v0=[0.0], manifold=["flat"]), "manifold"),
     (lambda: AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
                                q0=[1.0], v0=[0.0], mode="minimum-time"), "mode"),
+    (lambda: AvoidanceScenario(dimension=0, alpha=1.0, target=[], horizon=1.0,
+                               q0=[], v0=[]), "dimension"),
+    (lambda: AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=float("inf"),
+                               q0=[1.0], v0=[0.0]), "horizon"),
 ], ids=["SimParams", "SimParams-steps", "CostParams", "AvoidanceScenario", "SphereObstacle",
         "q0", "target", "group-v0", "group-obstacle", "obstacle-center", "group-dimension",
-        "manifold", "manifold-unhashable", "mode"])
+        "manifold", "manifold-unhashable", "mode", "dimension-zero", "horizon-infinite"])
 def test_constructors_name_their_argument(build, name):
     with pytest.raises(ValidationError) as err:
         build()
@@ -637,6 +641,10 @@ class TestShippedConfigs:
         assert iterations["residuals"][-1] <= 1e-6
         # 2,000 grid steps in 40 segments of 50.
         assert iterations["segments"] == 40
+        # The accepted step lengths and the batched sweeps (zero guess and
+        # every trial point) pin the iterate sequence.
+        assert iterations["steps"] == [0.25, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0]
+        assert iterations["sweeps"] == 11
         summary = RunSummary.from_json(line)
         assert summary.iterations == iterations
         assert summary.to_json() == line

@@ -206,6 +206,31 @@ class TestRk4:
         err_coarse = abs(rk4(rate, np.array([1.0]), np.linspace(0.0, 1.0, 6))[-1, 0] - math.e)
         assert 12.0 <= err_coarse / abs(fwd[-1, 0] - math.e) <= 20.0
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_batch_rows_equal_their_own_sweeps(self, order):
+        # A row-wise rate of products and sums only, which round the same in
+        # any memory order: every row of a (B, m) batch takes the arithmetic
+        # of its own sweep, bit for bit.
+        def rate(k, theta, y):
+            return y[:, ::-1] * y - 0.5 * y * y * y
+
+        y0 = np.asarray(np.random.default_rng(83).standard_normal((5, 3)), order=order)
+        kept = y0.copy()
+        times = np.linspace(0.0, 1.0, 21)
+        batch = rk4(rate, y0, times)
+        assert np.array_equal(y0, kept)
+        for b in range(len(y0)):
+            assert np.array_equal(rk4(rate, y0[b:b + 1], times)[:, 0], batch[:, b])
+
+    def test_rate_returning_its_argument_leaves_y0_alone(self):
+        # The stage buffers are reused: a rate that hands its argument back
+        # must neither corrupt a stage nor write into y0.
+        y0 = np.asfortranarray(np.array([[1.0, 2.0], [-0.5, 3.0]]))
+        kept = y0.copy()
+        ys = rk4(lambda k, theta, y: y, y0, np.linspace(0.0, 1.0, 11))
+        assert np.array_equal(y0, kept)
+        assert np.abs(ys[-1] - math.e * y0).max() <= 1e-5 * np.abs(y0).max()
+
     def test_rate_sees_grid_interval_and_stage(self):
         calls = []
 

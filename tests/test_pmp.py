@@ -497,6 +497,36 @@ class TestBatchedShooting:
             for together, single in zip(pmp._unpack(sc, rows), pmp._unpack(sc, alone)):
                 assert np.abs(together[b] - single[0]).max() <= 1e-15
 
+    @pytest.mark.parametrize("case", ["flat-avoidance", "flat-terminal", "group-avoidance",
+                                      "group-terminal"])
+    def test_rows_are_exact_whatever_the_memory_order(self, case):
+        # The sweep holds its batch component-major; each row still takes
+        # the arithmetic of its own sweep, bit for bit, and neither the rows
+        # nor the contact flags depend on the memory order of z0.
+        manifold, mode = case.split("-")
+        if manifold == "group":
+            sc = group_scenario(mode)
+        elif mode == "avoidance":
+            sc = criterion_09_scenario()
+        else:
+            sc = AvoidanceScenario(dimension=2, alpha=0.2, target=[1.2, 0.15], horizon=2.0,
+                                   q0=[-1.2, 0.0], v0=[0.0, 0.0], mode="terminal",
+                                   obstacles=criterion_09_scenario().obstacles)
+        n = sc.dimension
+        y = 0.5 * np.random.default_rng(66).standard_normal((7, 4 * n))
+        for obs in sc.obstacles:
+            y[0, :n] = obs.center - sc.q0  # starts at the obstacle's center
+        z0 = pmp._segment_starts(sc, y)
+        times = np.linspace(0.0, 0.5, 51)
+        rows, contact = pmp._integrate_extremal(sc, z0, times)
+        assert np.isfinite(rows).all()
+        assert list(contact) == [bool(sc.obstacles)] + [False] * 6
+        again, contact_f = pmp._integrate_extremal(sc, np.asfortranarray(z0), times)
+        assert np.array_equal(again, rows) and np.array_equal(contact_f, contact)
+        for b in range(len(z0)):
+            alone, contact_b = pmp._integrate_extremal(sc, z0[b:b + 1], times)
+            assert np.array_equal(alone[0], rows[b]) and contact_b[0] == contact[b]
+
     def test_criterion_09_iterate_unchanged(self, monkeypatch):
         monkeypatch.setattr(pmp, "SEGMENT_STEPS", 10**9)
         sol = shooting_solve(criterion_09_scenario())
