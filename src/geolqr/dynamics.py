@@ -21,9 +21,11 @@ rows, gains over the grid, or constants), so a law is a pure function of
 the state and one row and never looks the time up. simulate is the one
 place that walks per-sample data: per AFFINE_CHUNK samples it reads the
 tables' rows into Python values and gathers the log in lists, stored by
-one slice assignment. The velocity update is straight-line float
-arithmetic (euler_rhs), and one private step kernel serves simulate and
-the array wrapper lie_euler_step.
+one slice assignment. It steps and calls the law at every sample but logs
+only the samples kept_rows keeps, the one decimation rule of the log and
+the CSVs. The velocity update is straight-line float arithmetic
+(euler_rhs), and one private step kernel serves simulate and the array
+wrapper lie_euler_step.
 """
 
 from __future__ import annotations
@@ -128,6 +130,19 @@ def nearest_sample(t, h: float, n: int):
     return k.astype(np.intp) if isinstance(k, np.ndarray) else int(k)
 
 
+def kept_rows(table, every: int):
+    """Rows 0, every, 2 every, ... and the last of a per-sample table, the
+    rows a log or CSV of stride every keeps; a 0-d table is returned as it
+    is. A view when the last row lies on the stride, as at every = 1;
+    otherwise a new array."""
+    if np.ndim(table) == 0:
+        return table
+    rows = table[::every]
+    if (len(table) - 1) % every:
+        rows = np.concatenate((rows, table[-1:]))
+    return rows
+
+
 def uniform_grid(t_end: float, h: float) -> np.ndarray:
     """The sweeps' grid: round(t_end / h) (at least 1) equal steps ending
     exactly at t_end, so the step is h adjusted. Compare time_grid."""
@@ -170,11 +185,13 @@ def lie_euler_step(s: RigidBodyState, tau, h: float, j: InertiaTensor) -> RigidB
     return RigidBodyState(r, np.array(w))
 
 
-def simulate(law, init: RigidBodyState, p: SimParams, *, tables=()) -> TrajectoryLog:
-    """Roll the closed loop forward and log every sample.
+def simulate(law, init: RigidBodyState, p: SimParams, *, tables=(), every=1) -> TrajectoryLog:
+    """Roll the closed loop forward and log samples 0, every, 2 every, ...
+    and the final one (kept_rows).
 
     The law is the only per-step callback, and nothing in the loop builds a
-    per-step object: the state is a rotation array and three floats.
+    per-step object: the state is a rotation array and three floats. Every
+    sample is stepped, guarded and handed to the law, logged or not.
     Quantities of the logged state (errors, Lyapunov and value channels) are
     computed by the caller from the returned arrays after the run.
 
@@ -182,37 +199,46 @@ def simulate(law, init: RigidBodyState, p: SimParams, *, tables=()) -> Trajector
         law: callable(r, w, *row) -> three floats, the torque of rotation r,
             a (3, 3) array, and velocity w, three floats, where row holds
             sample i of each table as Python values. Its output is recorded
-            at each sample, including the final one.
+            at each logged sample, including the final one.
         init: initial state.
         p: step size, horizon and inertia.
         tables: keyword-only; each is 0-d, the same value at every sample,
             or has one row per sample.
+        every: keyword-only; the stride of the logged samples, a positive
+            integer. 1 logs every sample.
 
     Returns:
-        TrajectoryLog with ceil(t_end / h) + 1 samples. Deterministic: two
-        calls with identical inputs produce bit-identical logs.
+        TrajectoryLog of the kept samples of the ceil(t_end / h) + 1 grid
+        samples. Deterministic: two calls with identical inputs produce
+        bit-identical logs, and the log of every = k is kept_rows of the
+        log of every = 1, bit for bit.
 
     Raises:
-        ValueError: a table has another row count, before the first step.
+        ValueError: every is not a positive integer, or a table has another
+            row count, before the first step.
         NumericalDivergence: |w| of a state, the initial one included,
-            exceeded 1e6 rad/s, or the state or a logged torque is not finite.
+            exceeded 1e6 rad/s, or the state or the final torque is not
+            finite.
     """
-    times = time_grid(p.h, p.t_end)
-    n = len(times) - 1
+    if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
+        raise ValueError(f"every must be a positive integer, got {every!r}")
+    grid = time_grid(p.h, p.t_end)
+    n = len(grid) - 1
     tables = [np.asarray(t) for t in tables]
     for k, t in enumerate(tables):
         if t.ndim and len(t) != n + 1:
             raise ValueError(f"table {k} has {len(t)} rows; the grid has {n + 1} samples")
-    rotations = np.empty((n + 1, 3, 3))
-    omegas = np.empty((n + 1, 3))
-    torques = np.empty((n + 1, 3))
+    times = kept_rows(grid, every)
+    rotations = np.empty((len(times), 3, 3))
+    omegas = np.empty((len(times), 3))
+    torques = np.empty((len(times), 3))
 
     h, j = p.h, p.inertia
     r = np.array(init.r, dtype=float)
     w = tuple(np.asarray(init.w, dtype=float).tolist())
     # Per AFFINE_CHUNK samples, the tables' rows are read into Python values
-    # and the log gathers in lists, stored by one slice assignment: numpy
-    # indexing per sample costs more.
+    # and the chunk's states gather in lists, whose samples on the stride are
+    # stored by one slice assignment: numpy indexing per sample costs more.
     limit = OMEGA_DIVERGENCE_LIMIT ** 2
     for lo in range(0, n + 1, AFFINE_CHUNK):
         hi = min(lo + AFFINE_CHUNK, n + 1)
@@ -224,17 +250,24 @@ def simulate(law, init: RigidBodyState, p: SimParams, *, tables=()) -> Trajector
             if not w0 * w0 + w1 * w1 + w2 * w2 <= limit:
                 raise NumericalDivergence(
                     f"|omega| exceeded {OMEGA_DIVERGENCE_LIMIT:g} rad/s or is not finite "
-                    f"at t = {times.item(i):.6g}")
+                    f"at t = {grid.item(i):.6g}")
             tau = law(r, w, *row)
             rs.append(r)
             ws.append(w)
             taus.append(tau)
             if i < n:
                 r, w = _step(r, w, tau, h, j)
-        rotations[lo:hi], omegas[lo:hi], torques[lo:hi] = rs, ws, taus
-    # A non-finite torque before the last sample already fails the velocity
-    # guard; this catches the final sample's.
-    if not np.isfinite(torques).all():
+        # The chunk's first sample on the stride, lo + first, is log row k.
+        first = -lo % every
+        rs, ws, taus = rs[first::every], ws[first::every], taus[first::every]
+        if rs:
+            k = (lo + first) // every
+            rotations[k:k + len(rs)], omegas[k:k + len(rs)], torques[k:k + len(rs)] = rs, ws, taus
+    if n % every:
+        rotations[-1], omegas[-1], torques[-1] = r, w, tau
+    # A non-finite torque before the final sample already fails the velocity
+    # guard of the next state; this catches the final sample's.
+    if not np.isfinite(torques[-1]).all():
         raise NumericalDivergence("controller returned a non-finite torque")
     return TrajectoryLog(times, rotations, omegas, torques)
 

@@ -1,18 +1,20 @@
 """Scenario execution: resolve gains, run the closed loop or the
 boundary-value solver, write the trajectory CSV, and build the run summary.
 
-The closed loop (`dynamics.simulate`) logs and calls, once per step, the law
-of `regulators.regulation_controller` or `tracking_controller` with sample i
+The closed loop (`dynamics.simulate`) calls, once per step, the law of
+`regulators.regulation_controller` or `tracking_controller` with sample i
 of the tables the factory returns beside it, built before the loop: the
 reference rows, and the gains as ARE's constant pair or as the DRE
-schedule's rows, which are the simulation grid's samples. The channels are
-then computed from the logged arrays in _run_closed_loop: the attitude
-errors e against the reference rotations (the goal, broadcast, or the
-tracking table on the same grid) in one chunked array pass
-(`so3.attitude_errors`), dist = |e| by `so3.row_dots`, and regulate's lyap
-and value from `regulators.lyapunov_value` and `value_candidate` with the
-same e and K(t).
-The avoid command's dist is the same norm of `pmp.goal_errors`.
+schedule's rows, which are the simulation grid's samples. It logs only the
+samples the CSV keeps, every output.decimation-th and the last
+(`dynamics.kept_rows`). The channels are then computed from the logged
+arrays in _run_closed_loop: the attitude errors e against the reference
+rotations (the goal, broadcast, or the tracking table's kept rows) in one
+chunked array pass (`so3.attitude_errors`), dist = |e| by `so3.row_dots`,
+and regulate's lyap and value from `regulators.lyapunov_value` and
+`value_candidate` with the same e and K(t) at the kept rows.
+The avoid command's dist is the same norm of `pmp.goal_errors`, and its
+CSVs keep the same rows of the shooting path.
 
 Trajectory CSV column contract, in order:
 
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import pmp, regulators, riccati, so3
 from .config import ScenarioConfig
-from .dynamics import InertiaTensor, RigidBodyState, SimParams, simulate, time_grid
+from .dynamics import InertiaTensor, RigidBodyState, SimParams, kept_rows, simulate, time_grid
 from .errors import AngleNearPi, ConfigError, NumericalDivergence
 
 CSV_HEADER = ("t,r11,r12,r13,r21,r22,r23,r31,r32,r33,wx,wy,wz,"
@@ -95,14 +97,13 @@ class _Clock:
                           phases=self.phases, **fields)
 
 
-def _write_rows(path: Path, header: str, columns: dict, decimation: int) -> None:
-    """Write a CSV of the comma-separated header and every decimation-th
-    sample plus the last. columns maps header names to equally long 1-D
-    arrays; a name without a column gets empty cells."""
+def _write_rows(path: Path, header: str, columns: dict) -> None:
+    """Write a CSV of the comma-separated header and one row per entry of
+    columns, which maps header names to equally long 1-D arrays; a name
+    without a column gets empty cells."""
     names = header.split(",")
     present = [columns[name] for name in names if name in columns]
     row = ",".join("%.17g" if name in columns else "" for name in names) + "\n"
-    n = len(present[0])
     try:
         f = open(path, "w", encoding="utf-8")
     except OSError as exc:
@@ -111,9 +112,7 @@ def _write_rows(path: Path, header: str, columns: dict, decimation: int) -> None
     # several megabytes.
     with f:
         f.write(header + "\n")
-        f.writelines(row % cells for cells in zip(*(c[::decimation] for c in present)))
-        if (n - 1) % decimation:
-            f.write(row % tuple(c[-1] for c in present))
+        f.writelines(row % cells for cells in zip(*present))
 
 
 def _block_columns(names, block) -> dict:
@@ -155,13 +154,17 @@ def run_gains(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
 def _run_closed_loop(cfg: ScenarioConfig, out_dir: Path, clock: _Clock,
                      gain_summary: dict, controller, r_ref, channels=None) -> RunSummary:
     """Simulate controller, a regulators factory's (law, tables), from the
-    configured initial state; take the attitude errors e of the log against
-    r_ref (one goal rotation, or a reference table on the simulation grid)
-    in one pass and dist = |e| row by row, plus the columns of
-    channels(e, log), if given; write the trajectory CSV and summarise."""
+    configured initial state, logging the samples the CSV keeps; take the
+    attitude errors e of the log against r_ref (one goal rotation, or a
+    reference table on the simulation grid, read at the kept rows) in one
+    pass and dist = |e| row by row, plus the columns of channels(e, log),
+    if given; write the trajectory CSV and summarise."""
     law, tables = controller
-    log = simulate(law, cfg.initial, cfg.sim, tables=tables)
+    every = cfg.output.decimation
+    log = simulate(law, cfg.initial, cfg.sim, tables=tables, every=every)
     clock.lap("simulate")
+    if np.ndim(r_ref) == 3:
+        r_ref = kept_rows(r_ref, every)
     e = so3.attitude_errors(np.broadcast_to(r_ref, log.rotations.shape), log.rotations)
     dist = np.sqrt(so3.row_dots(e, e))
     derived = channels(e, log) if channels else {}
@@ -169,7 +172,7 @@ def _run_closed_loop(cfg: ScenarioConfig, out_dir: Path, clock: _Clock,
     columns = {"t": log.times, **_block_columns(_NAMES[1:10], log.rotations),
                **_block_columns(_NAMES[10:13], log.omegas),
                **_block_columns(_NAMES[13:16], log.torques), "dist": dist, **derived}
-    _write_rows(out_dir / "trajectory.csv", CSV_HEADER, columns, cfg.output.decimation)
+    _write_rows(out_dir / "trajectory.csv", CSV_HEADER, columns)
     clock.lap("csv_write")
     return clock.summary(cfg.command, gains=gain_summary, final_distance=float(dist[-1]),
                          final_velocity_norm=float(np.linalg.norm(log.omegas[-1])))
@@ -183,8 +186,11 @@ def run_regulate(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     g = k.gains(cfg.cost.alpha)
 
     def channels(e, log):
-        return {"lyap": regulators.lyapunov_value(e, log.omegas, g.kP),
-                "value": regulators.value_candidate(e, log.omegas, k)}
+        # K(t) at the logged samples: a DRE schedule's kept rows, or ARE's constants.
+        every = cfg.output.decimation
+        k_log = riccati.RiccatiSolution(*(kept_rows(x, every) for x in (k.k1, k.k2, k.k3)))
+        return {"lyap": regulators.lyapunov_value(e, log.omegas, kept_rows(g.kP, every)),
+                "value": regulators.value_candidate(e, log.omegas, k_log)}
 
     return _run_closed_loop(cfg, out_dir, clock, gain_summary,
                             regulators.regulation_controller(cfg.goal, g), cfg.goal, channels)
@@ -218,16 +224,15 @@ def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
         clearance = float(min(obs.value(solution.q).min() for obs in scenario.obstacles))
     clock.lap("costates")
 
+    t, q, v, u, dist_rows, hamiltonian = (
+        kept_rows(x, cfg.output.decimation)
+        for x in (solution.times, solution.q, solution.v, solution.u, dist, costates.hamiltonian))
     _write_rows(out_dir / "trajectory.csv", CSV_HEADER,
-                {"t": solution.times, **_block_columns(_NAMES[10:13], solution.v),
-                 **_block_columns(_NAMES[13:16], solution.u),
-                 "dist": dist, "hamiltonian": costates.hamiltonian},
-                cfg.output.decimation)
+                {"t": t, **_block_columns(_NAMES[10:13], v), **_block_columns(_NAMES[13:16], u),
+                 "dist": dist_rows, "hamiltonian": hamiltonian})
     path_names = [f"{x}{i + 1}" for x in "qvu" for i in range(scenario.dimension)]
     _write_rows(out_dir / "avoidance_path.csv", ",".join(["t"] + path_names),
-                {"t": solution.times,
-                 **_block_columns(path_names, np.hstack([solution.q, solution.v, solution.u]))},
-                cfg.output.decimation)
+                {"t": t, **_block_columns(path_names, np.hstack([q, v, u]))})
     clock.lap("csv_write")
     return clock.summary("avoid", final_distance=float(dist[-1]),
                          final_velocity_norm=float(np.linalg.norm(solution.v[-1])),

@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from geolqr.cli import main
 from geolqr.config import parse_config
-from geolqr.dynamics import MAX_STEPS, InertiaTensor, SimParams, time_grid
+from geolqr.dynamics import MAX_STEPS, InertiaTensor, SimParams, kept_rows, time_grid
 from geolqr.errors import GeoLqrError, ParseError, ValidationError
 from geolqr.pmp import AvoidanceScenario, SphereObstacle, goal_errors
 from geolqr.regulators import TrackingReference
@@ -503,7 +504,8 @@ class TestWriteRows:
                    for name, keep in zip(names, present) if keep}
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "out.csv"
-            _write_rows(path, ",".join(names), columns, decimation)
+            _write_rows(path, ",".join(names),
+                        {name: kept_rows(c, decimation) for name, c in columns.items()})
             lines = path.read_text(encoding="utf-8").splitlines()
         expected = list(range(0, n_samples, decimation))
         if expected[-1] != n_samples - 1:
@@ -553,6 +555,19 @@ class TestTrackCommand:
         cells = lines[1].split(",")
         assert cells[17] == "" and cells[18] == "" and cells[19] == ""
 
+    def test_peak_memory_holds_only_the_kept_rows(self, tmp_path):
+        # tracemalloc's peak over one run of 5,001 samples, decimated by 10:
+        # about 2.3 MB with all samples logged and their channels computed,
+        # about 1.8 MB with only the 501 rows the CSV writes.
+        cfg = parse_config(json.dumps({"command": "track", "sim": {"t_end": 5.0}}))
+        tracemalloc.start()
+        try:
+            run(cfg, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0e6
+
     # The second reference overflows while its polynomial is evaluated.
     @pytest.mark.parametrize("coeffs", [[[0, 1e200], [0.3], [0.4]],
                                         [[0, 1e308, 1e308], [0, 0.3], [0, 0.4]]],
@@ -587,6 +602,23 @@ class TestAvoidCommand:
         assert cells[19] != ""         # hamiltonian channel present
         path_lines = (tmp_path / "avoidance_path.csv").read_text().splitlines()
         assert path_lines[0] == "t,q1,v1,u1"
+
+    @pytest.mark.parametrize("decimation", [7, 10])
+    def test_decimated_csvs_are_the_full_csvs_kept_rows(self, tmp_path, decimation):
+        # 1001 samples: 1000 % 7 leaves the last row off the stride, 1000 % 10 on it.
+        def csvs(d):
+            cfg = write_config(tmp_path, {
+                "command": "avoid", "cost": {"alpha": 1.0},
+                "avoidance": {**AVOID_1D, "horizon": 1.0}, "output": {"decimation": d}})
+            out = tmp_path / f"d{d}"
+            assert main(["avoid", "--config", str(cfg), "--out", str(out)]) == 0
+            return [(out / name).read_text().splitlines()
+                    for name in ("trajectory.csv", "avoidance_path.csv")]
+
+        kept = [i for i in range(1001) if i % decimation == 0 or i == 1000]
+        for full, lines in zip(csvs(1), csvs(decimation)):
+            assert len(full) == 1 + 1001
+            assert lines == full[:1] + [full[1 + i] for i in kept]
 
 
 class TestAvoidErrorAndClearance:

@@ -12,11 +12,14 @@ from geolqr.dynamics import (
     SimParams,
     affine_rk4,
     euler_rhs,
+    kept_rows,
     lie_euler_step,
     rk4,
     simulate,
 )
 from geolqr.errors import NumericalDivergence
+from geolqr.regulators import TrackingReference, regulation_controller, tracking_controller
+from geolqr.riccati import GainPair
 from geolqr.so3 import exp_so3, orthogonality_defect
 
 J123 = InertiaTensor.diagonal([1.0, 2.0, 3.0])
@@ -191,6 +194,64 @@ class TestSimulate:
                        RigidBodyState(np.eye(3), np.zeros(3)),
                        SimParams(1e-3, 0.01, J123), tables=(times,))
         assert np.allclose(log.torques[:, 0], np.sin(log.times), atol=1e-15)
+
+
+class TestKeptRows:
+    def test_every_stride_th_row_and_the_last(self):
+        for n in range(1, 61):
+            for every in range(1, 14):
+                want = [i for i in range(n) if i % every == 0 or i == n - 1]
+                assert kept_rows(np.arange(n), every).tolist() == want
+
+    def test_stride_one_is_a_view_and_a_constant_stays(self):
+        table = np.zeros((11, 3))
+        assert np.shares_memory(kept_rows(table, 1), table)
+        assert np.shares_memory(kept_rows(table, 5), table)
+        k = np.float64(2.5)
+        assert kept_rows(k, 7) is k
+
+
+class TestSimulateEvery:
+    """simulate(every=k) logs kept_rows of the every=1 log, bit for bit."""
+
+    # 602 samples over three chunks; 601 % 3, 7, 10 != 0, and at 600 the
+    # middle chunk holds no sample on the stride.
+    P = SimParams(1e-3, 0.601, J123)
+    INIT = RigidBodyState(exp_so3([0.6, -0.3, 0.4]), np.array([0.3, -0.2, 0.5]))
+
+    @staticmethod
+    def controllers():
+        times = np.arange(602) * 1e-3
+        ref = TrackingReference(np.column_stack([np.sin(times), 0.5 * times, np.cos(times)]),
+                                np.column_stack([np.cos(times), 0.5 + 0 * times,
+                                                 -np.sin(times)]), 1e-3)
+        # Per-sample gains like a DRE schedule's rows, and the 9-column reference table.
+        scheduled = GainPair(2.0 + np.exp(-times), 3.0 + np.sin(times))
+        yield tracking_controller(ref, scheduled, J123, True)
+        # 0-d tables: ARE's constant gains.
+        yield regulation_controller(exp_so3([0.1, 0.2, -0.3]), GainPair(np.float64(2.0), 3.0))
+
+    @pytest.mark.parametrize("every", [1, 3, 7, 10, 600])
+    def test_log_is_the_full_logs_kept_rows(self, every):
+        for law, tables in self.controllers():
+            full = simulate(law, self.INIT, self.P, tables=tables)
+            log = simulate(law, self.INIT, self.P, tables=tables, every=every)
+            assert len(log) == len(kept_rows(full.times, every))
+            for name in ("times", "rotations", "omegas", "torques"):
+                want = kept_rows(getattr(full, name), every)
+                assert getattr(log, name).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("every", [0, -1, 2.5, True])
+    def test_bad_stride_raises_before_the_law_is_called(self, every):
+        calls = []
+
+        def law(r, w):
+            calls.append(w)
+            return (0.0, 0.0, 0.0)
+
+        with pytest.raises(ValueError, match="every"):
+            simulate(law, self.INIT, self.P, every=every)
+        assert calls == []
 
 
 class TestRk4:

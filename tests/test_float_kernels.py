@@ -28,6 +28,7 @@ from geolqr.dynamics import (
     RigidBodyState,
     SimParams,
     lie_euler_step,
+    nearest_sample,
     simulate,
     time_grid,
 )
@@ -283,17 +284,18 @@ class TestClosedLoopAgainstPerStepObjects:
 
 class TestScenarioLaws:
     """The laws scenarios.run hands to simulate, evaluated at every 25th
-    logged state with that sample's row of their tables, equal the public
-    array laws by tobytes()."""
+    logged state with that state's sample row of their tables, equal the
+    public array laws by tobytes()."""
 
     @staticmethod
     def run_capturing(monkeypatch, tmp_path, config):
         """(cfg, controller, log): controller(i, r, w) is the captured law at
-        sample i of its tables."""
+        the sample of log row i, found from log.times by nearest_sample, in
+        its tables."""
         captured = []
 
-        def capture(law, init, p, *, tables):
-            log = simulate(law, init, p, tables=tables)
+        def capture(law, init, p, *, tables, every):
+            log = simulate(law, init, p, tables=tables, every=every)
             captured.append((law, [np.asarray(t) for t in tables], log))
             return log
 
@@ -301,9 +303,11 @@ class TestScenarioLaws:
         cfg = parse_config(json.dumps(config))
         scenarios.run(cfg, str(tmp_path))
         (law, tables, log), = captured
+        n = len(time_grid(cfg.sim.h, cfg.sim.t_end)) - 1
 
         def controller(i, r, w):
-            return law(r, w, *[t[i].tolist() if t.ndim else t.item() for t in tables])
+            k = nearest_sample(log.times.item(i), cfg.sim.h, n)
+            return law(r, w, *[t[k].tolist() if t.ndim else t.item() for t in tables])
 
         return cfg, controller, log
 
