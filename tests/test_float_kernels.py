@@ -328,7 +328,7 @@ class TestScenarioLaws:
     @pytest.mark.parametrize("source", ["are", "dre"])
     def test_regulate(self, monkeypatch, tmp_path, source):
         cfg, controller, log = self.run_capturing(monkeypatch, tmp_path, {
-            "command": "regulate", "sim": {"t_end": 2.0},
+            "command": "regulate", "sim": {"t_end": 2.0}, "output": {"decimation": 1},
             "initial": {"omega": [0.3, -0.2, 0.5]}, "controller": {"gain_source": source}})
         gains_at = self.gains_at(cfg)
         for i, t, r, w in self.states(log):
@@ -339,7 +339,7 @@ class TestScenarioLaws:
     @pytest.mark.parametrize("accel_term", [True, False])
     def test_track(self, monkeypatch, tmp_path, source, accel_term):
         cfg, controller, log = self.run_capturing(monkeypatch, tmp_path, {
-            "command": "track", "sim": {"t_end": 2.0},
+            "command": "track", "sim": {"t_end": 2.0}, "output": {"decimation": 1},
             "reference": {"omega_coeffs": [[0.2, 0.5, 0.3], [0.1, -0.3, 0.2],
                                            [-0.3, 0.4, -0.1]]},
             "controller": {"gain_source": source, "feedforward_accel_term": accel_term}})
