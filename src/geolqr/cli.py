@@ -49,7 +49,7 @@ def main(argv=None) -> int:
             path = Path(args.config)
             try:
                 text = path.read_text(encoding="utf-8")
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config {path}: {exc}") from None
             cfg = parse_config(text)
             if cfg.command != args.command:

@@ -7,11 +7,13 @@ time is seconds. Rotations are given as 9 numbers row-major and must already
 be rotations within ROTATION_TOL (so3.is_rotation); they are rejected, never
 re-orthonormalized.
 
-The parser checks the JSON's shape: types, lengths, finiteness and the
-choices of string keys. Range rules live in the library types it builds
-(SimParams, RigidBodyState, CostParams, InertiaTensor, SphereObstacle,
-AvoidanceScenario), whose errors _build prefixes with the section path; the
-goal is its (3, 3) rotation.
+Every field is read by one rule, in order: presence and default (_field;
+a required field has none), JSON shape (a type, or a predicate for a
+length, a range or a choice), finiteness of numbers (_numbers), then the range rule of the
+library type the section builds (SimParams, RigidBodyState, CostParams,
+InertiaTensor, SphereObstacle, AvoidanceScenario, drift_matrix), whose
+errors _build prefixes with the section path. Only the rotations' check
+and the rules that span sections (DRE steps, the avoidance grid) live here.
 """
 
 from __future__ import annotations
@@ -64,68 +66,65 @@ def _object(value, path, allowed) -> dict:
     return value
 
 
-def _choice(obj, key, path, choices, default=None):
-    """obj[key] (default when absent), one of choices; path "" is the top level."""
-    value = obj.get(key, default)
-    if value not in choices:
-        raise ValidationError(f"{path}.{key}" if path else key, f"expected one of {choices}")
+def _field(obj, key, path, default, valid, expected):
+    """obj[key], an instance of valid (a type) or satisfying it (a predicate),
+    or default when absent (None: required); path "" is the top level."""
+    where = f"{path}.{key}" if path else key
+    if key not in obj:
+        if default is None:
+            raise ValidationError(where, "missing required value")
+        return default
+    value = obj[key]
+    if not (isinstance(value, valid) if isinstance(valid, type) else valid(value)):
+        raise ValidationError(where, f"expected {expected}")
     return value
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _number(obj, key, path, default=None):
-    if key not in obj:
-        if default is None:
-            raise ValidationError(f"{path}.{key}", "missing required value")
-        return default
-    value = obj[key]
-    if not _is_number(value):
-        raise ValidationError(f"{path}.{key}", "expected a number")
-    return float(_finite(value, f"{path}.{key}", "must be finite"))
+def _shaped(value, shape) -> bool:
+    """Whether value is a JSON number (shape ()) or nested lists of them of
+    the given shape."""
+    if not shape:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return (isinstance(value, list) and len(value) == shape[0]
+            and all(_shaped(x, shape[1:]) for x in value))
 
 
-def _finite(value, path, message) -> np.ndarray:
+def _numbers(obj, key, path, shape, default=None):
+    """obj[key] (default when absent, None: required) as finite numbers of
+    shape (), a float, or (k,) or (k, k), a float array."""
+    expected = "a number" if not shape else f"numbers nested as shape {shape}"
+    value = _field(obj, key, path, default, lambda v: _shaped(v, shape), expected)
+    arr = _finite(value, f"{path}.{key}" if path else key)
+    return arr if shape else float(arr)
+
+
+def _finite(value, path) -> np.ndarray:
     """value as a float array; an integer too large for a float is not finite."""
     try:
         arr = np.asarray(value, dtype=float)
     except OverflowError:
         arr = np.array(np.inf)
     if not np.isfinite(arr).all():
-        raise ValidationError(path, message)
+        raise ValidationError(path, "must be finite")
     return arr
-
-
-def _vector(obj, key, path, length, default=None):
-    if key not in obj:
-        if default is None:
-            raise ValidationError(f"{path}.{key}", "missing required value")
-        return np.asarray(default, dtype=float)
-    value = obj[key]
-    if (not isinstance(value, list) or len(value) != length
-            or not all(_is_number(x) for x in value)):
-        raise ValidationError(f"{path}.{key}", f"expected a list of {length} numbers")
-    return _finite(value, f"{path}.{key}", "entries must be finite")
-
-
-def _matrix(value, path, n) -> np.ndarray:
-    """An n x n nested list of finite numbers."""
-    if not (isinstance(value, list) and len(value) == n
-            and all(isinstance(row, list) and len(row) == n
-                    and all(_is_number(x) for x in row) for row in value)):
-        raise ValidationError(path, f"expected a {n}x{n} nested list of numbers")
-    return _finite(value, path, "entries must be finite")
 
 
 def _rotation(obj, key, path):
-    if key not in obj:
-        return np.eye(3)
-    arr = _vector(obj, key, path, 9).reshape(3, 3)
+    arr = _numbers(obj, key, path, (9,), np.eye(3).ravel()).reshape(3, 3)
     if not is_rotation(arr, ROTATION_TOL):
         raise ValidationError(f"{path}.{key}", f"not a rotation within {ROTATION_TOL:g}")
     return arr
+
+
+def _coeffs(value) -> bool:
+    """Three non-empty lists of numbers: the per-axis polynomials."""
+    return (isinstance(value, list) and len(value) == 3
+            and all(isinstance(axis, list) and axis and _shaped(axis, (len(axis),))
+                    for axis in value))
 
 
 @dataclass
@@ -190,60 +189,41 @@ class ScenarioConfig:
 def _parse_cost(obj, command) -> CostParams:
     section = _object(obj.get("cost", {}), "cost", ("alpha", "gamma", "q_weights"))
     d_alpha, d_gamma = _DEFAULTS[command][:2]
-    alpha = _number(section, "alpha", "cost", default=d_alpha)
-    gamma = _number(section, "gamma", "cost", default=d_gamma)
-    q = np.eye(2)
-    if "q_weights" in section:
-        q = _matrix(section["q_weights"], "cost.q_weights", 2)
-    return _build("cost", CostParams, alpha, gamma, q)
+    return _build("cost", CostParams, _numbers(section, "alpha", "cost", (), d_alpha),
+                  _numbers(section, "gamma", "cost", (), d_gamma),
+                  _numbers(section, "q_weights", "cost", (2, 2), np.eye(2)))
 
 
-def _parse_sim(obj, command, inertia: InertiaTensor) -> SimParams:
+def _parse_sim(obj, command) -> SimParams:
+    inertia = _build("inertia", InertiaTensor, _numbers(obj, "inertia", "", (3, 3), np.eye(3)))
     section = _object(obj.get("sim", {}), "sim", ("h", "t_end"))
-    h = _number(section, "h", "sim", default=1e-3)
-    t_end = _number(section, "t_end", "sim", default=_DEFAULTS[command][2])
-    return _build("sim", SimParams, h, t_end, inertia)
-
-
-def _parse_inertia(obj) -> InertiaTensor:
-    if "inertia" not in obj:
-        return InertiaTensor(np.eye(3))
-    return _build("inertia", InertiaTensor, _matrix(obj["inertia"], "inertia", 3))
+    return _build("sim", SimParams, _numbers(section, "h", "sim", (), 1e-3),
+                  _numbers(section, "t_end", "sim", (), _DEFAULTS[command][2]), inertia)
 
 
 def _parse_initial(obj) -> RigidBodyState:
     section = _object(obj.get("initial", {}), "initial", ("rotation", "omega"))
     return RigidBodyState(_rotation(section, "rotation", "initial"),
-                          _vector(section, "omega", "initial", 3, default=[0.0, 0.0, 0.0]))
-
-
-def _parse_goal(obj) -> np.ndarray:
-    return _rotation(_object(obj.get("goal", {}), "goal", ("rotation",)), "rotation", "goal")
+                          _numbers(section, "omega", "initial", (3,), np.zeros(3)))
 
 
 def _parse_reference(obj) -> ReferenceConfig:
     section = _object(obj.get("reference", {}), "reference", ("omega_coeffs", "r0"))
-    if "omega_coeffs" in section:
-        coeffs, message = section["omega_coeffs"], "expected 3 lists of finite coefficients"
-        if not (isinstance(coeffs, list) and len(coeffs) == 3
-                and all(isinstance(axis, list) and axis
-                        and all(_is_number(c) for c in axis) for axis in coeffs)):
-            raise ValidationError("reference.omega_coeffs", message)
-        coeffs = [_finite(axis, "reference.omega_coeffs", message).tolist() for axis in coeffs]
-    else:
-        coeffs = [[0.0, 0.5], [0.0, 0.3], [0.0, 0.4]]
-    return ReferenceConfig(omega_coeffs=coeffs,
-                           r0=_rotation(section, "r0", "reference"))
+    coeffs = _field(section, "omega_coeffs", "reference", [[0.0, 0.5], [0.0, 0.3], [0.0, 0.4]],
+                    _coeffs, "3 non-empty lists of numbers")
+    return ReferenceConfig(
+        omega_coeffs=[_finite(axis, "reference.omega_coeffs").tolist()
+                      for axis in coeffs],
+        r0=_rotation(section, "r0", "reference"))
 
 
 def _parse_controller(obj, command) -> ControllerSettings:
     section = _object(obj.get("controller", {}), "controller",
                       ("gain_source", "feedforward_accel_term", "a_matrix_mode"))
-    source = _choice(section, "gain_source", "controller", GAIN_SOURCES, "are")
-    accel = section.get("feedforward_accel_term", False)
-    if not isinstance(accel, bool):
-        raise ValidationError("controller.feedforward_accel_term", "expected a boolean")
-    mode = section.get("a_matrix_mode", _DEFAULTS[command][3])
+    source = _field(section, "gain_source", "controller", "are",
+                    lambda v: v in GAIN_SOURCES, f"one of {GAIN_SOURCES}")
+    accel = _field(section, "feedforward_accel_term", "controller", False, bool, "a boolean")
+    mode = _field(section, "a_matrix_mode", "controller", _DEFAULTS[command][3], str, "a string")
     _build("controller", drift_matrix, mode)
     return ControllerSettings(source, accel, mode)
 
@@ -255,35 +235,28 @@ def _parse_avoidance(obj, command, alpha: float) -> AvoidanceScenario | None:
         return None
     section = _object(obj["avoidance"], "avoidance",
                       ("dimension", "q0", "v0", "target", "horizon", "obstacles"))
-    dim = section.get("dimension")
-    if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= 3:
-        raise ValidationError("avoidance.dimension", "expected an integer in [1, 3]")
-    q0 = _vector(section, "q0", "avoidance", dim)
-    v0 = _vector(section, "v0", "avoidance", dim, default=[0.0] * dim)
-    target = _vector(section, "target", "avoidance", dim)
-    horizon = _number(section, "horizon", "avoidance", default=1.0)
+    dim = _field(section, "dimension", "avoidance", None,
+                 lambda d: _is_int(d) and 1 <= d <= 3, "an integer in [1, 3]")
+    q0 = _numbers(section, "q0", "avoidance", (dim,))
+    v0 = _numbers(section, "v0", "avoidance", (dim,), np.zeros(dim))
+    target = _numbers(section, "target", "avoidance", (dim,))
+    horizon = _numbers(section, "horizon", "avoidance", (), 1.0)
     obstacles = []
-    raw = section.get("obstacles", [])
-    if not isinstance(raw, list):
-        raise ValidationError("avoidance.obstacles", "expected a list")
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(_field(section, "obstacles", "avoidance", [], list, "a list")):
         path = f"avoidance.obstacles[{i}]"
         entry = _object(entry, path, ("center", "radius"))
-        obstacles.append(_build(path, SphereObstacle, _vector(entry, "center", path, dim),
-                                _number(entry, "radius", path)))
+        obstacles.append(_build(path, SphereObstacle, _numbers(entry, "center", path, (dim,)),
+                                _numbers(entry, "radius", path, ())))
     return _build("avoidance", AvoidanceScenario, dim, alpha, target, horizon, q0, v0,
                   tuple(obstacles))
 
 
 def _parse_output(obj) -> OutputConfig:
     section = _object(obj.get("output", {}), "output", ("directory", "decimation"))
-    directory = section.get("directory", ".")
-    if not isinstance(directory, str):
-        raise ValidationError("output.directory", "expected a string")
-    decimation = section.get("decimation", 10)
-    if not isinstance(decimation, int) or isinstance(decimation, bool) or decimation < 1:
-        raise ValidationError("output.decimation", "expected a positive integer")
-    return OutputConfig(directory, decimation)
+    return OutputConfig(
+        _field(section, "directory", "output", ".", str, "a string"),
+        _field(section, "decimation", "output", 10, lambda d: _is_int(d) and d >= 1,
+               "a positive integer"))
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -296,24 +269,26 @@ def parse_config(text: str) -> ScenarioConfig:
     def _no_constants(name):
         raise ParseError(f"non-finite literal {name!r} not allowed")
 
+    # Beyond JSONDecodeError, the decoder refuses an integer literal past
+    # Python's digit limit (ValueError) and deep nesting (RecursionError).
     try:
         obj = json.loads(text, parse_constant=_no_constants)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("top level must be a JSON object")
 
     _object(obj, "", ("command", "cost", "sim", "inertia", "initial", "goal",
                       "reference", "controller", "avoidance", "output"))
-    command = _choice(obj, "command", "", COMMANDS)
+    command = _field(obj, "command", "", None, lambda v: v in COMMANDS, f"one of {COMMANDS}")
 
     cost = _parse_cost(obj, command)
     cfg = ScenarioConfig(
         command=command,
         cost=cost,
-        sim=_parse_sim(obj, command, _parse_inertia(obj)),
+        sim=_parse_sim(obj, command),
         initial=_parse_initial(obj),
-        goal=_parse_goal(obj),
+        goal=_rotation(_object(obj.get("goal", {}), "goal", ("rotation",)), "rotation", "goal"),
         reference=_parse_reference(obj),
         controller=_parse_controller(obj, command),
         avoidance=_parse_avoidance(obj, command, cost.alpha),

@@ -145,7 +145,15 @@ def kept_rows(table, every: int):
 
 def uniform_grid(t_end: float, h: float) -> np.ndarray:
     """The sweeps' grid: round(t_end / h) (at least 1) equal steps ending
-    exactly at t_end, so the step is h adjusted. Compare time_grid."""
+    exactly at t_end, so the step is h adjusted. Compare time_grid.
+
+    Raises:
+        ValidationError("h"): h not positive and finite, or more than
+            MAX_STEPS steps; checked before the grid is allocated.
+    """
+    if not 0.0 < h < math.inf or round(t_end / h) > MAX_STEPS:
+        raise ValidationError("h", f"must be positive, finite and give at most "
+                                   f"{MAX_STEPS:g} steps")
     return np.linspace(0.0, t_end, max(1, round(t_end / h)) + 1)
 
 

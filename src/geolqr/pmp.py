@@ -142,8 +142,9 @@ class SphereObstacle:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValidationError("radius", "must be positive")
+        # radius ** 2 enters every value of O, so it must be finite too.
+        if not 0.0 < self.radius <= np.sqrt(np.finfo(float).max):
+            raise ValidationError("radius", "must be positive, with a finite square")
 
     def value(self, q):
         """O at q, or at every row of a (..., n) array."""
@@ -206,9 +207,10 @@ class AvoidanceScenario:
             if self.manifold != "flat" or np.shape(obs.center) != (self.dimension,):
                 raise ValidationError(f"obstacles[{i}]", "expected flat space and a "
                                       f"center of shape ({self.dimension},)")
-            if obs.value(self.q0) <= 0.0:
-                raise ValidationError(f"obstacles[{i}]",
-                                      "initial configuration inside obstacle")
+            with np.errstate(over="ignore"):  # a far obstacle's O is inf: outside
+                if obs.value(self.q0) <= 0.0:
+                    raise ValidationError(f"obstacles[{i}]",
+                                          "initial configuration inside obstacle")
 
 
 def goal_errors(scenario: AvoidanceScenario, q) -> np.ndarray:
@@ -311,7 +313,7 @@ def control_cost(scenario: AvoidanceScenario, times_u, u, h_eval: float) -> floa
     Interpolates the control onto a uniform grid of step h_eval, rolls the
     flat dynamics with the symplectic-Euler stepper, and applies the
     trapezoid rule. Lets controls from solvers with different grids be
-    ranked fairly.
+    ranked fairly. A bad h_eval raises uniform_grid's ValidationError("h").
     """
     if scenario.manifold != "flat" or scenario.mode != "avoidance":
         raise ValueError("control_cost covers flat avoidance scenarios")
@@ -446,6 +448,8 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3) -> BVPSolution:
             iterations, a non-finite zero-guess path or Jacobian, or a stalled step.
         ObstacleContact: the zero guess's trajectory, or a perturbed one
             whose Jacobian column is needed, touched an obstacle.
+        ValidationError("h"): h not positive and finite, or more than
+            MAX_STEPS steps (uniform_grid).
     """
     n = scenario.dimension
     times = uniform_grid(scenario.horizon, h)

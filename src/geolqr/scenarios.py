@@ -104,15 +104,14 @@ def _write_rows(path: Path, header: str, columns: dict) -> None:
     names = header.split(",")
     present = [columns[name] for name in names if name in columns]
     row = ",".join("%.17g" if name in columns else "" for name in names) + "\n"
+    # Streamed from column views, one row at a time: the largest CSV is
+    # several megabytes. A full disk fails the write or the close.
     try:
-        f = open(path, "w", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(header + "\n")
+            f.writelines(row % cells for cells in zip(*present))
     except OSError as exc:
         raise ConfigError(f"cannot write output {path}: {exc}") from None
-    # Streamed from column views, one row at a time: the largest CSV is
-    # several megabytes.
-    with f:
-        f.write(header + "\n")
-        f.writelines(row % cells for cells in zip(*present))
 
 
 def _block_columns(names, block) -> dict:

@@ -254,4 +254,5 @@ def is_rotation(m, tol: float = 1e-9) -> bool:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         return False
-    return orthogonality_defect(m) <= tol and abs(np.linalg.det(m) - 1.0) <= tol
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge entry is no rotation
+        return orthogonality_defect(m) <= tol and abs(np.linalg.det(m) - 1.0) <= tol

@@ -4,6 +4,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,16 +176,39 @@ AVOID_1D = {"dimension": 1, "q0": [0.0], "target": [2.0],
     ({"command": "gains", "controller": {"gain_source": "dre"}, "sim": {"t_end": 1e300}},
      "sim.t_end"),
     ({"command": "avoid", "avoidance": {**AVOID_1D, "horizon": 1e300}}, "avoidance.horizon"),
+    ({"command": "regulate", "cost": {"gamma": "-1"}}, "cost.gamma"),
+    ({"command": "regulate", "goal": {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 0.9]}},
+     "goal.rotation"),
+    ({"command": "track", "reference": {"r0": [1, 0, 0, 0, 1, 0, 0, 0, 0.9]}}, "reference.r0"),
+    ({"command": "regulate", "initial": {"rotation": IDENTITY9[:8]}}, "initial.rotation"),
+    ({"command": "avoid", "avoidance": {**AVOID_1D, "v0": [0.0, 0.0]}}, "avoidance.v0"),
+    ({"command": "avoid", "avoidance": {**AVOID_1D, "target": [2.0, 0.0]}}, "avoidance.target"),
+    ({"command": "avoid",
+      "avoidance": {**AVOID_1D, "obstacles": [{"center": [1.0, 0.0], "radius": 0.3}]}},
+     "avoidance.obstacles[0].center"),
+    ({"command": "avoid", "avoidance": {**AVOID_1D, "dimension": True}}, "avoidance.dimension"),
+    ({"command": "avoid", "avoidance": {k: v for k, v in AVOID_1D.items() if k != "dimension"}},
+     "avoidance.dimension"),
+    ({"command": "regulate", "output": {"decimation": True}}, "output.decimation"),
+    ({"command": "regulate", "output": {"decimation": 2.0}}, "output.decimation"),
+    ({}, "command"),
+    ({"command": ["regulate"]}, "command"),
 ], ids=["alpha", "h", "t_end", "horizon", "radius", "q_weights", "section", "missing-radius",
         "string-alpha", "missing-q0", "omega-length", "coeff-axes", "gain_source",
         "accel-term", "a_matrix_mode", "dimension", "obstacles", "directory", "decimation",
-        "regulate-steps", "track-steps", "gains-dre-steps", "avoid-steps"])
+        "regulate-steps", "track-steps", "gains-dre-steps", "avoid-steps", "string-gamma",
+        "goal-rotation", "r0", "rotation-length", "v0-length", "target-length",
+        "center-length", "boolean-dimension", "missing-dimension", "boolean-decimation",
+        "float-decimation", "missing-command", "list-command"])
 def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
     with pytest.raises(ValidationError) as err:
         parse_config(json.dumps(payload))
     assert err.value.path == path
     cfg = write_config(tmp_path, payload)
-    assert main([payload["command"], "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    # A config without a usable command runs under any CLI command.
+    command = payload.get("command")
+    command = command if isinstance(command, str) else "regulate"
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
     line = json.loads(capsys.readouterr().err.strip())
     assert line["error"] == "ValidationError"
     assert line["path"] == path
@@ -256,6 +280,51 @@ def test_number_too_large_for_a_float_exits_two(tmp_path, capsys, payload, path)
     line = json.loads(capsys.readouterr().err.strip())
     assert line["error"] == "ValidationError"
     assert line["path"] == path
+
+
+# JSON that the decoder refuses beyond JSONDecodeError, an integer literal
+# past Python's digit limit or nesting past the recursion limit, and a file
+# that is not UTF-8: exit 2 with one JSON line, not a traceback.
+@pytest.mark.parametrize("text, error", [
+    ('{"command": "regulate", "cost": {"alpha": ' + "1" * 5000 + "}}", "ParseError"),
+    ("[" * 200000, "ParseError"),
+    (b'{"command": "\xff"}', "ConfigError"),
+], ids=["long-integer", "deep-nesting", "not-utf8"])
+def test_json_the_decoder_refuses_exits_two(tmp_path, capsys, text, error):
+    cfg = tmp_path / "cfg.json"
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    else:
+        cfg.write_text(text, encoding="utf-8")
+    assert main(["regulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+
+
+# A finite number whose square overflows is checked without a numpy warning
+# or an OverflowError: the rotation and the radius exit 2 with one JSON line,
+# and a far obstacle is outside.
+@pytest.mark.parametrize("payload, path", [
+    ({"command": "regulate", "initial": {"rotation": [1e300] + IDENTITY9[1:]}},
+     "initial.rotation"),
+    ({"command": "avoid",
+      "avoidance": {**AVOID_1D, "obstacles": [{"center": [1.0], "radius": 1e300}]}},
+     "avoidance.obstacles[0].radius"),
+    ({"command": "avoid",
+      "avoidance": {**AVOID_1D, "obstacles": [{"center": [1e300], "radius": 0.3}]}}, None),
+], ids=["rotation", "radius", "far-center"])
+def test_huge_finite_numbers_are_checked_quietly(tmp_path, capsys, payload, path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if path is None:
+            assert parse_config(json.dumps(payload)).avoidance.obstacles[0].center[0] == 1e300
+            return
+        cfg = write_config(tmp_path, payload)
+        assert main([payload["command"], "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["path"] == path
 
 
 # 1 / alpha overflows to inf in the solvers' S = B B.T / alpha: exit 2 with
@@ -393,6 +462,19 @@ class TestRegulateCommand:
         (tmp_path / "out" / "trajectory.csv").mkdir(parents=True)
         assert main(["regulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+
+    # A CSV whose write or close fails after open, on a full disk.
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_full_disk_csv_exits_two(self, tmp_path, capsys):
+        cfg = self.make_config(tmp_path)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "trajectory.csv").symlink_to("/dev/full")
+        assert main(["regulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert err["detail"].startswith("cannot write output")
 
     def test_too_fast_initial_velocity_exits_three(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"command": "regulate", "sim": {"t_end": 1.0},

@@ -2,6 +2,7 @@
 solvers, cross-validated against independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from geolqr import pmp
-from geolqr.dynamics import InertiaTensor, RigidBodyState, SimParams, rk4, simulate
+from geolqr.dynamics import (
+    MAX_STEPS,
+    InertiaTensor,
+    RigidBodyState,
+    SimParams,
+    rk4,
+    simulate,
+)
 from geolqr.errors import NoConvergence, NoDescent, ObstacleContact, ValidationError
 from geolqr.pmp import (
     AvoidanceScenario,
@@ -263,6 +271,31 @@ class TestAvoidanceAccel:
 
 
 class TestShooting:
+    # The sweeps' grid refuses a step that is not positive and finite, or
+    # that gives more than MAX_STEPS steps, before it allocates.
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, 1.0 / (MAX_STEPS + 1)])
+    @pytest.mark.parametrize("solve", [
+        shooting_solve,
+        lambda sc, h: control_cost(sc, np.array([0.0, 1.0]), np.zeros((2, 1)), h),
+    ], ids=["shooting_solve", "control_cost"])
+    def test_bad_step_names_h(self, solve, h):
+        sc = AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
+                               q0=[1.0], v0=[0.0])
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(ValidationError) as err:
+                solve(sc, h)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert err.value.path == "h"
+        assert peak < 1e6
+
     def test_trivial_scenario_stays_zero(self):
         sc = AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
                                q0=[0.0], v0=[0.0])

@@ -215,6 +215,8 @@ class TestDre:
             dre_integrate([[0.0, 1.0], [0.0, 0.0]], Q2, 1.0, t_end=1.0, h=2.0)
         with pytest.raises(ValueError):
             dre_integrate([[0.0, 1.0], [0.0, 0.0]], Q2, 1.0, t_end=-1.0, h=1e-3)
+        with pytest.raises(ValueError):
+            dre_integrate([[0.0, 1.0], [0.0, 0.0]], Q2, 1.0, t_end=math.inf, h=1e-3)
 
     def test_gain_interpolation(self):
         a = drift_matrix("published-tracking", -2.0)
