@@ -289,31 +289,39 @@ def rk4(rate, y0, times) -> np.ndarray:
     decreasing grid integrates backward. Returns the states at every grid
     time, stacked along a new leading axis.
 
-    The state, the stage state and the update sum live in buffers of y0's
-    memory order, reused every step and written by ufuncs with out=, with
-    the classical step's operations in its order. So a component-major
-    (Fortran-ordered) batch stays component-major in every stage, y0 is not
-    modified, and rate may return its own argument.
+    The states, the stage state and the update sum live in buffers of y0's
+    memory order (each step writes its state into its own slot of the
+    result), written by ufuncs with out=, with the classical step's
+    operations in its order. So a component-major (Fortran-ordered) batch
+    stays component-major in every stage, y0 is not modified, and rate may
+    return its own argument. Each stage's rate enters the sum (acc = f1,
+    then acc += 2 f2, which rounds as f1 + 2 f2) and the next stage state
+    before rate is called again, so the rate may return one buffer it
+    reuses.
     """
     grid = np.asarray(times, dtype=float).tolist()
-    y = np.array(y0, dtype=float, order="K")
+    y0 = np.asarray(y0, dtype=float)
+    if y0.flags.f_contiguous and not y0.flags.c_contiguous:
+        # Slots of y0.T's shape, each transposed back: Fortran-ordered.
+        ys = np.empty((len(grid),) + y0.T.shape).transpose(0, *range(y0.ndim, 0, -1))
+    else:
+        ys = np.empty((len(grid),) + y0.shape)
+    y = ys[0]
+    y[...] = y0
     stage, acc, tmp = np.empty_like(y), np.empty_like(y), np.empty_like(y)
-    ys = np.empty((len(grid),) + y.shape)
-    ys[0] = y
     for k in range(len(grid) - 1):
         h = grid[k + 1] - grid[k]
-        f1 = rate(k, 0.0, y)
-        np.add(y, np.multiply(f1, 0.5 * h, out=stage), out=stage)
-        # Each stage's rate enters the sum before stage is overwritten.
-        f2 = rate(k, 0.5, stage)
-        np.add(f1, np.multiply(f2, 2.0, out=acc), out=acc)
-        np.add(y, np.multiply(f2, 0.5 * h, out=stage), out=stage)
-        f3 = rate(k, 0.5, stage)
-        np.add(acc, np.multiply(f3, 2.0, out=tmp), out=acc)
-        np.add(y, np.multiply(f3, h, out=stage), out=stage)
+        f = rate(k, 0.0, y)
+        np.copyto(acc, f)
+        np.add(y, np.multiply(f, 0.5 * h, out=stage), out=stage)
+        f = rate(k, 0.5, stage)
+        np.add(acc, np.multiply(f, 2.0, out=tmp), out=acc)
+        np.add(y, np.multiply(f, 0.5 * h, out=stage), out=stage)
+        f = rate(k, 0.5, stage)
+        np.add(acc, np.multiply(f, 2.0, out=tmp), out=acc)
+        np.add(y, np.multiply(f, h, out=stage), out=stage)
         np.add(acc, rate(k, 1.0, stage), out=acc)
-        np.add(y, np.multiply(acc, h / 6.0, out=acc), out=y)
-        ys[k + 1] = y
+        y = np.add(y, np.multiply(acc, h / 6.0, out=acc), out=ys[k + 1])
     return ys
 
 

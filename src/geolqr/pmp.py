@@ -23,13 +23,16 @@ Dp2/Dt = -p1 - grad_v L with u = -p2/alpha; costate_integrate verifies that
 relation and the constancy of H on converged solutions.
 
 The extremal sweep is dynamics.rk4 over a component-major batch of start
-states; the linear costate and variational sweeps are dynamics.affine_rk4
-over the matrices of _variational_matrices. Every cost evaluator
-(trajectory_cost, the oracle's batched costs, control_cost, and the
-costates' Hamiltonian) reads the one array running cost running_cost under
-one trapezoid rule, and the extremal, the costates and the oracle's
-gradient read the one potential gradient _grad_potential. Every rule of
-the configuration space is a method of its object in MANIFOLDS.
+states, whose rate writes into one buffer per sweep; the linear costate
+and variational sweeps are dynamics.affine_rk4 over the matrices of
+_variational_matrices. Every cost evaluator (trajectory_cost, the oracle's
+batched costs, control_cost, and the costates' Hamiltonian) reads the one
+array running cost running_cost under one trapezoid rule, and the
+extremal, the costates and the oracle's gradient read the one potential
+gradient _grad_potential. Row-wise dot products are _dots' sums of
+component products. Every rule of the configuration space is a method of
+its object in MANIFOLDS, except the flat extremal's rates, which
+_coupled_rhs writes in place.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 from .dynamics import affine_rk4, rk4, uniform_grid
 from .errors import NoConvergence, NoDescent, ObstacleContact, ValidationError
 from .riccati import CostParams
-from .so3 import attitude_errors, exp_rows, row_dots
+from .so3 import attitude_errors, exp_rows
 
 MODES = ("avoidance", "terminal")
 
@@ -72,18 +75,27 @@ def _cross(a, b) -> np.ndarray:
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
+def _dots(a, b):
+    """Row-wise dot products along the last axis, summed component by
+    component: a0 b0 + a1 b1 + ... in that order. Each product reads one
+    column, contiguous over the rows of a component-major batch, where a
+    batched matmul makes one BLAS call per row."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
 class _Flat:
     """Flat space: q is a vector, log(a, b) = b - a, retract(q, xi) = q + xi,
-    and no connection or curvature term enters rates or connect."""
+    and no connection or curvature term enters connect; _coupled_rhs writes
+    the coordinate rates (v, u, w, Dw/Dt) itself."""
 
     def log(self, a, b):
         return b - a
 
     def retract(self, q, xi):
         return q + xi
-
-    def rates(self, q, v, u, w, dw):
-        return v, u, w, dw
 
     def connect(self, a, v):
         return a
@@ -151,10 +163,10 @@ class SphereObstacle:
         return self.value_and_grad(q)[0]
 
     def value_and_grad(self, q):
-        """O, rounded as d @ d, and its gradient 2 d at q, or at every row of
-        a (..., n) array, from one d = q - center."""
+        """O, with |d|^2 summed as _dots does, and its gradient 2 d at q, or
+        at every row of a (..., n) array, from one d = q - center."""
         d = np.asarray(q, dtype=float) - self.center
-        o = row_dots(d, d)
+        o = _dots(d, d)
         o -= self.radius ** 2  # in place: no third array the size of q's rows
         return o, 2.0 * d
 
@@ -226,11 +238,11 @@ def running_cost(scenario: AvoidanceScenario, q, v, u) -> np.ndarray:
     and +inf where the path touches an obstacle (O_i <= 0). Terminal mode:
     (alpha/2)|u|^2.
     """
-    u2 = row_dots(u, u)
+    u2 = _dots(u, u)
     if scenario.mode == "terminal":
         return 0.5 * scenario.alpha * u2
     g = goal_errors(scenario, q)
-    cost = 0.5 * (row_dots(g, g) + row_dots(v, v) + scenario.alpha * u2)
+    cost = 0.5 * (_dots(g, g) + _dots(v, v) + scenario.alpha * u2)
     if scenario.obstacles:
         o = np.array([obs.value(q) for obs in scenario.obstacles])
         with np.errstate(divide="ignore"):
@@ -248,15 +260,16 @@ def _trapezoid_weights(times) -> np.ndarray:
 
 
 def _grad_potential(scenario: AvoidanceScenario, q):
-    """Gradient of U + V at every point of q (the barrier's -sum_i grad O_i /
-    O_i^2 added last), and the points that touch an obstacle (some O_i <= 0):
-    costate_integrate raises there, a batched rollout flags the row."""
-    barrier, contact = 0.0, False
+    """Gradient of U + V at every point of q (the goal error, less each
+    obstacle's grad O_i / O_i^2 in turn), and the points that touch an
+    obstacle (some O_i <= 0): costate_integrate raises there, a batched
+    rollout flags the row."""
+    grad, contact = goal_errors(scenario, q), False
     for obs in scenario.obstacles:
-        o, grad = obs.value_and_grad(q)
-        barrier = barrier - grad / (o * o)[..., None]
+        o, g = obs.value_and_grad(q)
+        grad -= g / (o * o)[..., None]
         contact = contact | (o <= 0.0)
-    return goal_errors(scenario, q) + barrier, contact
+    return grad, contact
 
 
 def _unpack(scenario: AvoidanceScenario, z):
@@ -267,23 +280,49 @@ def _unpack(scenario: AvoidanceScenario, z):
     return q, z[..., d:d + n], z[..., d + n:d + 2 * n], z[..., d + 2 * n:]
 
 
-def _coupled_rhs(scenario: AvoidanceScenario, z: np.ndarray):
-    """Time derivative of a (B, .) batch of packed states (q, v, u, w), in
-    one array of z's memory order, and the rows whose q touches an obstacle.
+def _coupled_rhs(scenario: AvoidanceScenario, z: np.ndarray, out: np.ndarray):
+    """Write the time derivative of a (B, .) batch of packed states
+    (q, v, u, w) into out, an array of z's shape, and return the rows whose
+    q touches an obstacle.
 
     The covariant second derivative of the control is R(v, u)v, which the
-    space's rates add, plus (u - grad(U + V)(q))/alpha in avoidance mode.
+    group's rates add, plus (u - grad(U + V)(q))/alpha in avoidance mode.
     That gradient sign follows from differentiating the costate relation
     u = -p2/alpha twice; the transcription oracle confirms it numerically.
+    On flat space (v, u, w) go into out as one block copy, and Dw/Dt is
+    formed in place on the (n, B) component blocks of z.T and out.T, rounded
+    as _grad_potential rounds it: at the sweep's batch sizes numpy's
+    per-call cost outweighs the arithmetic, so the flat rate calls nothing
+    but SphereObstacle.value_and_grad.
     """
-    q, v, u, w = _unpack(scenario, z)
-    if scenario.mode == "avoidance":
-        grad, contact = _grad_potential(scenario, q)
-        dw = (u - grad) / scenario.alpha
-    else:
-        dw, contact = np.zeros_like(v), False
-    return np.concatenate(scenario.space.rates(q, v, u, w, dw), axis=1,
-                          out=np.empty_like(z)), contact
+    n = scenario.dimension
+    if scenario.manifold != "flat":
+        q, v, u, w = _unpack(scenario, z)
+        if scenario.mode == "avoidance":
+            grad, contact = _grad_potential(scenario, q)
+            dw = (u - grad) / scenario.alpha
+        else:
+            dw, contact = np.zeros_like(v), False
+        np.concatenate(scenario.space.rates(q, v, u, w, dw), axis=1, out=out)
+        return contact
+    zt, dw = z.T, out.T[3 * n:]
+    out.T[:3 * n] = zt[n:]
+    if scenario.mode == "terminal":
+        dw[...] = 0.0
+        return False
+    q, contact = zt[:n], False
+    np.subtract(q, scenario.target[:, None], out=dw)
+    for obs in scenario.obstacles:
+        o, g = obs.value_and_grad(q.T)
+        g = g.T
+        g /= o * o
+        dw -= g
+        # An array's | with the scalar False costs more than the comparison.
+        touched = o <= 0.0
+        contact = touched if contact is False else contact | touched
+    np.subtract(zt[2 * n:3 * n], dw, out=dw)
+    dw /= scenario.alpha
+    return contact
 
 
 @dataclass
@@ -321,7 +360,7 @@ def control_cost(scenario: AvoidanceScenario, times_u, u, h_eval: float) -> floa
     uu = np.stack([np.interp(tt, times_u, u[:, a])
                    for a in range(scenario.dimension)], axis=1)
     return float(_batched_costs(scenario, uu[None], tt[1] - tt[0],
-                                _trapezoid_weights(tt))[0])
+                                _trapezoid_weights(tt))[0][0])
 
 
 def trajectory_cost(scenario: AvoidanceScenario, times, q, v, u) -> float:
@@ -349,17 +388,19 @@ def _integrate_extremal(scenario: AvoidanceScenario, z0, times):
 
     Returns the packed states, (B, len(times), .), and the rows whose path
     touched an obstacle at an RK4 stage or a grid point. A row that
-    overflows turns non-finite, silently.
+    overflows turns non-finite, silently. Every stage's rate is written
+    into one component-major buffer, which rk4 reads before the next stage.
     """
+    z0 = np.asfortranarray(z0)
     contact = np.zeros(len(z0), dtype=bool)
+    dz = np.empty_like(z0)
 
     def rate(k, theta, z):
-        dz, touched = _coupled_rhs(scenario, z)
-        np.logical_or(contact, touched, out=contact)
+        np.logical_or(contact, _coupled_rhs(scenario, z, dz), out=contact)
         return dz
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        zs = rk4(rate, np.asfortranarray(z0), times).swapaxes(0, 1)
+        zs = rk4(rate, z0, times).swapaxes(0, 1)
         # In avoidance mode each step's first stage has flagged its grid
         # sample, so only the final one is left; terminal mode's rhs has no
         # barrier. Obstacles exist on flat space only.
@@ -552,9 +593,10 @@ def _batched_rollout(scenario: AvoidanceScenario, controls: np.ndarray,
 
 
 def _batched_costs(scenario: AvoidanceScenario, controls: np.ndarray,
-                   ht: float, weights: np.ndarray) -> np.ndarray:
+                   ht: float, weights: np.ndarray):
     """Costs of a (B, N, n) batch of control grids under the quadrature
-    weights of _trapezoid_weights.
+    weights of _trapezoid_weights, and the symplectic-Euler states (q, v)
+    they were read from, each (B, N, n).
 
     Rows whose trajectory contacts an obstacle or overflows get +inf so the
     line search rejects them.
@@ -563,21 +605,20 @@ def _batched_costs(scenario: AvoidanceScenario, controls: np.ndarray,
         q, v = _batched_rollout(scenario, controls, ht)
         cost = running_cost(scenario, q, v, controls) @ weights
     cost[~np.isfinite(cost)] = np.inf
-    return cost
+    return cost, q, v
 
 
-def _cost_gradient(scenario: AvoidanceScenario, u: np.ndarray, ht: float,
-                   weights: np.ndarray) -> np.ndarray:
+def _cost_gradient(scenario: AvoidanceScenario, u: np.ndarray, q: np.ndarray,
+                   v: np.ndarray, ht: float, weights: np.ndarray) -> np.ndarray:
     """Exact gradient of _batched_costs' discrete cost at one (N, n) control
-    grid.
+    grid u, whose symplectic-Euler states are q and v.
 
-    The symplectic-Euler states are affine in the controls: q_k sums ht v_j
-    over 1 <= j <= k and v_j sums ht u_i over i < j. So the running cost's
-    partials w_k (q_k - q* + grad V(q_k)), w_k v_k and alpha w_k u_k pull
-    back to the controls through two reverse cumulative sums.
+    The states are affine in the controls: q_k sums ht v_j over 1 <= j <= k
+    and v_j sums ht u_i over i < j. So the running cost's partials
+    w_k (q_k - q* + grad V(q_k)), w_k v_k and alpha w_k u_k pull back to the
+    controls through two reverse cumulative sums.
     """
-    q, v = _batched_rollout(scenario, u[None], ht)
-    q, v, w = q[0], v[0], weights[:, None]
+    w = weights[:, None]
     dq = w * _grad_potential(scenario, q)[0]
     dv = w * v + ht * np.cumsum(dq[::-1], axis=0)[::-1]
     grad = scenario.alpha * w * u
@@ -594,7 +635,9 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
     gradient descent along that discrete cost's exact gradient (the
     oracle differentiates its own discretization, never the PMP equations)
     with a backtracking line search seeded with a Barzilai-Borwein step
-    guess. Descent stops at ORACLE_GRAD_TOL, at max_iter, or once
+    guess. Each control grid is rolled out once: the states of the start
+    and of every accepted trial serve its gradient and the returned path.
+    Descent stops at ORACLE_GRAD_TOL, at max_iter, or once
     ORACLE_PLATEAU_WINDOW iterations improve the cost by less than
     ORACLE_PLATEAU_RTOL relatively; trace names the "stop_reason"
     ("grad_tol", "max_iter" or "plateau") and the final "grad_norm". The
@@ -613,7 +656,8 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
     weights = _trapezoid_weights(times)
 
     u = np.zeros((n_grid, n))
-    cost = float(_batched_costs(scenario, u[None, :, :], ht, weights)[0])
+    costs, q, v = _batched_costs(scenario, u[None], ht, weights)
+    cost = float(costs[0])
     step_size = 1.0
     stalls = iterations = 0
     grad_inf = np.inf
@@ -622,7 +666,7 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
     history = [cost]
     while iterations < max_iter:
         iterations += 1
-        grad = _cost_gradient(scenario, u, ht, weights)
+        grad = _cost_gradient(scenario, u, q[0], v[0], ht, weights)
         grad_inf = float(np.abs(grad).max())
         if grad_inf <= ORACLE_GRAD_TOL:
             stop_reason = "grad_tol"
@@ -640,9 +684,9 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
         s = step_size * 2.0
         for _ in range(60):
             trial = u - s * grad
-            trial_cost = float(_batched_costs(scenario, trial[None], ht, weights)[0])
-            if trial_cost <= cost - 1e-4 * s * gnorm2:
-                u, cost, step_size = trial, trial_cost, s
+            costs, trial_q, trial_v = _batched_costs(scenario, trial[None], ht, weights)
+            if costs[0] <= cost - 1e-4 * s * gnorm2:
+                u, cost, q, v, step_size = trial, float(costs[0]), trial_q, trial_v, s
                 stalls = 0
                 break
             s *= 0.5
@@ -657,7 +701,6 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
             stop_reason = "plateau"
             break
 
-    q, v = _batched_rollout(scenario, u[None], ht)
     return BVPSolution(times=times, q=q[0], v=v[0], u=u, udot=None,
                        residual_norm=grad_inf, iterations=iterations,
                        cost=cost,
@@ -727,7 +770,7 @@ def costate_integrate(scenario: AvoidanceScenario, solution: BVPSolution) -> Cos
             f.append(-np.concatenate([grad, vs], axis=-1))
     ps = affine_rk4(a, f, terminal, times[::-1])[::-1]
     p1, p2 = np.split(ps, 2, axis=1)
-    ham = row_dots(p1, v) + row_dots(p2, u) + running_cost(scenario, q, v, u)
+    ham = _dots(p1, v) + _dots(p2, u) + running_cost(scenario, q, v, u)
     return CostateTrajectory(times, p1, p2, ham)
 
 

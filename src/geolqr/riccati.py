@@ -198,8 +198,9 @@ def are_solve(a, q, rw: float) -> RiccatiSolution:
         ValidationError: rw is not positive (path "alpha"), or q is not a
             symmetric PSD 2x2 matrix (path "q_weights").
         NotControllable: rank [B, AB] < 2.
-        NoStabilizingSolution: Hamiltonian eigenvalues on the imaginary axis
-            or the stable subspace does not produce a positive definite K.
+        NoStabilizingSolution: Hamiltonian eigenvalues on the imaginary axis,
+            the stable subspace does not produce a positive definite K, or
+            q is so large that the residual's norm overflows.
     """
     a, q, s = _problem(a, q, rw)
 
@@ -223,11 +224,17 @@ def are_solve(a, q, rw: float) -> RiccatiSolution:
     k = np.real(k)
     k = 0.5 * (k + k.T)
 
-    # Newton polish: solve the Lyapunov equation for the correction.
+    # Newton polish: solve the Lyapunov equation for the correction. Weights
+    # so large that a norm overflows leave nothing to certify the solution by.
     eye2 = np.eye(2)
     for _ in range(30):
         res = _riccati_operator(a, s, q, k)
-        if np.linalg.norm(res) <= 1e-13 * max(1.0, np.linalg.norm(k)):
+        with np.errstate(over="ignore"):
+            res_norm, k_norm = np.linalg.norm(res), np.linalg.norm(k)
+        if not (math.isfinite(res_norm) and math.isfinite(k_norm)):
+            raise NoStabilizingSolution("Riccati residual norm overflows: "
+                                        "state weights too large")
+        if res_norm <= 1e-13 * max(1.0, k_norm):
             break
         acl = a - s @ k
         m = np.kron(acl.T, eye2) + np.kron(eye2, acl.T)

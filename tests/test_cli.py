@@ -327,6 +327,23 @@ def test_huge_finite_numbers_are_checked_quietly(tmp_path, capsys, payload, path
     assert json.loads(lines[0])["path"] == path
 
 
+# A state weight this large overflows the norm of the ARE's residual, which
+# the Newton polish certifies the gain by: a typed error and one JSON line,
+# with no numpy overflow warning on stderr.
+@pytest.mark.parametrize("weight", [1e200, 1e250, 1e300])
+def test_huge_state_weight_ends_in_a_typed_error(tmp_path, capsys, weight):
+    payload = {"command": "regulate", "cost": {"q_weights": [[weight, 0], [0, 1]]},
+               "sim": {"t_end": 0.01}}
+    cfg = write_config(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["regulate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code in (2, 3)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] in ("NoStabilizingSolution", "ValidationError")
+
+
 # 1 / alpha overflows to inf in the solvers' S = B B.T / alpha: exit 2 with
 # one JSON line on stderr, not a LinAlgError traceback or a numpy warning.
 @pytest.mark.parametrize("source", ["are", "dre"])

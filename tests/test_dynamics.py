@@ -292,6 +292,23 @@ class TestRk4:
         assert np.array_equal(y0, kept)
         assert np.abs(ys[-1] - math.e * y0).max() <= 1e-5 * np.abs(y0).max()
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_rate_reusing_one_buffer_matches_fresh_arrays(self, order):
+        # Each stage's rate enters the sum before the next call, so a rate
+        # that overwrites and returns one buffer gives the same bits.
+        def fresh(k, theta, y):
+            return y[:, ::-1] * y - 0.5 * y * y * y
+
+        y0 = np.asarray(np.random.default_rng(84).standard_normal((4, 3)), order=order)
+        buffer = np.empty_like(y0)
+
+        def reused(k, theta, y):
+            np.copyto(buffer, fresh(k, theta, y))
+            return buffer
+
+        times = np.linspace(0.0, 1.0, 21)
+        assert np.array_equal(rk4(reused, y0, times), rk4(fresh, y0, times))
+
     def test_rate_sees_grid_interval_and_stage(self):
         calls = []
 

@@ -203,7 +203,9 @@ class TestVariationalPropagate:
 def avoidance_accel(sc, q, v, u):
     """The covariant control acceleration dw at (q, v, u, 0) and its contact
     flag, read from the w slot of _coupled_rhs."""
-    dz, contact = pmp._coupled_rhs(sc, np.concatenate([q, v, u, np.zeros_like(v)])[None])
+    z = np.concatenate([q, v, u, np.zeros_like(v)])[None]
+    dz = np.empty_like(z)
+    contact = pmp._coupled_rhs(sc, z, dz)
     return pmp._unpack(sc, dz)[3][0], contact
 
 
@@ -261,6 +263,36 @@ class TestAvoidanceAccel:
         assert grad.shape == q.shape
         assert np.abs(grad - grad_fd).max() <= 1e-8
         assert np.array_equal(grad, 2.0 * (q - obs.center))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_flat_rhs_matches_a_per_row_formula(self, order):
+        # (v, u, w) are copied and dw = (u - (q - q*) + sum_i 2 (q - c_i) /
+        # O_i^2) / alpha, row by row, whatever the batch's memory order, with
+        # the bits of (u - _grad_potential) / alpha.
+        obstacles = (SphereObstacle(np.array([0.3, -0.2, 0.1]), 0.4),
+                     SphereObstacle(np.array([-0.5, 0.4, 0.0]), 0.3))
+        sc = AvoidanceScenario(dimension=3, alpha=0.3, target=[1.0, 0.5, -0.2], horizon=1.0,
+                               q0=[2.0, 2.0, 2.0], v0=np.zeros(3), obstacles=obstacles)
+        rng = np.random.default_rng(85)
+        z = np.asarray(rng.uniform(-1.0, 1.0, (200, 12)), order=order)
+        out = np.empty_like(z)
+        contact = pmp._coupled_rhs(sc, z, out)
+        assert np.array_equal(out[:, :9], z[:, 3:])
+        grad = pmp._grad_potential(sc, z[:, :3])[0]
+        assert np.array_equal(out[:, 9:], (z[:, 6:9] - grad) / sc.alpha)
+        for row, flagged, dw in zip(z, contact, out[:, 9:]):
+            q, u = row[:3], row[6:9]
+            terms = [u, -(q - sc.target)]
+            values = []
+            for obs in obstacles:
+                d = q - obs.center
+                values.append(sum(d[a] * d[a] for a in range(3)) - obs.radius ** 2)
+                terms.append(2.0 * d / values[-1] ** 2)
+            want = sum(terms) / sc.alpha
+            scale = sum(np.abs(t) for t in terms) / sc.alpha
+            assert np.all(np.abs(dw - want) <= 1e-15 * scale)
+            assert flagged == (min(values) <= 0.0)
+        assert 0 < contact.sum() < len(z)
 
     def test_contact_flagged(self):
         obs = SphereObstacle(np.array([0.0]), 0.5)
@@ -729,6 +761,36 @@ class TestTranscriptionOracle:
         with pytest.raises(ValueError):
             transcription_oracle(sc, 101)
 
+    def test_each_control_grid_is_rolled_out_once(self, monkeypatch):
+        # The gradient reads the states the cost evaluation rolled out, so
+        # the rollouts are the cost evaluations plus at most a final one,
+        # and recomputing the states changes no bit of the control.
+        sc = criterion_09_scenario()
+        rollout, costs, gradient = pmp._batched_rollout, pmp._batched_costs, pmp._cost_gradient
+        counts = {"rollouts": 0, "costs": 0}
+
+        def count(key, fn):
+            def counted(scenario, controls, *args):
+                counts[key] += len(controls)
+                return fn(scenario, controls, *args)
+            return counted
+
+        monkeypatch.setattr(pmp, "_batched_rollout", count("rollouts", rollout))
+        monkeypatch.setattr(pmp, "_batched_costs", count("costs", costs))
+        reused = transcription_oracle(sc, 201, max_iter=200)
+        assert counts["costs"] <= counts["rollouts"] <= counts["costs"] + 1
+        assert counts["rollouts"] < 2 * reused.iterations
+
+        def recomputed(scenario, u, q, v, ht, weights):
+            q, v = rollout(scenario, u[None], ht)
+            return gradient(scenario, u, q[0], v[0], ht, weights)
+
+        monkeypatch.setattr(pmp, "_cost_gradient", recomputed)
+        fresh = transcription_oracle(sc, 201, max_iter=200)
+        assert np.array_equal(reused.u, fresh.u)
+        assert np.array_equal(reused.q, fresh.q)
+        assert reused.cost == fresh.cost
+
     def test_batched_gradient_is_order_independent(self):
         # The finite-difference partials come from one batched rollout; they
         # must equal per-coordinate sequential evaluation exactly (pure cost).
@@ -747,11 +809,11 @@ class TestTranscriptionOracle:
         n_vars = n_grid * n
         eye = np.eye(n_vars).reshape(n_vars, n_grid, n)
         batch = np.concatenate([u[None] + eps * eye, u[None] - eps * eye])
-        costs = _batched_costs(sc, batch, ht, weights)
+        costs = _batched_costs(sc, batch, ht, weights)[0]
         # Order independence proper: shuffling the batch rows permutes the
         # costs bit-for-bit.
         perm = rng.permutation(batch.shape[0])
-        shuffled = _batched_costs(sc, batch[perm], ht, weights)
+        shuffled = _batched_costs(sc, batch[perm], ht, weights)[0]
         assert np.array_equal(shuffled, costs[perm])
         # And the batched partials match sequential per-coordinate
         # evaluation within the oracle's own finite-difference accuracy.
@@ -762,8 +824,8 @@ class TestTranscriptionOracle:
             up[k, a] += eps
             dn = u.copy()
             dn[k, a] -= eps
-            cp = float(_batched_costs(sc, up[None], ht, weights)[0])
-            cm = float(_batched_costs(sc, dn[None], ht, weights)[0])
+            cp = float(_batched_costs(sc, up[None], ht, weights)[0][0])
+            cm = float(_batched_costs(sc, dn[None], ht, weights)[0][0])
             assert abs(grad_batched[flat_index] - (cp - cm) / (2.0 * eps)) <= 1e-6
 
 
@@ -785,10 +847,11 @@ class TestTranscriptionOracle:
         for _ in range(3):
             u = 0.3 * rng.standard_normal((n_grid, n))
             costs = _batched_costs(sc, np.concatenate([u[None] + eps * eye,
-                                                       u[None] - eps * eye]), ht, weights)
+                                                       u[None] - eps * eye]), ht, weights)[0]
             assert np.isfinite(costs).all()
             central = ((costs[:n_vars] - costs[n_vars:]) / (2.0 * eps)).reshape(n_grid, n)
-            adjoint = _cost_gradient(sc, u, ht, weights)
+            _, q, v = _batched_costs(sc, u[None], ht, weights)
+            adjoint = _cost_gradient(sc, u, q[0], v[0], ht, weights)
             assert np.abs(adjoint - central).max() <= 1e-7
 
     def test_trace_names_the_stop_reason(self, monkeypatch):
@@ -818,8 +881,9 @@ class TestTranscriptionOracle:
         real, costs = pmp._batched_costs, []
 
         def costlier(*args):
-            costs.append(costs[0] + 1.0 if costs else real(*args))
-            return costs[-1]
+            cost, q, v = real(*args)
+            costs.append(costs[0] + 1.0 if costs else cost)
+            return costs[-1], q, v
 
         monkeypatch.setattr(pmp, "_batched_costs", costlier)
         with pytest.raises(NoDescent):
@@ -1066,7 +1130,7 @@ class TestOneCostFunctional:
         rng = np.random.default_rng(11)
         controls = 0.2 * rng.standard_normal((5, n_grid, 2))
         q, v = _batched_rollout(sc, controls, ht)
-        costs = _batched_costs(sc, controls, ht, weights)
+        costs = _batched_costs(sc, controls, ht, weights)[0]
         assert np.isfinite(costs).all()
         for b in range(controls.shape[0]):
             j = trajectory_cost(sc, times, q[b], v[b], controls[b])
@@ -1075,7 +1139,7 @@ class TestOneCostFunctional:
         # Constant thrust along x drives the path straight through the obstacle.
         through = np.zeros((1, n_grid, 2))
         through[..., 0] = 4.0
-        assert _batched_costs(sc, through, ht, weights)[0] == np.inf
+        assert _batched_costs(sc, through, ht, weights)[0][0] == np.inf
         qt, vt = _batched_rollout(sc, through, ht)
         with pytest.raises(ObstacleContact):
             trajectory_cost(sc, times, qt[0], vt[0], through[0])
