@@ -31,8 +31,7 @@ array running cost running_cost under one trapezoid rule, and the
 extremal, the costates and the oracle's gradient read the one potential
 gradient _grad_potential. Row-wise dot products are _dots' sums of
 component products. Every rule of the configuration space is a method of
-its object in MANIFOLDS, except the flat extremal's rates, which
-_coupled_rhs writes in place.
+its object in MANIFOLDS.
 """
 
 from __future__ import annotations
@@ -88,14 +87,19 @@ def _dots(a, b):
 
 class _Flat:
     """Flat space: q is a vector, log(a, b) = b - a, retract(q, xi) = q + xi,
-    and no connection or curvature term enters connect; _coupled_rhs writes
-    the coordinate rates (v, u, w, Dw/Dt) itself."""
+    and no connection or curvature term enters rates or connect. rates
+    writes a batch's _coupled_rhs into out and returns its contact rows."""
 
     def log(self, a, b):
         return b - a
 
     def retract(self, q, xi):
         return q + xi
+
+    def rates(self, scenario, z, out):
+        n = scenario.dimension
+        out[:, :3 * n] = z[:, n:]
+        return _control_accel(scenario, z[:, :n], z[:, 2 * n:3 * n], out[:, 3 * n:])
 
     def connect(self, a, v):
         return a
@@ -123,10 +127,17 @@ class _Rotations:
         (sectional curvature +1/4 for orthonormal pairs)."""
         return -0.25 * _cross(_cross(x, y), z)
 
-    def rates(self, q, v, u, w, dw):
+    def rates(self, scenario, z, out):
+        q, v, u, w = _unpack(scenario, z)
+        dw = out[:, 15:]
+        contact = _control_accel(scenario, q, u, dw)
         half = 0.5 * v
-        return (_cross(q, v[:, None, :]).reshape(len(v), 9), u, w - _cross(half, u),
-                self.curvature(v, u, v) + dw - _cross(half, w))
+        out[:, :9] = _cross(q, v[:, None, :]).reshape(len(v), 9)
+        out[:, 9:12] = u
+        np.subtract(w, _cross(half, u), out=out[:, 12:15])
+        dw += self.curvature(v, u, v)  # bit for bit curvature + dw - cross
+        dw -= _cross(half, w)
+        return contact
 
     def connect(self, a, v):
         vv = v[..., None, :]
@@ -267,8 +278,11 @@ def _grad_potential(scenario: AvoidanceScenario, q):
     grad, contact = goal_errors(scenario, q), False
     for obs in scenario.obstacles:
         o, g = obs.value_and_grad(q)
-        grad -= g / (o * o)[..., None]
-        contact = contact | (o <= 0.0)
+        g /= (o * o)[..., None]
+        grad -= g
+        # An array's | with the scalar False costs more than the comparison.
+        touched = o <= 0.0
+        contact = touched if contact is False else contact | touched
     return grad, contact
 
 
@@ -280,49 +294,32 @@ def _unpack(scenario: AvoidanceScenario, z):
     return q, z[..., d:d + n], z[..., d + n:d + 2 * n], z[..., d + 2 * n:]
 
 
+def _control_accel(scenario: AvoidanceScenario, q, u, out):
+    """Write the potential's part of Du/Dt's rate, (u - grad(U + V)(q))/alpha
+    in avoidance mode and zero in terminal mode, into out, and return the
+    rows whose q touches an obstacle."""
+    if scenario.mode == "terminal":
+        out[...] = 0.0
+        return False
+    grad, contact = _grad_potential(scenario, q)
+    np.subtract(u, grad, out=out)
+    out /= scenario.alpha
+    return contact
+
+
 def _coupled_rhs(scenario: AvoidanceScenario, z: np.ndarray, out: np.ndarray):
     """Write the time derivative of a (B, .) batch of packed states
     (q, v, u, w) into out, an array of z's shape, and return the rows whose
     q touches an obstacle.
 
     The covariant second derivative of the control is R(v, u)v, which the
-    group's rates add, plus (u - grad(U + V)(q))/alpha in avoidance mode.
-    That gradient sign follows from differentiating the costate relation
-    u = -p2/alpha twice; the transcription oracle confirms it numerically.
-    On flat space (v, u, w) go into out as one block copy, and Dw/Dt is
-    formed in place on the (n, B) component blocks of z.T and out.T, rounded
-    as _grad_potential rounds it: at the sweep's batch sizes numpy's
-    per-call cost outweighs the arithmetic, so the flat rate calls nothing
-    but SphereObstacle.value_and_grad.
+    group's rates add, plus (u - grad(U + V)(q))/alpha in avoidance mode
+    (_control_accel). That gradient sign follows from differentiating the
+    costate relation u = -p2/alpha twice; the transcription oracle confirms
+    it numerically. The space's rates write every block: flat space copies
+    (v, u, w) as one block.
     """
-    n = scenario.dimension
-    if scenario.manifold != "flat":
-        q, v, u, w = _unpack(scenario, z)
-        if scenario.mode == "avoidance":
-            grad, contact = _grad_potential(scenario, q)
-            dw = (u - grad) / scenario.alpha
-        else:
-            dw, contact = np.zeros_like(v), False
-        np.concatenate(scenario.space.rates(q, v, u, w, dw), axis=1, out=out)
-        return contact
-    zt, dw = z.T, out.T[3 * n:]
-    out.T[:3 * n] = zt[n:]
-    if scenario.mode == "terminal":
-        dw[...] = 0.0
-        return False
-    q, contact = zt[:n], False
-    np.subtract(q, scenario.target[:, None], out=dw)
-    for obs in scenario.obstacles:
-        o, g = obs.value_and_grad(q.T)
-        g = g.T
-        g /= o * o
-        dw -= g
-        # An array's | with the scalar False costs more than the comparison.
-        touched = o <= 0.0
-        contact = touched if contact is False else contact | touched
-    np.subtract(zt[2 * n:3 * n], dw, out=dw)
-    dw /= scenario.alpha
-    return contact
+    return scenario.space.rates(scenario, z, out)
 
 
 @dataclass

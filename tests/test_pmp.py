@@ -294,6 +294,25 @@ class TestAvoidanceAccel:
             assert flagged == (min(values) <= 0.0)
         assert 0 < contact.sum() < len(z)
 
+    @pytest.mark.parametrize("mode", pmp.MODES)
+    def test_group_rhs_keeps_its_operation_order(self, mode):
+        # Bit for bit (q hat(v), u, w - (v/2) x u, R(v, u)v + dw - (v/2) x w)
+        # with dw = (u - log(q*, q)) / alpha, or 0 in terminal mode.
+        sc = AvoidanceScenario(dimension=3, alpha=0.3, target=exp_so3([0.2, -0.1, 0.4]),
+                               horizon=1.0, q0=np.eye(3), v0=np.zeros(3),
+                               manifold="so3-biinvariant", mode=mode)
+        rng = np.random.default_rng(86)
+        q = np.array([exp_so3(x) for x in rng.uniform(-1.0, 1.0, (50, 3))])
+        v, u, w = rng.standard_normal((3, 50, 3))
+        z = np.asfortranarray(np.hstack([q.reshape(50, 9), v, u, w]))
+        out = np.empty_like(z)
+        assert pmp._coupled_rhs(sc, z, out) is False
+        space, cross, half = sc.space, pmp._cross, 0.5 * v
+        dw = (u - pmp.goal_errors(sc, q)) / sc.alpha if mode == "avoidance" else 0.0 * v
+        want = np.hstack([cross(q, v[:, None, :]).reshape(50, 9), u, w - cross(half, u),
+                          space.curvature(v, u, v) + dw - cross(half, w)])
+        assert np.array_equal(out, want)
+
     def test_contact_flagged(self):
         obs = SphereObstacle(np.array([0.0]), 0.5)
         sc = AvoidanceScenario(dimension=1, alpha=1.0, target=[2.0], horizon=1.0,
