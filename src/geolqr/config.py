@@ -26,7 +26,7 @@ import numpy as np
 from .dynamics import MAX_STEPS, InertiaTensor, RigidBodyState, SimParams
 from .errors import ParseError, ValidationError
 from .pmp import AvoidanceScenario, SphereObstacle
-from .riccati import CostParams, check_dre_step, drift_matrix
+from .riccati import CostParams, drift_matrix
 from .so3 import is_rotation
 
 GAIN_SOURCES = ("are", "dre")
@@ -294,13 +294,12 @@ def parse_config(text: str) -> ScenarioConfig:
         avoidance=_parse_avoidance(obj, command, cost.alpha),
         output=_parse_output(obj),
     )
-    # The backward Riccati sweep needs at least one step of size h, and a
-    # closed loop reads its samples on the simulation grid.
+    # The backward Riccati sweep needs at least one step of size h (SimParams
+    # holds h > 0 and t_end finite), and a closed loop reads its samples on
+    # the simulation grid.
     if command in ("gains", "regulate", "track") and cfg.controller.gain_source == "dre":
-        try:
-            check_dre_step(cfg.sim.t_end, cfg.sim.h)
-        except ValueError:
-            raise ValidationError("sim.t_end", "must be at least sim.h for DRE gains") from None
+        if cfg.sim.h > cfg.sim.t_end:
+            raise ValidationError("sim.t_end", "must be at least sim.h for DRE gains")
         steps = cfg.sim.t_end / cfg.sim.h
         if command != "gains" and abs(steps - round(steps)) > 1e-9:
             raise ValidationError("sim.t_end",

@@ -22,16 +22,18 @@ Both follow from the costate equations Dp1/Dt = -R(v, p2) v - grad_q L and
 Dp2/Dt = -p1 - grad_v L with u = -p2/alpha; costate_integrate verifies that
 relation and the constancy of H on converged solutions.
 
-The extremal sweep is dynamics.rk4 over a component-major batch of start
-states, whose rate writes into one buffer per sweep; the linear costate
+The extremal sweep is dynamics.rk4 over a component-major batch of packed
+start states (q, v, u, w). Its rate is the space's rates(scenario, z, out),
+which writes every block of the time derivative into one buffer per sweep
+and returns the rows whose q touches an obstacle; the linear costate
 and variational sweeps are dynamics.affine_rk4 over the matrices of
 _variational_matrices. Every cost evaluator (trajectory_cost, the oracle's
 batched costs, control_cost, and the costates' Hamiltonian) reads the one
 array running cost running_cost under one trapezoid rule, and the
 extremal, the costates and the oracle's gradient read the one potential
-gradient _grad_potential. Row-wise dot products are _dots' sums of
-component products. Every rule of the configuration space is a method of
-its object in MANIFOLDS.
+gradient _grad_potential. Every row-wise dot product, in O, the running
+cost and H, is so3.row_dots, rounded as the float kernels round. Every
+rule of the configuration space is a method of its object in MANIFOLDS.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 from .dynamics import affine_rk4, rk4, uniform_grid
 from .errors import NoConvergence, NoDescent, ObstacleContact, ValidationError
 from .riccati import CostParams
-from .so3 import attitude_errors, exp_rows
+from .so3 import attitude_errors, exp_rows, row_dots
 
 MODES = ("avoidance", "terminal")
 
@@ -74,21 +76,10 @@ def _cross(a, b) -> np.ndarray:
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
-def _dots(a, b):
-    """Row-wise dot products along the last axis, summed component by
-    component: a0 b0 + a1 b1 + ... in that order. Each product reads one
-    column, contiguous over the rows of a component-major batch, where a
-    batched matmul makes one BLAS call per row."""
-    out = a[..., 0] * b[..., 0]
-    for i in range(1, a.shape[-1]):
-        out += a[..., i] * b[..., i]
-    return out
-
-
 class _Flat:
     """Flat space: q is a vector, log(a, b) = b - a, retract(q, xi) = q + xi,
-    and no connection or curvature term enters rates or connect. rates
-    writes a batch's _coupled_rhs into out and returns its contact rows."""
+    and no connection or curvature term enters rates or connect: rates
+    copies (v, u, w) as one block beside _control_accel's part."""
 
     def log(self, a, b):
         return b - a
@@ -174,10 +165,10 @@ class SphereObstacle:
         return self.value_and_grad(q)[0]
 
     def value_and_grad(self, q):
-        """O, with |d|^2 summed as _dots does, and its gradient 2 d at q, or
+        """O, with |d|^2 from so3.row_dots, and its gradient 2 d at q, or
         at every row of a (..., n) array, from one d = q - center."""
         d = np.asarray(q, dtype=float) - self.center
-        o = _dots(d, d)
+        o = row_dots(d, d)
         o -= self.radius ** 2  # in place: no third array the size of q's rows
         return o, 2.0 * d
 
@@ -249,11 +240,11 @@ def running_cost(scenario: AvoidanceScenario, q, v, u) -> np.ndarray:
     and +inf where the path touches an obstacle (O_i <= 0). Terminal mode:
     (alpha/2)|u|^2.
     """
-    u2 = _dots(u, u)
+    u2 = row_dots(u, u)
     if scenario.mode == "terminal":
         return 0.5 * scenario.alpha * u2
     g = goal_errors(scenario, q)
-    cost = 0.5 * (_dots(g, g) + _dots(v, v) + scenario.alpha * u2)
+    cost = 0.5 * (row_dots(g, g) + row_dots(v, v) + scenario.alpha * u2)
     if scenario.obstacles:
         o = np.array([obs.value(q) for obs in scenario.obstacles])
         with np.errstate(divide="ignore"):
@@ -297,7 +288,9 @@ def _unpack(scenario: AvoidanceScenario, z):
 def _control_accel(scenario: AvoidanceScenario, q, u, out):
     """Write the potential's part of Du/Dt's rate, (u - grad(U + V)(q))/alpha
     in avoidance mode and zero in terminal mode, into out, and return the
-    rows whose q touches an obstacle."""
+    rows whose q touches an obstacle. The gradient's sign follows from
+    differentiating the costate relation u = -p2/alpha twice; the
+    transcription oracle confirms it numerically."""
     if scenario.mode == "terminal":
         out[...] = 0.0
         return False
@@ -305,21 +298,6 @@ def _control_accel(scenario: AvoidanceScenario, q, u, out):
     np.subtract(u, grad, out=out)
     out /= scenario.alpha
     return contact
-
-
-def _coupled_rhs(scenario: AvoidanceScenario, z: np.ndarray, out: np.ndarray):
-    """Write the time derivative of a (B, .) batch of packed states
-    (q, v, u, w) into out, an array of z's shape, and return the rows whose
-    q touches an obstacle.
-
-    The covariant second derivative of the control is R(v, u)v, which the
-    group's rates add, plus (u - grad(U + V)(q))/alpha in avoidance mode
-    (_control_accel). That gradient sign follows from differentiating the
-    costate relation u = -p2/alpha twice; the transcription oracle confirms
-    it numerically. The space's rates write every block: flat space copies
-    (v, u, w) as one block.
-    """
-    return scenario.space.rates(scenario, z, out)
 
 
 @dataclass
@@ -373,7 +351,7 @@ def trajectory_cost(scenario: AvoidanceScenario, times, q, v, u) -> float:
     cost = float(lvals @ _trapezoid_weights(times))
     if scenario.mode == "terminal":
         gT, vT = goal_errors(scenario, q[-1]), v[-1]
-        cost += 0.5 * float(gT @ gT) + 0.5 * float(vT @ vT)
+        cost += 0.5 * float(row_dots(gT, gT)) + 0.5 * float(row_dots(vT, vT))
     return cost
 
 
@@ -393,7 +371,7 @@ def _integrate_extremal(scenario: AvoidanceScenario, z0, times):
     dz = np.empty_like(z0)
 
     def rate(k, theta, z):
-        np.logical_or(contact, _coupled_rhs(scenario, z, dz), out=contact)
+        np.logical_or(contact, scenario.space.rates(scenario, z, dz), out=contact)
         return dz
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -767,7 +745,7 @@ def costate_integrate(scenario: AvoidanceScenario, solution: BVPSolution) -> Cos
             f.append(-np.concatenate([grad, vs], axis=-1))
     ps = affine_rk4(a, f, terminal, times[::-1])[::-1]
     p1, p2 = np.split(ps, 2, axis=1)
-    ham = _dots(p1, v) + _dots(p2, u) + running_cost(scenario, q, v, u)
+    ham = row_dots(p1, v) + row_dots(p2, u) + running_cost(scenario, q, v, u)
     return CostateTrajectory(times, p1, p2, ham)
 
 

@@ -58,12 +58,15 @@ class TrackingReference:
         self.omega_dots = np.asarray(omega_dots, dtype=float)
         if self.omegas.shape != self.omega_dots.shape or self.omegas.shape[1:] != (3,):
             raise ValueError("omegas and omega_dots must be (N + 1, 3) tables")
-        with np.errstate(over="ignore"):
-            fast = ~(row_dots(self.omegas, self.omegas) <= OMEGA_DIVERGENCE_LIMIT ** 2)
-        if fast.any():
-            raise NumericalDivergence(
-                f"reference |omega| exceeds {OMEGA_DIVERGENCE_LIMIT:g} rad/s or is not "
-                f"finite at t = {fast.argmax() * self.h:.6g}")
+        # Per chunk, so the row sums' temporaries stay chunk-sized.
+        for lo in range(0, len(self.omegas), _CHUNK):
+            w = self.omegas[lo:lo + _CHUNK]
+            with np.errstate(over="ignore"):
+                fast = ~(row_dots(w, w) <= OMEGA_DIVERGENCE_LIMIT ** 2)
+            if fast.any():
+                raise NumericalDivergence(
+                    f"reference |omega| exceeds {OMEGA_DIVERGENCE_LIMIT:g} rad/s or is not "
+                    f"finite at t = {(lo + fast.argmax()) * self.h:.6g}")
         rots = np.empty(self.omegas.shape[:1] + (3, 3))
         rots[0] = np.eye(3) if r0 is None else np.asarray(r0, dtype=float)
         for lo in range(0, len(rots) - 1, _CHUNK):

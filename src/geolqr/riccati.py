@@ -266,13 +266,6 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return e
 
 
-def check_dre_step(t_end: float, h: float) -> None:
-    """Raise ValueError unless 0 < h <= t_end < inf: the sweep takes at least
-    one step. config checks sim.h against sim.t_end by it before any sweep."""
-    if not 0.0 < h <= t_end < math.inf:
-        raise ValueError(f"step must satisfy 0 < h <= t_end < inf, got h={h}, t_end={t_end}")
-
-
 def dre_integrate(a, q, rw: float, t_end: float, h: float = 1e-3) -> GainSchedule:
     """Backward differential Riccati sweep with terminal condition K(T) = 0.
 
@@ -292,13 +285,14 @@ def dre_integrate(a, q, rw: float, t_end: float, h: float = 1e-3) -> GainSchedul
         h: step size, 0 < h <= T. Adjusted to the nearest uniform divisor.
 
     Raises:
-        ValueError: h outside 0 < h <= T < inf (check_dre_step), or more than
-            MAX_STEPS steps (a ValidationError of uniform_grid).
+        ValueError: h outside 0 < h <= T < inf, or more than MAX_STEPS
+            steps (a ValidationError of uniform_grid).
         ValidationError: as are_solve, for rw and q.
         StepTooLarge: an entry of K exceeded 1e9, or X became singular or
             not finite (finite escape).
     """
-    check_dre_step(t_end, h)
+    if not 0.0 < h <= t_end < math.inf:
+        raise ValueError(f"step must satisfy 0 < h <= t_end < inf, got h={h}, t_end={t_end}")
     a, q, s = _problem(a, q, rw)
     times = uniform_grid(t_end, h)
     n = len(times) - 1

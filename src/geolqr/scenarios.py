@@ -14,7 +14,9 @@ chunked array pass (`so3.attitude_errors`), dist = |e| by `so3.row_dots`,
 and regulate's lyap and value from `regulators.lyapunov_value` and
 `value_candidate` with the same e and K(t) at the kept rows.
 The avoid command's dist is the same norm of `pmp.goal_errors`, and its
-CSVs keep the same rows of the shooting path.
+CSVs keep the same rows of the shooting path. Every norm in a CSV or the
+summary, final_velocity_norm too, is a `so3.row_dots` sum, rounded as the
+laws round.
 
 Trajectory CSV column contract, in order:
 
@@ -173,8 +175,9 @@ def _run_closed_loop(cfg: ScenarioConfig, out_dir: Path, clock: _Clock,
                **_block_columns(_NAMES[13:16], log.torques), "dist": dist, **derived}
     _write_rows(out_dir / "trajectory.csv", CSV_HEADER, columns)
     clock.lap("csv_write")
+    w = log.omegas[-1]
     return clock.summary(cfg.command, gains=gain_summary, final_distance=float(dist[-1]),
-                         final_velocity_norm=float(np.linalg.norm(log.omegas[-1])))
+                         final_velocity_norm=math.sqrt(so3.row_dots(w, w)))
 
 
 def run_regulate(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
@@ -233,8 +236,9 @@ def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     _write_rows(out_dir / "avoidance_path.csv", ",".join(["t"] + path_names),
                 {"t": t, **_block_columns(path_names, np.hstack([q, v, u]))})
     clock.lap("csv_write")
+    v_end = solution.v[-1]
     return clock.summary("avoid", final_distance=float(dist[-1]),
-                         final_velocity_norm=float(np.linalg.norm(solution.v[-1])),
+                         final_velocity_norm=math.sqrt(so3.row_dots(v_end, v_end)),
                          min_obstacle_clearance=clearance,
                          iterations={"newton": solution.iterations, **solution.trace})
 

@@ -205,9 +205,14 @@ def attitude_errors(r_from, rotations) -> np.ndarray:
 
 
 def row_dots(a, b) -> np.ndarray:
-    """Row-wise dot products along the last axis, rounded as the dot product
-    a @ b of one row: a batched matmul gives the per-row bits."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    """Row-wise dot products along the last axis, broadcast, summed left to
+    right: a0 b0 + a1 b1 + ..., which is the rounding of the float kernels'
+    x0 * y0 + x1 * y1 + x2 * y2. Each product reads one column, contiguous
+    over the rows of a component-major batch."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
 
 
 def geodesic_distance(r1, r2) -> float:
@@ -219,9 +224,9 @@ def geodesic_distance(r1, r2) -> float:
     """
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
-    v = log_so3(r1.T @ r2)
-    # v @ v rounds as row_dots, so this is the dist channel's rounding.
-    return math.sqrt(v @ v)
+    x, y, z = _log_floats((r1.T @ r2).ravel().tolist())
+    # Summed as row_dots does, so this is the dist channel's rounding.
+    return math.sqrt(x * x + y * y + z * z)
 
 
 def transport_velocity(r, r_ref, w_ref) -> np.ndarray:

@@ -202,10 +202,10 @@ class TestVariationalPropagate:
 
 def avoidance_accel(sc, q, v, u):
     """The covariant control acceleration dw at (q, v, u, 0) and its contact
-    flag, read from the w slot of _coupled_rhs."""
+    flag, read from the w slot of the space's rates."""
     z = np.concatenate([q, v, u, np.zeros_like(v)])[None]
     dz = np.empty_like(z)
-    contact = pmp._coupled_rhs(sc, z, dz)
+    contact = sc.space.rates(sc, z, dz)
     return pmp._unpack(sc, dz)[3][0], contact
 
 
@@ -276,7 +276,7 @@ class TestAvoidanceAccel:
         rng = np.random.default_rng(85)
         z = np.asarray(rng.uniform(-1.0, 1.0, (200, 12)), order=order)
         out = np.empty_like(z)
-        contact = pmp._coupled_rhs(sc, z, out)
+        contact = sc.space.rates(sc, z, out)
         assert np.array_equal(out[:, :9], z[:, 3:])
         grad = pmp._grad_potential(sc, z[:, :3])[0]
         assert np.array_equal(out[:, 9:], (z[:, 6:9] - grad) / sc.alpha)
@@ -306,7 +306,7 @@ class TestAvoidanceAccel:
         v, u, w = rng.standard_normal((3, 50, 3))
         z = np.asfortranarray(np.hstack([q.reshape(50, 9), v, u, w]))
         out = np.empty_like(z)
-        assert pmp._coupled_rhs(sc, z, out) is False
+        assert sc.space.rates(sc, z, out) is False
         space, cross, half = sc.space, pmp._cross, 0.5 * v
         dw = (u - pmp.goal_errors(sc, q)) / sc.alpha if mode == "avoidance" else 0.0 * v
         want = np.hstack([cross(q, v[:, None, :]).reshape(50, 9), u, w - cross(half, u),

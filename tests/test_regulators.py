@@ -2,6 +2,7 @@
 sign calibrations that fix the distance-gradient conventions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from geolqr.dynamics import InertiaTensor, RigidBodyState, SimParams, simulate, time_grid
-from geolqr.errors import AngleNearPi
+from geolqr.errors import AngleNearPi, NumericalDivergence
 from geolqr.regulators import (
     ReferenceSample,
     TrackingReference,
@@ -256,12 +257,19 @@ class TestValueCandidate:
             assert value_candidate(*certificate_rows(goal, s), sol)[0] > 0.0
 
 
+def float_dot(a, b):
+    """a0 b0 + a1 b1 + a2 b2 over Python floats, left to right: the float
+    kernels' rounding, which so3.row_dots shares."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return a0 * b0 + a1 * b1 + a2 * b2
+
+
 def lyapunov_value_at(s, goal, kp):
     """The Lyapunov certificate at one state, one log_so3 and float dot
     products: the oracle of the array lyapunov_value."""
     e = log_so3(goal.T @ s.r)
     w = s.w
-    return kp * 0.5 * float(e @ e) + 0.5 * float(w @ w)
+    return kp * 0.5 * float_dot(e, e) + 0.5 * float_dot(w, w)
 
 
 def value_candidate_at(s, goal, sol):
@@ -269,8 +277,8 @@ def value_candidate_at(s, goal, sol):
     value_candidate."""
     e = log_so3(goal.T @ s.r)
     w = s.w
-    u = 0.5 * float(e @ e)
-    return sol.k1 * u + 0.5 * sol.k2 * float(w @ w) + sol.k3 * float(e @ w)
+    u = 0.5 * float_dot(e, e)
+    return sol.k1 * u + 0.5 * sol.k2 * float_dot(w, w) + sol.k3 * float_dot(e, w)
 
 
 # Rotation vectors of at most 0.9 sqrt(3) = 1.56 rad keep relative rotations
@@ -390,6 +398,18 @@ class TestTrackingReference:
         assert np.abs(ref.rotations - closed).max() <= 1e-12
         defects = np.swapaxes(ref.rotations, 1, 2) @ ref.rotations - np.eye(3)
         assert np.sqrt((defects ** 2).sum(axis=(1, 2))).max() <= 1e-12
+
+    @pytest.mark.parametrize("bad", [_CHUNK, _CHUNK + 7, 3 * _CHUNK + 4])
+    def test_first_too_fast_row_names_its_time(self, bad):
+        # The guard reads so3._CHUNK rows at a time (the last bad row is the
+        # table's last row); a later bad row, here a NaN, is not the one
+        # named.
+        h, rows = 1e-3, 3 * _CHUNK + 5
+        omegas = np.random.default_rng(bad).uniform(-3.0, 3.0, (rows, 3))
+        omegas[bad] = [0.0, 2e6, 0.0]
+        omegas[bad + 1:, 1] = np.nan
+        with pytest.raises(NumericalDivergence, match=re.escape(f"at t = {bad * h:.6g}") + "$"):
+            TrackingReference(omegas, np.zeros((rows, 3)), h)
 
     def test_sample_off_grid_raises(self):
         ref = tabulated_reference(lambda t: np.array([1.0, 0.0, 0.0]),

@@ -13,6 +13,7 @@ from geolqr.so3 import (
     is_rotation,
     log_so3,
     orthogonality_defect,
+    row_dots,
     transport_velocity,
     vee,
 )
@@ -169,6 +170,47 @@ class TestGeodesicDistance:
             dn = 0.5 * geodesic_distance(r_d, r @ exp_so3(-step * w)) ** 2
             fd = (up - dn) / (2.0 * step)
             assert abs(fd - float(log_so3(r_d.T @ r) @ w)) <= 1e-6
+
+
+def float_row_dot(x, y):
+    """x0 y0 + x1 y1 + ... over the Python floats of two rows, summed left to
+    right: the float kernels' rounding."""
+    total = x[0] * y[0]
+    for xi, yi in zip(x[1:], y[1:]):
+        total += xi * yi
+    return total
+
+
+class TestRowDots:
+    # Bit for bit: a batched matmul rounds differently on about a third of
+    # random 3-vector rows.
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_sum_left_to_right(self, n, order):
+        rng = np.random.default_rng(70 + n)
+        a, b = (np.asarray(x, order=order) for x in rng.standard_normal((2, 500, n)))
+        want = np.array([float_row_dot(x, y) for x, y in zip(a.tolist(), b.tolist())])
+        assert row_dots(a, b).tobytes() == want.tobytes()
+
+    def test_broadcast_operand(self):
+        rng = np.random.default_rng(74)
+        a, b = rng.standard_normal((500, 3)), rng.standard_normal(3)
+        want = np.array([float_row_dot(x, b.tolist()) for x in a.tolist()])
+        for got in (row_dots(a, b), row_dots(b, a), row_dots(np.broadcast_to(b, a.shape), a)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_row(self):
+        rng = np.random.default_rng(75)
+        for a, b in rng.standard_normal((50, 2, 3)):
+            got = row_dots(a, b)
+            assert np.ndim(got) == 0
+            assert float(got) == float_row_dot(a.tolist(), b.tolist())
+
+    def test_batch_of_row_tables(self):
+        a, b = np.random.default_rng(76).standard_normal((2, 4, 100, 3))
+        want = np.array([[float_row_dot(x, y) for x, y in zip(ra, rb)]
+                         for ra, rb in zip(a.tolist(), b.tolist())])
+        assert row_dots(a, b).tobytes() == want.tobytes()
 
 
 class TestTransport:
