@@ -27,11 +27,9 @@ from .dynamics import MAX_STEPS, InertiaTensor, RigidBodyState, SimParams
 from .errors import ParseError, ValidationError
 from .pmp import AvoidanceScenario, SphereObstacle
 from .riccati import CostParams, drift_matrix
-from .so3 import is_rotation
+from .so3 import ROTATION_TOL, is_rotation
 
 GAIN_SOURCES = ("are", "dre")
-
-ROTATION_TOL = 1e-6
 
 # Per-command defaults (alpha, gamma, sim.t_end, a_matrix_mode): the
 # published regulation table was produced with alpha = 0.5, the tracking

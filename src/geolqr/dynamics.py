@@ -60,6 +60,8 @@ class InertiaTensor:
         j = np.asarray(j, dtype=float)
         if j.shape != (3, 3):
             raise ValidationError("", f"inertia must be 3x3, got shape {j.shape}")
+        if not np.isfinite(j).all():
+            raise ValidationError("", "inertia must be finite")
         if np.abs(j - j.T).max() > 1e-12:
             raise ValidationError("", "inertia must be symmetric within 1e-12")
         if np.linalg.eigvalsh(j).min() <= 0.0:
@@ -151,7 +153,7 @@ def uniform_grid(t_end: float, h: float) -> np.ndarray:
         ValidationError("h"): h not positive and finite, or more than
             MAX_STEPS steps; checked before the grid is allocated.
     """
-    if not 0.0 < h < math.inf or round(t_end / h) > MAX_STEPS:
+    if not 0.0 < h < math.inf or t_end / h > MAX_STEPS:
         raise ValidationError("h", f"must be positive, finite and give at most "
                                    f"{MAX_STEPS:g} steps")
     return np.linspace(0.0, t_end, max(1, round(t_end / h)) + 1)

@@ -45,7 +45,7 @@ import numpy as np
 from .dynamics import affine_rk4, rk4, uniform_grid
 from .errors import NoConvergence, NoDescent, ObstacleContact, ValidationError
 from .riccati import CostParams
-from .so3 import attitude_errors, exp_rows, row_dots
+from .so3 import ROTATION_TOL, attitude_errors, exp_rows, is_rotation, row_dots
 
 MODES = ("avoidance", "terminal")
 
@@ -150,12 +150,15 @@ def _space(name: str):
 
 @dataclass(frozen=True)
 class SphereObstacle:
-    """Smooth obstacle indicator O(q) = |q - center|^2 - radius^2, radius > 0."""
+    """Smooth obstacle indicator O(q) = |q - center|^2 - radius^2, with a
+    finite center and radius > 0."""
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
+        if not np.isfinite(self.center).all():
+            raise ValidationError("center", "must be finite")
         # radius ** 2 enters every value of O, so it must be finite too.
         if not 0.0 < self.radius <= np.sqrt(np.finfo(float).max):
             raise ValidationError("radius", "must be positive, with a finite square")
@@ -178,11 +181,11 @@ class AvoidanceScenario:
     """Problem data for the boundary-value solvers.
 
     dimension is the tangent dimension, and space the object of MANIFOLDS
-    named by manifold. For the flat manifold q0, target and v0 are
+    named by manifold. For the flat manifold q0, target and v0 are finite
     (dimension,) vectors; "so3-biinvariant" needs dimension 3, with q0 and
-    target (3, 3) rotations and v0 a (3,) body velocity. Obstacles are
-    only allowed on flat space, each with a (dimension,) center, and q0 must
-    lie outside each. A bad value raises a ValidationError naming the
+    target (3, 3) rotations within so3.ROTATION_TOL and v0 a finite (3,)
+    body velocity. Obstacles are only allowed on flat space, each with a
+    (dimension,) center, and q0 must lie outside each. A bad value raises a ValidationError naming the
     argument: "alpha", "horizon", "dimension", "q0", "target", "v0",
     "manifold", "mode", or "obstacles[i]" for the first bad obstacle or one
     containing q0.
@@ -215,8 +218,13 @@ class AvoidanceScenario:
         self.v0 = np.asarray(self.v0, dtype=float)
         point = (self.dimension,) if self.manifold == "flat" else (3, 3)
         for name, shape in (("q0", point), ("target", point), ("v0", (self.dimension,))):
-            if getattr(self, name).shape != shape:
+            value = getattr(self, name)
+            if value.shape != shape:
                 raise ValidationError(name, f"expected shape {shape}")
+            if shape == (3, 3) and not is_rotation(value, ROTATION_TOL):
+                raise ValidationError(name, f"not a rotation within {ROTATION_TOL:g}")
+            if not np.isfinite(value).all():
+                raise ValidationError(name, "must be finite")
         for i, obs in enumerate(self.obstacles):
             if self.manifold != "flat" or np.shape(obs.center) != (self.dimension,):
                 raise ValidationError(f"obstacles[{i}]", "expected flat space and a "
@@ -412,30 +420,29 @@ def _segment_starts(scenario: AvoidanceScenario, y) -> np.ndarray:
     return np.hstack([q.reshape(len(y), -1), y[:, n:]])
 
 
-def _segment_jacobian(scenario: AvoidanceScenario, starts, ends, deltas, seg) -> np.ndarray:
-    """Forward-difference Jacobian of the residual (continuity at each later
-    segment's start, then the terminal condition) from one sweep's rows:
-    the M base segments first, then one row per unknown, perturbed by
-    deltas in segment seg. A column differs from the base residual only in
-    the junction its segment starts at and the one (or the terminal
-    condition) its segment ends at."""
+def _segment_jacobian(scenario: AvoidanceScenario, res, starts, ends, deltas,
+                      seg) -> np.ndarray:
+    """Forward-difference Jacobian of the residual res (continuity at each
+    later segment's start, then the terminal condition) from one sweep's
+    rows: the M base segments first, then one row per unknown, perturbed by
+    deltas in segment seg. A column differs from res only in the junction
+    its segment starts at and the one (or the terminal condition) its
+    segment ends at. Row j of base is res's block where segment j ends."""
     m, p, k = len(starts) - len(seg), len(seg), 4 * scenario.dimension
     rows, cols = m + np.arange(p), np.arange(k)
+    base = np.append(res, np.zeros(k // 2)).reshape(m, k)
     diff = np.zeros((p, p))
     at = np.flatnonzero(seg > 0)
     s = seg[at]
     diff[at[:, None], (s - 1)[:, None] * k + cols] = (
-        _continuity(scenario, starts[rows[at]], ends[s - 1])
-        - _continuity(scenario, starts[s], ends[s - 1]))
+        _continuity(scenario, starts[rows[at]], ends[s - 1]) - base[s - 1])
     at = np.flatnonzero(seg < m - 1)
     s = seg[at]
     diff[at[:, None], s[:, None] * k + cols] = (
-        _continuity(scenario, starts[s + 1], ends[rows[at]])
-        - _continuity(scenario, starts[s + 1], ends[s]))
+        _continuity(scenario, starts[s + 1], ends[rows[at]]) - base[s])
     at = np.flatnonzero(seg == m - 1)
     diff[at[:, None], (m - 1) * k + cols[:k // 2]] = (
-        _terminal_residual(scenario, ends[rows[at]])
-        - _terminal_residual(scenario, ends[m - 1:m]))
+        _terminal_residual(scenario, ends[rows[at]]) - base[m - 1, :k // 2])
     diff /= deltas[:, None]
     return diff.T
 
@@ -514,7 +521,7 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3) -> BVPSolution:
             if contact[m:].any():
                 raise ObstacleContact(
                     f"a perturbed path at iterate {iterations} touches an obstacle")
-            jac = _segment_jacobian(scenario, *swept, seg)
+            jac = _segment_jacobian(scenario, res, *swept, seg)
             if not np.isfinite(jac).all():
                 raise NoConvergence(
                     f"residual map not differentiable at iterate {iterations + 1} "

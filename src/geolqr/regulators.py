@@ -7,17 +7,18 @@ scenario computes once for its whole log.
 Each law is one private kernel of straight-line arithmetic over Python
 floats, with no helper call but the logarithm: at one 3-vector per step a
 call per product costs more than the product. regulation_controller and
-tracking_controller return each kernel as simulate's (law, tables): a pure
-function law(r, w, *row) of the state and one row, and the tables it reads,
-the reference rows and the gains (constants, or arrays over the grid), which
-simulate walks beside its log. regulation_torque, tracking_pd_torque and
-feedforward_torque wrap the same kernels for one RigidBodyState and
-ReferenceSample and return a (3,) array, bit for bit the laws' torque.
+tracking_controller return simulate's (law, tables): law(r, w, *row), of the
+state's rotation array and one row, is the kernel with its constants bound
+first by functools.partial, and the tables are the reference rows and the
+gains (constants, or arrays over the grid). regulation_torque,
+tracking_pd_torque and feedforward_torque call the same kernels for one
+RigidBodyState and ReferenceSample, bit for bit the laws' torque.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -83,10 +84,10 @@ class TrackingReference:
 
 
 def _regulation_law(r_d, r, w, kp: float, kd: float) -> tuple:
-    """-kP log(r_d.T r) - kD w from the floats of r_d and r, row by row, and
-    of w; raises AngleNearPi at the cut locus."""
+    """-kP log(r_d.T r) - kD w from r_d's floats row by row, the rotation
+    array r and w's floats; raises AngleNearPi at the cut locus."""
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = r_d
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = r
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = r.ravel().tolist()
     e0, e1, e2 = _log_floats((
         a0 * b0 + a3 * b3 + a6 * b6, a0 * b1 + a3 * b4 + a6 * b7, a0 * b2 + a3 * b5 + a6 * b8,
         a1 * b0 + a4 * b3 + a7 * b6, a1 * b1 + a4 * b4 + a7 * b7, a1 * b2 + a4 * b5 + a7 * b8,
@@ -95,20 +96,20 @@ def _regulation_law(r_d, r, w, kp: float, kd: float) -> tuple:
     return (-kp * e0 - kd * w0, -kp * e1 - kd * w1, -kp * e2 - kd * w2)
 
 
-def _tracking_law(r, w, r_ref, w_ref, wdot_ref, kp, kd, j: InertiaTensor | None,
-                  accel_term: bool) -> tuple:
+def _tracking_law(j: InertiaTensor | None, accel_term: bool, r, w, r_ref, w_ref,
+                  wdot_ref, kp, kd) -> tuple:
     """The tracking law, PD plus feedforward, as a float triple from the
-    floats of the state (r row by row, w) and of one reference row (r_ref
-    row by row, w_ref, wdot_ref, which is read only with accel_term). With
-    kp None it is the feedforward term alone, which never raises; with j
-    None the PD term alone.
+    bound j and accel_term, the state (rotation array r, w's floats) and the
+    floats of one reference row (r_ref row by row, w_ref, and wdot_ref, read
+    only with accel_term). With kp None it is the feedforward term alone,
+    which never raises; with j None the PD term alone.
 
     Both terms share rel = r.T r_ref and the transported reference velocity
     w_t = rel w_ref. The attitude error log(r_ref.T r) is -log(rel) exactly,
     since transposing negates the skew part and keeps the trace, so the PD
     term is kP log(rel) - kD (w - w_t).
     """
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = r
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = r.ravel().tolist()
     b0, b1, b2, b3, b4, b5, b6, b7, b8 = r_ref
     m0, m1, m2 = (a0 * b0 + a3 * b3 + a6 * b6, a0 * b1 + a3 * b4 + a6 * b7,
                   a0 * b2 + a3 * b5 + a6 * b8)
@@ -152,11 +153,7 @@ def regulation_controller(r_d, g: GainPair):
     -> torque, with tables (g.kP, g.kD), floats (ARE gains) or arrays over
     the simulation grid (the gains of a DRE schedule's rows)."""
     r_d = np.asarray(r_d, dtype=float).ravel().tolist()
-
-    def law(r, w, kp, kd):
-        return _regulation_law(r_d, r.ravel().tolist(), w, kp, kd)
-
-    return law, (g.kP, g.kD)
+    return partial(_regulation_law, r_d), (g.kP, g.kD)
 
 
 def tracking_controller(ref: TrackingReference, g: GainPair, j: InertiaTensor,
@@ -165,29 +162,23 @@ def tracking_controller(ref: TrackingReference, g: GainPair, j: InertiaTensor,
     law(r, w, r_ref, w_ref, wdot_ref, kp, kd) -> torque, with tables ref's
     rotations (9 columns), omegas and omega_dots, then g as
     regulation_controller's."""
-
-    def law(r, w, r_ref, w_ref, wdot_ref, kp, kd):
-        return _tracking_law(r.ravel().tolist(), w, r_ref, w_ref, wdot_ref, kp, kd, j,
-                             accel_term)
-
-    return law, (ref.rotations.reshape(-1, 9), ref.omegas, ref.omega_dots, g.kP, g.kD)
+    return (partial(_tracking_law, j, accel_term),
+            (ref.rotations.reshape(-1, 9), ref.omegas, ref.omega_dots, g.kP, g.kD))
 
 
 def regulation_torque(s: RigidBodyState, r_d: np.ndarray, g: GainPair) -> np.ndarray:
     """-kP log(r_d.T r) - kD w to the goal rotation r_d. Raises AngleNearPi at the cut locus."""
-    return np.array(_regulation_law(r_d.ravel().tolist(), s.r.ravel().tolist(),
-                                    s.w.tolist(), g.kP, g.kD))
+    return np.array(_regulation_law(r_d.ravel().tolist(), s.r, s.w.tolist(), g.kP, g.kD))
 
 
 def _state_and_sample(s: RigidBodyState, ref: ReferenceSample) -> tuple:
-    """The floats _tracking_law reads from a state and a reference sample."""
-    return (s.r.ravel().tolist(), s.w.tolist(), ref.r.ravel().tolist(), ref.w.tolist(),
-            ref.wdot.tolist())
+    """_tracking_law's state and reference arguments from s and ref."""
+    return s.r, s.w.tolist(), ref.r.ravel().tolist(), ref.w.tolist(), ref.wdot.tolist()
 
 
 def tracking_pd_torque(s: RigidBodyState, ref: ReferenceSample, g: GainPair) -> np.ndarray:
     """-kP log(r_ref.T r) - kD (w - r.T r_ref w_ref)."""
-    return np.array(_tracking_law(*_state_and_sample(s, ref), g.kP, g.kD, None, False))
+    return np.array(_tracking_law(None, False, *_state_and_sample(s, ref), g.kP, g.kD))
 
 
 def feedforward_torque(s: RigidBodyState, ref: ReferenceSample, j: InertiaTensor,
@@ -201,7 +192,7 @@ def feedforward_torque(s: RigidBodyState, ref: ReferenceSample, j: InertiaTensor
     plus, when accel_term is set, the transported reference acceleration
     r.T r_ref wdot_ref.
     """
-    return np.array(_tracking_law(*_state_and_sample(s, ref), None, None, j, accel_term))
+    return np.array(_tracking_law(j, accel_term, *_state_and_sample(s, ref), None, None))
 
 
 def lyapunov_value(e, w, kp) -> np.ndarray:

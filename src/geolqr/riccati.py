@@ -47,8 +47,8 @@ CHUNK_EFOLDS = 8.0
 @dataclass(frozen=True)
 class CostParams:
     """Quadratic cost weights: control weight alpha > 0 with a finite 1 /
-    alpha, discount rate gamma, and a 2x2 PSD state-cost matrix (identity by
-    default)."""
+    alpha, finite discount rate gamma, and a finite 2x2 PSD state-cost
+    matrix (identity by default)."""
 
     alpha: float
     gamma: float = 0.0
@@ -58,9 +58,11 @@ class CostParams:
         # A tiny alpha overflows the solvers' S = B B.T / alpha to inf.
         if not (self.alpha > 0.0 and math.isfinite(1.0 / self.alpha)):
             raise ValidationError("alpha", "must be positive with a finite reciprocal")
+        if not math.isfinite(self.gamma):
+            raise ValidationError("gamma", "must be finite")
         q = np.asarray(self.q_weights, dtype=float)
-        if q.shape != (2, 2) or abs(q[0, 1] - q[1, 0]) > 1e-12:
-            raise ValidationError("q_weights", "must be a symmetric 2x2 matrix")
+        if q.shape != (2, 2) or not np.isfinite(q).all() or abs(q[0, 1] - q[1, 0]) > 1e-12:
+            raise ValidationError("q_weights", "must be a finite symmetric 2x2 matrix")
         if np.linalg.eigvalsh(q).min() < -1e-12:
             raise ValidationError("q_weights", "must be positive semidefinite")
         object.__setattr__(self, "q_weights", q)
@@ -112,23 +114,18 @@ class GainSchedule:
     k3: np.ndarray
     alpha: float
 
-    def _index(self, t):
-        n = len(self.times) - 1
-        return nearest_sample(t, self.times.item(-1) / n, n)
-
     def solution_at(self, t) -> RiccatiSolution:
         """K at the grid time nearest t; an array of times gives arrays of
         entries. Raises ValueError when t lies off the grid."""
-        i = self._index(t)
+        n = len(self.times) - 1
+        i = nearest_sample(t, self.times.item(-1) / n, n)
         if isinstance(i, np.ndarray):
             return RiccatiSolution(self.k1[i], self.k2[i], self.k3[i])
         return RiccatiSolution(self.k1.item(i), self.k2.item(i), self.k3.item(i))
 
     def gains_at(self, t: float) -> GainPair:
-        """solution_at(t).gains(alpha), read from the k3 and k2 samples
-        directly: bit for bit the closed loop's gains at that sample."""
-        i = self._index(t)
-        return GainPair(self.k3.item(i) / self.alpha, self.k2.item(i) / self.alpha)
+        """Gains at the grid time nearest t, bit for bit the closed loop's."""
+        return self.solution_at(t).gains(self.alpha)
 
 
 def drift_matrix(mode: str, gamma: float = 0.0) -> np.ndarray:
@@ -162,9 +159,11 @@ def scalar_residual(sol: RiccatiSolution, p: CostParams) -> np.ndarray:
 def _problem(a, q, rw):
     """Problem data as float arrays (A, Q) plus S = B Rw^-1 B.T with B =
     B_CANONICAL. The weights rw and q are CostParams' alpha and q_weights
-    and obey their rules."""
+    and obey their rules; A must be finite (path "a")."""
     q = CostParams(rw, q_weights=q).q_weights
     a = np.asarray(a, dtype=float).reshape(2, 2)
+    if not np.isfinite(a).all():
+        raise ValidationError("a", "must be a finite 2x2 matrix")
     return a, q, (B_CANONICAL @ B_CANONICAL.T) / float(rw)
 
 
@@ -195,8 +194,9 @@ def are_solve(a, q, rw: float) -> RiccatiSolution:
         A - B Rw^-1 B.T K Hurwitz.
 
     Raises:
-        ValidationError: rw is not positive (path "alpha"), or q is not a
-            symmetric PSD 2x2 matrix (path "q_weights").
+        ValidationError: rw is not positive (path "alpha"), q is not a
+            finite symmetric PSD 2x2 matrix (path "q_weights"), or a is not
+            finite (path "a").
         NotControllable: rank [B, AB] < 2.
         NoStabilizingSolution: Hamiltonian eigenvalues on the imaginary axis,
             the stable subspace does not produce a positive definite K, or
@@ -287,7 +287,7 @@ def dre_integrate(a, q, rw: float, t_end: float, h: float = 1e-3) -> GainSchedul
     Raises:
         ValueError: h outside 0 < h <= T < inf, or more than MAX_STEPS
             steps (a ValidationError of uniform_grid).
-        ValidationError: as are_solve, for rw and q.
+        ValidationError: as are_solve, for rw, q and a.
         StepTooLarge: an entry of K exceeded 1e9, or X became singular or
             not finite (finite escape).
     """

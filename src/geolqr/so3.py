@@ -254,6 +254,10 @@ def orthogonality_defect(m) -> float:
     return float(np.linalg.norm(m.T @ m - np.eye(3)))
 
 
+# Tolerance of every rotation a configuration or a scenario takes as input.
+ROTATION_TOL = 1e-6
+
+
 def is_rotation(m, tol: float = 1e-9) -> bool:
     """True when m is orthogonal with determinant +1 within tol."""
     m = np.asarray(m, dtype=float)

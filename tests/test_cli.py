@@ -20,7 +20,8 @@ from geolqr.pmp import AvoidanceScenario, SphereObstacle, goal_errors
 from geolqr.regulators import TrackingReference
 from geolqr.riccati import CostParams, dre_integrate, drift_matrix
 from geolqr.scenarios import CSV_HEADER, RunSummary, _write_rows, run
-from geolqr.so3 import attitude_errors, exp_so3, log_so3, orthogonality_defect, row_dots
+from geolqr.so3 import (ROTATION_TOL, attitude_errors, exp_so3, log_so3,
+                        orthogonality_defect, row_dots)
 
 IDENTITY9 = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
 
@@ -251,14 +252,58 @@ def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
                                q0=[], v0=[]), "dimension"),
     (lambda: AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=float("inf"),
                                q0=[1.0], v0=[0.0]), "horizon"),
+    # Points and velocities are checked where the scenario is built: a
+    # non-rotation on the group, or a non-finite vector, never reaches a sweep.
+    (lambda: AvoidanceScenario(dimension=3, alpha=1.0, target=np.eye(3), horizon=1.0,
+                               q0=2.0 * np.eye(3), v0=np.zeros(3),
+                               manifold="so3-biinvariant"), "q0"),
+    (lambda: AvoidanceScenario(dimension=3, alpha=1.0, target=np.diag([1.0, 1.0, -1.0]),
+                               horizon=1.0, q0=np.eye(3), v0=np.zeros(3),
+                               manifold="so3-biinvariant"), "target"),
+    (lambda: AvoidanceScenario(dimension=3, alpha=1.0, target=np.eye(3), horizon=1.0,
+                               q0=np.eye(3), v0=[0.0, math.nan, 0.0],
+                               manifold="so3-biinvariant"), "v0"),
+    (lambda: AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
+                               q0=[math.nan], v0=[0.0]), "q0"),
+    (lambda: AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
+                               q0=[1.0], v0=[math.inf]), "v0"),
+    (lambda: AvoidanceScenario(dimension=2, alpha=1.0, target=[0.0, -math.inf], horizon=1.0,
+                               q0=[1.0, 0.0], v0=[0.0, 0.0]), "target"),
+    (lambda: SphereObstacle(np.array([0.0, math.nan]), 0.5), "center"),
+    # Riccati and inertia inputs: finiteness is checked before any other rule.
+    (lambda: CostParams(alpha=1.0, gamma=math.nan), "gamma"),
+    (lambda: CostParams(alpha=1.0, q_weights=np.diag([math.inf, 1.0])), "q_weights"),
+    (lambda: CostParams(alpha=1.0, q_weights=np.diag([1.0, math.nan])), "q_weights"),
+    (lambda: InertiaTensor(np.diag([math.inf, 1.0, 1.0])), ""),
+    (lambda: InertiaTensor(np.diag([1.0, math.nan, 1.0])), ""),
 ], ids=["SimParams", "SimParams-steps", "CostParams", "AvoidanceScenario", "SphereObstacle",
         "q0", "target", "group-v0", "group-obstacle", "obstacle-center", "group-dimension",
-        "manifold", "manifold-unhashable", "mode", "dimension-zero", "horizon-infinite"])
+        "manifold", "manifold-unhashable", "mode", "dimension-zero", "horizon-infinite",
+        "group-q0-not-rotation", "group-target-reflection", "group-v0-nan", "q0-nan",
+        "v0-infinite", "target-infinite", "center-nan", "gamma-nan", "q_weights-infinite",
+        "q_weights-nan", "inertia-infinite", "inertia-nan"])
 def test_constructors_name_their_argument(build, name):
     with pytest.raises(ValidationError) as err:
         build()
     assert err.value.path == name
     assert isinstance(err.value, ValueError)
+
+
+# One rotation tolerance: a group scenario takes a point that config's
+# rotation check takes and refuses one that it refuses.
+@pytest.mark.parametrize("eps, ok", [(0.2 * ROTATION_TOL, True), (ROTATION_TOL, False)])
+def test_group_scenario_shares_the_config_rotation_tolerance(eps, ok):
+    q0 = np.diag([1.0 + eps, 1.0, 1.0])
+    config = {"command": "regulate", "initial": {"rotation": q0.ravel().tolist()}}
+    build = [lambda: parse_config(json.dumps(config)),
+             lambda: AvoidanceScenario(dimension=3, alpha=1.0, target=np.eye(3), horizon=1.0,
+                                       q0=q0, v0=np.zeros(3), manifold="so3-biinvariant")]
+    for b in build:
+        if ok:
+            b()
+        else:
+            with pytest.raises(ValidationError):
+                b()
 
 
 def test_step_cap_admits_exactly_max_steps():

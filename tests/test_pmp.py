@@ -324,7 +324,8 @@ class TestAvoidanceAccel:
 class TestShooting:
     # The sweeps' grid refuses a step that is not positive and finite, or
     # that gives more than MAX_STEPS steps, before it allocates.
-    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, 1.0 / (MAX_STEPS + 1)])
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, 1.0 / (MAX_STEPS + 1),
+                                   5e-324])
     @pytest.mark.parametrize("solve", [
         shooting_solve,
         lambda sc, h: control_cost(sc, np.array([0.0, 1.0]), np.zeros((2, 1)), h),

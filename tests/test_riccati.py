@@ -218,6 +218,26 @@ class TestDre:
         with pytest.raises(ValueError):
             dre_integrate([[0.0, 1.0], [0.0, 0.0]], Q2, 1.0, t_end=math.inf, h=1e-3)
 
+    # A step so small that the step count overflows a float is refused by
+    # the grid's own check, not by an OverflowError from rounding it.
+    def test_overflowing_step_count_names_h(self):
+        with pytest.raises(ValidationError) as err:
+            dre_integrate([[0.0, 1.0], [0.0, 0.0]], Q2, 1.0, t_end=1.0, h=5e-324)
+        assert err.value.path == "h"
+
+    # A non-finite drift matrix is refused by name before the rank test's
+    # SVD or the eigensolver sees it.
+    @pytest.mark.parametrize("solve", [
+        lambda a: are_solve(a, Q2, 1.0),
+        lambda a: dre_integrate(a, Q2, 1.0, t_end=1.0, h=1e-2),
+    ], ids=["are_solve", "dre_integrate"])
+    @pytest.mark.parametrize("a", [drift_matrix("reconciled", math.nan),
+                                   [[0.0, math.inf], [0.0, 0.0]]], ids=["nan-gamma", "inf"])
+    def test_non_finite_drift_names_a(self, solve, a):
+        with pytest.raises(ValidationError) as err:
+            solve(a)
+        assert err.value.path == "a"
+
     def test_gain_interpolation(self):
         a = drift_matrix("published-tracking", -2.0)
         sched = dre_integrate(a, Q2, 1.0, t_end=10.0, h=1e-3)
