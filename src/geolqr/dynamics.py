@@ -20,12 +20,13 @@ law(r, w, *row), where row is sample i of each of its tables (reference
 rows, gains over the grid, or constants), so a law is a pure function of
 the state and one row and never looks the time up. simulate is the one
 place that walks per-sample data: per AFFINE_CHUNK samples it reads the
-tables' rows into Python values and gathers the log in lists, stored by
-one slice assignment. It steps and calls the law at every sample but logs
-only the samples kept_rows keeps, the one decimation rule of the log and
-the CSVs. The velocity update is straight-line float arithmetic
-(euler_rhs), and one private step kernel serves simulate and the array
-wrapper lie_euler_step.
+tables' rows into Python values and gathers only its kept samples in
+lists, stored by one slice assignment. It steps and calls the law at
+every sample but keeps sample i only when i % every == 0 or i == n, the
+condition of kept_rows, the one decimation rule of the log and the CSVs.
+The velocity update is straight-line float arithmetic (euler_rhs), and
+one private step kernel serves simulate and the array wrapper
+lie_euler_step.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import NumericalDivergence, ValidationError
-from .so3 import exp_so3
+from .so3 import ROTATION_TOL, exp_so3, is_rotation
 
 OMEGA_DIVERGENCE_LIMIT = 1e6
 
@@ -121,15 +122,14 @@ def time_grid(h: float, t_end: float) -> np.ndarray:
     return np.arange(int(math.ceil(t_end / h - 1e-9)) + 1) * h
 
 
-def nearest_sample(t, h: float, n: int):
-    """Index k of the grid time k h, k = 0..n, nearest t: an int, or an
-    intp array for an array of times. Raises ValueError when a time lies
-    off the grid, more than h / 2 outside [0, n h], or is NaN."""
-    k = np.rint(np.divide(t, h))
-    if np.size(k) and not (0 <= k.min() and k.max() <= n):
-        raise ValueError(f"t = {np.min(t) if k.min() < 0 else np.max(t):.6g} lies outside "
-                         f"the grid of {n} steps of {h:.6g}")
-    return k.astype(np.intp) if isinstance(k, np.ndarray) else int(k)
+def nearest_sample(t: float, h: float, n: int) -> int:
+    """Index k of the grid time k h, k = 0..n, nearest the time t. Raises
+    ValidationError("t") when t lies off the grid, more than h / 2 outside
+    [0, n h], or is NaN."""
+    k = np.rint(t / h)
+    if not 0 <= k <= n:
+        raise ValidationError("t", f"t = {t:.6g} lies outside the grid of {n} steps of {h:.6g}")
+    return int(k)
 
 
 def kept_rows(table, every: int):
@@ -196,8 +196,8 @@ def lie_euler_step(s: RigidBodyState, tau, h: float, j: InertiaTensor) -> RigidB
 
 
 def simulate(law, init: RigidBodyState, p: SimParams, *, tables=(), every=1) -> TrajectoryLog:
-    """Roll the closed loop forward and log samples 0, every, 2 every, ...
-    and the final one (kept_rows).
+    """Roll the closed loop forward and log sample i when i % every == 0 or
+    i == n, the final one: samples 0, every, 2 every, ... (kept_rows).
 
     The law is the only per-step callback, and nothing in the loop builds a
     per-step object: the state is a rotation array and three floats. Every
@@ -224,20 +224,25 @@ def simulate(law, init: RigidBodyState, p: SimParams, *, tables=(), every=1) -> 
         log of every = 1, bit for bit.
 
     Raises:
-        ValueError: every is not a positive integer, or a table has another
-            row count, before the first step.
+        ValidationError: before the first step, naming "every" when it is
+            not a positive integer, "init.r" when the initial attitude is
+            not a rotation within so3.ROTATION_TOL, or "tables[k]" when
+            table k has another row count.
         NumericalDivergence: |w| of a state, the initial one included,
             exceeded 1e6 rad/s, or the state or the final torque is not
             finite.
     """
     if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
-        raise ValueError(f"every must be a positive integer, got {every!r}")
+        raise ValidationError("every", f"every must be a positive integer, got {every!r}")
+    if not is_rotation(init.r, ROTATION_TOL):
+        raise ValidationError("init.r", f"not a rotation within {ROTATION_TOL:g}")
     grid = time_grid(p.h, p.t_end)
     n = len(grid) - 1
     tables = [np.asarray(t) for t in tables]
     for k, t in enumerate(tables):
         if t.ndim and len(t) != n + 1:
-            raise ValueError(f"table {k} has {len(t)} rows; the grid has {n + 1} samples")
+            raise ValidationError(f"tables[{k}]",
+                                  f"table {k} has {len(t)} rows; the grid has {n + 1} samples")
     times = kept_rows(grid, every)
     rotations = np.empty((len(times), 3, 3))
     omegas = np.empty((len(times), 3))
@@ -247,9 +252,10 @@ def simulate(law, init: RigidBodyState, p: SimParams, *, tables=(), every=1) -> 
     r = np.array(init.r, dtype=float)
     w = tuple(np.asarray(init.w, dtype=float).tolist())
     # Per AFFINE_CHUNK samples, the tables' rows are read into Python values
-    # and the chunk's states gather in lists, whose samples on the stride are
-    # stored by one slice assignment: numpy indexing per sample costs more.
+    # and the chunk's kept samples gather in lists, stored from log row k by
+    # one slice assignment: numpy indexing per sample costs more.
     limit = OMEGA_DIVERGENCE_LIMIT ** 2
+    k = 0
     for lo in range(0, n + 1, AFFINE_CHUNK):
         hi = min(lo + AFFINE_CHUNK, n + 1)
         rs, ws, taus = [], [], []
@@ -262,19 +268,16 @@ def simulate(law, init: RigidBodyState, p: SimParams, *, tables=(), every=1) -> 
                     f"|omega| exceeded {OMEGA_DIVERGENCE_LIMIT:g} rad/s or is not finite "
                     f"at t = {grid.item(i):.6g}")
             tau = law(r, w, *row)
-            rs.append(r)
-            ws.append(w)
-            taus.append(tau)
+            if i % every == 0 or i == n:  # kept_rows' rule
+                rs.append(r)
+                ws.append(w)
+                taus.append(tau)
             if i < n:
                 r, w = _step(r, w, tau, h, j)
-        # The chunk's first sample on the stride, lo + first, is log row k.
-        first = -lo % every
-        rs, ws, taus = rs[first::every], ws[first::every], taus[first::every]
+        # A stride above AFFINE_CHUNK leaves some chunks without a kept sample.
         if rs:
-            k = (lo + first) // every
             rotations[k:k + len(rs)], omegas[k:k + len(rs)], torques[k:k + len(rs)] = rs, ws, taus
-    if n % every:
-        rotations[-1], omegas[-1], torques[-1] = r, w, tau
+            k += len(rs)
     # A non-finite torque before the final sample already fails the velocity
     # guard of the next state; this catches the final sample's.
     if not np.isfinite(torques[-1]).all():

@@ -335,10 +335,12 @@ def control_cost(scenario: AvoidanceScenario, times_u, u, h_eval: float) -> floa
     Interpolates the control onto a uniform grid of step h_eval, rolls the
     flat dynamics with the symplectic-Euler stepper, and applies the
     trapezoid rule. Lets controls from solvers with different grids be
-    ranked fairly. A bad h_eval raises uniform_grid's ValidationError("h").
+    ranked fairly. A scenario that is not flat avoidance raises
+    ValidationError("scenario"), and a bad h_eval uniform_grid's
+    ValidationError("h").
     """
     if scenario.manifold != "flat" or scenario.mode != "avoidance":
-        raise ValueError("control_cost covers flat avoidance scenarios")
+        raise ValidationError("scenario", "control_cost covers flat avoidance scenarios")
     tt = uniform_grid(scenario.horizon, h_eval)
     uu = np.stack([np.interp(tt, times_u, u[:, a])
                    for a in range(scenario.dimension)], axis=1)
@@ -626,12 +628,14 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
     cost sequence is non-increasing by construction.
 
     Raises:
+        ValidationError: the scenario is not flat avoidance ("scenario"),
+            or n_grid is below 50 ("n_grid").
         NoDescent: the line search failed 50 consecutive iterations.
     """
     if scenario.manifold != "flat" or scenario.mode != "avoidance":
-        raise ValueError("transcription oracle covers flat avoidance scenarios")
+        raise ValidationError("scenario", "transcription oracle covers flat avoidance scenarios")
     if n_grid < 50:
-        raise ValueError(f"need at least 50 grid points, got {n_grid}")
+        raise ValidationError("n_grid", f"need at least 50 grid points, got {n_grid}")
     n = scenario.dimension
     ht = scenario.horizon / (n_grid - 1)
     times = np.linspace(0.0, scenario.horizon, n_grid)

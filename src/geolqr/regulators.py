@@ -24,9 +24,9 @@ import numpy as np
 
 from .dynamics import (OMEGA_DIVERGENCE_LIMIT, InertiaTensor, RigidBodyState,
                        _prefix_products, nearest_sample)
-from .errors import NumericalDivergence
+from .errors import NumericalDivergence, ValidationError
 from .riccati import GainPair, RiccatiSolution
-from .so3 import _CHUNK, _log_floats, exp_rows, row_dots
+from .so3 import ROTATION_TOL, _CHUNK, _log_floats, exp_rows, is_rotation, row_dots
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,14 @@ class TrackingReference:
     by one so3.exp_rows of the independent increments and their prefix
     products (dynamics._prefix_products, log2(_CHUNK) doubling rounds); rows
     differ from a sequential chain in the last bits. sample(t) reads all
-    three tables at the grid time nearest t. A w_ref above
-    dynamics.OMEGA_DIVERGENCE_LIMIT or not finite raises
-    NumericalDivergence, before any rotation is integrated.
+    three tables at the grid time nearest the time t.
+
+    Raises:
+        ValidationError: the tables are not both (N + 1, 3) ("omegas"), h
+            is not positive and finite ("h"), or r0, when given, is not a
+            rotation within so3.ROTATION_TOL ("r0").
+        NumericalDivergence: a w_ref above dynamics.OMEGA_DIVERGENCE_LIMIT
+            or not finite, before any rotation is integrated.
     """
 
     def __init__(self, omegas, omega_dots, h: float, r0=None):
@@ -58,7 +63,11 @@ class TrackingReference:
         self.omegas = np.asarray(omegas, dtype=float)
         self.omega_dots = np.asarray(omega_dots, dtype=float)
         if self.omegas.shape != self.omega_dots.shape or self.omegas.shape[1:] != (3,):
-            raise ValueError("omegas and omega_dots must be (N + 1, 3) tables")
+            raise ValidationError("omegas", "omegas and omega_dots must be (N + 1, 3) tables")
+        if not 0.0 < self.h < np.inf:
+            raise ValidationError("h", "must be positive and finite")
+        if r0 is not None and not is_rotation(r0, ROTATION_TOL):
+            raise ValidationError("r0", f"not a rotation within {ROTATION_TOL:g}")
         # Per chunk, so the row sums' temporaries stay chunk-sized.
         for lo in range(0, len(self.omegas), _CHUNK):
             w = self.omegas[lo:lo + _CHUNK]
@@ -76,8 +85,8 @@ class TrackingReference:
         self.rotations = rots
 
     def sample(self, t: float) -> ReferenceSample:
-        """Grid sample nearest t (dynamics.nearest_sample); raises ValueError
-        when t is off the grid."""
+        """Grid sample nearest t (dynamics.nearest_sample); raises
+        ValidationError("t") when t is off the grid."""
         i = nearest_sample(t, self.h, len(self.rotations) - 1)
         return ReferenceSample(r=self.rotations[i], w=self.omegas[i],
                                wdot=self.omega_dots[i])
@@ -151,7 +160,11 @@ def _tracking_law(j: InertiaTensor | None, accel_term: bool, r, w, r_ref, w_ref,
 def regulation_controller(r_d, g: GainPair):
     """The regulation law as simulate's (law, tables): law(r, w, kp, kd)
     -> torque, with tables (g.kP, g.kD), floats (ARE gains) or arrays over
-    the simulation grid (the gains of a DRE schedule's rows)."""
+    the simulation grid (the gains of a DRE schedule's rows). A goal r_d
+    that is not a rotation within so3.ROTATION_TOL raises
+    ValidationError("r_d")."""
+    if not is_rotation(r_d, ROTATION_TOL):
+        raise ValidationError("r_d", f"not a rotation within {ROTATION_TOL:g}")
     r_d = np.asarray(r_d, dtype=float).ravel().tolist()
     return partial(_regulation_law, r_d), (g.kP, g.kD)
 

@@ -102,10 +102,9 @@ class GainSchedule:
 
     For a DRE closed loop the grid is the simulation's (config requires a
     whole number of steps), so row i of k1, k2 and k3 is the loop's sample
-    i and the loop reads the rows as they are. A lookup by time reads the
-    sample at the nearest grid index (dynamics.nearest_sample) instead of
-    interpolating; a scalar time gives Python floats, an array of times
-    arrays.
+    i and the loop reads the rows as they are. A lookup answers one time
+    with the sample at the nearest grid index (dynamics.nearest_sample),
+    as Python floats, instead of interpolating.
     """
 
     times: np.ndarray
@@ -114,13 +113,11 @@ class GainSchedule:
     k3: np.ndarray
     alpha: float
 
-    def solution_at(self, t) -> RiccatiSolution:
-        """K at the grid time nearest t; an array of times gives arrays of
-        entries. Raises ValueError when t lies off the grid."""
+    def solution_at(self, t: float) -> RiccatiSolution:
+        """K at the grid time nearest the time t, as Python floats. Raises
+        ValidationError("t") when t lies off the grid."""
         n = len(self.times) - 1
         i = nearest_sample(t, self.times.item(-1) / n, n)
-        if isinstance(i, np.ndarray):
-            return RiccatiSolution(self.k1[i], self.k2[i], self.k3[i])
         return RiccatiSolution(self.k1.item(i), self.k2.item(i), self.k3.item(i))
 
     def gains_at(self, t: float) -> GainPair:
@@ -285,14 +282,16 @@ def dre_integrate(a, q, rw: float, t_end: float, h: float = 1e-3) -> GainSchedul
         h: step size, 0 < h <= T. Adjusted to the nearest uniform divisor.
 
     Raises:
-        ValueError: h outside 0 < h <= T < inf, or more than MAX_STEPS
-            steps (a ValidationError of uniform_grid).
-        ValidationError: as are_solve, for rw, q and a.
+        ValidationError: h outside 0 < h <= T < inf, naming "h" when h is
+            not positive and finite and "t_end" otherwise; more than
+            MAX_STEPS steps ("h", uniform_grid's check); as are_solve, for
+            rw, q and a.
         StepTooLarge: an entry of K exceeded 1e9, or X became singular or
             not finite (finite escape).
     """
     if not 0.0 < h <= t_end < math.inf:
-        raise ValueError(f"step must satisfy 0 < h <= t_end < inf, got h={h}, t_end={t_end}")
+        raise ValidationError("h" if not 0.0 < h < math.inf else "t_end",
+                              f"step must satisfy 0 < h <= t_end < inf, got h={h}, t_end={t_end}")
     a, q, s = _problem(a, q, rw)
     times = uniform_grid(t_end, h)
     n = len(times) - 1

@@ -156,16 +156,13 @@ def _run_closed_loop(cfg: ScenarioConfig, out_dir: Path, clock: _Clock,
                      gain_summary: dict, controller, r_ref, channels=None) -> RunSummary:
     """Simulate controller, a regulators factory's (law, tables), from the
     configured initial state, logging the samples the CSV keeps; take the
-    attitude errors e of the log against r_ref (one goal rotation, or a
-    reference table on the simulation grid, read at the kept rows) in one
-    pass and dist = |e| row by row, plus the columns of channels(e, log),
-    if given; write the trajectory CSV and summarise."""
+    attitude errors e of the log against r_ref (one goal rotation, or one
+    reference rotation per logged row, the table's kept_rows) in one pass
+    and dist = |e| row by row, plus the columns of channels(e, log), if
+    given; write the trajectory CSV and summarise."""
     law, tables = controller
-    every = cfg.output.decimation
-    log = simulate(law, cfg.initial, cfg.sim, tables=tables, every=every)
+    log = simulate(law, cfg.initial, cfg.sim, tables=tables, every=cfg.output.decimation)
     clock.lap("simulate")
-    if np.ndim(r_ref) == 3:
-        r_ref = kept_rows(r_ref, every)
     e = so3.attitude_errors(np.broadcast_to(r_ref, log.rotations.shape), log.rotations)
     dist = np.sqrt(so3.row_dots(e, e))
     derived = channels(e, log) if channels else {}
@@ -210,7 +207,8 @@ def run_track(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     clock.lap("reference_build")
     controller = regulators.tracking_controller(ref, k.gains(cfg.cost.alpha), cfg.sim.inertia,
                                                 cfg.controller.feedforward_accel_term)
-    return _run_closed_loop(cfg, out_dir, clock, gain_summary, controller, ref.rotations)
+    return _run_closed_loop(cfg, out_dir, clock, gain_summary, controller,
+                            kept_rows(ref.rotations, cfg.output.decimation))
 
 
 def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:

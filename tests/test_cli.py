@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 from geolqr.cli import main
 from geolqr.config import parse_config
-from geolqr.dynamics import MAX_STEPS, InertiaTensor, SimParams, kept_rows, time_grid
+from geolqr.dynamics import (MAX_STEPS, InertiaTensor, RigidBodyState, SimParams, kept_rows,
+                             nearest_sample, simulate, time_grid)
 from geolqr.errors import GeoLqrError, ParseError, ValidationError
-from geolqr.pmp import AvoidanceScenario, SphereObstacle, goal_errors
-from geolqr.regulators import TrackingReference
-from geolqr.riccati import CostParams, dre_integrate, drift_matrix
+from geolqr.pmp import (AvoidanceScenario, SphereObstacle, control_cost, goal_errors,
+                        transcription_oracle)
+from geolqr.regulators import TrackingReference, regulation_controller
+from geolqr.riccati import CostParams, GainPair, dre_integrate, drift_matrix
 from geolqr.scenarios import CSV_HEADER, RunSummary, _write_rows, run
 from geolqr.so3 import (ROTATION_TOL, attitude_errors, exp_so3, log_so3,
                         orthogonality_defect, row_dots)
@@ -276,12 +278,43 @@ def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
     (lambda: CostParams(alpha=1.0, q_weights=np.diag([1.0, math.nan])), "q_weights"),
     (lambda: InertiaTensor(np.diag([math.inf, 1.0, 1.0])), ""),
     (lambda: InertiaTensor(np.diag([1.0, math.nan, 1.0])), ""),
+    # The closed loop's inputs, checked once per call where they are built
+    # or first read: rotations within ROTATION_TOL, as config checks them.
+    (lambda: TrackingReference(np.zeros((3, 3)), np.zeros((3, 3)), 1e-3, r0=2.0 * np.eye(3)),
+     "r0"),
+    (lambda: TrackingReference(np.zeros((3, 3)), np.zeros((3, 3)), math.nan), "h"),
+    (lambda: simulate(lambda r, w: (0.0, 0.0, 0.0), RigidBodyState(2.0 * np.eye(3), np.zeros(3)),
+                      SimParams(1e-3, 0.01, InertiaTensor(np.eye(3)))), "init.r"),
+    (lambda: regulation_controller(2.0 * np.eye(3), GainPair(1.0, 1.0)), "r_d"),
+    # Every other library argument error is a ValidationError naming it.
+    (lambda: nearest_sample(0.5, 1e-3, 10), "t"),
+    (lambda: simulate(lambda r, w: (0.0, 0.0, 0.0), RigidBodyState(np.eye(3), np.zeros(3)),
+                      SimParams(1e-3, 0.01, InertiaTensor(np.eye(3))), every=0), "every"),
+    (lambda: simulate(lambda r, w, kp: (0.0, 0.0, 0.0), RigidBodyState(np.eye(3), np.zeros(3)),
+                      SimParams(1e-3, 0.01, InertiaTensor(np.eye(3))), tables=(np.zeros(3),)),
+     "tables[0]"),
+    (lambda: TrackingReference(np.zeros((3, 3)), np.zeros((4, 3)), 1e-3), "omegas"),
+    (lambda: dre_integrate(np.zeros((2, 2)), np.eye(2), 1.0, t_end=1.0, h=math.nan), "h"),
+    (lambda: dre_integrate(np.zeros((2, 2)), np.eye(2), 1.0, t_end=1.0, h=2.0), "t_end"),
+    (lambda: control_cost(AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
+                                            q0=[1.0], v0=[0.0], mode="terminal"),
+                          np.array([0.0, 1.0]), np.zeros((2, 1)), 1e-2), "scenario"),
+    (lambda: transcription_oracle(AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0],
+                                                    horizon=1.0, q0=[1.0], v0=[0.0],
+                                                    mode="terminal"), 100), "scenario"),
+    (lambda: transcription_oracle(AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0],
+                                                    horizon=1.0, q0=[1.0], v0=[0.0]), 10),
+     "n_grid"),
 ], ids=["SimParams", "SimParams-steps", "CostParams", "AvoidanceScenario", "SphereObstacle",
         "q0", "target", "group-v0", "group-obstacle", "obstacle-center", "group-dimension",
         "manifold", "manifold-unhashable", "mode", "dimension-zero", "horizon-infinite",
         "group-q0-not-rotation", "group-target-reflection", "group-v0-nan", "q0-nan",
         "v0-infinite", "target-infinite", "center-nan", "gamma-nan", "q_weights-infinite",
-        "q_weights-nan", "inertia-infinite", "inertia-nan"])
+        "q_weights-nan", "inertia-infinite", "inertia-nan", "reference-r0-scaled",
+        "reference-h-nan", "simulate-init-scaled", "regulation-goal-scaled",
+        "nearest-sample-off-grid", "simulate-every", "simulate-table-rows",
+        "reference-table-shapes", "dre-h-nan", "dre-h-above-t_end", "control-cost-scenario",
+        "oracle-scenario", "oracle-n_grid"])
 def test_constructors_name_their_argument(build, name):
     with pytest.raises(ValidationError) as err:
         build()

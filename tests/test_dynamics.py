@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from geolqr.dynamics import (
+    AFFINE_CHUNK,
     InertiaTensor,
     RigidBodyState,
     SimParams,
@@ -16,6 +17,7 @@ from geolqr.dynamics import (
     lie_euler_step,
     rk4,
     simulate,
+    time_grid,
 )
 from geolqr.errors import NumericalDivergence
 from geolqr.regulators import TrackingReference, regulation_controller, tracking_controller
@@ -214,14 +216,12 @@ class TestKeptRows:
 class TestSimulateEvery:
     """simulate(every=k) logs kept_rows of the every=1 log, bit for bit."""
 
-    # 602 samples over three chunks; 601 % 3, 7, 10 != 0, and at 600 the
-    # middle chunk holds no sample on the stride.
     P = SimParams(1e-3, 0.601, J123)
     INIT = RigidBodyState(exp_so3([0.6, -0.3, 0.4]), np.array([0.3, -0.2, 0.5]))
 
     @staticmethod
-    def controllers():
-        times = np.arange(602) * 1e-3
+    def controllers(steps):
+        times = np.arange(steps + 1) * 1e-3
         ref = TrackingReference(np.column_stack([np.sin(times), 0.5 * times, np.cos(times)]),
                                 np.column_stack([np.cos(times), 0.5 + 0 * times,
                                                  -np.sin(times)]), 1e-3)
@@ -231,11 +231,21 @@ class TestSimulateEvery:
         # 0-d tables: ARE's constant gains.
         yield regulation_controller(exp_so3([0.1, 0.2, -0.3]), GainPair(np.float64(2.0), 3.0))
 
-    @pytest.mark.parametrize("every", [1, 3, 7, 10, 600])
-    def test_log_is_the_full_logs_kept_rows(self, every):
-        for law, tables in self.controllers():
-            full = simulate(law, self.INIT, self.P, tables=tables)
-            log = simulate(law, self.INIT, self.P, tables=tables, every=every)
+    # 601 steps: 602 samples over three chunks, and 601 % every != 0 for
+    # every stride above 1; at 600 the middle chunk holds no kept sample, at AFFINE_CHUNK
+    # each chunk starts with one, and at AFFINE_CHUNK + 1 the second
+    # chunk's lies one sample in. 512 steps: the final sample starts a
+    # chunk of its own and lies off the stride of 3.
+    @pytest.mark.parametrize("steps, every", [
+        *(pytest.param(601, every, id=str(every))
+          for every in (1, 3, 7, 10, 600, AFFINE_CHUNK, AFFINE_CHUNK + 1)),
+        pytest.param(512, 3, id="512-steps-3")])
+    def test_log_is_the_full_logs_kept_rows(self, steps, every):
+        p = SimParams(1e-3, steps * 1e-3, J123)
+        assert len(time_grid(p.h, p.t_end)) == steps + 1
+        for law, tables in self.controllers(steps):
+            full = simulate(law, self.INIT, p, tables=tables)
+            log = simulate(law, self.INIT, p, tables=tables, every=every)
             assert len(log) == len(kept_rows(full.times, every))
             for name in ("times", "rotations", "omegas", "torques"):
                 want = kept_rows(getattr(full, name), every)

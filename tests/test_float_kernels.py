@@ -45,6 +45,7 @@ from geolqr.regulators import (
 from geolqr.riccati import (
     DRIFT_MODES,
     GainPair,
+    RiccatiSolution,
     _problem,
     are_solve,
     dre_integrate,
@@ -190,13 +191,12 @@ GOAL = exp_so3([-0.2, 0.1, 0.3])
 def schedules(p=SIM):
     """ARE and DRE gains of the published tracking problem on p's grid:
     (gains_at(t) for the per-step loop, the pair over the grid for the
-    controllers)."""
+    controllers, from the schedule's rows as scenarios reads them)."""
     a = drift_matrix("published-tracking", -2.0)
     sol = are_solve(a, np.eye(2), 1.0)
     sched = dre_integrate(a, np.eye(2), 1.0, t_end=p.t_end, h=p.h)
-    times = time_grid(p.h, p.t_end)
     return {"are": (lambda t: sol.gains(1.0), sol.gains(1.0)),
-            "dre": (sched.gains_at, sched.solution_at(times).gains(1.0))}
+            "dre": (sched.gains_at, RiccatiSolution(sched.k1, sched.k2, sched.k3).gains(1.0))}
 
 
 def quadratic_reference(p):

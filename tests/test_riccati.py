@@ -286,13 +286,12 @@ class TestIndexedSchedule:
         times = time_grid(h, t_end)
         # False: linspace and arange * h differ in the last bit at t_end.
         assert np.array_equal(times, sched.times) == same_grid
-        k = sched.solution_at(times)
-        for got, samples in ((k.k1, sched.k1), (k.k2, sched.k2), (k.k3, sched.k3)):
-            assert np.array_equal(got, np.interp(times, sched.times, samples))
-        for i in (0, 1, len(times) // 2, len(times) - 1):
-            sol = sched.solution_at(times.item(i))
+        interp = [np.interp(times, sched.times, samples).tolist()
+                  for samples in (sched.k1, sched.k2, sched.k3)]
+        for t, want in zip(times.tolist(), zip(*interp)):
+            sol = sched.solution_at(t)
             assert type(sol.k2) is float
-            assert (sol.k1, sol.k2, sol.k3) == (k.k1[i], k.k2[i], k.k3[i])
+            assert (sol.k1, sol.k2, sol.k3) == want
 
     def test_reads_samples_where_interpolation_drifts(self):
         # With h = 3e-3, arange * h and linspace differ in the last bit at
@@ -300,7 +299,7 @@ class TestIndexedSchedule:
         sched = self.schedule(3.3, 3e-3)
         times = time_grid(3e-3, 3.3)
         assert (times != sched.times).sum() > 900
-        assert np.array_equal(sched.solution_at(times).k2, sched.k2)
+        assert [sched.solution_at(t).k2 for t in times.tolist()] == sched.k2.tolist()
         interp = np.interp(times, sched.times, sched.k2)
         assert not np.array_equal(interp, sched.k2)
         assert np.abs(interp - sched.k2).max() <= 1e-14 * np.abs(sched.k2).max()
@@ -321,10 +320,11 @@ class TestIndexedSchedule:
         n = len(times) - 1
         assert len(sched.times) == n + 1
         for step in (h, sched.times.item(-1) / n):
-            assert np.array_equal(nearest_sample(times, step, n), np.arange(n + 1))
-        k = sched.solution_at(times)
-        for got, rows in ((k.k1, sched.k1), (k.k2, sched.k2), (k.k3, sched.k3)):
-            assert np.array_equal(got, rows)
+            assert [nearest_sample(t, step, n) for t in times.tolist()] == list(range(n + 1))
+        rows = list(zip(sched.k1.tolist(), sched.k2.tolist(), sched.k3.tolist()))
+        for t, row in zip(times.tolist(), rows):
+            sol = sched.solution_at(t)
+            assert (sol.k1, sol.k2, sol.k3) == row
 
     def test_gains_at_is_solution_at_gains(self):
         sched = self.schedule(5.0, 1e-3)
@@ -338,8 +338,6 @@ class TestIndexedSchedule:
         for t in (-0.01, 1.01, 5.0):
             with pytest.raises(ValueError):
                 sched.solution_at(t)
-        with pytest.raises(ValueError):
-            sched.solution_at(np.array([0.0, 0.5, 1.01]))
         with pytest.raises(ValueError):
             sched.gains_at(1.01)
 

@@ -1,6 +1,8 @@
 """Source hygiene of the geolqr package, read with the standard library's
 ast: no module-level import goes unused, and no top-level private name is
-left without a reference. Both catch the leftovers of a simplification."""
+left without a reference. Both catch the leftovers of a simplification.
+No module raises a bare ValueError: a bad argument is a ValidationError
+naming it."""
 
 import ast
 from pathlib import Path
@@ -59,3 +61,14 @@ def test_every_private_top_level_name_is_referenced():
             referenced |= _loaded_names(node) - set(names)
     orphans = [f"{module}.{name}" for module, name in definitions if name not in referenced]
     assert not orphans, f"private names no code references: {orphans}"
+
+
+@pytest.mark.parametrize("module", list(MODULES))
+def test_no_module_raises_a_bare_value_error(module):
+    bare = []
+    for node in ast.walk(MODULES[module]):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                bare.append(node.lineno)
+    assert not bare, f"{module} raises a bare ValueError at lines {bare}"
