@@ -124,8 +124,10 @@ def time_grid(h: float, t_end: float) -> np.ndarray:
 
 def nearest_sample(t: float, h: float, n: int) -> int:
     """Index k of the grid time k h, k = 0..n, nearest the time t. Raises
-    ValidationError("t") when t lies off the grid, more than h / 2 outside
-    [0, n h], or is NaN."""
+    ValidationError("t") when t is not one time, or lies off the grid, more
+    than h / 2 outside [0, n h], or is NaN."""
+    if np.ndim(t):
+        raise ValidationError("t", f"expected one time, got shape {np.shape(t)}")
     k = np.rint(t / h)
     if not 0 <= k <= n:
         raise ValidationError("t", f"t = {t:.6g} lies outside the grid of {n} steps of {h:.6g}")
@@ -226,7 +228,8 @@ def simulate(law, init: RigidBodyState, p: SimParams, *, tables=(), every=1) -> 
     Raises:
         ValidationError: before the first step, naming "every" when it is
             not a positive integer, "init.r" when the initial attitude is
-            not a rotation within so3.ROTATION_TOL, or "tables[k]" when
+            not a rotation within so3.ROTATION_TOL, "init.w" when the
+            initial velocity is not of shape (3,), or "tables[k]" when
             table k has another row count.
         NumericalDivergence: |w| of a state, the initial one included,
             exceeded 1e6 rad/s, or the state or the final torque is not
@@ -236,6 +239,8 @@ def simulate(law, init: RigidBodyState, p: SimParams, *, tables=(), every=1) -> 
         raise ValidationError("every", f"every must be a positive integer, got {every!r}")
     if not is_rotation(init.r, ROTATION_TOL):
         raise ValidationError("init.r", f"not a rotation within {ROTATION_TOL:g}")
+    if np.shape(init.w) != (3,):
+        raise ValidationError("init.w", f"expected shape (3,), got {np.shape(init.w)}")
     grid = time_grid(p.h, p.t_end)
     n = len(grid) - 1
     tables = [np.asarray(t) for t in tables]

@@ -20,7 +20,8 @@ Two problem modes share one scenario type:
 
 Both follow from the costate equations Dp1/Dt = -R(v, p2) v - grad_q L and
 Dp2/Dt = -p1 - grad_v L with u = -p2/alpha; costate_integrate verifies that
-relation and the constancy of H on converged solutions.
+relation and the constancy of H on converged solutions. Shooting starts
+from the zero guess, or from a flat path such as the oracle's.
 
 The extremal sweep is dynamics.rk4 over a component-major batch of packed
 start states (q, v, u, w). Its rate is the space's rates(scenario, z, out),
@@ -57,6 +58,9 @@ SEGMENT_STEPS = 50
 # SHOOTING_MAX_ITER Newton iterations.
 SHOOTING_TOL = 1e-6
 SHOOTING_MAX_ITER = 100
+
+# transcription_oracle needs at least ORACLE_MIN_GRID control points.
+ORACLE_MIN_GRID = 50
 
 # Stopping rule of transcription_oracle: the sup-norm gradient reaches
 # ORACLE_GRAD_TOL, or the last ORACLE_PLATEAU_WINDOW iterations improved the
@@ -449,14 +453,32 @@ def _segment_jacobian(scenario: AvoidanceScenario, res, starts, ends, deltas,
     return diff.T
 
 
-def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3) -> BVPSolution:
+def _start_rows(scenario: AvoidanceScenario, start: BVPSolution, times) -> np.ndarray:
+    """Segment start rows (xi, v, u, w) read off a flat path at the given
+    times: xi = log(q0, q), v and u interpolated linearly, and w from
+    np.gradient of u on the path's grid."""
+    if scenario.manifold != "flat":
+        raise ValidationError("start", "a start path covers flat scenarios")
+    shape = (len(start.times), scenario.dimension)
+    if any(np.shape(a) != shape for a in (start.q, start.v, start.u)):
+        raise ValidationError("start", f"expected q, v and u of shape {shape}")
+    w = np.gradient(start.u, start.times, axis=0)
+    cols = np.hstack([scenario.space.log(scenario.q0, start.q), start.v, start.u, w])
+    return np.stack([np.interp(times, start.times, c) for c in cols.T], axis=1)
+
+
+def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3,
+                   start: BVPSolution | None = None) -> BVPSolution:
     """Damped-Newton multiple shooting.
 
     The grid splits into M = steps // SEGMENT_STEPS segments (M = 1 on
     short grids is single shooting) whose lengths differ by at most one
     step, the longer ones last. The unknowns are (u(0), Du/Dt(0)) and each
     later segment's start (xi, v, u, w), where q is retracted from q0 along
-    xi; segment starts begin at (q0, v0, 0, 0). The residual is the
+    xi. By default segment starts begin at the zero guess (q0, v0, 0, 0);
+    given a start path on flat space, such as transcription_oracle's, they
+    begin at that path's values at each segment's start time (_start_rows).
+    Either way segment 0 starts at (q0, v0). The residual is the
     continuity of q (by the space's log), v, u and w at each later
     segment's start, then the terminal condition of the scenario mode. The
     rhs is autonomous, so every segment sweeps the grid of the longest one
@@ -465,16 +487,19 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3) -> BVPSolution:
     unknown: an accepted trial brings the Jacobian at the new iterate along.
     A trial whose base rows touch an obstacle or overflow halves the step.
     The path joins the segments' base rows on the global grid. trace holds
-    "residuals" (sup norm, zero guess first), "steps" (the accepted step
+    "residuals" (sup norm, the start's first), "steps" (the accepted step
     lengths), "sweeps" and "segments" (M).
 
     Raises:
         NoConvergence: residual above SHOOTING_TOL after SHOOTING_MAX_ITER
-            iterations, a non-finite zero-guess path or Jacobian, or a stalled step.
-        ObstacleContact: the zero guess's trajectory, or a perturbed one
-            whose Jacobian column is needed, touched an obstacle.
-        ValidationError("h"): h not positive and finite, or more than
-            MAX_STEPS steps (uniform_grid).
+            iterations, a non-finite path from the start, a non-finite
+            Jacobian, or a stalled step.
+        ObstacleContact: the start's trajectory, or a perturbed one whose
+            Jacobian column is needed, touched an obstacle.
+        ValidationError: h not positive and finite, or more than MAX_STEPS
+            steps ("h", uniform_grid), or a start on a space other than
+            flat or whose q, v and u are not one row of the scenario's
+            dimension per time ("start").
     """
     n = scenario.dimension
     times = uniform_grid(scenario.horizon, h)
@@ -503,16 +528,20 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3) -> BVPSolution:
                               _terminal_residual(scenario, ends[m - 1:m])[0]])
         return res, (starts, ends, deltas), contact, zs[:m].copy()
 
-    x = np.tile(np.concatenate([np.zeros(n), scenario.v0, np.zeros(2 * n)]), m)[2 * n:]
+    if start is None:
+        x = np.tile(np.concatenate([np.zeros(n), scenario.v0, np.zeros(2 * n)]), m)[2 * n:]
+    else:
+        seg_times = times[np.concatenate([[0], np.cumsum(lengths[:-1])])]
+        x = _start_rows(scenario, start, seg_times).ravel()[2 * n:]
     # Overflow is expected on stiff problems: it shows as a non-finite
     # residual, Jacobian or norm, which the checks below act on.
     with np.errstate(over="ignore", invalid="ignore"):
         res, swept, contact, base = sweep(x)
         sweeps = 1
         if contact[:m].any():
-            raise ObstacleContact("the path from the zero initial guess touches an obstacle")
+            raise ObstacleContact("the path from the start touches an obstacle")
         if not np.isfinite(res).all():
-            raise NoConvergence("trajectory from the zero initial guess is not finite")
+            raise NoConvergence("trajectory from the start is not finite")
         residuals = [float(np.abs(res).max())]
         steps = []
         while residuals[-1] > SHOOTING_TOL:
@@ -629,13 +658,14 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
 
     Raises:
         ValidationError: the scenario is not flat avoidance ("scenario"),
-            or n_grid is below 50 ("n_grid").
+            or n_grid is below ORACLE_MIN_GRID ("n_grid").
         NoDescent: the line search failed 50 consecutive iterations.
     """
     if scenario.manifold != "flat" or scenario.mode != "avoidance":
         raise ValidationError("scenario", "transcription oracle covers flat avoidance scenarios")
-    if n_grid < 50:
-        raise ValidationError("n_grid", f"need at least 50 grid points, got {n_grid}")
+    if n_grid < ORACLE_MIN_GRID:
+        raise ValidationError("n_grid", f"need at least {ORACLE_MIN_GRID} grid points, "
+                              f"got {n_grid}")
     n = scenario.dimension
     ht = scenario.horizon / (n_grid - 1)
     times = np.linspace(0.0, scenario.horizon, n_grid)

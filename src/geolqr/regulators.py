@@ -86,7 +86,7 @@ class TrackingReference:
 
     def sample(self, t: float) -> ReferenceSample:
         """Grid sample nearest t (dynamics.nearest_sample); raises
-        ValidationError("t") when t is off the grid."""
+        ValidationError("t") when t is not one time or is off the grid."""
         i = nearest_sample(t, self.h, len(self.rotations) - 1)
         return ReferenceSample(r=self.rotations[i], w=self.omegas[i],
                                wdot=self.omega_dots[i])

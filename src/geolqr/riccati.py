@@ -115,7 +115,7 @@ class GainSchedule:
 
     def solution_at(self, t: float) -> RiccatiSolution:
         """K at the grid time nearest the time t, as Python floats. Raises
-        ValidationError("t") when t lies off the grid."""
+        ValidationError("t") when t is not one time or lies off the grid."""
         n = len(self.times) - 1
         i = nearest_sample(t, self.times.item(-1) / n, n)
         return RiccatiSolution(self.k1.item(i), self.k2.item(i), self.k3.item(i))

@@ -14,9 +14,10 @@ chunked array pass (`so3.attitude_errors`), dist = |e| by `so3.row_dots`,
 and regulate's lyap and value from `regulators.lyapunov_value` and
 `value_candidate` with the same e and K(t) at the kept rows.
 The avoid command's dist is the same norm of `pmp.goal_errors`, and its
-CSVs keep the same rows of the shooting path. Every norm in a CSV or the
-summary, final_velocity_norm too, is a `so3.row_dots` sum, rounded as the
-laws round.
+CSVs keep the same rows of the shooting path, which starts from the
+transcription oracle's path when there are obstacles (run_avoid). Every
+norm in a CSV or the summary, final_velocity_norm too, is a
+`so3.row_dots` sum, rounded as the laws round.
 
 Trajectory CSV column contract, in order:
 
@@ -52,6 +53,13 @@ _NAMES = CSV_HEADER.split(",")
 # Scenarios refuse initial attitudes this close to the cut locus instead of
 # attempting control across it.
 INITIAL_DISTANCE_GUARD = math.pi - 0.1
+
+# With obstacles, run_avoid seeds shooting with pmp.transcription_oracle on a
+# control grid of step SEED_STEP_FACTOR * sim.h (at least
+# pmp.ORACLE_MIN_GRID points), stopped after at most SEED_MAX_ITER descent
+# iterations.
+SEED_STEP_FACTOR = 10
+SEED_MAX_ITER = 200
 
 
 @dataclass
@@ -212,9 +220,27 @@ def run_track(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
 
 
 def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
+    """Solve the avoidance BVP by multiple shooting, integrate its costates,
+    write both CSVs and summarise.
+
+    With obstacles, the direct transcription oracle runs first (phase
+    "seed", SEED_STEP_FACTOR and SEED_MAX_ITER) and its path is shooting's
+    start; iterations records start "oracle" and the oracle's stop_reason
+    and iteration count under "oracle". Without obstacles the problem is
+    linear and shooting starts from the zero guess (start "zero"): the
+    oracle would cost more than it saves there.
+    """
     clock = _Clock()
     scenario = cfg.avoidance
-    solution = pmp.shooting_solve(scenario, h=cfg.sim.h)
+    seed, start_keys = None, {"start": "zero"}
+    if scenario.obstacles:
+        n_grid = max(pmp.ORACLE_MIN_GRID,
+                     round(scenario.horizon / (SEED_STEP_FACTOR * cfg.sim.h)) + 1)
+        seed = pmp.transcription_oracle(scenario, n_grid, max_iter=SEED_MAX_ITER)
+        start_keys = {"start": "oracle", "oracle": {"stop_reason": seed.trace["stop_reason"],
+                                                    "iterations": seed.iterations}}
+        clock.lap("seed")
+    solution = pmp.shooting_solve(scenario, h=cfg.sim.h, start=seed)
     clock.lap("shoot")
     costates = pmp.costate_integrate(scenario, solution)
     e = pmp.goal_errors(scenario, solution.q)
@@ -238,7 +264,8 @@ def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     return clock.summary("avoid", final_distance=float(dist[-1]),
                          final_velocity_norm=math.sqrt(so3.row_dots(v_end, v_end)),
                          min_obstacle_clearance=clearance,
-                         iterations={"newton": solution.iterations, **solution.trace})
+                         iterations={"newton": solution.iterations, **start_keys,
+                                     **solution.trace})
 
 
 def run_check(cfg: ScenarioConfig, out_dir: Path):

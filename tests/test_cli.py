@@ -12,16 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geolqr import pmp
 from geolqr.cli import main
 from geolqr.config import parse_config
 from geolqr.dynamics import (MAX_STEPS, InertiaTensor, RigidBodyState, SimParams, kept_rows,
                              nearest_sample, simulate, time_grid)
 from geolqr.errors import GeoLqrError, ParseError, ValidationError
-from geolqr.pmp import (AvoidanceScenario, SphereObstacle, control_cost, goal_errors,
-                        transcription_oracle)
+from geolqr.pmp import (AvoidanceScenario, BVPSolution, SphereObstacle, control_cost,
+                        goal_errors, shooting_solve, transcription_oracle)
 from geolqr.regulators import TrackingReference, regulation_controller
 from geolqr.riccati import CostParams, GainPair, dre_integrate, drift_matrix
-from geolqr.scenarios import CSV_HEADER, RunSummary, _write_rows, run
+from geolqr.scenarios import CSV_HEADER, RunSummary, _write_rows, run, run_avoid
 from geolqr.so3 import (ROTATION_TOL, attitude_errors, exp_so3, log_so3,
                         orthogonality_defect, row_dots)
 
@@ -305,6 +306,22 @@ def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
     (lambda: transcription_oracle(AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0],
                                                     horizon=1.0, q0=[1.0], v0=[0.0]), 10),
      "n_grid"),
+    (lambda: simulate(lambda r, w: (0.0, 0.0, 0.0), RigidBodyState(np.eye(3), np.zeros(4)),
+                      SimParams(1e-3, 0.01, InertiaTensor(np.eye(3)))), "init.w"),
+    (lambda: nearest_sample(np.array([0.0, 0.5]), 0.1, 10), "t"),
+    (lambda: dre_integrate(np.zeros((2, 2)), np.eye(2), 1.0, t_end=1.0, h=0.1)
+     .solution_at(np.array([0.0, 0.5])), "t"),
+    (lambda: shooting_solve(AvoidanceScenario(dimension=3, alpha=1.0, target=np.eye(3),
+                                              horizon=1.0, q0=np.eye(3), v0=np.zeros(3),
+                                              manifold="so3-biinvariant"), h=0.1,
+                            start=BVPSolution(np.array([0.0, 1.0]), np.zeros((2, 3)),
+                                              np.zeros((2, 3)), np.zeros((2, 3)), None,
+                                              0.0, 0, 0.0)), "start"),
+    (lambda: shooting_solve(AvoidanceScenario(dimension=2, alpha=1.0, target=[0.0, 0.0],
+                                              horizon=1.0, q0=[1.0, 0.0], v0=[0.0, 0.0]),
+                            h=0.1, start=BVPSolution(np.array([0.0, 1.0]), np.zeros((2, 1)),
+                                                     np.zeros((2, 1)), np.zeros((2, 1)), None,
+                                                     0.0, 0, 0.0)), "start"),
 ], ids=["SimParams", "SimParams-steps", "CostParams", "AvoidanceScenario", "SphereObstacle",
         "q0", "target", "group-v0", "group-obstacle", "obstacle-center", "group-dimension",
         "manifold", "manifold-unhashable", "mode", "dimension-zero", "horizon-infinite",
@@ -314,7 +331,8 @@ def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
         "reference-h-nan", "simulate-init-scaled", "regulation-goal-scaled",
         "nearest-sample-off-grid", "simulate-every", "simulate-table-rows",
         "reference-table-shapes", "dre-h-nan", "dre-h-above-t_end", "control-cost-scenario",
-        "oracle-scenario", "oracle-n_grid"])
+        "oracle-scenario", "oracle-n_grid", "simulate-init-w", "nearest-sample-array",
+        "solution-at-array", "shooting-start-group", "shooting-start-dimension"])
 def test_constructors_name_their_argument(build, name):
     with pytest.raises(ValidationError) as err:
         build()
@@ -855,16 +873,20 @@ class TestShippedConfigs:
         assert main(["avoid", "--config", str(config), "--out", str(tmp_path)]) == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
         iterations = json.loads(line)["iterations"]
-        assert iterations["newton"] == 7
-        # The zero guess and one residual per Newton iteration.
-        assert len(iterations["residuals"]) == 8
+        # Shooting starts from the transcription oracle's path: 200 descent
+        # iterations on 201 control points (step 10 h).
+        assert iterations["start"] == "oracle"
+        assert iterations["oracle"]["iterations"] == 200
+        assert iterations["newton"] == 2
+        # The start and one residual per Newton iteration.
+        assert len(iterations["residuals"]) == 3
         assert iterations["residuals"][-1] <= 1e-6
         # 2,000 grid steps in 40 segments of 50.
         assert iterations["segments"] == 40
-        # The accepted step lengths and the batched sweeps (zero guess and
+        # The accepted step lengths and the batched sweeps (the start and
         # every trial point) pin the iterate sequence.
-        assert iterations["steps"] == [0.25, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0]
-        assert iterations["sweeps"] == 11
+        assert iterations["steps"] == [1.0, 1.0]
+        assert iterations["sweeps"] == 3
         summary = RunSummary.from_json(line)
         assert summary.iterations == iterations
         assert summary.to_json() == line
@@ -874,13 +896,16 @@ class TestShippedConfigs:
         assert main(["avoid", "--config", str(config), "--out", str(tmp_path)]) == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
         iterations = json.loads(line)["iterations"]
+        # No obstacle: the problem is linear and shooting starts cold.
+        assert iterations["start"] == "zero"
+        assert "oracle" not in iterations
         assert iterations["segments"] == 80
         assert iterations["residuals"][-1] <= 1e-6
         assert RunSummary.from_json(line).to_json() == line
 
     @pytest.mark.parametrize("command, phases", [
         ("track", ["gain_solve", "reference_build", "simulate", "channels", "csv_write"]),
-        ("avoid", ["shoot", "costates", "csv_write"]),
+        ("avoid", ["seed", "shoot", "costates", "csv_write"]),
     ])
     def test_phases_add_up_to_the_wall_clock(self, tmp_path, capsys, command, phases):
         config = self._config_dir() / f"{command}.json"
@@ -899,6 +924,38 @@ class TestShippedConfigs:
         assert capsys.readouterr().out.splitlines()[0] == "kP=1.4142, kD=2.7671"
         assert main(["gains", "--config", str(directory / "gains_tracking.json")]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "kP=8.7852, kD=8.3357"
+
+
+class TestStraddlingObstacle:
+    """configs/avoid.json's data with the obstacle centred at (0, 0.07),
+    across the straight path. From the zero guess, damped Newton stalls at
+    radius 0.3 and takes 41 iterations at radius 0.5; run_avoid starts
+    shooting from the transcription oracle's path instead."""
+
+    @pytest.mark.parametrize("radius", [0.3, 0.5])
+    def test_seeded_shooting_converges_and_is_certified(self, tmp_path, monkeypatch, radius):
+        payload = json.loads((Path(__file__).resolve().parents[1] / "configs" / "avoid.json")
+                             .read_text(encoding="utf-8"))
+        payload["avoidance"]["obstacles"] = [{"center": [0.0, 0.07], "radius": radius}]
+        cfg = parse_config(json.dumps(payload))
+        got = {}
+        for name in ("transcription_oracle", "shooting_solve", "costate_integrate"):
+            def spy(*args, _solve=getattr(pmp, name), _name=name, **kwargs):
+                got[_name] = result = _solve(*args, **kwargs)
+                return result
+            monkeypatch.setattr(pmp, name, spy)
+        summary = run_avoid(cfg, tmp_path)
+        sc, sol, costates = cfg.avoidance, got["shooting_solve"], got["costate_integrate"]
+        oracle = got["transcription_oracle"]
+        assert summary.iterations["start"] == "oracle"
+        assert sol.residual_norm <= 1e-6
+        assert summary.min_obstacle_clearance > 0.0
+        # Criterion 09's certificates: H constant, u = -p2 / alpha.
+        assert float(costates.hamiltonian.max() - costates.hamiltonian.min()) <= 1e-3
+        assert np.abs(-costates.p2 / sc.alpha - sol.u).max() <= 1e-3
+        # The extremal costs no more than its seed under one evaluator.
+        assert (control_cost(sc, sol.times, sol.u, 1e-3)
+                <= control_cost(sc, oracle.times, oracle.u, 1e-3))
 
 
 class TestTrackWithScheduledGains:
