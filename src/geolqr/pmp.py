@@ -29,16 +29,19 @@ which writes every block of the time derivative into one buffer per sweep
 and returns the rows whose q touches an obstacle; the linear costate
 and variational sweeps are dynamics.affine_rk4 over the matrices of
 _variational_matrices. Every cost evaluator (trajectory_cost, the oracle's
-batched costs, control_cost, and the costates' Hamiltonian) reads the one
-array running cost running_cost under one trapezoid rule, and the
-extremal, the costates and the oracle's gradient read the one potential
-gradient _grad_potential. Every row-wise dot product, in O, the running
-cost and H, is so3.row_dots, rounded as the float kernels round. Every
-rule of the configuration space is a method of its object in MANIFOLDS.
+trials, control_cost, and the costates' Hamiltonian) reads the one array
+running cost of _lagrangian under one trapezoid rule, and the extremal
+and the costates read the one potential gradient _grad_potential; the
+oracle's trials take grad(U + V) from the running cost's own obstacle
+pass, rounded as _grad_potential rounds it. Every row-wise dot product, in
+O, the running cost and H, is so3.row_dots, rounded as the float kernels
+round. Every rule of the configuration space is a method of its object in
+MANIFOLDS.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,9 +58,13 @@ MODES = ("avoidance", "terminal")
 SEGMENT_STEPS = 50
 
 # shooting_solve stops at a residual sup norm <= SHOOTING_TOL, or fails after
-# SHOOTING_MAX_ITER Newton iterations.
+# SHOOTING_MAX_ITER Newton iterations, or once the sup norm is above
+# SHOOTING_PROGRESS_RATIO times its value SHOOTING_PROGRESS_WINDOW
+# iterations earlier.
 SHOOTING_TOL = 1e-6
 SHOOTING_MAX_ITER = 100
+SHOOTING_PROGRESS_WINDOW = 10
+SHOOTING_PROGRESS_RATIO = 0.5
 
 # transcription_oracle needs at least ORACLE_MIN_GRID control points.
 ORACLE_MIN_GRID = 50
@@ -252,16 +259,33 @@ def running_cost(scenario: AvoidanceScenario, q, v, u) -> np.ndarray:
     and +inf where the path touches an obstacle (O_i <= 0). Terminal mode:
     (alpha/2)|u|^2.
     """
+    with np.errstate(divide="ignore"):
+        return _lagrangian(scenario, q, v, u)[0]
+
+
+def _lagrangian(scenario: AvoidanceScenario, q, v, u, grad: bool = False):
+    """running_cost's L under the caller's np.errstate and, with grad, also
+    grad(U + V) at q in avoidance mode (else None) from the same goal error
+    and one pass over the obstacles: each O_i and 2 d_i serve both the
+    barrier 1/O_i and the pull 2 d_i / O_i^2, subtracted in turn as
+    _grad_potential subtracts it. The barriers are summed before they join
+    the cost, and a NaN point stays NaN."""
     u2 = row_dots(u, u)
     if scenario.mode == "terminal":
-        return 0.5 * scenario.alpha * u2
+        return 0.5 * scenario.alpha * u2, None
     g = goal_errors(scenario, q)
     cost = 0.5 * (row_dots(g, g) + row_dots(v, v) + scenario.alpha * u2)
     if scenario.obstacles:
-        o = np.array([obs.value(q) for obs in scenario.obstacles])
-        with np.errstate(divide="ignore"):
-            cost = cost + np.where(o <= 0.0, np.inf, 1.0 / o).sum(axis=0)
-    return cost
+        o = []
+        for obs in scenario.obstacles:
+            oi, pull = obs.value_and_grad(q)
+            o.append(oi)
+            if grad:
+                pull /= (oi * oi)[..., None]
+                g -= pull
+        o = np.array(o)
+        cost = cost + np.where(o <= 0.0, np.inf, 1.0 / o).sum(axis=0)
+    return cost, (g if grad else None)
 
 
 def _trapezoid_weights(times) -> np.ndarray:
@@ -492,8 +516,10 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3,
 
     Raises:
         NoConvergence: residual above SHOOTING_TOL after SHOOTING_MAX_ITER
-            iterations, a non-finite path from the start, a non-finite
-            Jacobian, or a stalled step.
+            iterations, a sup-norm residual above SHOOTING_PROGRESS_RATIO
+            times its value SHOOTING_PROGRESS_WINDOW iterations earlier, a
+            non-finite path from the start, a non-finite Jacobian, or a
+            stalled step.
         ObstacleContact: the start's trajectory, or a perturbed one whose
             Jacobian column is needed, touched an obstacle.
         ValidationError: h not positive and finite, or more than MAX_STEPS
@@ -549,6 +575,13 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3,
             if iterations >= SHOOTING_MAX_ITER:
                 raise NoConvergence(f"residual {residuals[-1]:.3e} > {SHOOTING_TOL:g} "
                                     f"after {SHOOTING_MAX_ITER} iterations")
+            if (iterations >= SHOOTING_PROGRESS_WINDOW and residuals[-1]
+                    > SHOOTING_PROGRESS_RATIO * residuals[-1 - SHOOTING_PROGRESS_WINDOW]):
+                raise NoConvergence(
+                    f"no progress: residual {residuals[-1]:.3e} at iteration {iterations} "
+                    f"> {SHOOTING_PROGRESS_RATIO:g} x "
+                    f"{residuals[-1 - SHOOTING_PROGRESS_WINDOW]:.3e} at iteration "
+                    f"{iterations - SHOOTING_PROGRESS_WINDOW}")
             if contact[m:].any():
                 raise ObstacleContact(
                     f"a perturbed path at iterate {iterations} touches an obstacle")
@@ -598,10 +631,10 @@ def _batched_rollout(scenario: AvoidanceScenario, controls: np.ndarray,
     batch, n_pts, n = controls.shape
     v = np.empty((batch, n_pts, n))
     v[:, 0] = scenario.v0
-    v[:, 1:] = scenario.v0 + ht * np.cumsum(controls[:, :-1], axis=1)
+    v[:, 1:] = scenario.v0 + ht * controls[:, :-1].cumsum(axis=1)
     q = np.empty((batch, n_pts, n))
     q[:, 0] = scenario.q0
-    q[:, 1:] = scenario.q0 + ht * np.cumsum(v[:, 1:], axis=1)
+    q[:, 1:] = scenario.q0 + ht * v[:, 1:].cumsum(axis=1)
     return q, v
 
 
@@ -609,10 +642,10 @@ def _batched_costs(scenario: AvoidanceScenario, controls: np.ndarray,
                    ht: float, weights: np.ndarray):
     """Costs of a (B, N, n) batch of control grids under the quadrature
     weights of _trapezoid_weights, and the symplectic-Euler states (q, v)
-    they were read from, each (B, N, n).
+    they were read from, each (B, N, n): control_cost's evaluator. The
+    oracle evaluates its one control grid per trial with _evaluate.
 
-    Rows whose trajectory contacts an obstacle or overflows get +inf so the
-    line search rejects them.
+    Rows whose trajectory contacts an obstacle or overflows cost +inf.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         q, v = _batched_rollout(scenario, controls, ht)
@@ -621,21 +654,35 @@ def _batched_costs(scenario: AvoidanceScenario, controls: np.ndarray,
     return cost, q, v
 
 
-def _cost_gradient(scenario: AvoidanceScenario, u: np.ndarray, q: np.ndarray,
-                   v: np.ndarray, ht: float, weights: np.ndarray) -> np.ndarray:
-    """Exact gradient of _batched_costs' discrete cost at one (N, n) control
-    grid u, whose symplectic-Euler states are q and v.
+def _evaluate(scenario: AvoidanceScenario, u: np.ndarray, ht: float,
+              weights: np.ndarray):
+    """One oracle trial: the cost of one (N, n) control grid u under the
+    quadrature weights, +inf where its path touches an obstacle or
+    overflows, its symplectic-Euler states q and v, and grad(U + V) at q,
+    from one rollout and one _lagrangian pass. The cost is _batched_costs'
+    of the batch [u], bit for bit; the caller holds the np.errstate."""
+    q, v = _batched_rollout(scenario, u[None], ht)
+    lvals, pull = _lagrangian(scenario, q[0], v[0], u, grad=True)
+    cost = float(lvals @ weights)
+    return cost if math.isfinite(cost) else math.inf, q[0], v[0], pull
+
+
+def _cost_gradient(u: np.ndarray, pull: np.ndarray, v: np.ndarray, ht: float,
+                   w: np.ndarray, alpha_w: np.ndarray) -> np.ndarray:
+    """Exact gradient of _evaluate's discrete cost at one (N, n) control
+    grid u, from its velocities v and the potential gradient pull =
+    grad(U + V) at its positions, both as _evaluate returns them, with w
+    the quadrature weights as a column and alpha_w = alpha w.
 
     The states are affine in the controls: q_k sums ht v_j over 1 <= j <= k
     and v_j sums ht u_i over i < j. So the running cost's partials
-    w_k (q_k - q* + grad V(q_k)), w_k v_k and alpha w_k u_k pull back to the
+    w_k grad(U + V)(q_k), w_k v_k and alpha w_k u_k pull back to the
     controls through two reverse cumulative sums.
     """
-    w = weights[:, None]
-    dq = w * _grad_potential(scenario, q)[0]
-    dv = w * v + ht * np.cumsum(dq[::-1], axis=0)[::-1]
-    grad = scenario.alpha * w * u
-    grad[:-1] += ht * np.cumsum(dv[:0:-1], axis=0)[::-1]
+    dq = w * pull
+    dv = w * v + ht * dq[::-1].cumsum(axis=0)[::-1]
+    grad = alpha_w * u
+    grad[:-1] += ht * dv[:0:-1].cumsum(axis=0)[::-1]
     return grad
 
 
@@ -648,9 +695,11 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
     gradient descent along that discrete cost's exact gradient (the
     oracle differentiates its own discretization, never the PMP equations)
     with a backtracking line search seeded with a Barzilai-Borwein step
-    guess. Each control grid is rolled out once: the states of the start
-    and of every accepted trial serve its gradient and the returned path.
-    Descent stops at ORACLE_GRAD_TOL, at max_iter, or once
+    guess. Each trial control grid is evaluated once (_evaluate): one
+    rollout and one pass over the obstacles give its cost, its states and
+    grad(U + V), and the start's or the accepted trial's serve the next
+    gradient and the returned path. The whole descent runs under one
+    np.errstate. Descent stops at ORACLE_GRAD_TOL, at max_iter, or once
     ORACLE_PLATEAU_WINDOW iterations improve the cost by less than
     ORACLE_PLATEAU_RTOL relatively; trace names the "stop_reason"
     ("grad_tol", "max_iter" or "plateau") and the final "grad_norm". The
@@ -670,54 +719,57 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
     ht = scenario.horizon / (n_grid - 1)
     times = np.linspace(0.0, scenario.horizon, n_grid)
     weights = _trapezoid_weights(times)
+    w = weights[:, None]
+    alpha_w = scenario.alpha * w
 
     u = np.zeros((n_grid, n))
-    costs, q, v = _batched_costs(scenario, u[None], ht, weights)
-    cost = float(costs[0])
     step_size = 1.0
     stalls = iterations = 0
     grad_inf = np.inf
     stop_reason = "max_iter"
     prev_grad = prev_u = None
-    history = [cost]
-    while iterations < max_iter:
-        iterations += 1
-        grad = _cost_gradient(scenario, u, q[0], v[0], ht, weights)
-        grad_inf = float(np.abs(grad).max())
-        if grad_inf <= ORACLE_GRAD_TOL:
-            stop_reason = "grad_tol"
-            break
-        if prev_grad is not None:
-            du = (u - prev_u).ravel()
-            dg = (grad - prev_grad).ravel()
-            dgg = float(dg @ dg)
-            if dgg > 0.0:
-                bb = abs(float(du @ dg)) / dgg
-                if np.isfinite(bb) and bb > 0.0:
-                    step_size = bb
-        prev_grad, prev_u = grad, u
-        gnorm2 = float(np.sum(grad * grad))
-        s = step_size * 2.0
-        for _ in range(60):
-            trial = u - s * grad
-            costs, trial_q, trial_v = _batched_costs(scenario, trial[None], ht, weights)
-            if costs[0] <= cost - 1e-4 * s * gnorm2:
-                u, cost, q, v, step_size = trial, float(costs[0]), trial_q, trial_v, s
-                stalls = 0
+    # A trial that touches an obstacle or overflows costs +inf, silently.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cost, q, v, pull = _evaluate(scenario, u, ht, weights)
+        history = [cost]
+        while iterations < max_iter:
+            iterations += 1
+            grad = _cost_gradient(u, pull, v, ht, w, alpha_w)
+            grad_inf = float(np.abs(grad).max())
+            if grad_inf <= ORACLE_GRAD_TOL:
+                stop_reason = "grad_tol"
                 break
-            s *= 0.5
-        else:
-            stalls += 1
-            if stalls >= 50:
-                raise NoDescent(f"line search stalled 50 times at cost {cost:.6g}")
-        history.append(cost)
-        if (len(history) > ORACLE_PLATEAU_WINDOW
-                and history[-ORACLE_PLATEAU_WINDOW] - cost
-                <= ORACLE_PLATEAU_RTOL * abs(cost)):
-            stop_reason = "plateau"
-            break
+            if prev_grad is not None:
+                du = (u - prev_u).ravel()
+                dg = (grad - prev_grad).ravel()
+                dgg = float(dg @ dg)
+                if dgg > 0.0:
+                    bb = abs(float(du @ dg)) / dgg
+                    if np.isfinite(bb) and bb > 0.0:
+                        step_size = bb
+            prev_grad, prev_u = grad, u
+            gnorm2 = float((grad * grad).sum())
+            s = step_size * 2.0
+            for _ in range(60):
+                trial = u - s * grad
+                evaluated = _evaluate(scenario, trial, ht, weights)
+                if evaluated[0] <= cost - 1e-4 * s * gnorm2:
+                    (cost, q, v, pull), u, step_size = evaluated, trial, s
+                    stalls = 0
+                    break
+                s *= 0.5
+            else:
+                stalls += 1
+                if stalls >= 50:
+                    raise NoDescent(f"line search stalled 50 times at cost {cost:.6g}")
+            history.append(cost)
+            if (len(history) > ORACLE_PLATEAU_WINDOW
+                    and history[-ORACLE_PLATEAU_WINDOW] - cost
+                    <= ORACLE_PLATEAU_RTOL * abs(cost)):
+                stop_reason = "plateau"
+                break
 
-    return BVPSolution(times=times, q=q[0], v=v[0], u=u, udot=None,
+    return BVPSolution(times=times, q=q, v=v, u=u, udot=None,
                        residual_norm=grad_inf, iterations=iterations,
                        cost=cost,
                        trace={"stop_reason": stop_reason, "grad_norm": grad_inf})

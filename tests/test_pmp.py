@@ -2,7 +2,9 @@
 solvers, cross-validated against independent oracles."""
 
 import math
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +35,15 @@ from geolqr.pmp import (
     variational_propagate,
 )
 from geolqr.riccati import dre_integrate, drift_matrix
-from geolqr.so3 import attitude_errors, exp_so3, hat, log_so3, orthogonality_defect, vee
+from geolqr.so3 import (
+    attitude_errors,
+    exp_so3,
+    hat,
+    log_so3,
+    orthogonality_defect,
+    row_dots,
+    vee,
+)
 
 
 curvature = pmp.MANIFOLDS["so3-biinvariant"].curvature
@@ -459,6 +469,18 @@ class TestShooting:
         with pytest.raises(NoConvergence):
             shooting_solve(sc)
 
+    def test_straddle_from_the_zero_guess_stops_without_progress(self):
+        # The obstacle of configs/avoid_straddle.json sits across the
+        # straight path; from the zero guess the residual stalls near
+        # 6.7e-3, and the no-progress rule ends the solve at iteration 12.
+        sc = AvoidanceScenario(dimension=2, alpha=0.2, target=[1.2, 0.15], horizon=2.0,
+                               q0=[-1.2, 0.0], v0=[0.0, 0.0],
+                               obstacles=(SphereObstacle(np.array([0.0, 0.07]), 0.3),))
+        start = time.perf_counter()
+        with pytest.raises(NoConvergence, match=r"no progress: residual .* > 0\.5 x "):
+            shooting_solve(sc, h=1e-3)
+        assert time.perf_counter() - start < 1.5
+
     def test_stiff_blowup_reported_not_silently_converged(self):
         # alpha = 1e-6 makes the coupled system grow like exp(1000 t), by
         # about e^50 over each 50-step segment; Newton stalls, and that must
@@ -782,28 +804,29 @@ class TestTranscriptionOracle:
             transcription_oracle(sc, 101)
 
     def test_each_control_grid_is_rolled_out_once(self, monkeypatch):
-        # The gradient reads the states the cost evaluation rolled out, so
-        # the rollouts are the cost evaluations plus at most a final one,
-        # and recomputing the states changes no bit of the control.
+        # The gradient reads the states and the potential gradient the
+        # trial's evaluation formed, so the rollouts are the cost
+        # evaluations plus at most a final one, and recomputing the states
+        # and grad(U + V) with _grad_potential changes no bit of the control.
         sc = criterion_09_scenario()
-        rollout, costs, gradient = pmp._batched_rollout, pmp._batched_costs, pmp._cost_gradient
+        rollout, evaluate, gradient = pmp._batched_rollout, pmp._evaluate, pmp._cost_gradient
         counts = {"rollouts": 0, "costs": 0}
 
-        def count(key, fn):
+        def count(key, fn, rows):
             def counted(scenario, controls, *args):
-                counts[key] += len(controls)
+                counts[key] += rows(controls)
                 return fn(scenario, controls, *args)
             return counted
 
-        monkeypatch.setattr(pmp, "_batched_rollout", count("rollouts", rollout))
-        monkeypatch.setattr(pmp, "_batched_costs", count("costs", costs))
+        monkeypatch.setattr(pmp, "_batched_rollout", count("rollouts", rollout, len))
+        monkeypatch.setattr(pmp, "_evaluate", count("costs", evaluate, lambda u: 1))
         reused = transcription_oracle(sc, 201, max_iter=200)
         assert counts["costs"] <= counts["rollouts"] <= counts["costs"] + 1
         assert counts["rollouts"] < 2 * reused.iterations
 
-        def recomputed(scenario, u, q, v, ht, weights):
-            q, v = rollout(scenario, u[None], ht)
-            return gradient(scenario, u, q[0], v[0], ht, weights)
+        def recomputed(u, pull, v, ht, w, alpha_w):
+            q, v = rollout(sc, u[None], ht)
+            return gradient(u, pmp._grad_potential(sc, q[0])[0], v[0], ht, w, alpha_w)
 
         monkeypatch.setattr(pmp, "_cost_gradient", recomputed)
         fresh = transcription_oracle(sc, 201, max_iter=200)
@@ -851,7 +874,7 @@ class TestTranscriptionOracle:
 
     @pytest.mark.parametrize("with_obstacle", [False, True])
     def test_adjoint_gradient_matches_central_differences(self, with_obstacle):
-        from geolqr.pmp import _batched_costs, _cost_gradient, _trapezoid_weights
+        from geolqr.pmp import _batched_costs, _cost_gradient, _evaluate, _trapezoid_weights
 
         obstacles = (SphereObstacle(np.array([0.0, 0.1]), 0.3),) if with_obstacle else ()
         sc = AvoidanceScenario(dimension=2, alpha=0.5, target=[1.0, 0.2],
@@ -860,6 +883,7 @@ class TestTranscriptionOracle:
         n_grid, n = 60, 2
         ht = sc.horizon / (n_grid - 1)
         weights = _trapezoid_weights(np.linspace(0.0, sc.horizon, n_grid))
+        w = weights[:, None]
         rng = np.random.default_rng(66)
         eps = 1e-6
         n_vars = n_grid * n
@@ -870,8 +894,8 @@ class TestTranscriptionOracle:
                                                        u[None] - eps * eye]), ht, weights)[0]
             assert np.isfinite(costs).all()
             central = ((costs[:n_vars] - costs[n_vars:]) / (2.0 * eps)).reshape(n_grid, n)
-            _, q, v = _batched_costs(sc, u[None], ht, weights)
-            adjoint = _cost_gradient(sc, u, q[0], v[0], ht, weights)
+            _, _, v, pull = _evaluate(sc, u, ht, weights)
+            adjoint = _cost_gradient(u, pull, v, ht, w, sc.alpha * w)
             assert np.abs(adjoint - central).max() <= 1e-7
 
     def test_trace_names_the_stop_reason(self, monkeypatch):
@@ -898,17 +922,97 @@ class TestTranscriptionOracle:
         # fails after its 60 halvings, and the 50th failure in a row raises.
         sc = AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0], horizon=1.0,
                                q0=[1.0], v0=[0.0])
-        real, costs = pmp._batched_costs, []
+        real, costs = pmp._evaluate, []
 
         def costlier(*args):
-            cost, q, v = real(*args)
+            cost, q, v, pull = real(*args)
             costs.append(costs[0] + 1.0 if costs else cost)
-            return costs[-1], q, v
+            return costs[-1], q, v, pull
 
-        monkeypatch.setattr(pmp, "_batched_costs", costlier)
+        monkeypatch.setattr(pmp, "_evaluate", costlier)
         with pytest.raises(NoDescent):
             transcription_oracle(sc, 101)
         assert len(costs) == 1 + 50 * 60
+
+
+class TestOracleEvaluation:
+    """Each oracle trial's cost and potential gradient are running_cost's
+    and _grad_potential's at its rollout, bit for bit."""
+
+    @staticmethod
+    def scenario(case):
+        if case == "criterion_09":
+            return criterion_09_scenario()
+        if case == "touching":
+            # In 1D every path to the target crosses the obstacle, and over
+            # T = 4 the goal's pull drives some long trials into it.
+            return AvoidanceScenario(dimension=1, alpha=1.0, target=[3.0], horizon=4.0,
+                                     q0=[-2.0], v0=[0.0],
+                                     obstacles=(SphereObstacle(np.array([0.0]), 0.5),))
+        centers = [([-0.1, 0.28], 0.4), ([0.6, -0.2], 0.2), ([0.3, 0.5], 0.15)]
+        k = {"two_obstacles": 2, "three_obstacles": 3}[case]
+        return AvoidanceScenario(
+            dimension=2, alpha=0.2, target=[1.2, 0.15], horizon=2.0, q0=[-1.2, 0.0],
+            v0=[0.0, 0.0],
+            obstacles=tuple(SphereObstacle(np.array(c), r) for c, r in centers[:k]))
+
+    @staticmethod
+    def assert_matches_reference(sc, u, ht, weights, trial):
+        cost, q, v, pull = trial
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            qb, vb = pmp._batched_rollout(sc, u[None], ht)
+            lvals = pmp.running_cost(sc, qb, vb, u[None])
+            expected = lvals @ weights
+            grad = pmp._grad_potential(sc, qb[0])[0]
+            fused = pmp._lagrangian(sc, qb[0], vb[0], u, grad=True)[0]
+            # The formula written out: the barriers are summed first, then
+            # added to the rest of the cost.
+            g, o = qb[0] - sc.target, np.array([obs.value(qb[0]) for obs in sc.obstacles])
+            written = (0.5 * (row_dots(g, g) + row_dots(vb[0], vb[0]) + sc.alpha * row_dots(u, u))
+                       + np.where(o <= 0.0, np.inf, 1.0 / o).sum(axis=0))
+        assert fused.tobytes() == lvals[0].tobytes() == written.tobytes()
+        expected[~np.isfinite(expected)] = np.inf
+        assert np.float64(cost).tobytes() == expected.tobytes()
+        assert q.tobytes() == qb[0].tobytes() and v.tobytes() == vb[0].tobytes()
+        assert pull.tobytes() == grad.tobytes()
+        return lvals[0]
+
+    @pytest.mark.parametrize("case", ["criterion_09", "two_obstacles", "three_obstacles",
+                                      "touching"])
+    def test_every_trial_matches_running_cost_and_grad_potential(self, case, monkeypatch):
+        sc = self.scenario(case)
+        real, trials = pmp._evaluate, []
+
+        def spy(scenario, u, ht, weights):
+            trials.append((u, ht, weights, real(scenario, u, ht, weights)))
+            return trials[-1][-1]
+
+        monkeypatch.setattr(pmp, "_evaluate", spy)
+        # The pyproject filter makes a geolqr RuntimeWarning an error; a
+        # touching trial must raise none.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            transcription_oracle(sc, 101, max_iter=60)
+        touched = [t for t in trials if t[-1][0] == np.inf]
+        assert len(touched) > 0 if case == "touching" else touched == []
+        for u, ht, weights, trial in trials:
+            self.assert_matches_reference(sc, u, ht, weights, trial)
+
+    def test_nan_row_stays_nan_until_the_cost(self):
+        # A NaN control at row 10 makes every later state NaN: the running
+        # cost from row 10 on is NaN, not +inf (trajectory_cost reads +inf
+        # as a contact), and only the trial's cost maps to +inf.
+        sc = self.scenario("two_obstacles")
+        n_grid = 101
+        times = np.linspace(0.0, sc.horizon, n_grid)
+        ht, weights = times[1], pmp._trapezoid_weights(times)
+        u = 0.1 * np.random.default_rng(30).standard_normal((n_grid, 2))
+        u[10, 1] = np.nan
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            trial = pmp._evaluate(sc, u, ht, weights)
+        assert trial[0] == np.inf
+        lvals = self.assert_matches_reference(sc, u, ht, weights, trial)
+        assert np.isnan(lvals[10:]).all() and np.isfinite(lvals[:10]).all()
 
 
 class TestCostates:
