@@ -29,11 +29,11 @@ which writes every block of the time derivative into one buffer per sweep
 and returns the rows whose q touches an obstacle; the linear costate
 and variational sweeps are dynamics.affine_rk4 over the matrices of
 _variational_matrices. Every cost evaluator (trajectory_cost, the oracle's
-trials, control_cost, and the costates' Hamiltonian) reads the one array
-running cost of _lagrangian under one trapezoid rule, and the extremal
-and the costates read the one potential gradient _grad_potential; the
-oracle's trials take grad(U + V) from the running cost's own obstacle
-pass, rounded as _grad_potential rounds it. Every row-wise dot product, in
+trials and control_cost through _evaluate, and the costates' Hamiltonian)
+reads the one array running cost of _lagrangian under one trapezoid rule,
+and _grad_potential is the one pass over the obstacles: it gives grad(U +
+V) to the extremal, the costates and the oracle, and each O_i to the
+running cost's barriers. Every row-wise dot product, in
 O, the running cost and H, is so3.row_dots, rounded as the float kernels
 round. Every rule of the configuration space is a method of its object in
 MANIFOLDS.
@@ -71,10 +71,15 @@ ORACLE_MIN_GRID = 50
 
 # Stopping rule of transcription_oracle: the sup-norm gradient reaches
 # ORACLE_GRAD_TOL, or the last ORACLE_PLATEAU_WINDOW iterations improved the
-# cost by less than ORACLE_PLATEAU_RTOL relatively.
+# cost by less than ORACLE_PLATEAU_RTOL relatively. Its line search halves a
+# step s at most ORACLE_HALVINGS times, until the cost falls ORACLE_ARMIJO s
+# |grad|^2; ORACLE_MAX_STALLS failed searches in a row raise NoDescent.
 ORACLE_GRAD_TOL = 1e-8
 ORACLE_PLATEAU_WINDOW = 60
 ORACLE_PLATEAU_RTOL = 1e-8
+ORACLE_HALVINGS = 60
+ORACLE_ARMIJO = 1e-4
+ORACLE_MAX_STALLS = 50
 
 
 def _cross(a, b) -> np.ndarray:
@@ -259,33 +264,25 @@ def running_cost(scenario: AvoidanceScenario, q, v, u) -> np.ndarray:
     and +inf where the path touches an obstacle (O_i <= 0). Terminal mode:
     (alpha/2)|u|^2.
     """
-    with np.errstate(divide="ignore"):
+    # A far obstacle's O or O^2 overflows to inf: no barrier and no pull.
+    with np.errstate(over="ignore", divide="ignore"):
         return _lagrangian(scenario, q, v, u)[0]
 
 
-def _lagrangian(scenario: AvoidanceScenario, q, v, u, grad: bool = False):
-    """running_cost's L under the caller's np.errstate and, with grad, also
-    grad(U + V) at q in avoidance mode (else None) from the same goal error
-    and one pass over the obstacles: each O_i and 2 d_i serve both the
-    barrier 1/O_i and the pull 2 d_i / O_i^2, subtracted in turn as
-    _grad_potential subtracts it. The barriers are summed before they join
-    the cost, and a NaN point stays NaN."""
+def _lagrangian(scenario: AvoidanceScenario, q, v, u):
+    """running_cost's L under the caller's np.errstate and grad(U + V) at q
+    in avoidance mode (else None). The cost is formed from the goal error g
+    before _grad_potential's one pass over the obstacles, started from g,
+    turns g into grad(U + V) and gives each O_i; their barriers 1/O_i are
+    summed before they join the cost, and a NaN point stays NaN."""
     u2 = row_dots(u, u)
     if scenario.mode == "terminal":
         return 0.5 * scenario.alpha * u2, None
     g = goal_errors(scenario, q)
     cost = 0.5 * (row_dots(g, g) + row_dots(v, v) + scenario.alpha * u2)
-    if scenario.obstacles:
-        o = []
-        for obs in scenario.obstacles:
-            oi, pull = obs.value_and_grad(q)
-            o.append(oi)
-            if grad:
-                pull /= (oi * oi)[..., None]
-                g -= pull
-        o = np.array(o)
-        cost = cost + np.where(o <= 0.0, np.inf, 1.0 / o).sum(axis=0)
-    return cost, (g if grad else None)
+    g, _, o = _grad_potential(scenario, q, g)
+    o = np.array(o)
+    return cost + np.where(o <= 0.0, np.inf, 1.0 / o).sum(axis=0), g
 
 
 def _trapezoid_weights(times) -> np.ndarray:
@@ -297,20 +294,24 @@ def _trapezoid_weights(times) -> np.ndarray:
     return w
 
 
-def _grad_potential(scenario: AvoidanceScenario, q):
-    """Gradient of U + V at every point of q (the goal error, less each
-    obstacle's grad O_i / O_i^2 in turn), and the points that touch an
-    obstacle (some O_i <= 0): costate_integrate raises there, a batched
-    rollout flags the row."""
-    grad, contact = goal_errors(scenario, q), False
+def _grad_potential(scenario: AvoidanceScenario, q, grad=None):
+    """Gradient of U + V at every point of q: the goal error grad (formed
+    here if None, else updated in place), less each obstacle's
+    grad O_i / O_i^2 in turn. Also the points that touch an obstacle (some
+    O_i <= 0), where costate_integrate raises and a batched rollout flags
+    the row, and the list of each O_i at q."""
+    if grad is None:
+        grad = goal_errors(scenario, q)
+    contact, values = False, []
     for obs in scenario.obstacles:
         o, g = obs.value_and_grad(q)
+        values.append(o)
         g /= (o * o)[..., None]
         grad -= g
         # An array's | with the scalar False costs more than the comparison.
         touched = o <= 0.0
         contact = touched if contact is False else contact | touched
-    return grad, contact
+    return grad, contact, values
 
 
 def _unpack(scenario: AvoidanceScenario, z):
@@ -330,7 +331,7 @@ def _control_accel(scenario: AvoidanceScenario, q, u, out):
     if scenario.mode == "terminal":
         out[...] = 0.0
         return False
-    grad, contact = _grad_potential(scenario, q)
+    grad, contact, _ = _grad_potential(scenario, q)
     np.subtract(u, grad, out=out)
     out /= scenario.alpha
     return contact
@@ -363,17 +364,21 @@ def control_cost(scenario: AvoidanceScenario, times_u, u, h_eval: float) -> floa
     Interpolates the control onto a uniform grid of step h_eval, rolls the
     flat dynamics with the symplectic-Euler stepper, and applies the
     trapezoid rule. Lets controls from solvers with different grids be
-    ranked fairly. A scenario that is not flat avoidance raises
-    ValidationError("scenario"), and a bad h_eval uniform_grid's
-    ValidationError("h").
+    ranked fairly; the cost is _evaluate's, the oracle's. A scenario that is
+    not flat avoidance raises ValidationError("scenario"), a u that is not
+    one row of the scenario's dimension per time ValidationError("u"), and
+    a bad h_eval uniform_grid's ValidationError("h").
     """
     if scenario.manifold != "flat" or scenario.mode != "avoidance":
         raise ValidationError("scenario", "control_cost covers flat avoidance scenarios")
+    shape = (len(times_u), scenario.dimension)
+    if np.shape(u) != shape:
+        raise ValidationError("u", f"expected shape {shape}")
     tt = uniform_grid(scenario.horizon, h_eval)
     uu = np.stack([np.interp(tt, times_u, u[:, a])
                    for a in range(scenario.dimension)], axis=1)
-    return float(_batched_costs(scenario, uu[None], tt[1] - tt[0],
-                                _trapezoid_weights(tt))[0][0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _evaluate(scenario, uu, tt[1] - tt[0], _trapezoid_weights(tt))[0]
 
 
 def trajectory_cost(scenario: AvoidanceScenario, times, q, v, u) -> float:
@@ -638,31 +643,16 @@ def _batched_rollout(scenario: AvoidanceScenario, controls: np.ndarray,
     return q, v
 
 
-def _batched_costs(scenario: AvoidanceScenario, controls: np.ndarray,
-                   ht: float, weights: np.ndarray):
-    """Costs of a (B, N, n) batch of control grids under the quadrature
-    weights of _trapezoid_weights, and the symplectic-Euler states (q, v)
-    they were read from, each (B, N, n): control_cost's evaluator. The
-    oracle evaluates its one control grid per trial with _evaluate.
-
-    Rows whose trajectory contacts an obstacle or overflows cost +inf.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        q, v = _batched_rollout(scenario, controls, ht)
-        cost = running_cost(scenario, q, v, controls) @ weights
-    cost[~np.isfinite(cost)] = np.inf
-    return cost, q, v
-
-
 def _evaluate(scenario: AvoidanceScenario, u: np.ndarray, ht: float,
               weights: np.ndarray):
     """One oracle trial: the cost of one (N, n) control grid u under the
     quadrature weights, +inf where its path touches an obstacle or
     overflows, its symplectic-Euler states q and v, and grad(U + V) at q,
-    from one rollout and one _lagrangian pass. The cost is _batched_costs'
-    of the batch [u], bit for bit; the caller holds the np.errstate."""
+    from one rollout and one _lagrangian pass: the one evaluator of that
+    discrete cost, for the oracle and control_cost. The caller holds the
+    np.errstate."""
     q, v = _batched_rollout(scenario, u[None], ht)
-    lvals, pull = _lagrangian(scenario, q[0], v[0], u, grad=True)
+    lvals, pull = _lagrangian(scenario, q[0], v[0], u)
     cost = float(lvals @ weights)
     return cost if math.isfinite(cost) else math.inf, q[0], v[0], pull
 
@@ -707,14 +697,17 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
 
     Raises:
         ValidationError: the scenario is not flat avoidance ("scenario"),
-            or n_grid is below ORACLE_MIN_GRID ("n_grid").
-        NoDescent: the line search failed 50 consecutive iterations.
+            or n_grid is not an integer of at least ORACLE_MIN_GRID
+            ("n_grid").
+        NoDescent: the gradient is not finite, or the line search failed
+            ORACLE_MAX_STALLS consecutive iterations.
     """
     if scenario.manifold != "flat" or scenario.mode != "avoidance":
         raise ValidationError("scenario", "transcription oracle covers flat avoidance scenarios")
-    if n_grid < ORACLE_MIN_GRID:
-        raise ValidationError("n_grid", f"need at least {ORACLE_MIN_GRID} grid points, "
-                              f"got {n_grid}")
+    if (isinstance(n_grid, bool) or not isinstance(n_grid, (int, np.integer))
+            or n_grid < ORACLE_MIN_GRID):
+        raise ValidationError("n_grid", f"need an integer of at least {ORACLE_MIN_GRID} "
+                              f"grid points, got {n_grid!r}")
     n = scenario.dimension
     ht = scenario.horizon / (n_grid - 1)
     times = np.linspace(0.0, scenario.horizon, n_grid)
@@ -736,6 +729,8 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
             iterations += 1
             grad = _cost_gradient(u, pull, v, ht, w, alpha_w)
             grad_inf = float(np.abs(grad).max())
+            if not math.isfinite(grad_inf):
+                raise NoDescent(f"gradient not finite at iteration {iterations}")
             if grad_inf <= ORACLE_GRAD_TOL:
                 stop_reason = "grad_tol"
                 break
@@ -750,18 +745,18 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
             prev_grad, prev_u = grad, u
             gnorm2 = float((grad * grad).sum())
             s = step_size * 2.0
-            for _ in range(60):
+            for _ in range(ORACLE_HALVINGS):
                 trial = u - s * grad
                 evaluated = _evaluate(scenario, trial, ht, weights)
-                if evaluated[0] <= cost - 1e-4 * s * gnorm2:
+                if evaluated[0] <= cost - ORACLE_ARMIJO * s * gnorm2:
                     (cost, q, v, pull), u, step_size = evaluated, trial, s
                     stalls = 0
                     break
                 s *= 0.5
             else:
                 stalls += 1
-                if stalls >= 50:
-                    raise NoDescent(f"line search stalled 50 times at cost {cost:.6g}")
+                if stalls >= ORACLE_MAX_STALLS:
+                    raise NoDescent(f"line search stalled {stalls} times at cost {cost:.6g}")
             history.append(cost)
             if (len(history) > ORACLE_PLATEAU_WINDOW
                     and history[-ORACLE_PLATEAU_WINDOW] - cost
@@ -832,7 +827,8 @@ def costate_integrate(scenario: AvoidanceScenario, solution: BVPSolution) -> Cos
     else:
         terminal, f = np.zeros(2 * v.shape[1]), []
         for qs, vs in ((qr, vr), (_midpoints(scenario.space, qr), vm)):
-            grad, contact = _grad_potential(scenario, qs)
+            with np.errstate(over="ignore"):  # a far obstacle's O^2 is inf: no pull
+                grad, contact, _ = _grad_potential(scenario, qs)
             if np.any(contact):
                 raise ObstacleContact("obstacle contacted")
             f.append(-np.concatenate([grad, vs], axis=-1))

@@ -247,7 +247,8 @@ def run_avoid(cfg: ScenarioConfig, out_dir: Path) -> RunSummary:
     dist = np.sqrt(so3.row_dots(e, e))
     clearance = None
     if scenario.obstacles:
-        clearance = float(min(obs.value(solution.q).min() for obs in scenario.obstacles))
+        with np.errstate(over="ignore"):  # a far obstacle's O is inf
+            clearance = float(min(obs.value(solution.q).min() for obs in scenario.obstacles))
     clock.lap("costates")
 
     t, q, v, u, dist_rows, hamiltonian = (

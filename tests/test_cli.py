@@ -306,6 +306,15 @@ def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
     (lambda: transcription_oracle(AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0],
                                                     horizon=1.0, q0=[1.0], v0=[0.0]), 10),
      "n_grid"),
+    (lambda: transcription_oracle(AvoidanceScenario(dimension=1, alpha=1.0, target=[0.0],
+                                                    horizon=1.0, q0=[1.0], v0=[0.0]), 100.5),
+     "n_grid"),
+    (lambda: control_cost(AvoidanceScenario(dimension=2, alpha=1.0, target=[0.0, 0.0],
+                                            horizon=1.0, q0=[1.0, 0.0], v0=[0.0, 0.0]),
+                          np.linspace(0.0, 1.0, 11), np.zeros(11), 1e-2), "u"),
+    (lambda: control_cost(AvoidanceScenario(dimension=2, alpha=1.0, target=[0.0, 0.0],
+                                            horizon=1.0, q0=[1.0, 0.0], v0=[0.0, 0.0]),
+                          np.linspace(0.0, 1.0, 11), np.zeros((5, 2)), 1e-2), "u"),
     (lambda: simulate(lambda r, w: (0.0, 0.0, 0.0), RigidBodyState(np.eye(3), np.zeros(4)),
                       SimParams(1e-3, 0.01, InertiaTensor(np.eye(3)))), "init.w"),
     (lambda: nearest_sample(np.array([0.0, 0.5]), 0.1, 10), "t"),
@@ -331,7 +340,8 @@ def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
         "reference-h-nan", "simulate-init-scaled", "regulation-goal-scaled",
         "nearest-sample-off-grid", "simulate-every", "simulate-table-rows",
         "reference-table-shapes", "dre-h-nan", "dre-h-above-t_end", "control-cost-scenario",
-        "oracle-scenario", "oracle-n_grid", "simulate-init-w", "nearest-sample-array",
+        "oracle-scenario", "oracle-n_grid", "oracle-n_grid-float", "control-cost-u-vector",
+        "control-cost-u-rows", "simulate-init-w", "nearest-sample-array",
         "solution-at-array", "shooting-start-group", "shooting-start-dimension"])
 def test_constructors_name_their_argument(build, name):
     with pytest.raises(ValidationError) as err:
@@ -841,6 +851,26 @@ class TestAvoidErrorAndClearance:
         assert main(["avoid", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["min_obstacle_clearance"] > 0.0
+
+    @pytest.mark.parametrize("center", [1e100, 1e160])
+    def test_far_obstacle_changes_no_byte_and_warns_of_nothing(self, tmp_path, capsys, center):
+        # An obstacle this far has O (1e160) or only O^2 (1e100) overflow to
+        # inf, where its barrier 1/O and its pull 2 d / O^2 are 0 exactly.
+        config = Path(__file__).resolve().parents[1] / "configs" / "avoid.json"
+        payload = json.loads(config.read_text(encoding="utf-8"))
+        payload["avoidance"]["obstacles"].append({"center": [center, 0.0], "radius": 1.0})
+        far = write_config(tmp_path, payload)
+        summaries = []
+        for name, path in (("near", config), ("far", far)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["avoid", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            summaries.append(json.loads(out.strip().splitlines()[-1]))
+        for csv in ("trajectory.csv", "avoidance_path.csv"):
+            assert (tmp_path / "near" / csv).read_bytes() == (tmp_path / "far" / csv).read_bytes()
+        assert summaries[0]["min_obstacle_clearance"] == summaries[1]["min_obstacle_clearance"]
 
     def test_stiff_scenario_exits_three(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

@@ -836,8 +836,8 @@ class TestTranscriptionOracle:
 
     def test_batched_gradient_is_order_independent(self):
         # The finite-difference partials come from one batched rollout; they
-        # must equal per-coordinate sequential evaluation exactly (pure cost).
-        from geolqr.pmp import _batched_costs
+        # must equal per-coordinate evaluation of one grid at a time.
+        from geolqr.pmp import _batched_rollout, _evaluate, running_cost
 
         sc = AvoidanceScenario(dimension=2, alpha=0.5, target=[1.0, 0.2],
                                horizon=1.0, q0=[-1.0, 0.0], v0=[0.0, 0.0],
@@ -852,12 +852,13 @@ class TestTranscriptionOracle:
         n_vars = n_grid * n
         eye = np.eye(n_vars).reshape(n_vars, n_grid, n)
         batch = np.concatenate([u[None] + eps * eye, u[None] - eps * eye])
-        costs = _batched_costs(sc, batch, ht, weights)[0]
+        q, v = _batched_rollout(sc, batch, ht)
+        costs = running_cost(sc, q, v, batch) @ weights
         # Order independence proper: shuffling the batch rows permutes the
-        # costs bit-for-bit.
+        # states bit-for-bit.
         perm = rng.permutation(batch.shape[0])
-        shuffled = _batched_costs(sc, batch[perm], ht, weights)[0]
-        assert np.array_equal(shuffled, costs[perm])
+        shuffled = _batched_rollout(sc, batch[perm], ht)
+        assert np.array_equal(shuffled[0], q[perm]) and np.array_equal(shuffled[1], v[perm])
         # And the batched partials match sequential per-coordinate
         # evaluation within the oracle's own finite-difference accuracy.
         grad_batched = (costs[:n_vars] - costs[n_vars:]) / (2.0 * eps)
@@ -867,14 +868,14 @@ class TestTranscriptionOracle:
             up[k, a] += eps
             dn = u.copy()
             dn[k, a] -= eps
-            cp = float(_batched_costs(sc, up[None], ht, weights)[0][0])
-            cm = float(_batched_costs(sc, dn[None], ht, weights)[0][0])
+            cp = _evaluate(sc, up, ht, weights)[0]
+            cm = _evaluate(sc, dn, ht, weights)[0]
             assert abs(grad_batched[flat_index] - (cp - cm) / (2.0 * eps)) <= 1e-6
 
 
     @pytest.mark.parametrize("with_obstacle", [False, True])
     def test_adjoint_gradient_matches_central_differences(self, with_obstacle):
-        from geolqr.pmp import _batched_costs, _cost_gradient, _evaluate, _trapezoid_weights
+        from geolqr.pmp import _cost_gradient, _evaluate, _trapezoid_weights
 
         obstacles = (SphereObstacle(np.array([0.0, 0.1]), 0.3),) if with_obstacle else ()
         sc = AvoidanceScenario(dimension=2, alpha=0.5, target=[1.0, 0.2],
@@ -890,8 +891,8 @@ class TestTranscriptionOracle:
         eye = np.eye(n_vars).reshape(n_vars, n_grid, n)
         for _ in range(3):
             u = 0.3 * rng.standard_normal((n_grid, n))
-            costs = _batched_costs(sc, np.concatenate([u[None] + eps * eye,
-                                                       u[None] - eps * eye]), ht, weights)[0]
+            costs = np.array([_evaluate(sc, x, ht, weights)[0]
+                              for x in np.concatenate([u + eps * eye, u - eps * eye])])
             assert np.isfinite(costs).all()
             central = ((costs[:n_vars] - costs[n_vars:]) / (2.0 * eps)).reshape(n_grid, n)
             _, _, v, pull = _evaluate(sc, u, ht, weights)
@@ -930,9 +931,35 @@ class TestTranscriptionOracle:
             return costs[-1], q, v, pull
 
         monkeypatch.setattr(pmp, "_evaluate", costlier)
-        with pytest.raises(NoDescent):
+        with pytest.raises(NoDescent, match=f"stalled {pmp.ORACLE_MAX_STALLS} times"):
             transcription_oracle(sc, 101)
-        assert len(costs) == 1 + 50 * 60
+        assert len(costs) == 1 + pmp.ORACLE_MAX_STALLS * pmp.ORACLE_HALVINGS == 1 + 50 * 60
+
+    def test_non_finite_gradient_raises_no_descent_at_once(self, monkeypatch):
+        # The zero control's path runs through the obstacle, and two of its
+        # samples land on its surface, O = 0, where the pull 2 d / O^2 and
+        # so the gradient are not finite: no trial from there is finite.
+        sc = AvoidanceScenario(dimension=1, alpha=1.0, target=[1.0], horizon=1.0,
+                               q0=[-1.0], v0=[2.0],
+                               obstacles=(SphereObstacle(np.array([0.0]), 0.5),))
+        real, calls = pmp._evaluate, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pmp, "_evaluate", counted)
+        with pytest.raises(NoDescent, match="gradient not finite at iteration 1"):
+            transcription_oracle(sc, 101)
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("case", ["criterion_09", "two_obstacles"])
+    def test_control_cost_is_the_oracle_cost(self, case):
+        # control_cost at the oracle's own grid reads the oracle's one
+        # evaluator: the same cost, bit for bit.
+        sc = TestOracleEvaluation.scenario(case)
+        oracle = transcription_oracle(sc, 201, max_iter=200)
+        assert control_cost(sc, oracle.times, oracle.u, oracle.times[1]) == oracle.cost
 
 
 class TestOracleEvaluation:
@@ -964,7 +991,7 @@ class TestOracleEvaluation:
             lvals = pmp.running_cost(sc, qb, vb, u[None])
             expected = lvals @ weights
             grad = pmp._grad_potential(sc, qb[0])[0]
-            fused = pmp._lagrangian(sc, qb[0], vb[0], u, grad=True)[0]
+            fused, fused_grad = pmp._lagrangian(sc, qb[0], vb[0], u)
             # The formula written out: the barriers are summed first, then
             # added to the rest of the cost.
             g, o = qb[0] - sc.target, np.array([obs.value(qb[0]) for obs in sc.obstacles])
@@ -974,7 +1001,7 @@ class TestOracleEvaluation:
         expected[~np.isfinite(expected)] = np.inf
         assert np.float64(cost).tobytes() == expected.tobytes()
         assert q.tobytes() == qb[0].tobytes() and v.tobytes() == vb[0].tobytes()
-        assert pull.tobytes() == grad.tobytes()
+        assert pull.tobytes() == grad.tobytes() == fused_grad.tobytes()
         return lvals[0]
 
     @pytest.mark.parametrize("case", ["criterion_09", "two_obstacles", "three_obstacles",
@@ -1130,13 +1157,14 @@ class TestCostates:
         seen = []
         original = pmp._grad_potential
 
-        def spy(scenario, points):
+        def spy(scenario, points, *goal_error):
             seen.append(points)
-            return original(scenario, points)
+            return original(scenario, points, *goal_error)
 
         monkeypatch.setattr(pmp, "_grad_potential", spy)
         costate_integrate(sc, sol)
-        assert [len(points) for points in seen] == [21, 20]
+        # The forcing's samples and midpoints, then H's running cost.
+        assert [len(points) for points in seen] == [21, 20, 21]
         assert max(orthogonality_defect(r) for r in seen[1]) <= 1e-12
         linear = 0.5 * (q[:-1] + q[1:])
         assert min(orthogonality_defect(r) for r in linear) > 1e-3
@@ -1241,8 +1269,7 @@ class TestOneCostFunctional:
     """Every cost evaluator reads the one running cost."""
 
     def test_evaluators_agree_on_batched_rollouts(self):
-        from geolqr.pmp import (_batched_costs, _batched_rollout, _trapezoid_weights,
-                                running_cost)
+        from geolqr.pmp import _batched_rollout, _evaluate, _trapezoid_weights
 
         sc = AvoidanceScenario(dimension=2, alpha=0.5, target=[1.0, 0.2],
                                horizon=1.0, q0=[-1.0, 0.0], v0=[0.0, 0.0],
@@ -1254,7 +1281,7 @@ class TestOneCostFunctional:
         rng = np.random.default_rng(11)
         controls = 0.2 * rng.standard_normal((5, n_grid, 2))
         q, v = _batched_rollout(sc, controls, ht)
-        costs = _batched_costs(sc, controls, ht, weights)[0]
+        costs = [_evaluate(sc, u, ht, weights)[0] for u in controls]
         assert np.isfinite(costs).all()
         for b in range(controls.shape[0]):
             j = trajectory_cost(sc, times, q[b], v[b], controls[b])
@@ -1263,7 +1290,8 @@ class TestOneCostFunctional:
         # Constant thrust along x drives the path straight through the obstacle.
         through = np.zeros((1, n_grid, 2))
         through[..., 0] = 4.0
-        assert _batched_costs(sc, through, ht, weights)[0][0] == np.inf
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            assert _evaluate(sc, through[0], ht, weights)[0] == np.inf
         qt, vt = _batched_rollout(sc, through, ht)
         with pytest.raises(ObstacleContact):
             trajectory_cost(sc, times, qt[0], vt[0], through[0])
