@@ -19,10 +19,10 @@ from .errors import (
     ValidationError,
 )
 from .so3 import (
+    as_rotation,
     exp_so3,
     geodesic_distance,
     hat,
-    is_rotation,
     log_so3,
     orthogonality_defect,
     transport_velocity,

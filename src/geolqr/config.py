@@ -4,7 +4,7 @@ Top-level keys: command, cost, sim, inertia, initial, goal, reference,
 controller, avoidance, output. Unknown keys at any level are errors, and
 errors carry the dotted path of the offending field. Angles are radians,
 time is seconds. Rotations are given as 9 numbers row-major and must already
-be rotations within ROTATION_TOL (so3.is_rotation); they are rejected, never
+be rotations within so3.ROTATION_TOL (so3.as_rotation); they are rejected, never
 re-orthonormalized.
 
 Every field is read by one rule, in order: presence and default (_field;
@@ -27,7 +27,7 @@ from .dynamics import MAX_STEPS, InertiaTensor, RigidBodyState, SimParams
 from .errors import ParseError, ValidationError
 from .pmp import AvoidanceScenario, SphereObstacle
 from .riccati import CostParams, drift_matrix
-from .so3 import ROTATION_TOL, is_rotation
+from .so3 import as_rotation
 
 GAIN_SOURCES = ("are", "dre")
 
@@ -112,10 +112,8 @@ def _finite(value, path) -> np.ndarray:
 
 
 def _rotation(obj, key, path):
-    arr = _numbers(obj, key, path, (9,), np.eye(3).ravel()).reshape(3, 3)
-    if not is_rotation(arr, ROTATION_TOL):
-        raise ValidationError(f"{path}.{key}", f"not a rotation within {ROTATION_TOL:g}")
-    return arr
+    return as_rotation(_numbers(obj, key, path, (9,), np.eye(3).ravel()).reshape(3, 3),
+                       f"{path}.{key}")
 
 
 def _coeffs(value) -> bool:

@@ -38,7 +38,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import NumericalDivergence, ValidationError
-from .so3 import ROTATION_TOL, exp_so3, is_rotation
+from .so3 import as_rotation, exp_so3
 
 OMEGA_DIVERGENCE_LIMIT = 1e6
 
@@ -237,8 +237,7 @@ def simulate(law, init: RigidBodyState, p: SimParams, *, tables=(), every=1) -> 
     """
     if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
         raise ValidationError("every", f"every must be a positive integer, got {every!r}")
-    if not is_rotation(init.r, ROTATION_TOL):
-        raise ValidationError("init.r", f"not a rotation within {ROTATION_TOL:g}")
+    r = as_rotation(init.r, "init.r").copy()
     if np.shape(init.w) != (3,):
         raise ValidationError("init.w", f"expected shape (3,), got {np.shape(init.w)}")
     grid = time_grid(p.h, p.t_end)
@@ -254,7 +253,6 @@ def simulate(law, init: RigidBodyState, p: SimParams, *, tables=(), every=1) -> 
     torques = np.empty((len(times), 3))
 
     h, j = p.h, p.inertia
-    r = np.array(init.r, dtype=float)
     w = tuple(np.asarray(init.w, dtype=float).tolist())
     # Per AFFINE_CHUNK samples, the tables' rows are read into Python values
     # and the chunk's kept samples gather in lists, stored from log row k by

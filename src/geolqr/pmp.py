@@ -49,7 +49,7 @@ import numpy as np
 from .dynamics import affine_rk4, rk4, uniform_grid
 from .errors import NoConvergence, NoDescent, ObstacleContact, ValidationError
 from .riccati import CostParams
-from .so3 import ROTATION_TOL, attitude_errors, exp_rows, is_rotation, row_dots
+from .so3 import as_rotation, attitude_errors, exp_rows, row_dots
 
 MODES = ("avoidance", "terminal")
 
@@ -181,15 +181,16 @@ class SphereObstacle:
 
     def value(self, q):
         """O at q, or at every row of a (..., n) array."""
-        return self.value_and_grad(q)[0]
+        return self.value_and_half_grad(q)[0]
 
-    def value_and_grad(self, q):
-        """O, with |d|^2 from so3.row_dots, and its gradient 2 d at q, or
-        at every row of a (..., n) array, from one d = q - center."""
+    def value_and_half_grad(self, q):
+        """O, with |d|^2 from so3.row_dots, and half its gradient, d, at q,
+        or at every row of a (..., n) array, from one d = q - center. Half,
+        because the gradient 2 d overflows where d is finite."""
         d = np.asarray(q, dtype=float) - self.center
         o = row_dots(d, d)
         o -= self.radius ** 2  # in place: no third array the size of q's rows
-        return o, 2.0 * d
+        return o, d
 
 
 @dataclass
@@ -229,18 +230,16 @@ class AvoidanceScenario:
             raise ValidationError("dimension", "must be at least 1")
         if self.manifold != "flat" and self.dimension != 3:
             raise ValidationError("dimension", "must be 3 on the rotation group")
-        self.target = np.asarray(self.target, dtype=float)
-        self.q0 = np.asarray(self.q0, dtype=float)
-        self.v0 = np.asarray(self.v0, dtype=float)
         point = (self.dimension,) if self.manifold == "flat" else (3, 3)
         for name, shape in (("q0", point), ("target", point), ("v0", (self.dimension,))):
-            value = getattr(self, name)
+            value = np.asarray(getattr(self, name), dtype=float)
             if value.shape != shape:
                 raise ValidationError(name, f"expected shape {shape}")
-            if shape == (3, 3) and not is_rotation(value, ROTATION_TOL):
-                raise ValidationError(name, f"not a rotation within {ROTATION_TOL:g}")
+            if shape == (3, 3):
+                value = as_rotation(value, name)
             if not np.isfinite(value).all():
                 raise ValidationError(name, "must be finite")
+            setattr(self, name, value)
         for i, obs in enumerate(self.obstacles):
             if self.manifold != "flat" or np.shape(obs.center) != (self.dimension,):
                 raise ValidationError(f"obstacles[{i}]", "expected flat space and a "
@@ -297,16 +296,17 @@ def _trapezoid_weights(times) -> np.ndarray:
 def _grad_potential(scenario: AvoidanceScenario, q, grad=None):
     """Gradient of U + V at every point of q: the goal error grad (formed
     here if None, else updated in place), less each obstacle's
-    grad O_i / O_i^2 in turn. Also the points that touch an obstacle (some
-    O_i <= 0), where costate_integrate raises and a batched rollout flags
-    the row, and the list of each O_i at q."""
+    grad O_i / O_i^2 in turn, as (grad O_i / 2) / (O_i^2 / 2): the same
+    bits, and 0 rather than NaN where grad O_i overflows. Also the points
+    that touch an obstacle (some O_i <= 0), where costate_integrate raises
+    and a batched rollout flags the row, and the list of each O_i at q."""
     if grad is None:
         grad = goal_errors(scenario, q)
     contact, values = False, []
     for obs in scenario.obstacles:
-        o, g = obs.value_and_grad(q)
+        o, g = obs.value_and_half_grad(q)
         values.append(o)
-        g /= (o * o)[..., None]
+        g /= (0.5 * (o * o))[..., None]
         grad -= g
         # An array's | with the scalar False costs more than the comparison.
         touched = o <= 0.0

@@ -26,7 +26,7 @@ from .dynamics import (OMEGA_DIVERGENCE_LIMIT, InertiaTensor, RigidBodyState,
                        _prefix_products, nearest_sample)
 from .errors import NumericalDivergence, ValidationError
 from .riccati import GainPair, RiccatiSolution
-from .so3 import ROTATION_TOL, _CHUNK, _log_floats, exp_rows, is_rotation, row_dots
+from .so3 import _CHUNK, _log_floats, as_rotation, exp_rows, row_dots
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,15 @@ class TrackingReference:
             raise ValidationError("omegas", "omegas and omega_dots must be (N + 1, 3) tables")
         if not 0.0 < self.h < np.inf:
             raise ValidationError("h", "must be positive and finite")
-        if r0 is not None and not is_rotation(r0, ROTATION_TOL):
-            raise ValidationError("r0", f"not a rotation within {ROTATION_TOL:g}")
-        # Per chunk, so the row sums' temporaries stay chunk-sized.
-        for lo in range(0, len(self.omegas), _CHUNK):
-            w = self.omegas[lo:lo + _CHUNK]
-            with np.errstate(over="ignore"):
-                fast = ~(row_dots(w, w) <= OMEGA_DIVERGENCE_LIMIT ** 2)
-            if fast.any():
-                raise NumericalDivergence(
-                    f"reference |omega| exceeds {OMEGA_DIVERGENCE_LIMIT:g} rad/s or is not "
-                    f"finite at t = {(lo + fast.argmax()) * self.h:.6g}")
+        r0 = np.eye(3) if r0 is None else as_rotation(r0, "r0")
+        with np.errstate(over="ignore"):
+            fast = ~(row_dots(self.omegas, self.omegas) <= OMEGA_DIVERGENCE_LIMIT ** 2)
+        if fast.any():
+            raise NumericalDivergence(
+                f"reference |omega| exceeds {OMEGA_DIVERGENCE_LIMIT:g} rad/s or is not "
+                f"finite at t = {fast.argmax() * self.h:.6g}")
         rots = np.empty(self.omegas.shape[:1] + (3, 3))
-        rots[0] = np.eye(3) if r0 is None else np.asarray(r0, dtype=float)
+        rots[0] = r0
         for lo in range(0, len(rots) - 1, _CHUNK):
             p = _prefix_products(exp_rows(self.h * self.omegas[:-1][lo:lo + _CHUNK]))
             rots[lo + 1:lo + _CHUNK + 1] = rots[lo] @ p
@@ -163,10 +159,7 @@ def regulation_controller(r_d, g: GainPair):
     the simulation grid (the gains of a DRE schedule's rows). A goal r_d
     that is not a rotation within so3.ROTATION_TOL raises
     ValidationError("r_d")."""
-    if not is_rotation(r_d, ROTATION_TOL):
-        raise ValidationError("r_d", f"not a rotation within {ROTATION_TOL:g}")
-    r_d = np.asarray(r_d, dtype=float).ravel().tolist()
-    return partial(_regulation_law, r_d), (g.kP, g.kD)
+    return partial(_regulation_law, as_rotation(r_d, "r_d").ravel().tolist()), (g.kP, g.kD)
 
 
 def tracking_controller(ref: TrackingReference, g: GainPair, j: InertiaTensor,

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import AngleNearPi
+from .errors import AngleNearPi, ValidationError
 
 # Below this angle the closed-form Rodrigues and log coefficients are 0/0;
 # series expansions take over.
@@ -265,3 +265,12 @@ def is_rotation(m, tol: float = 1e-9) -> bool:
         return False
     with np.errstate(over="ignore", invalid="ignore"):  # a huge entry is no rotation
         return orthogonality_defect(m) <= tol and abs(np.linalg.det(m) - 1.0) <= tol
+
+
+def as_rotation(m, path: str) -> np.ndarray:
+    """m as a float array, the one rule of every rotation argument: raises
+    ValidationError(path) unless m is a rotation within ROTATION_TOL."""
+    m = np.asarray(m, dtype=float)
+    if not is_rotation(m, ROTATION_TOL):
+        raise ValidationError(path, f"not a rotation within {ROTATION_TOL:g}")
+    return m

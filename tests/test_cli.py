@@ -852,10 +852,11 @@ class TestAvoidErrorAndClearance:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["min_obstacle_clearance"] > 0.0
 
-    @pytest.mark.parametrize("center", [1e100, 1e160])
+    @pytest.mark.parametrize("center", [1e100, 1e160, 1e308])
     def test_far_obstacle_changes_no_byte_and_warns_of_nothing(self, tmp_path, capsys, center):
-        # An obstacle this far has O (1e160) or only O^2 (1e100) overflow to
-        # inf, where its barrier 1/O and its pull 2 d / O^2 are 0 exactly.
+        # An obstacle this far has O (1e160, 1e308) or only O^2 (1e100)
+        # overflow to inf, where its barrier 1/O and its pull 2 d / O^2 are
+        # 0 exactly; at 1e308 the gradient 2 d overflows too.
         config = Path(__file__).resolve().parents[1] / "configs" / "avoid.json"
         payload = json.loads(config.read_text(encoding="utf-8"))
         payload["avoidance"]["obstacles"].append({"center": [center, 0.0], "radius": 1.0})

@@ -5,6 +5,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -266,13 +267,13 @@ class TestAvoidanceAccel:
         step = 1e-6
         grad_fd = np.stack([(obs.value(q + e) - obs.value(q - e)) / (2.0 * step)
                             for e in step * np.eye(3)], axis=-1)
-        value, grad = obs.value_and_grad(q)
+        value, half = obs.value_and_half_grad(q)
         assert np.array_equal(value, obs.value(q))
         want = ((q - obs.center) ** 2).sum(axis=1) - obs.radius ** 2
         assert np.abs(value - want).max() <= 1e-14
-        assert grad.shape == q.shape
-        assert np.abs(grad - grad_fd).max() <= 1e-8
-        assert np.array_equal(grad, 2.0 * (q - obs.center))
+        assert half.shape == q.shape
+        assert np.abs(2.0 * half - grad_fd).max() <= 1e-8
+        assert np.array_equal(half, q - obs.center)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_flat_rhs_matches_a_per_row_formula(self, order):
@@ -1168,6 +1169,60 @@ class TestCostates:
         assert max(orthogonality_defect(r) for r in seen[1]) <= 1e-12
         linear = 0.5 * (q[:-1] + q[1:])
         assert min(orthogonality_defect(r) for r in linear) > 1e-3
+
+
+class TestCostateIsValueGradient:
+    """Dynamic programming certifies the PMP: where the value function V
+    is smooth, the costate at t = 0 is its gradient, p(0) = grad V(q0, v0)
+    (Liberzon 2012, ch. 5). grad V is read as central differences of the
+    re-solved BVPSolution.cost."""
+
+    EPS = 1e-4
+
+    def central_differences(self, solve, n):
+        """dJ/dx_i for x = (dq, dv) in R^2n, from solve(dq, dv).cost."""
+        out = np.empty(2 * n)
+        for i, e in enumerate(self.EPS * np.eye(2 * n)):
+            up, down = solve(e[:n], e[n:]).cost, solve(-e[:n], -e[n:]).cost
+            out[i] = (up - down) / (2.0 * self.EPS)
+        return out
+
+    def test_flat_gap_is_second_order(self):
+        base_sc = criterion_09_scenario()
+        gaps = []
+        for h in (1e-3, 5e-4):
+            base = shooting_solve(base_sc, h=h)
+            ct = costate_integrate(base_sc, base)
+
+            def solve(dq, dv):
+                sc = replace(base_sc, q0=base_sc.q0 + dq, v0=base_sc.v0 + dv)
+                return shooting_solve(sc, h=h, start=base)
+
+            fd = self.central_differences(solve, 2)
+            gaps.append(np.abs(np.concatenate([ct.p1[0], ct.p2[0]]) - fd).max())
+        assert gaps[0] <= 2e-6 and gaps[1] <= 5e-7
+        assert gaps[0] / gaps[1] >= 3.0
+
+    @pytest.mark.parametrize("mode", ["avoidance", "terminal"])
+    def test_group_gap_needs_the_connection(self, mode):
+        # q0 moves as q0 exp(eps e_i) with v0 held in body coordinates, which
+        # is not parallel along that curve: dJ/deps = p1 + (v0 x p2) / 2.
+        base_sc = AvoidanceScenario(dimension=3, alpha=0.5, target=np.eye(3), horizon=2.0,
+                                    q0=exp_so3([0.9, -0.4, 0.3]),
+                                    v0=np.array([0.2, 0.1, -0.3]),
+                                    manifold="so3-biinvariant", mode=mode)
+        h = 4e-3
+        ct = costate_integrate(base_sc, shooting_solve(base_sc, h=h))
+
+        def solve(dq, dv):
+            sc = replace(base_sc, q0=base_sc.q0 @ exp_so3(dq), v0=base_sc.v0 + dv)
+            return shooting_solve(sc, h=h)
+
+        p1, p2 = ct.p1[0], ct.p2[0]
+        fd = self.central_differences(solve, 3)
+        want = np.concatenate([p1 + 0.5 * np.cross(base_sc.v0, p2), p2])
+        assert np.abs(want - fd).max() <= 2e-5
+        assert np.abs(np.concatenate([p1, p2]) - fd).max() > 1e-2
 
 
 class TestRiccatiCertifiesExtremal:

@@ -2,9 +2,11 @@
 ast: no module-level import goes unused, and no top-level private name is
 left without a reference. Both catch the leftovers of a simplification.
 No module raises a bare ValueError: a bad argument is a ValidationError
-naming it."""
+naming it. numpy is the only runtime dependency, and so3 alone holds the
+rotation rule."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +74,28 @@ def test_no_module_raises_a_bare_value_error(module):
             if isinstance(exc, ast.Name) and exc.id == "ValueError":
                 bare.append(node.lineno)
     assert not bare, f"{module} raises a bare ValueError at lines {bare}"
+
+
+@pytest.mark.parametrize("module", list(MODULES))
+def test_every_import_is_numpy_the_standard_library_or_geolqr(module):
+    # Function-level imports count too: scipy is installed for the tests,
+    # so a stray import of it would pass every other test.
+    allowed = {"numpy", "__future__", "geolqr"} | set(sys.stdlib_module_names)
+    foreign = []
+    for node in ast.walk(MODULES[module]):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:  # a relative import is geolqr's own
+            continue
+        foreign += [name for name in names if name.split(".")[0] not in allowed]
+    assert not foreign, f"{module} imports {foreign}"
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "so3"])
+def test_rotation_arguments_are_checked_by_so3_as_rotation_alone(module):
+    names = _loaded_names(MODULES[module]) | {
+        alias.name for node in ast.walk(MODULES[module])
+        if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not names & {"ROTATION_TOL", "is_rotation"}
