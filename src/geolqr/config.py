@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MAX_STEPS, InertiaTensor, RigidBodyState, SimParams
+from .dynamics import MAX_STEPS, InertiaTensor, RigidBodyState, SimParams, _is_int
 from .errors import ParseError, ValidationError
 from .pmp import AvoidanceScenario, SphereObstacle
 from .riccati import CostParams, drift_matrix
@@ -76,10 +76,6 @@ def _field(obj, key, path, default, valid, expected):
     if not (isinstance(value, valid) if isinstance(valid, type) else valid(value)):
         raise ValidationError(where, f"expected {expected}")
     return value
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _shaped(value, shape) -> bool:

@@ -116,6 +116,12 @@ class TrajectoryLog:
         return self.times.shape[0]
 
 
+def _is_int(x) -> bool:
+    """The one integer rule of arguments and config fields: a Python or
+    numpy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def time_grid(h: float, t_end: float) -> np.ndarray:
     """The simulator's grid: times k h, k = 0..ceil(t_end / h), of exact step
     h, so the last time may overshoot t_end. Compare uniform_grid."""
@@ -235,7 +241,7 @@ def simulate(law, init: RigidBodyState, p: SimParams, *, tables=(), every=1) -> 
             exceeded 1e6 rad/s, or the state or the final torque is not
             finite.
     """
-    if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
+    if not _is_int(every) or every < 1:
         raise ValidationError("every", f"every must be a positive integer, got {every!r}")
     r = as_rotation(init.r, "init.r").copy()
     if np.shape(init.w) != (3,):

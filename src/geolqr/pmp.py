@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import affine_rk4, rk4, uniform_grid
+from .dynamics import _is_int, affine_rk4, rk4, uniform_grid
 from .errors import NoConvergence, NoDescent, ObstacleContact, ValidationError
 from .riccati import CostParams
 from .so3 import as_rotation, attitude_errors, exp_rows, row_dots
@@ -197,13 +197,14 @@ class SphereObstacle:
 class AvoidanceScenario:
     """Problem data for the boundary-value solvers.
 
-    dimension is the tangent dimension, and space the object of MANIFOLDS
-    named by manifold. For the flat manifold q0, target and v0 are finite
-    (dimension,) vectors; "so3-biinvariant" needs dimension 3, with q0 and
-    target (3, 3) rotations within so3.ROTATION_TOL and v0 a finite (3,)
-    body velocity. Obstacles are only allowed on flat space, each with a
-    (dimension,) center, and q0 must lie outside each. A bad value raises a ValidationError naming the
-    argument: "alpha", "horizon", "dimension", "q0", "target", "v0",
+    dimension is the tangent dimension, an integer of at least 1, and space
+    the object of MANIFOLDS named by manifold. For the flat manifold q0,
+    target and v0 are finite (dimension,) vectors; "so3-biinvariant" needs
+    dimension 3, with q0 and target (3, 3) rotations within
+    so3.ROTATION_TOL and v0 a finite (3,) body velocity. Obstacles are
+    SphereObstacles, only allowed on flat space, each with a (dimension,)
+    center, and q0 must lie outside each. A bad value raises a
+    ValidationError naming the argument: "alpha", "horizon", "dimension", "q0", "target", "v0",
     "manifold", "mode", or "obstacles[i]" for the first bad obstacle or one
     containing q0.
     """
@@ -226,8 +227,8 @@ class AvoidanceScenario:
             raise ValidationError("mode", f"expected one of {MODES}")
         if not 0.0 < self.horizon < np.inf:
             raise ValidationError("horizon", "must be positive and finite")
-        if not self.dimension >= 1:
-            raise ValidationError("dimension", "must be at least 1")
+        if not _is_int(self.dimension) or self.dimension < 1:
+            raise ValidationError("dimension", "must be an integer of at least 1")
         if self.manifold != "flat" and self.dimension != 3:
             raise ValidationError("dimension", "must be 3 on the rotation group")
         point = (self.dimension,) if self.manifold == "flat" else (3, 3)
@@ -241,9 +242,10 @@ class AvoidanceScenario:
                 raise ValidationError(name, "must be finite")
             setattr(self, name, value)
         for i, obs in enumerate(self.obstacles):
-            if self.manifold != "flat" or np.shape(obs.center) != (self.dimension,):
-                raise ValidationError(f"obstacles[{i}]", "expected flat space and a "
-                                      f"center of shape ({self.dimension},)")
+            if (not isinstance(obs, SphereObstacle) or self.manifold != "flat"
+                    or np.shape(obs.center) != (self.dimension,)):
+                raise ValidationError(f"obstacles[{i}]", "expected a SphereObstacle on flat "
+                                      f"space with a center of shape ({self.dimension},)")
             with np.errstate(over="ignore"):  # a far obstacle's O is inf: outside
                 if obs.value(self.q0) <= 0.0:
                     raise ValidationError(f"obstacles[{i}]",
@@ -455,33 +457,6 @@ def _segment_starts(scenario: AvoidanceScenario, y) -> np.ndarray:
     return np.hstack([q.reshape(len(y), -1), y[:, n:]])
 
 
-def _segment_jacobian(scenario: AvoidanceScenario, res, starts, ends, deltas,
-                      seg) -> np.ndarray:
-    """Forward-difference Jacobian of the residual res (continuity at each
-    later segment's start, then the terminal condition) from one sweep's
-    rows: the M base segments first, then one row per unknown, perturbed by
-    deltas in segment seg. A column differs from res only in the junction
-    its segment starts at and the one (or the terminal condition) its
-    segment ends at. Row j of base is res's block where segment j ends."""
-    m, p, k = len(starts) - len(seg), len(seg), 4 * scenario.dimension
-    rows, cols = m + np.arange(p), np.arange(k)
-    base = np.append(res, np.zeros(k // 2)).reshape(m, k)
-    diff = np.zeros((p, p))
-    at = np.flatnonzero(seg > 0)
-    s = seg[at]
-    diff[at[:, None], (s - 1)[:, None] * k + cols] = (
-        _continuity(scenario, starts[rows[at]], ends[s - 1]) - base[s - 1])
-    at = np.flatnonzero(seg < m - 1)
-    s = seg[at]
-    diff[at[:, None], s[:, None] * k + cols] = (
-        _continuity(scenario, starts[s + 1], ends[rows[at]]) - base[s])
-    at = np.flatnonzero(seg == m - 1)
-    diff[at[:, None], (m - 1) * k + cols[:k // 2]] = (
-        _terminal_residual(scenario, ends[rows[at]]) - base[m - 1, :k // 2])
-    diff /= deltas[:, None]
-    return diff.T
-
-
 def _start_rows(scenario: AvoidanceScenario, start: BVPSolution, times) -> np.ndarray:
     """Segment start rows (xi, v, u, w) read off a flat path at the given
     times: xi = log(q0, q), v and u interpolated linearly, and w from
@@ -507,13 +482,13 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3,
     xi. By default segment starts begin at the zero guess (q0, v0, 0, 0);
     given a start path on flat space, such as transcription_oracle's, they
     begin at that path's values at each segment's start time (_start_rows).
-    Either way segment 0 starts at (q0, v0). The residual is the
-    continuity of q (by the space's log), v, u and w at each later
-    segment's start, then the terminal condition of the scenario mode. The
-    rhs is autonomous, so every segment sweeps the grid of the longest one
-    and reads its end at its own length, and each trial point goes through
-    one sweep together with one forward-difference perturbation per
-    unknown: an accepted trial brings the Jacobian at the new iterate along.
+    Either way segment 0 starts at (q0, v0). The residual joins each base
+    row's closing block: the continuity of q (by the space's log), v, u and
+    w at the next segment's start, or the last one's terminal condition.
+    The rhs is autonomous, so every segment sweeps the grid of the longest
+    one and reads its end at its own length. Each trial point goes through
+    one sweep with one forward-difference perturbation per unknown, whose
+    closing blocks give the Jacobian that an accepted trial brings along.
     A trial whose base rows touch an obstacle or overflow halves the step.
     The path joins the segments' base rows on the global grid. trace holds
     "residuals" (sup norm, the start's first), "steps" (the accepted step
@@ -545,6 +520,26 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3,
     row_seg = np.concatenate([np.arange(m), seg])
     row_end = (np.arange(row_seg.size), lengths[row_seg])
 
+    def closing(starts, ends, rows):
+        # The (rows, 4n) closing blocks of sweep rows: the continuity against
+        # the next segment's base start, or the terminal condition and 2n zeros.
+        last = row_seg[rows] == m - 1
+        blocks = np.zeros((rows.size, 4 * n))
+        blocks[~last] = _continuity(scenario, starts[row_seg[rows[~last]] + 1], ends[rows[~last]])
+        blocks[last, :2 * n] = _terminal_residual(scenario, ends[rows[last]])
+        return blocks
+
+    def jacobian(starts, ends, deltas, blocks):
+        # Column i: row m + i's closing block less its segment's base block,
+        # and past segment 0 the continuity at its start less the block before.
+        i, j = np.arange(seg.size), np.flatnonzero(seg)
+        jac = np.zeros((m, 4 * n, seg.size))
+        jac[seg, :, i] = closing(starts, ends, m + i) - blocks[seg]
+        jac[seg[j] - 1, :, j] = (_continuity(scenario, starts[m + j], ends[seg[j] - 1])
+                                 - blocks[seg[j] - 1])
+        jac /= deltas
+        return jac.reshape(-1, seg.size)[:seg.size]
+
     def sweep(x):
         deltas = 1e-6 * np.maximum(1.0, np.abs(x))
         y = np.concatenate([np.zeros(n), scenario.v0, x]).reshape(m, 4 * n)
@@ -555,9 +550,8 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3,
         # segment's span, and its contact flag covers that step too.
         zs, contact = _integrate_extremal(scenario, starts, times[:lengths[-1] + 1])
         ends = zs[row_end]
-        res = np.concatenate([_continuity(scenario, starts[1:m], ends[:m - 1]).ravel(),
-                              _terminal_residual(scenario, ends[m - 1:m])[0]])
-        return res, (starts, ends, deltas), contact, zs[:m].copy()
+        blocks = closing(starts, ends, np.arange(m))
+        return blocks.ravel()[:-2 * n], (starts, ends, deltas, blocks), contact, zs[:m].copy()
 
     if start is None:
         x = np.tile(np.concatenate([np.zeros(n), scenario.v0, np.zeros(2 * n)]), m)[2 * n:]
@@ -590,7 +584,7 @@ def shooting_solve(scenario: AvoidanceScenario, h: float = 1e-3,
             if contact[m:].any():
                 raise ObstacleContact(
                     f"a perturbed path at iterate {iterations} touches an obstacle")
-            jac = _segment_jacobian(scenario, res, *swept, seg)
+            jac = jacobian(*swept)
             if not np.isfinite(jac).all():
                 raise NoConvergence(
                     f"residual map not differentiable at iterate {iterations + 1} "
@@ -704,8 +698,7 @@ def transcription_oracle(scenario: AvoidanceScenario, n_grid: int,
     """
     if scenario.manifold != "flat" or scenario.mode != "avoidance":
         raise ValidationError("scenario", "transcription oracle covers flat avoidance scenarios")
-    if (isinstance(n_grid, bool) or not isinstance(n_grid, (int, np.integer))
-            or n_grid < ORACLE_MIN_GRID):
+    if not _is_int(n_grid) or n_grid < ORACLE_MIN_GRID:
         raise ValidationError("n_grid", f"need an integer of at least {ORACLE_MIN_GRID} "
                               f"grid points, got {n_grid!r}")
     n = scenario.dimension

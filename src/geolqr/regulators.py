@@ -51,9 +51,9 @@ class TrackingReference:
     three tables at the grid time nearest the time t.
 
     Raises:
-        ValidationError: the tables are not both (N + 1, 3) ("omegas"), h
-            is not positive and finite ("h"), or r0, when given, is not a
-            rotation within so3.ROTATION_TOL ("r0").
+        ValidationError: the tables are not both (N + 1, 3), N >= 0
+            ("omegas"), h is not positive and finite ("h"), or r0, when
+            given, is not a rotation within so3.ROTATION_TOL ("r0").
         NumericalDivergence: a w_ref above dynamics.OMEGA_DIVERGENCE_LIMIT
             or not finite, before any rotation is integrated.
     """
@@ -62,7 +62,8 @@ class TrackingReference:
         self.h = float(h)
         self.omegas = np.asarray(omegas, dtype=float)
         self.omega_dots = np.asarray(omega_dots, dtype=float)
-        if self.omegas.shape != self.omega_dots.shape or self.omegas.shape[1:] != (3,):
+        if (self.omegas.shape != self.omega_dots.shape or self.omegas.shape[1:] != (3,)
+                or not self.omegas.size):
             raise ValidationError("omegas", "omegas and omega_dots must be (N + 1, 3) tables")
         if not 0.0 < self.h < np.inf:
             raise ValidationError("h", "must be positive and finite")

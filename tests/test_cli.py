@@ -331,6 +331,17 @@ def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
                             h=0.1, start=BVPSolution(np.array([0.0, 1.0]), np.zeros((2, 1)),
                                                      np.zeros((2, 1)), np.zeros((2, 1)), None,
                                                      0.0, 0, 0.0)), "start"),
+    # dimension, a table's rows and an obstacle's type are checked before use.
+    (lambda: shooting_solve(AvoidanceScenario(dimension=1.0, alpha=1.0, target=[0.0],
+                                              horizon=1.0, q0=[1.0], v0=[0.0]), h=0.1),
+     "dimension"),
+    (lambda: transcription_oracle(AvoidanceScenario(dimension=True, alpha=1.0, target=[0.0],
+                                                    horizon=1.0, q0=[1.0], v0=[0.0]), 100),
+     "dimension"),
+    (lambda: TrackingReference(np.zeros((0, 3)), np.zeros((0, 3)), 1e-3), "omegas"),
+    (lambda: AvoidanceScenario(dimension=2, alpha=1.0, target=[0.0, 0.0], horizon=1.0,
+                               q0=[1.0, 0.0], v0=[0.0, 0.0], obstacles=([0.0, 0.0],)),
+     "obstacles[0]"),
 ], ids=["SimParams", "SimParams-steps", "CostParams", "AvoidanceScenario", "SphereObstacle",
         "q0", "target", "group-v0", "group-obstacle", "obstacle-center", "group-dimension",
         "manifold", "manifold-unhashable", "mode", "dimension-zero", "horizon-infinite",
@@ -342,7 +353,8 @@ def test_range_rules_report_the_config_path(tmp_path, capsys, payload, path):
         "reference-table-shapes", "dre-h-nan", "dre-h-above-t_end", "control-cost-scenario",
         "oracle-scenario", "oracle-n_grid", "oracle-n_grid-float", "control-cost-u-vector",
         "control-cost-u-rows", "simulate-init-w", "nearest-sample-array",
-        "solution-at-array", "shooting-start-group", "shooting-start-dimension"])
+        "solution-at-array", "shooting-start-group", "shooting-start-dimension",
+        "dimension-float", "dimension-bool", "reference-no-rows", "obstacle-not-sphere"])
 def test_constructors_name_their_argument(build, name):
     with pytest.raises(ValidationError) as err:
         build()

@@ -22,6 +22,7 @@ from geolqr.dynamics import (
     SimParams,
     rk4,
     simulate,
+    uniform_grid,
 )
 from geolqr.errors import NoConvergence, NoDescent, ObstacleContact, ValidationError
 from geolqr.pmp import (
@@ -762,6 +763,88 @@ class TestMultipleShooting:
         for a, b in [(sol.q, single.q), (sol.v, single.v), (sol.u, single.u),
                      (sol.udot, single.udot)]:
             assert np.abs(a - b).max() <= 5e-6
+
+
+def first_newton_system(monkeypatch, sc, h, start=None):
+    """The rows y (xi, v, u, w) of shooting_solve's first sweep, base rows
+    first, and the first (jac, -res) it hands to np.linalg.solve, where it
+    stops."""
+    seen = {}
+
+    class Formed(Exception):
+        pass
+
+    def spy_starts(scenario, y):
+        seen.setdefault("y", y.copy())
+        return segment_starts(scenario, y)
+
+    def spy_solve(a, b):
+        seen.update(jac=a, rhs=b)
+        raise Formed
+
+    segment_starts = pmp._segment_starts
+    monkeypatch.setattr(pmp, "_segment_starts", spy_starts)
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    with pytest.raises(Formed):
+        shooting_solve(sc, h, start=start)
+    return seen["y"], seen["jac"], seen["rhs"]
+
+
+def shooting_residual(sc, h):
+    """The multiple-shooting residual as a function of the unknowns x (the
+    segments' (xi, v, u, w) rows after segment 0's fixed (0, v0)), from one
+    sweep per segment: continuity at each later segment's start, then the
+    terminal condition. A segment's end is swept once per distinct start."""
+    n, times = sc.dimension, uniform_grid(sc.horizon, h)
+    steps = len(times) - 1
+    m = max(1, steps // pmp.SEGMENT_STEPS)
+    lengths = [steps // m + (j >= m - steps % m) for j in range(m)]
+    swept = {}
+
+    def end(j, start):
+        key = (j, start.tobytes())
+        if key not in swept:
+            swept[key] = pmp._integrate_extremal(sc, start[None], times[:lengths[j] + 1])[0][:, -1]
+        return swept[key]
+
+    def residual(x):
+        y = np.concatenate([np.zeros(n), sc.v0, x]).reshape(m, 4 * n)
+        starts = pmp._segment_starts(sc, y)
+        ends = [end(j, starts[j]) for j in range(m)]
+        blocks = [pmp._continuity(sc, starts[j + 1:j + 2], ends[j]) for j in range(m - 1)]
+        return np.concatenate([b.ravel() for b in blocks]
+                              + [pmp._terminal_residual(sc, ends[-1]).ravel()])
+
+    return m, residual
+
+
+class TestNewtonJacobian:
+    @pytest.mark.parametrize("case, h, segments", [
+        ("zero", 1e-3, 40), ("seeded", 1e-3, 40), ("zero", 2e-2, 2), ("zero", 4e-2, 1),
+        ("group-avoidance", 1e-2, 4), ("group-terminal", 1e-2, 4)])
+    def test_jacobian_is_the_residuals_forward_differences(self, monkeypatch, case, h,
+                                                            segments):
+        # configs/avoid.json's scenario, from the zero guess or the seed that
+        # run_avoid builds, and a rotation-group problem in both modes.
+        if case.startswith("group"):
+            sc = AvoidanceScenario(dimension=3, alpha=0.5, target=np.eye(3), horizon=2.0,
+                                   q0=exp_so3([0.9, -0.4, 0.3]), v0=np.array([0.2, 0.1, -0.3]),
+                                   manifold="so3-biinvariant", mode=case.split("-")[1])
+        else:
+            sc = criterion_09_scenario()
+        start = transcription_oracle(sc, 201, max_iter=200) if case == "seeded" else None
+        y, jac, rhs = first_newton_system(monkeypatch, sc, h, start)
+        monkeypatch.undo()
+        m, residual = shooting_residual(sc, h)
+        x = y[:m].ravel()[2 * sc.dimension:]
+        assert m == segments and jac.shape == (x.size, x.size)
+        res = residual(x)
+        assert np.array_equal(-res, rhs)
+        deltas = 1e-6 * np.maximum(1.0, np.abs(x))
+        for i, delta in enumerate(deltas):
+            step = x.copy()
+            step[i] += delta
+            assert np.array_equal(jac[:, i], (residual(step) - res) / delta), f"column {i}"
 
 
 class TestTranscriptionOracle:
